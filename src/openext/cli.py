@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .decomposition import (
     is_reconstructible,
     string_decomposition,
 )
-from .errors import NumericError, ValidationError
+from .errors import BudgetError, NumericError, ValidationError
 from .extension import (
     DEFAULT_MC_SEED,
     KernelSamples,
@@ -55,6 +56,7 @@ from .serialization import (
     write_trajectory_csv,
 )
 from .simulate import (
+    SIMULATE_SIZE_BUDGET,
     equivalence_residual,
     forcing_pulse,
     forcing_sine,
@@ -316,12 +318,19 @@ def _cmd_check(args, tol: ToleranceConfig) -> int:
 
 def _parse_direction(raw: str, dim: int) -> np.ndarray:
     if "," in raw:
-        parts = [complex(tok) for tok in raw.split(",")]
-        vec = np.array(parts, dtype=np.complex128)
+        try:
+            vec = np.array([complex(tok) for tok in raw.split(",")], dtype=np.complex128)
+        except ValueError as exc:
+            raise ValidationError(f"direction {raw!r} is not a list of numbers") from exc
+        if not np.all(np.isfinite(vec)):
+            raise ValidationError(f"direction {raw!r} has non-finite components")
         if vec.size != dim:
             raise ValidationError(f"direction has {vec.size} components, expected {dim}")
         return vec
-    index = int(raw)
+    try:
+        index = int(raw)
+    except ValueError as exc:
+        raise ValidationError(f"direction {raw!r} is neither an index nor components") from exc
     if not 0 <= index < dim:
         raise ValidationError(f"direction index {index} out of range for dimension {dim}")
     vec = np.zeros(dim, dtype=np.complex128)
@@ -342,9 +351,19 @@ def _build_forcing(args, dim: int):
 
 def _cmd_simulate(args, tol: ToleranceConfig) -> int:
     system, digest = _load_system(args.input)
+    for flag, value in (("--dt", args.dt), ("--T", args.total_time), ("--t-on", args.t_on),
+                        ("--t-off", args.t_off), ("--freq", args.freq)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{flag} must be finite, got {value}")
     if args.dt <= 0 or args.total_time <= 0:
         raise ValidationError("need positive --dt and --T")
-    steps = int(round(args.total_time / args.dt))
+    ratio = args.total_time / args.dt
+    if not math.isfinite(ratio) or (round(ratio) + 1) * system.dim > SIMULATE_SIZE_BUDGET:
+        raise BudgetError(
+            f"--T {args.total_time} / --dt {args.dt} steps at dimension {system.dim} exceed "
+            f"the budget of {SIMULATE_SIZE_BUDGET} state entries (grid points x dimension)"
+        )
+    steps = round(ratio)
     times = np.linspace(0.0, steps * args.dt, steps + 1)
     f1 = _build_forcing(args, system.n1)
 

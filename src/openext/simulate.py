@@ -4,7 +4,10 @@ The conservative propagator works in the eigenbasis of the frequency
 operator, advancing each mode with its exact phase and integrating the
 forcing with a piecewise-linear-exact quadrature, so unforced runs are
 unitary to rounding and forced runs carry no step-size error beyond the
-linear interpolation of the forcing between grid points.
+linear interpolation of the forcing between grid points.  Written in
+closed form, each mode coefficient is its phase times a cumulative sum
+of phase-weighted forcing increments, so the whole grid is evaluated
+with array operations in fixed-size blocks of steps.
 
 The open propagator integrates
 
@@ -12,9 +15,12 @@ The open propagator integrates
 
 from rest with an explicit midpoint step; the memory integral uses
 composite trapezoid over the stored history.  Because the kernel is a
-finite sum of exponentials e^{-i w_k t} N_k, the history sums factor
-into one running accumulator per kernel atom, which makes each step
-O(atoms x dim^2) instead of O(history).
+finite sum of exponentials e^{-i w_k t} N_k, the history enters only
+through the sums sigma_k(t_j) = sum_{l<=j} e^{-i w_k (t_j - t_l)} v_l,
+which obey sigma_k <- e^{-i w_k h} sigma_k + v.  On a uniform grid the
+midpoint step is then a constant linear map of (v, sigma_1..sigma_K)
+plus a forcing input: one matrix-vector product per step instead of
+O(history) work.
 
 Both trajectories are compared by `equivalence_residual`: driving the
 extension with a forcing supported on the observable block and
@@ -42,6 +48,15 @@ __all__ = [
     "forcing_sine",
     "sample_forcing",
 ]
+
+# Largest trajectory the command line propagates, in state entries
+# (grid points x dimension): each (T, dim) complex array costs 16 bytes
+# per entry, and a run holds a few of them.
+SIMULATE_SIZE_BUDGET = 10_000_000
+
+# Steps per block of the conservative closed form.  It bounds the
+# temporaries to a few (block x dim) arrays whatever the grid length.
+_CONSERVATIVE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -154,19 +169,23 @@ def propagate_conservative(
     f = sample_forcing(forcing, times, n)
 
     w, basis = eigh(system.omega, tol)
-    vt = basis.conj().T @ v0
     ft = f @ basis.conj()
+    dts = np.diff(times)
     states = np.empty((times.size, n), dtype=np.complex128)
     states[0] = v0
-    current = vt
-    for j in range(times.size - 1):
-        dt = times[j + 1] - times[j]
-        theta = w * dt
-        phi0, phi1 = _phi_coefficients(theta)
-        current = np.exp(-1j * theta) * current + dt * (
-            phi0 * ft[j] + phi1 * (ft[j + 1] - ft[j])
-        )
-        states[j + 1] = basis @ current
+    # Mode coefficients c_j = P_j (c_0 + sum_{l<j} P_{l+1}^* g_l), where
+    # P_j = e^{-i w (t_j - t_0)} and g_l is the exact quadrature increment
+    # of step l; `rotated` carries the bracket from block to block.
+    rotated = basis.conj().T @ v0
+    for a in range(0, dts.size, _CONSERVATIVE_BLOCK):
+        b = min(a + _CONSERVATIVE_BLOCK, dts.size)
+        dt = dts[a:b, None]
+        phi0, phi1 = _phi_coefficients(w * dt)
+        g = dt * (phi0 * ft[a:b] + phi1 * (ft[a + 1 : b + 1] - ft[a:b]))
+        phase = np.exp(-1j * np.outer(times[a + 1 : b + 1] - times[0], w))
+        block = rotated + np.cumsum(phase.conj() * g, axis=0)
+        rotated = block[-1]
+        states[a + 1 : b + 1] = (phase * block) @ basis.T
 
     forced = bool(np.any(f != 0))
     if forced:
@@ -175,7 +194,6 @@ def propagate_conservative(
         norms = np.linalg.norm(states, axis=1)
         ref = max(float(norms[0]), 1e-300)
         drift = float(np.max(np.abs(norms - norms[0])) / ref)
-    dts = np.diff(times)
     uniform = dts.size == 0 or np.max(np.abs(dts - dts[0])) <= 1e-9 * dts[0]
     return Trajectory(
         times,
@@ -197,9 +215,13 @@ def propagate_open(
     """Integrate the open system from rest on a uniform grid.
 
     Explicit midpoint on the local part; the memory convolution is a
-    composite trapezoid over the stored history, evaluated through one
-    running exponential sum per kernel atom (algebraically identical to
-    re-evaluating the kernel at every lag).  Second order: halving the
+    composite trapezoid over the stored history.  The history enters
+    through one decaying sum per kernel atom,
+    sigma_k(t_j) = sum_{l<=j} e^{-i w_k (t_j - t_l)} v_l, which is
+    algebraically identical to re-evaluating the kernel at every lag.
+    Each step is then one product of a constant n x n(K+1) matrix with
+    (v, sigma_1..sigma_K) plus the step's forcing input, followed by
+    sigma_k <- e^{-i w_k h} sigma_k + v.  Second order: halving the
     step shrinks the error about fourfold.
     """
     times = _check_grid(grid)
@@ -210,7 +232,6 @@ def propagate_open(
     if np.max(np.abs(dts - h)) > 1e-9 * h:
         raise ValidationError("open propagation requires a uniform grid")
     n = open_system.dim
-    omega1 = open_system.omega1
     f = sample_forcing(f1, times, n)
     if callable(f1):
         f_mid = sample_forcing(f1, times[:-1] + h / 2.0, n)
@@ -218,41 +239,36 @@ def propagate_open(
         f_mid = 0.5 * (f[:-1] + f[1:])
 
     atoms = open_system.kernel.atoms
-    k_count = len(atoms)
     freqs = np.array([a.frequency for a in atoms], dtype=np.float64)
-    masses = (
-        np.stack([a.mass for a in atoms])
-        if k_count
-        else np.zeros((0, n, n), dtype=np.complex128)
+    masses = [a.mass for a in atoms]
+    half = np.exp(-0.5j * h * freqs)
+    eye = np.eye(n, dtype=np.complex128)
+    a0 = sum(masses, np.zeros((n, n), dtype=np.complex128))
+    a_half = sum((e * m for e, m in zip(half, masses)), np.zeros((n, n), dtype=np.complex128))
+    local = -1j * open_system.omega1
+    # node stage: u = u_v v - (h^2/2) sum_k N_k sigma_k + (h/2) f_j, the
+    # trapezoid's half weight on the newest sample folded into u_v
+    u_v = eye + 0.5 * h * local + 0.25 * h * h * a0
+    # midpoint stage: v' = (I + (h^2/4) a(h/2)) v
+    #   - h^2 sum_k e^{-i w_k h/2} N_k sigma_k + from_u u + h f_mid_j
+    from_u = h * local - 0.25 * h * h * a0
+    step = np.hstack(
+        [eye + 0.25 * h * h * a_half + from_u @ u_v]
+        + [-h * h * (e * m) - 0.5 * h * h * (from_u @ m) for e, m in zip(half, masses)]
     )
-    a0 = masses.sum(axis=0) if k_count else np.zeros((n, n), dtype=np.complex128)
+    drive = f[:-1] @ (0.5 * h * from_u).T + h * f_mid
+    decay = np.exp(-1j * h * freqs)[:, None]
 
     states = np.zeros((times.size, n), dtype=np.complex128)
-    v = np.zeros(n, dtype=np.complex128)
-    # running sums S[k] = sum_{l<=j} e^{i w_k t_l} v_l; the l=0 term is 0 by rest
-    s_hist = np.zeros((k_count, n), dtype=np.complex128)
-
-    def memory(target_t: float, node_t: float, node_v: np.ndarray) -> np.ndarray:
-        """Trapezoid of int_0^{node_t} a(target_t - s) v(s) ds from the history."""
-        if k_count == 0:
-            return np.zeros(n, dtype=np.complex128)
-        weights = s_hist - 0.5 * np.exp(1j * freqs * node_t)[:, None] * node_v[None, :]
-        phased = h * np.exp(-1j * freqs * target_t)[:, None] * weights
-        return np.einsum("kij,kj->i", masses, phased)
-
+    # x = [v; sigma_1; ...; sigma_K], all zero at rest
+    x = np.zeros((len(atoms) + 1, n), dtype=np.complex128)
+    flat = x.reshape(-1)
+    sigma = x[1:]
     for j in range(times.size - 1):
-        t = float(times[j])
-        mem_node = memory(t, t, v)
-        u = v + 0.5 * h * (-1j * (omega1 @ v) - mem_node + f[j])
-        t_mid = t + 0.5 * h
-        mem_mid = memory(t_mid, t, v) + 0.25 * h * (
-            (np.einsum("kij,kj->i", masses, np.exp(-1j * freqs * 0.5 * h)[:, None] * v[None, :]) if k_count else 0.0)
-            + a0 @ u
-        )
-        v = v + h * (-1j * (omega1 @ u) - mem_mid + f_mid[j])
-        states[j + 1] = v
-        if k_count:
-            s_hist += np.exp(1j * freqs * float(times[j + 1]))[:, None] * v[None, :]
+        v = np.add(step @ flat, drive[j], out=states[j + 1])
+        sigma *= decay
+        sigma += v
+        x[0] = v
 
     return Trajectory(
         times,

@@ -226,6 +226,35 @@ class TestAnalysisCommands:
         assert code == 0
         assert out.startswith("t,")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--dt", "nan"),
+            ("--T", "inf"),
+            ("--t-on", "nan"),
+            ("--t-off=-inf",),
+            ("--freq", "nan"),
+            ("--direction", "nan"),
+            ("--direction", "1.5"),
+            ("--direction", "1,nan"),
+            ("--direction", "1,x"),
+        ],
+    )
+    def test_simulate_rejects_malformed_flags(self, capsys, worked_file, flags):
+        code = main(["simulate", worked_file, "--forcing", "sine", "--dt", "1e-2", "--T", "1", *flags])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--dt", "1e-300", "--T", "1"), ("--dt", "1e-310", "--T", "1e300"), ("--dt", "1e-7", "--T", "10")],
+    )
+    def test_simulate_size_budget(self, capsys, worked_file, flags):
+        # each request trips the budget before any array is allocated
+        code = main(["simulate", worked_file, "--both", *flags])
+        assert code == 1
+        assert "budget" in capsys.readouterr().err
+
     def test_lattice_report(self, capsys):
         code, out = run_cli(
             capsys,
