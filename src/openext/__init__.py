@@ -6,181 +6,26 @@ coupling channels and strings, verify multiplicity bounds and the
 dynamical equivalence of a system with its extension.
 """
 
-from .errors import (
-    BudgetError,
-    FitError,
-    NotPositiveSemidefiniteError,
-    NumericError,
-    UnboundedCouplingError,
-    ValidationError,
-)
-from .numerics import (
-    DEFAULT_TOLERANCES,
-    SpectralCluster,
-    Subspace,
-    ToleranceConfig,
-    cluster_spectrum,
-    complement_within,
-    contains,
-    eigh,
-    intersect,
-    matrix_rank,
-    orthonormal_basis,
-    principal_sqrt_psd,
-    subspace_sum,
-    subspaces_equal,
-    svd,
-)
-from .model import (
-    BlockPartition,
-    ConservativeSystem,
-    MeasureAtom,
-    OpenSystem,
-    PointMeasure,
-    ValidationReport,
-    Violation,
-    assemble,
-    validate,
-)
-from .extension import (
-    DissipationReport,
-    KernelSamples,
-    check_dissipation,
-    fit_point_measure,
-    kernel_eval,
-    kernel_eval_hidden,
-    kernel_of_measure,
-    measure_of,
-    minimal_extension,
-)
-from .decomposition import (
-    CoupledParts,
-    MultiplicityBoundReport,
-    StringDecomposition,
-    check_multiplicity_bounds,
-    coupled_parts,
-    four_block_residual,
-    is_reconstructible,
-    minimal_subsystem,
-    multiplicity,
-    orbit,
-    reconstructible_core,
-    string_decomposition,
-)
-from .coupling import (
-    ChannelSet,
-    DecouplingReport,
-    SInvariantDecomposition,
-    canonical_decomposition,
-    channels,
-    coupling_matrix,
-    decoupling_report,
-    is_s_invariant,
-)
-from .hamiltonian import (
-    FrozenReport,
-    LatticeSpec,
-    QuadraticHamiltonian,
-    ScanRow,
-    decode_state,
-    encode_state,
-    frequency_operator,
-    frozen_report,
-    lattice_system,
-    multiplicity_scan,
-    oscillator_system,
-)
-from .simulate import (
-    Trajectory,
-    equivalence_residual,
-    forcing_pulse,
-    forcing_sine,
-    forcing_step,
-    propagate_conservative,
-    propagate_open,
-    sample_forcing,
-)
+from . import coupling, decomposition, errors, extension, hamiltonian, model, numerics, simulate
+from .errors import *
+from .numerics import *
+from .model import *
+from .extension import *
+from .decomposition import *
+from .coupling import *
+from .hamiltonian import *
+from .simulate import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "BudgetError",
-    "FitError",
-    "NotPositiveSemidefiniteError",
-    "NumericError",
-    "UnboundedCouplingError",
-    "ValidationError",
-    "DEFAULT_TOLERANCES",
-    "SpectralCluster",
-    "Subspace",
-    "ToleranceConfig",
-    "cluster_spectrum",
-    "complement_within",
-    "contains",
-    "eigh",
-    "intersect",
-    "matrix_rank",
-    "orthonormal_basis",
-    "principal_sqrt_psd",
-    "subspace_sum",
-    "subspaces_equal",
-    "svd",
-    "BlockPartition",
-    "ConservativeSystem",
-    "MeasureAtom",
-    "OpenSystem",
-    "PointMeasure",
-    "ValidationReport",
-    "Violation",
-    "assemble",
-    "validate",
-    "DissipationReport",
-    "KernelSamples",
-    "check_dissipation",
-    "fit_point_measure",
-    "kernel_eval",
-    "kernel_eval_hidden",
-    "kernel_of_measure",
-    "measure_of",
-    "minimal_extension",
-    "CoupledParts",
-    "MultiplicityBoundReport",
-    "StringDecomposition",
-    "check_multiplicity_bounds",
-    "coupled_parts",
-    "four_block_residual",
-    "is_reconstructible",
-    "minimal_subsystem",
-    "multiplicity",
-    "orbit",
-    "reconstructible_core",
-    "string_decomposition",
-    "ChannelSet",
-    "DecouplingReport",
-    "SInvariantDecomposition",
-    "canonical_decomposition",
-    "channels",
-    "coupling_matrix",
-    "decoupling_report",
-    "is_s_invariant",
-    "FrozenReport",
-    "LatticeSpec",
-    "QuadraticHamiltonian",
-    "ScanRow",
-    "decode_state",
-    "encode_state",
-    "frequency_operator",
-    "frozen_report",
-    "lattice_system",
-    "multiplicity_scan",
-    "oscillator_system",
-    "Trajectory",
-    "equivalence_residual",
-    "forcing_pulse",
-    "forcing_sine",
-    "forcing_step",
-    "propagate_conservative",
-    "propagate_open",
-    "sample_forcing",
+    *errors.__all__,
+    *numerics.__all__,
+    *model.__all__,
+    *extension.__all__,
+    *decomposition.__all__,
+    *coupling.__all__,
+    *hamiltonian.__all__,
+    *simulate.__all__,
 ]

@@ -22,6 +22,8 @@ from .numerics import (
     DEFAULT_TOLERANCES,
     Subspace,
     ToleranceConfig,
+    cluster_spectrum,
+    matrix_rank,
     max_abs,
     orthonormal_basis,
     svd,
@@ -80,13 +82,9 @@ def channels(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERANC
     left, sigma, right_h = svd(gamma, tol)
     rank = int(np.count_nonzero(sigma > tol.tau_rank * sigma[0]))
     gammas = tuple(float(s) ** 2 for s in sigma[:rank])
-    groups = []
-    start = 0
-    for q in range(1, rank + 1):
-        if q == rank or gammas[q - 1] - gammas[q] > tol.tau_eig_cluster * max(gammas[0], 1e-300):
-            if q - start > 1:
-                groups.append(tuple(range(start, q)))
-            start = q
+    # cluster the ascending strengths; reversed index i is channel rank - 1 - i
+    clusters = cluster_spectrum(gammas[::-1], max(gammas[0], 1e-300), tol)
+    groups = [tuple(range(rank - cl.stop, rank - cl.start)) for cl in reversed(clusters) if cl.dim > 1]
     return ChannelSet(
         rank,
         gammas,
@@ -118,11 +116,7 @@ def coupling_matrix(
     out = np.zeros((len(partition1.parts), len(partition2.parts)), dtype=np.int64)
     for a, pa in enumerate(partition1.parts):
         for b, pb in enumerate(partition2.parts):
-            block = pa.frame.conj().T @ gamma @ pb.frame
-            if block.size == 0 or scale == 0.0:
-                continue
-            s = np.linalg.svd(block, compute_uv=False)
-            out[a, b] = int(np.count_nonzero(s > tol.tau_rank * scale))
+            out[a, b] = matrix_rank(pa.frame.conj().T @ gamma @ pb.frame, tol, scale=scale)
     return out
 
 

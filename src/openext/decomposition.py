@@ -31,8 +31,10 @@ from .numerics import (
     Subspace,
     ToleranceConfig,
     as_matrix,
-    cluster_spectrum,
-    eigh,
+    complement,
+    compress,
+    eigen_clusters,
+    matrix_rank,
     max_abs,
     orthonormal_basis,
     zero_subspace,
@@ -84,10 +86,9 @@ def orbit(op, seed, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:
     seed_scale = float(np.max(np.linalg.norm(frame, axis=0)))
     if seed_scale == 0.0:
         return zero_subspace(n)
-    w, v = eigh(a, tol)
-    radius = float(np.max(np.abs(w)))
+    _, v, clusters = eigen_clusters(a, tol)
     pieces = []
-    for cl in cluster_spectrum(w, radius, tol):
+    for cl in clusters:
         vc = v[:, cl.start : cl.stop]
         projected = vc @ (vc.conj().T @ frame)
         part = orthonormal_basis(projected, tol, scale=seed_scale)
@@ -152,18 +153,11 @@ def coupled_parts(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOL
     h1c_block = orbit(system.omega1, orthonormal_basis(gamma, tol), tol)
     h2c_block = orbit(system.omega2, orthonormal_basis(gamma.conj().T, tol), tol) if n2 else zero_subspace(0)
 
-    def complement_frame(block: Subspace) -> np.ndarray:
-        n = block.ambient_dim
-        if block.dim == 0:
-            return np.eye(n, dtype=np.complex128)
-        resid = np.eye(n, dtype=np.complex128) - block.frame @ block.frame.conj().T
-        return orthonormal_basis(resid, tol, scale=1.0).frame
-
     return CoupledParts(
         h1c=Subspace(n1 + n2, _embed(h1c_block.frame, n1, n2, 1)),
-        h1d=Subspace(n1 + n2, _embed(complement_frame(h1c_block), n1, n2, 1)),
+        h1d=Subspace(n1 + n2, _embed(complement(h1c_block, tol).frame, n1, n2, 1)),
         h2c=Subspace(n1 + n2, _embed(h2c_block.frame, n1, n2, 2)),
-        h2d=Subspace(n1 + n2, _embed(complement_frame(h2c_block), n1, n2, 2)),
+        h2d=Subspace(n1 + n2, _embed(complement(h2c_block, tol).frame, n1, n2, 2)),
     )
 
 
@@ -199,9 +193,7 @@ def _compress(system: ConservativeSystem, frame1: np.ndarray, frame2: np.ndarray
     """Restriction of the system to span(frame1) + span(frame2) (full-space frames)."""
     k1 = frame1.shape[1]
     basis = np.hstack([frame1, frame2]) if frame2.size else frame1
-    omega = basis.conj().T @ system.omega @ basis
-    omega = 0.5 * (omega + omega.conj().T)
-    return ConservativeSystem(k1, basis.shape[1] - k1, omega)
+    return ConservativeSystem(k1, basis.shape[1] - k1, compress(system.omega, basis))
 
 
 def minimal_subsystem(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> ConservativeSystem:
@@ -249,13 +241,11 @@ def multiplicity(
                 f"subspace is not invariant: leak {residual:.3e} exceeds "
                 f"{tol.tau_residual:.1e} * max(||op||, 1)"
             )
-        restricted = f.conj().T @ a @ f
-        restricted = 0.5 * (restricted + restricted.conj().T)
-    w = np.linalg.eigvalsh(restricted)
-    if w.size == 0:
+        restricted = compress(a, f)
+    _, _, clusters = eigen_clusters(restricted, tol, vectors=False)
+    if not clusters:
         return 0, []
-    radius = float(np.max(np.abs(w)))
-    per = [(cl.value, cl.stop - cl.start) for cl in cluster_spectrum(w, radius, tol)]
+    per = [(cl.value, cl.dim) for cl in clusters]
     return max(m for _, m in per), per
 
 
@@ -339,8 +329,7 @@ def check_multiplicity_bounds(
     they are reported rather than raised.
     """
     n1, n2 = system.n1, system.n2
-    sv = np.linalg.svd(system.coupling, compute_uv=False) if min(n1, n2) else np.zeros(0)
-    rank = int(np.count_nonzero(sv > tol.tau_rank * sv[0])) if sv.size and sv[0] > 0 else 0
+    rank = matrix_rank(system.coupling, tol)
 
     parts = coupled_parts(system, tol)
     f1c = _block_frame(parts.h1c, n1, 1)
@@ -419,11 +408,7 @@ def string_decomposition(
     d = f2c.shape[1]
     if d == 0:
         return StringDecomposition((), ())
-    restricted = f2c.conj().T @ system.omega2 @ f2c
-    restricted = 0.5 * (restricted + restricted.conj().T)
-    w, u = eigh(restricted, tol)
-    radius = float(np.max(np.abs(w)))
-    clusters = cluster_spectrum(w, radius, tol)
+    _, u, clusters = eigen_clusters(compress(system.omega2, f2c), tol)
     depth = max(cl.stop - cl.start for cl in clusters)
     strings = []
     measures = []
@@ -450,9 +435,8 @@ def is_reconstructible(
     """
     c = system.coupling_part
     c_scale = float(np.linalg.norm(c, 2))
-    w, v = eigh(system.omega, tol)
-    radius = float(np.max(np.abs(w))) if w.size else 0.0
-    for cl in cluster_spectrum(w, radius, tol):
+    _, v, clusters = eigen_clusters(system.omega, tol)
+    for cl in clusters:
         frame = v[:, cl.start : cl.stop]
         image = c @ frame
         _, s, vh = np.linalg.svd(image, full_matrices=False)

@@ -8,6 +8,15 @@ The command line maps the first family to exit code 1 and the second
 to exit code 2.
 """
 
+__all__ = [
+    "ValidationError",
+    "NotPositiveSemidefiniteError",
+    "UnboundedCouplingError",
+    "BudgetError",
+    "NumericError",
+    "FitError",
+]
+
 
 class ValidationError(ValueError):
     """Input violates a precondition or a structural invariant."""

@@ -2,9 +2,8 @@
 
 The friction kernel of a two-block conservative system is
 
-    a1(t) = coupling @ exp(-i omega2 t) @ coupling^H        (t >= 0)
+    a1(t) = coupling @ exp(-i omega2 t) @ coupling^H        (t >= 0).
 
-and the mirrored hidden-side kernel swaps the roles of the blocks.
 A point measure {(w_k, N_k)} generates the kernel sum_k e^{-i w_k t} N_k;
 `minimal_extension` realizes it with the smallest possible hidden space
 (one block of dimension rank N_k per atom) and `measure_of` inverts the
@@ -32,8 +31,7 @@ from .model import ConservativeSystem, MeasureAtom, OpenSystem, PointMeasure
 from .numerics import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
-    as_matrix,
-    cluster_spectrum,
+    eigen_clusters,
     eigh,
     max_abs,
 )
@@ -41,7 +39,6 @@ from .numerics import (
 __all__ = [
     "KernelSamples",
     "kernel_eval",
-    "kernel_eval_hidden",
     "kernel_of_measure",
     "minimal_extension",
     "measure_of",
@@ -91,14 +88,6 @@ def kernel_eval(system: ConservativeSystem, times, tol: ToleranceConfig = DEFAUL
     t = np.asarray(times, dtype=np.float64).reshape(-1)
     w, v = eigh(system.omega2, tol)
     b = system.coupling @ v
-    return KernelSamples(t, _mode_kernel(b, w, t))
-
-
-def kernel_eval_hidden(system: ConservativeSystem, times, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> KernelSamples:
-    """Hidden-side kernel a2(t) = coupling^H exp(-i omega1 t) coupling."""
-    t = np.asarray(times, dtype=np.float64).reshape(-1)
-    w, v = eigh(system.omega1, tol)
-    b = system.coupling.conj().T @ v
     return KernelSamples(t, _mode_kernel(b, w, t))
 
 
@@ -157,12 +146,11 @@ def measure_of(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERA
     gamma = system.coupling
     if system.n2 == 0:
         return PointMeasure(system.n1, ())
-    w, v = eigh(system.omega2, tol)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
+    _, v, clusters = eigen_clusters(system.omega2, tol)
     total = gamma @ gamma.conj().T
     total_norm = float(np.linalg.norm(total, 2))
     atoms: list[MeasureAtom] = []
-    for cluster in cluster_spectrum(w, scale, tol):
+    for cluster in clusters:
         block = gamma @ v[:, cluster.start : cluster.stop]
         mass = block @ block.conj().T
         mass = 0.5 * (mass + mass.conj().T)

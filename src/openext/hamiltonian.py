@@ -33,7 +33,9 @@ from .numerics import (
     Subspace,
     ToleranceConfig,
     as_matrix,
-    cluster_spectrum,
+    complement,
+    compress,
+    eigen_clusters,
     max_abs,
     orthonormal_basis,
     principal_sqrt_psd,
@@ -343,14 +345,8 @@ def frozen_report(spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) 
     gamma_stack = np.stack(spec.gammas)
     e_gamma = orthonormal_basis(gamma_stack.T.astype(np.complex128), tol)
     j_eff = e_gamma.dim
-    if j_eff < n:
-        ortho = orthonormal_basis(
-            np.eye(n, dtype=np.complex128) - e_gamma.frame @ e_gamma.frame.conj().T, tol, scale=1.0
-        )
-        frame = np.kron(np.eye(spec.volume, dtype=np.complex128), ortho.frame)
-        frozen = Subspace(spec.total_dim, frame)
-    else:
-        frozen = Subspace(spec.total_dim, np.zeros((spec.total_dim, 0), dtype=np.complex128))
+    ortho = complement(e_gamma, tol)
+    frozen = Subspace(spec.total_dim, np.kron(np.eye(spec.volume, dtype=np.complex128), ortho.frame))
 
     freq = math.sqrt(spec.xi / spec.m)
     omega_norm = float(np.linalg.norm(omega, 2))
@@ -364,24 +360,9 @@ def frozen_report(spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) 
             f"frozen directions fail the eigenvector check (residual {max_resid:.3e})"
         )
 
-    if frozen.dim:
-        complement = orthonormal_basis(
-            np.eye(spec.total_dim, dtype=np.complex128) - frozen.frame @ frozen.frame.conj().T,
-            tol,
-            scale=1.0,
-        )
-    else:
-        complement = orthonormal_basis(np.eye(spec.total_dim, dtype=np.complex128), tol, scale=1.0)
-    if complement.dim:
-        restricted = complement.frame.conj().T @ omega @ complement.frame
-        restricted = 0.5 * (restricted + restricted.conj().T)
-        w = np.linalg.eigvalsh(restricted)
-        radius = float(np.max(np.abs(w)))
-        per = tuple(
-            (cl.value, cl.stop - cl.start) for cl in cluster_spectrum(w, radius, tol)
-        )
-    else:
-        per = ()
+    coupled = complement(frozen, tol).frame
+    _, _, clusters = eigen_clusters(compress(omega, coupled), tol, vectors=False)
+    per = tuple((cl.value, cl.dim) for cl in clusters)
 
     dim_lower = (n - j_eff) * spec.volume
     mult_upper = len(spec.gammas) * spec.volume
@@ -421,8 +402,7 @@ def multiplicity_scan(spec: LatticeSpec, l_values, tol: ToleranceConfig = DEFAUL
             spec.d, int(l_val), spec.n_components, spec.m, spec.xi, spec.gammas
         )
         omega, _ = lattice_system(current, tol)
-        w = np.linalg.eigvalsh(omega)
-        radius = float(np.max(np.abs(w)))
-        mult = max(cl.stop - cl.start for cl in cluster_spectrum(w, radius, tol))
+        _, _, clusters = eigen_clusters(omega, tol, vectors=False)
+        mult = max(cl.dim for cl in clusters)
         rows.append(ScanRow(current.l_half_width, current.volume, int(mult), mult / current.volume))
     return rows

@@ -330,12 +330,12 @@ def _validate_measure(measure: PointMeasure, tol: ToleranceConfig) -> list[Viola
                     )
                 )
     for k, atom in enumerate(measure.atoms):
-        norm = max_abs(atom.mass)
-        if norm == 0.0:
+        if max_abs(atom.mass) == 0.0:
             out.append(Violation("zero_mass", f"atom {k} has zero mass", 0.0))
             continue
+        # the PSD cut scales with the spectral norm, as in check_dissipation
         w = np.linalg.eigvalsh(0.5 * (atom.mass + atom.mass.conj().T))
-        if w[0] < -tol.tau_residual * norm:
+        if w[0] < -tol.tau_residual * float(np.max(np.abs(w))):
             out.append(
                 Violation(
                     "mass_not_psd",

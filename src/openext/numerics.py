@@ -12,7 +12,9 @@ orthonormal frames, so this module fixes the conventions once:
   ``ToleranceConfig`` rather than ad-hoc constants.
 
 Matrices are plain complex ``numpy`` arrays; a ``Subspace`` is an
-orthonormal frame together with its ambient dimension.
+orthonormal frame together with its ambient dimension.  The cluster,
+rank and complement cuts that the structural verdicts rest on are made
+here: `eigen_clusters`, `matrix_rank` and `complement`.
 """
 
 from __future__ import annotations
@@ -29,21 +31,12 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "Subspace",
     "SpectralCluster",
-    "as_matrix",
-    "max_abs",
-    "require_hermitian",
     "eigh",
     "svd",
     "matrix_rank",
     "cluster_spectrum",
     "principal_sqrt_psd",
     "orthonormal_basis",
-    "full_space",
-    "zero_subspace",
-    "subspace_sum",
-    "complement_within",
-    "intersect",
-    "contains",
     "subspaces_equal",
 ]
 
@@ -127,9 +120,14 @@ def require_hermitian(m, tol: ToleranceConfig = DEFAULT_TOLERANCES, *, name: str
     return m
 
 
-def _phase_fix(columns: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant entry is real positive."""
+def _phase_fix(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate each column so its first significant entry is real positive.
+
+    Returns (fixed, phases) with columns == fixed * phases; the phase of
+    a zero column is 1.
+    """
     fixed = np.array(columns, dtype=np.complex128)
+    phases = np.ones(fixed.shape[1], dtype=np.complex128)
     for j in range(fixed.shape[1]):
         col = fixed[:, j]
         mags = np.abs(col)
@@ -137,9 +135,9 @@ def _phase_fix(columns: np.ndarray) -> np.ndarray:
         if top == 0.0:
             continue
         k = int(np.argmax(mags > 1e-12 * top))
-        phase = col[k] / abs(col[k])
-        fixed[:, j] = col * np.conj(phase)
-    return fixed
+        phases[j] = col[k] / abs(col[k])
+        fixed[:, j] = col * np.conj(phases[j])
+    return fixed, phases
 
 
 def eigh(matrix, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +152,7 @@ def eigh(matrix, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray,
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"eigh did not converge: {exc}") from exc
-    return w.astype(np.float64), _phase_fix(v)
+    return w.astype(np.float64), _phase_fix(v)[0]
 
 
 def svd(matrix, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,19 +167,8 @@ def svd(matrix, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, 
         u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"svd did not converge: {exc}") from exc
-    u = np.array(u)
-    vh = np.array(vh)
-    for q in range(u.shape[1]):
-        col = u[:, q]
-        mags = np.abs(col)
-        top = mags.max() if mags.size else 0.0
-        if top == 0.0:
-            continue
-        k = int(np.argmax(mags > 1e-12 * top))
-        phase = col[k] / abs(col[k])
-        u[:, q] = col * np.conj(phase)
-        vh[q, :] = vh[q, :] * phase
-    return u, s.astype(np.float64), vh
+    u, phases = _phase_fix(u)
+    return u, s.astype(np.float64), vh * phases[:, None]
 
 
 def matrix_rank(matrix, tol: ToleranceConfig = DEFAULT_TOLERANCES, *, scale: float | None = None) -> int:
@@ -229,6 +216,30 @@ def cluster_spectrum(eigenvalues, scale: float, tol: ToleranceConfig = DEFAULT_T
             clusters.append(SpectralCluster(start, i, float(np.mean(w[start:i]))))
             start = i
     return clusters
+
+
+def eigen_clusters(
+    matrix, tol: ToleranceConfig, *, vectors: bool = True
+) -> tuple[np.ndarray, np.ndarray | None, list[SpectralCluster]]:
+    """Spectrum of a Hermitian matrix grouped into eigen-clusters.
+
+    Returns (eigenvalues, eigenvectors or None, clusters), merging at
+    tau_eig_cluster times the spectral radius (0 for an empty matrix).
+    With vectors=False only eigenvalues are computed and the input is
+    not checked for Hermitian symmetry.
+    """
+    if vectors:
+        w, v = eigh(matrix, tol)
+    else:
+        w, v = np.linalg.eigvalsh(matrix), None
+    radius = float(np.max(np.abs(w))) if w.size else 0.0
+    return w, v, cluster_spectrum(w, radius, tol)
+
+
+def compress(op: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Hermitian part of frame^H op frame: op restricted to span(frame)."""
+    m = frame.conj().T @ op @ frame
+    return 0.5 * (m + m.conj().T)
 
 
 def principal_sqrt_psd(matrix, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -280,13 +291,6 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.frame @ self.frame.conj().T
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return self.frame @ (self.frame.conj().T @ x)
-
-
-def full_space(n: int) -> Subspace:
-    return Subspace(n, np.eye(n, dtype=np.complex128))
-
 
 def zero_subspace(n: int) -> Subspace:
     return Subspace(n, np.zeros((n, 0), dtype=np.complex128))
@@ -321,66 +325,34 @@ def orthonormal_basis(
         return zero_subspace(n)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     keep = int(np.count_nonzero(s > tol.tau_rank * scale))
-    return Subspace(n, _phase_fix(u[:, :keep]))
+    return Subspace(n, _phase_fix(u[:, :keep])[0])
 
 
-def _common_ambient(a: Subspace, b: Subspace) -> int:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValidationError(
-            f"subspaces live in different ambient spaces: {a.ambient_dim} vs {b.ambient_dim}"
-        )
-    return a.ambient_dim
+def complement(sub: Subspace, tol: ToleranceConfig) -> Subspace:
+    """Orthonormal complement of sub in its ambient space.
 
-
-def subspace_sum(a: Subspace, b: Subspace, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:
-    n = _common_ambient(a, b)
-    if a.dim == 0:
-        return b
-    if b.dim == 0:
-        return a
-    return orthonormal_basis(np.hstack([a.frame, b.frame]), tol, scale=1.0)
-
-
-def complement_within(ambient: Subspace, sub: Subspace, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:
-    """Orthogonal complement of sub inside ambient (sub must be contained)."""
-    n = _common_ambient(ambient, sub)
-    if sub.dim:
-        residual = max_abs(sub.frame - ambient.project(sub.frame))
-        if residual > 1e-8:
-            raise ValidationError(f"subspace is not contained in the ambient one: residual {residual:.3e}")
-    leftover = ambient.frame - sub.project(ambient.frame)
-    result = orthonormal_basis(leftover, tol, scale=1.0)
-    if result.dim != ambient.dim - sub.dim:
+    The identity frame when sub is empty.  Raises NumericError when the
+    dimensions do not add up: the rank cut is ambiguous at the current
+    tolerances.
+    """
+    n = sub.ambient_dim
+    eye = np.eye(n, dtype=np.complex128)
+    if sub.dim == 0:
+        return Subspace(n, eye)
+    result = orthonormal_basis(eye - sub.projector(), tol, scale=1.0)
+    if result.dim != n - sub.dim:
         raise NumericError(
-            f"complement dimension {result.dim} != {ambient.dim - sub.dim}; "
+            f"complement dimension {result.dim} != {n - sub.dim}; "
             "rank cut is ambiguous at the current tolerances"
         )
     return result
 
 
-def intersect(a: Subspace, b: Subspace, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:
-    """Intersection via complements: (A^perp + B^perp)^perp."""
-    n = _common_ambient(a, b)
-    whole = full_space(n)
-    a_perp = complement_within(whole, a, tol)
-    b_perp = complement_within(whole, b, tol)
-    return complement_within(whole, subspace_sum(a_perp, b_perp, tol), tol)
-
-
-def contains(sub: Subspace, vector, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """Membership test: projection residual <= tau_residual * ||v||."""
-    v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-    if v.shape[0] != sub.ambient_dim:
-        raise ValidationError("vector length does not match the ambient dimension")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return True
-    residual = float(np.linalg.norm(v - sub.project(v)))
-    return residual <= tol.tau_residual * norm
-
-
 def subspaces_equal(a: Subspace, b: Subspace, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    _common_ambient(a, b)
+    if a.ambient_dim != b.ambient_dim:
+        raise ValidationError(
+            f"subspaces live in different ambient spaces: {a.ambient_dim} vs {b.ambient_dim}"
+        )
     if a.dim != b.dim:
         return False
     return max_abs(a.projector() - b.projector()) <= max(tol.tau_residual, 1e-10)

@@ -102,6 +102,17 @@ class TestChannels:
         assert ch.rank == 2
         assert ch.degenerate_groups == ((0, 1),)
 
+    @pytest.mark.parametrize(
+        "strengths, groups", [((3, 2, 2, 1), ((1, 2),)), ((2, 2, 1, 1), ((0, 1), (2, 3)))]
+    )
+    def test_degenerate_groups_use_descending_channel_indices(self, strengths, groups):
+        omega = np.zeros((8, 8), dtype=complex)
+        omega[:4, 4:] = np.diag(np.sqrt(strengths))
+        omega[4:, :4] = omega[:4, 4:]
+        ch = channels(ConservativeSystem(4, 4, omega))
+        assert ch.gammas == pytest.approx(strengths)
+        assert ch.degenerate_groups == groups
+
 
 class TestCouplingMatrix:
     def test_worked_example_against_hand_count(self, worked_system):

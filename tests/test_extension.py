@@ -19,7 +19,6 @@ from openext import (
     check_dissipation,
     fit_point_measure,
     kernel_eval,
-    kernel_eval_hidden,
     kernel_of_measure,
     measure_of,
     minimal_extension,
@@ -62,15 +61,6 @@ class TestKernelEval:
             g = worked_system.coupling
             e = v @ np.diag(np.exp(1j * w * times[k])) @ v.conj().T
             assert np.allclose(fwd[k].conj().T, g @ e @ g.conj().T, atol=1e-12)
-
-    def test_hidden_side_kernel(self, worked_system):
-        times = np.linspace(0.0, 3.0, 9)
-        got = kernel_eval_hidden(worked_system, times).values
-        g = worked_system.coupling
-        w, v = np.linalg.eigh(worked_system.omega1)
-        for k, t in enumerate(times):
-            e = v @ np.diag(np.exp(-1j * w * t)) @ v.conj().T
-            assert np.allclose(got[k], g.conj().T @ e @ g, atol=1e-12)
 
     def test_kernel_of_measure_is_fourier_sum(self):
         rng = np.random.default_rng(10)

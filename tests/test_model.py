@@ -7,12 +7,16 @@ from openext import (
     BlockPartition,
     ConservativeSystem,
     MeasureAtom,
+    NotPositiveSemidefiniteError,
     OpenSystem,
     PointMeasure,
     Subspace,
     UnboundedCouplingError,
     ValidationError,
     assemble,
+    check_dissipation,
+    minimal_extension,
+    principal_sqrt_psd,
     validate,
 )
 from openext.serialization import (
@@ -170,6 +174,22 @@ class TestValidate:
         assert any(v.code == "mass_not_psd" for v in rep.violations)
         bad = [v for v in rep.violations if v.code == "mass_not_psd"][0]
         assert bad.magnitude == pytest.approx(-0.5)
+
+    @pytest.mark.parametrize("shift, psd", [(5e-9, True), (5e-7, False)])
+    def test_psd_cut_agrees_with_the_other_routes(self, shift, psd):
+        # J - shift*I: largest entry ~1 but spectral norm 10, so a cut
+        # scaled by the largest entry would reject what the others accept
+        n = 10
+        mass = np.ones((n, n)) - shift * np.eye(n)
+        mu = PointMeasure(n, (MeasureAtom(1.0, mass),))
+        assert validate(mu).ok is psd
+        assert check_dissipation(mu).verdict is psd
+        for route, arg in ((minimal_extension, mu), (principal_sqrt_psd, mass)):
+            if psd:
+                route(arg)
+            else:
+                with pytest.raises(NotPositiveSemidefiniteError):
+                    route(arg)
 
     def test_open_system_report(self):
         kernel = PointMeasure.create(2, [(1.0, np.eye(2))])

@@ -6,23 +6,26 @@ import numpy as np
 import pytest
 
 from openext import (
+    NumericError,
     SpectralCluster,
     Subspace,
     ToleranceConfig,
     ValidationError,
     cluster_spectrum,
-    complement_within,
-    contains,
     eigh,
-    intersect,
     matrix_rank,
     orthonormal_basis,
     principal_sqrt_psd,
-    subspace_sum,
     subspaces_equal,
     svd,
 )
-from openext.numerics import DEFAULT_TOLERANCES, full_space, require_hermitian, zero_subspace
+from openext.numerics import (
+    DEFAULT_TOLERANCES,
+    complement,
+    eigen_clusters,
+    require_hermitian,
+    zero_subspace,
+)
 
 from conftest import haar_unitary, random_psd
 
@@ -132,6 +135,27 @@ class TestClusterSpectrum:
         assert len(out) == 2
 
 
+class TestEigenClusters:
+    def test_empty(self):
+        w, v, clusters = eigen_clusters(np.zeros((0, 0)), DEFAULT_TOLERANCES)
+        assert w.size == 0 and v.shape == (0, 0) and clusters == []
+
+    def test_values_only(self):
+        w, v, clusters = eigen_clusters(np.diag([1.0, 1.0, 2.0]), DEFAULT_TOLERANCES, vectors=False)
+        assert v is None
+        assert np.array_equal(w, [1.0, 1.0, 2.0])
+        assert [c.dim for c in clusters] == [2, 1]
+
+    def test_merges_relative_to_the_spectral_radius(self):
+        # a gap of 5e-8 merges against radius 10 (threshold 1e-7) but
+        # splits against radius 1 (threshold 1e-8)
+        tol = DEFAULT_TOLERANCES
+        _, _, wide = eigen_clusters(np.diag([0.5, 0.5 + 5e-8, -10.0]), tol)
+        _, _, narrow = eigen_clusters(np.diag([0.5, 0.5 + 5e-8, 1.0]), tol)
+        assert [c.dim for c in wide] == [1, 2]
+        assert [c.dim for c in narrow] == [1, 1, 1]
+
+
 class TestPrincipalSqrt:
     def test_square_recovers(self):
         rng = np.random.default_rng(5)
@@ -170,47 +194,22 @@ class TestSubspaces:
         assert orthonormal_basis(cols).dim == 2
         assert orthonormal_basis(cols, scale=1.0).dim == 0
 
-    def test_sum_and_intersection_against_projectors(self):
-        rng = np.random.default_rng(7)
-        u = haar_unitary(6, rng)
-        a = Subspace(6, u[:, :3])
-        b = Subspace(6, u[:, 2:4])
-        s = subspace_sum(a, b)
-        i = intersect(a, b)
-        assert s.dim == 4
-        assert i.dim == 1
-        # the intersection must sit inside both
-        assert np.linalg.norm(a.project(i.frame) - i.frame) < 1e-10
-        assert np.linalg.norm(b.project(i.frame) - i.frame) < 1e-10
+    def test_complement_of_empty_is_identity(self):
+        comp = complement(zero_subspace(4), DEFAULT_TOLERANCES)
+        assert np.array_equal(comp.frame, np.eye(4))
 
-    def test_complement_within(self):
+    def test_complement_is_orthogonal_and_fills_the_space(self):
         rng = np.random.default_rng(8)
-        u = haar_unitary(5, rng)
-        amb = Subspace(5, u[:, :4])
-        sub = Subspace(5, u[:, :2])
-        comp = complement_within(amb, sub)
-        assert comp.dim == 2
+        sub = Subspace(5, haar_unitary(5, rng)[:, :2])
+        comp = complement(sub, DEFAULT_TOLERANCES)
+        assert comp.dim == 3
         assert np.linalg.norm(sub.frame.conj().T @ comp.frame) < 1e-10
-        assert subspaces_equal(subspace_sum(sub, comp), amb)
+        assert np.allclose(sub.projector() + comp.projector(), np.eye(5), atol=1e-12)
 
-    def test_complement_requires_containment(self):
-        a = full_space(3)
-        outside = Subspace(4, np.eye(4)[:, :1])
-        with pytest.raises(ValidationError):
-            complement_within(outside, a)
-
-    def test_contains_vector(self):
-        sub = Subspace(3, np.eye(3)[:, :2])
-        assert contains(sub, np.array([1.0, 2.0, 0.0]))
-        assert not contains(sub, np.array([0.0, 0.0, 1.0]))
-        assert contains(sub, np.zeros(3))
-
-    def test_zero_and_full(self):
-        assert zero_subspace(4).dim == 0
-        assert full_space(4).dim == 4
-        assert subspaces_equal(
-            subspace_sum(zero_subspace(4), full_space(4)), full_space(4)
-        )
+    def test_complement_rejects_an_ambiguous_rank_cut(self):
+        sub = Subspace(3, np.eye(3)[:, :1])
+        with pytest.raises(NumericError):
+            complement(sub, ToleranceConfig(tau_rank=2.0))
 
     def test_equality_ignores_basis_choice(self):
         rng = np.random.default_rng(9)
