@@ -4,8 +4,8 @@ Subcommands mirror the library: validate, extend, kernel, decompose,
 channels, canonical, check, simulate, lattice, fit.  JSON reports go to
 stdout unless --out is given (writes are atomic); every report carries
 the schema version, library version, tolerance configuration, and a
-SHA-256 digest of the input.  Exit codes: 0 success, 1 validation or
-precondition failure, 2 numeric failure.
+SHA-256 digest of the input.  Exit codes: 0 success, 1 validation, usage
+or precondition failure, 2 numeric failure.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import fields
 
 import numpy as np
 
@@ -66,19 +66,9 @@ from .simulate import (
     sample_forcing,
 )
 
-__all__ = ["RunConfig", "main", "run"]
+__all__ = ["main"]
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: command name, namespace of arguments, tolerances."""
-
-    command: str
-    args: argparse.Namespace
-    tolerances: ToleranceConfig
-
-
-_TOL_FLAGS = ("tau_herm", "tau_orth", "tau_rank", "tau_eig_cluster", "tau_residual")
+_TOL_FLAGS = tuple(f.name for f in fields(ToleranceConfig))
 
 
 def _resolve_tolerances(args: argparse.Namespace) -> ToleranceConfig:
@@ -91,8 +81,8 @@ def _resolve_tolerances(args: argparse.Namespace) -> ToleranceConfig:
     for name in _TOL_FLAGS:
         value = getattr(args, name, None)
         if value is not None:
-            if value <= 0:
-                raise ValidationError(f"--{name.replace('_', '-')} must be positive")
+            if not 0 < value < math.inf:
+                raise ValidationError(f"--{name.replace('_', '-')} must be positive and finite")
             overrides[name] = value
     return tol.replace(**overrides) if overrides else tol
 
@@ -173,8 +163,15 @@ def _cmd_extend(args, tol: ToleranceConfig) -> int:
     return 0
 
 
+def _require_finite(*flags: tuple[str, float]) -> None:
+    for flag, value in flags:
+        if not math.isfinite(value):
+            raise ValidationError(f"{flag} must be finite, got {value}")
+
+
 def _cmd_kernel(args, tol: ToleranceConfig) -> int:
     system, _ = _load_system(args.input)
+    _require_finite(("--t0", args.t0), ("--t1", args.t1))
     if args.steps < 1 or args.t1 <= args.t0 or args.t0 < 0:
         raise ValidationError("need t1 > t0 >= 0 and steps >= 1")
     times = np.linspace(args.t0, args.t1, args.steps)
@@ -351,10 +348,8 @@ def _build_forcing(args, dim: int):
 
 def _cmd_simulate(args, tol: ToleranceConfig) -> int:
     system, digest = _load_system(args.input)
-    for flag, value in (("--dt", args.dt), ("--T", args.total_time), ("--t-on", args.t_on),
-                        ("--t-off", args.t_off), ("--freq", args.freq)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{flag} must be finite, got {value}")
+    _require_finite(("--dt", args.dt), ("--T", args.total_time), ("--t-on", args.t_on),
+                    ("--t-off", args.t_off), ("--freq", args.freq))
     if args.dt <= 0 or args.total_time <= 0:
         raise ValidationError("need positive --dt and --T")
     ratio = args.total_time / args.dt
@@ -399,11 +394,11 @@ def _cmd_simulate(args, tol: ToleranceConfig) -> int:
 
 
 def _cmd_lattice(args, tol: ToleranceConfig) -> int:
-    gammas = []
-    for chunk in args.gammas.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            gammas.append([float(tok) for tok in chunk.split(",")])
+    try:
+        gammas = [[float(tok) for tok in chunk.split(",")] for chunk in args.gammas.split(";") if chunk.strip()]
+    except ValueError as exc:
+        raise ValidationError(f"--gammas {args.gammas!r} is not a list of numbers") from exc
+    _require_finite(("--m", args.m), ("--xi", args.xi), *(("--gammas", x) for row in gammas for x in row))
     if args.n_couplings is not None and args.n_couplings != len(gammas):
         raise ValidationError(
             f"--J says {args.n_couplings} coupling vectors but --gammas lists {len(gammas)}"
@@ -414,7 +409,10 @@ def _cmd_lattice(args, tol: ToleranceConfig) -> int:
         f"xi={spec.xi};gammas={args.gammas}".encode()
     )
     if args.scan:
-        l_values = [int(tok) for tok in args.scan.split(",") if tok.strip()]
+        try:
+            l_values = [int(tok) for tok in args.scan.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise ValidationError(f"--scan {args.scan!r} is not a list of integers") from exc
         rows = multiplicity_scan(spec, l_values, tol)
         lines = ["L,volume,max_mult,ratio"]
         lines += [f"{r.l_half_width},{r.volume},{r.max_multiplicity},{r.ratio!r}" for r in rows]
@@ -453,8 +451,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are validation failures: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="openext",
         description="Open linear systems and their minimal conservative extensions.",
     )
@@ -525,18 +530,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(config: RunConfig) -> int:
-    """Execute one parsed command; returns the exit status."""
-    handler = _COMMANDS[config.command]
-    return handler(config.args, config.tolerances)
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         tol = _resolve_tolerances(args)
-        return run(RunConfig(args.command, args, tol))
+        return _COMMANDS[args.command](args, tol)
     except (ValidationError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,12 +23,13 @@ from .numerics import (
     Subspace,
     ToleranceConfig,
     cluster_spectrum,
+    eigen_clusters,
     matrix_rank,
     max_abs,
     orthonormal_basis,
     svd,
 )
-from .decomposition import _block_frame, _embed, coupled_parts, orbit
+from .decomposition import _block_frame, _cluster_orbit, _embed, coupled_parts, orbit
 from .extension import kernel_eval
 
 __all__ = [
@@ -163,22 +164,6 @@ class SInvariantDecomposition:
         return len(self.components)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def canonical_decomposition(
     system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> SInvariantDecomposition:
@@ -187,40 +172,45 @@ def canonical_decomposition(
     Channels p and q interact iff the orbit of g_p under omega1 has a
     component along g_q, or the orbit of g'_p under omega2 has one along
     g'_q (the orbits then share an eigenspace direction, so no invariant
-    splitting can separate them).  Connected components of that relation
-    give the finest splitting; the decoupled remainders h1d and h2d are
-    attached as extra components with an empty other side.
+    splitting can separate them).  Both overlaps are read from one
+    eigendecomposition per side: for an eigen-cluster with eigenvectors
+    V_c put C = V_c^H U (U = g or g'); the orbit frame F_p of u_p holds
+    the unit vector V_c C[:, p] / |C[:, p]| exactly when
+    |C[:, p]| > tau_rank |u_p|, so the overlap is
+
+        |F_p^H u_q| = sqrt( sum_c |C[:, p]^H C[:, q]|^2 / |C[:, p]|^2 )
+
+    over the kept clusters, and p < q are linked when it exceeds
+    tau_residual on either side.  Connected components of that relation,
+    ordered by their smallest channel, give the finest splitting; the
+    decoupled remainders h1d and h2d are attached as extra components
+    with an empty other side.
     """
     n1, n2 = system.n1, system.n2
     cs = channels(system, tol)
     r = cs.rank
-    orbits1 = [orbit(system.omega1, cs.g[:, q], tol) for q in range(r)]
-    orbits2 = [orbit(system.omega2, cs.g_prime[:, q], tol) for q in range(r)]
-    uf = _UnionFind(r)
-    for p in range(r):
-        for q in range(p + 1, r):
-            touch1 = float(np.linalg.norm(orbits1[p].frame.conj().T @ cs.g[:, q]))
-            touch2 = float(np.linalg.norm(orbits2[p].frame.conj().T @ cs.g_prime[:, q]))
-            if touch1 > tol.tau_residual or touch2 > tol.tau_residual:
-                uf.union(p, q)
+    pairs = ((system.omega1, cs.g), (system.omega2, cs.g_prime)) if r else ()
+    sides = [(*eigen_clusters(op, tol)[1:], u) for op, u in pairs]
+    linked = np.eye(r, dtype=bool)
+    for v, clusters, u in sides:
+        rank_cut = tol.tau_rank * np.linalg.norm(u, axis=0)
+        overlap2 = np.zeros((r, r))
+        for cl in clusters:
+            c = v[:, cl.start : cl.stop].conj().T @ u
+            norms = np.linalg.norm(c, axis=0)
+            kept = norms > rank_cut
+            overlap2[kept] += np.abs(c[:, kept].conj().T @ c) ** 2 / norms[kept, None] ** 2
+        linked |= np.triu(np.sqrt(overlap2) > tol.tau_residual)
+    linked |= linked.T
+    while not np.array_equal(closure := linked @ linked, linked):
+        linked = closure
+    members = [tuple(np.flatnonzero(row).tolist()) for row in linked]
+    groups = sorted(set(members))
 
-    roots: dict[int, list[int]] = {}
-    for q in range(r):
-        roots.setdefault(uf.find(q), []).append(q)
-    ordered = sorted(roots.values(), key=lambda group: group[0])
-    assignment = [0] * r
     components: list[tuple[Subspace, Subspace]] = []
-    for k, group in enumerate(ordered):
-        for q in group:
-            assignment[q] = k
-        h1 = orbit(system.omega1, cs.g[:, group], tol)
-        h2 = orbit(system.omega2, cs.g_prime[:, group], tol)
-        components.append(
-            (
-                Subspace(n1 + n2, _embed(h1.frame, n1, n2, 1)),
-                Subspace(n1 + n2, _embed(h2.frame, n1, n2, 2)),
-            )
-        )
+    for group in groups:
+        f1, f2 = (_cluster_orbit(v, clusters, u[:, group], tol).frame for v, clusters, u in sides)
+        components.append((Subspace(n1 + n2, _embed(f1, n1, n2, 1)), Subspace(n1 + n2, _embed(f2, n1, n2, 2))))
 
     parts = coupled_parts(system, tol)
     empty = Subspace(n1 + n2, np.zeros((n1 + n2, 0), dtype=np.complex128))
@@ -228,7 +218,7 @@ def canonical_decomposition(
         components.append((parts.h1d, empty))
     if parts.h2d.dim:
         components.append((empty, parts.h2d))
-    return SInvariantDecomposition(tuple(components), tuple(assignment))
+    return SInvariantDecomposition(tuple(components), tuple(groups.index(m) for m in members))
 
 
 @dataclass(frozen=True)

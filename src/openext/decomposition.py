@@ -81,12 +81,15 @@ def orbit(op, seed, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:
     frame = _seed_frame(seed)
     if frame.shape[0] != n:
         raise ValidationError(f"seed ambient dim {frame.shape[0]} does not match operator dim {n}")
-    if frame.shape[1] == 0:
-        return zero_subspace(n)
-    seed_scale = float(np.max(np.linalg.norm(frame, axis=0)))
-    if seed_scale == 0.0:
+    if frame.shape[1] == 0 or not frame.any():
         return zero_subspace(n)
     _, v, clusters = eigen_clusters(a, tol)
+    return _cluster_orbit(v, clusters, frame, tol)
+
+
+def _cluster_orbit(v: np.ndarray, clusters, frame: np.ndarray, tol: ToleranceConfig) -> Subspace:
+    """`orbit` of a nonzero seed, given the eigenvectors and clusters of the operator."""
+    seed_scale = float(np.max(np.linalg.norm(frame, axis=0)))
     pieces = []
     for cl in clusters:
         vc = v[:, cl.start : cl.stop]
@@ -95,8 +98,8 @@ def orbit(op, seed, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:
         if part.dim:
             pieces.append(part.frame)
     if not pieces:
-        return zero_subspace(n)
-    return Subspace(n, np.hstack(pieces))
+        return zero_subspace(v.shape[0])
+    return Subspace(v.shape[0], np.hstack(pieces))
 
 
 def _embed(frame: np.ndarray, n1: int, n2: int, side: int) -> np.ndarray:

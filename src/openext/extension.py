@@ -31,6 +31,7 @@ from .model import ConservativeSystem, MeasureAtom, OpenSystem, PointMeasure
 from .numerics import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
+    below_psd_cut,
     eigen_clusters,
     eigh,
     max_abs,
@@ -115,14 +116,13 @@ def minimal_extension(measure: PointMeasure, tol: ToleranceConfig = DEFAULT_TOLE
     hidden_freqs: list[float] = []
     for k, atom in enumerate(measure.atoms):
         w, v = eigh(atom.mass, tol)
-        top = float(w[-1]) if w.size else 0.0
-        if w.size and w[0] < -tol.tau_residual * max(top, abs(float(w[0]))):
+        if below_psd_cut(w, tol):
             raise NotPositiveSemidefiniteError(
                 f"atom {k} (frequency {atom.frequency}) violates the dissipation condition: "
                 f"min eigenvalue {w[0]:.6e}",
                 min_eigenvalue=float(w[0]),
             )
-        keep = np.flatnonzero(w > tol.tau_rank * max(top, 0.0))[::-1]
+        keep = np.flatnonzero(w > tol.tau_rank * max(float(w[-1]), 0.0))[::-1]
         for idx in keep:
             columns.append(np.sqrt(w[idx]) * v[:, idx])
             hidden_freqs.append(atom.frequency)
@@ -298,7 +298,7 @@ def check_dissipation(
         for k, atom in enumerate(measure.atoms):
             w = np.linalg.eigvalsh(0.5 * (atom.mass + atom.mass.conj().T))
             min_eigs.append(float(w[0]))
-            if w[0] < -tol.tau_residual * max(float(np.linalg.norm(atom.mass, 2)), 1e-300):
+            if below_psd_cut(w, tol):
                 witness.append((k, float(w[0])))
         algebraic_available, algebraic_pass = True, not witness
     else:

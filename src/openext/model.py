@@ -34,6 +34,7 @@ from .numerics import (
     Subspace,
     ToleranceConfig,
     as_matrix,
+    below_psd_cut,
     eigh,
     max_abs,
     require_hermitian,
@@ -333,9 +334,8 @@ def _validate_measure(measure: PointMeasure, tol: ToleranceConfig) -> list[Viola
         if max_abs(atom.mass) == 0.0:
             out.append(Violation("zero_mass", f"atom {k} has zero mass", 0.0))
             continue
-        # the PSD cut scales with the spectral norm, as in check_dissipation
         w = np.linalg.eigvalsh(0.5 * (atom.mass + atom.mass.conj().T))
-        if w[0] < -tol.tau_residual * float(np.max(np.abs(w))):
+        if below_psd_cut(w, tol):
             out.append(
                 Violation(
                     "mass_not_psd",

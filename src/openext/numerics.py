@@ -13,14 +13,15 @@ orthonormal frames, so this module fixes the conventions once:
 
 Matrices are plain complex ``numpy`` arrays; a ``Subspace`` is an
 orthonormal frame together with its ambient dimension.  The cluster,
-rank and complement cuts that the structural verdicts rest on are made
-here: `eigen_clusters`, `matrix_rank` and `complement`.
+rank, complement and PSD cuts that the structural verdicts rest on are
+made here: `eigen_clusters`, `matrix_rank`, `complement` and
+`below_psd_cut`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -82,13 +83,7 @@ class ToleranceConfig:
         return cls.from_mapping(data)
 
     def as_dict(self) -> dict:
-        return {
-            "tau_herm": self.tau_herm,
-            "tau_orth": self.tau_orth,
-            "tau_rank": self.tau_rank,
-            "tau_eig_cluster": self.tau_eig_cluster,
-            "tau_residual": self.tau_residual,
-        }
+        return asdict(self)
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -242,15 +237,19 @@ def compress(op: np.ndarray, frame: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+def below_psd_cut(w: np.ndarray, tol: ToleranceConfig) -> bool:
+    """Do ascending eigenvalues w fail the PSD cut w_min >= -tau_residual * max|w|?"""
+    return bool(w.size and w[0] < -tol.tau_residual * max(abs(w[0]), abs(w[-1])))
+
+
 def principal_sqrt_psd(matrix, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix.
 
-    Eigenvalues below -tau_residual * ||K|| raise
+    Eigenvalues failing `below_psd_cut` raise
     NotPositiveSemidefiniteError; tiny negatives are clamped to zero.
     """
     w, v = eigh(matrix, tol)
-    norm = float(np.max(np.abs(w))) if w.size else 0.0
-    if w.size and w[0] < -tol.tau_residual * norm:
+    if below_psd_cut(w, tol):
         raise NotPositiveSemidefiniteError(
             f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}",
             min_eigenvalue=float(w[0]),

@@ -99,7 +99,8 @@ def system_from_json(data: dict) -> ConservativeSystem:
         if key not in data:
             raise ValidationError(f"conservative system JSON is missing '{key}'")
     n1, n2 = data["n1"], data["n2"]
-    if not isinstance(n1, int) or not isinstance(n2, int):
+    # type(), not isinstance(): JSON true is a Python bool, an int subclass
+    if type(n1) is not int or type(n2) is not int:
         raise ValidationError("n1 and n2 must be integers")
     return ConservativeSystem(n1, n2, matrix_from_json(data["omega"], "omega"))
 
@@ -121,7 +122,7 @@ def measure_from_json(data: dict) -> PointMeasure:
         if key not in data:
             raise ValidationError(f"point measure JSON is missing '{key}'")
     dim = data["dim"]
-    if not isinstance(dim, int):
+    if type(dim) is not int:
         raise ValidationError("dim must be an integer")
     atoms = []
     if not isinstance(data["atoms"], list):
@@ -250,7 +251,12 @@ def read_kernel_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
     times = []
     values = []
     for ln in lines[1:]:
-        fields = [float(x) for x in ln.split(",")]
+        try:
+            fields = [float(x) for x in ln.split(",")]
+        except ValueError as exc:
+            raise ValidationError(f"kernel CSV has a non-numeric field ({exc})") from exc
+        if not np.all(np.isfinite(fields)):
+            raise ValidationError("kernel CSV has non-finite entries")
         if len(fields) != len(header):
             raise ValidationError("kernel CSV row length does not match the header")
         times.append(fields[0])

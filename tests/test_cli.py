@@ -71,6 +71,49 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "validate", str(p))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("kernel", "{system}", "--steps", "abc"), ("kernel", "{system}", "--bogus"), ("frobnicate",), ()],
+    )
+    def test_usage_error_is_exit_one(self, capsys, worked_file, argv):
+        code = main([a.format(system=worked_file) for a in argv])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [("--help",), ("--version",), ("kernel", "--help")])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+
+    @pytest.mark.parametrize(
+        "command, sizes",
+        [("decompose", {"n1": True, "n2": 3}), ("check", {"n1": 3, "n2": True}), ("extend", {"dim": True})],
+    )
+    def test_boolean_count_is_exit_one(self, capsys, tmp_path, worked_system, command, sizes):
+        # True == 1 adds up with the other size, so only the type check can reject it
+        if command == "extend":
+            data = measure_to_json(PointMeasure.create(1, [(1.0, np.eye(1))]))
+        else:
+            data = system_to_json(worked_system)
+        data.update(sizes)
+        p = tmp_path / "input.json"
+        p.write_text(json.dumps(data))
+        code = main([command, str(p)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("field", ["abc", "nan", "inf"])
+    def test_fit_rejects_malformed_csv(self, capsys, tmp_path, field):
+        times = np.arange(32) * 0.1
+        lines = write_kernel_csv(times, np.exp(-1j * times)[:, None, None]).splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + "," + field
+        p = tmp_path / "kernel.csv"
+        p.write_text("\n".join(lines) + "\n")
+        code = main(["fit", str(p)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestEnvelope:
     def test_common_fields(self, capsys, worked_file):
@@ -117,6 +160,11 @@ class TestToleranceFlags:
         code, _ = run_cli(capsys, "decompose", worked_file, "--tau-rank", "-1")
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_rejected(self, capsys, worked_file, value):
+        code, _ = run_cli(capsys, "decompose", worked_file, "--tau-residual", value)
+        assert code == 1
+
 
 class TestExtendAndFit:
     def test_extend_emits_loadable_system(self, capsys, measure_file):
@@ -150,6 +198,12 @@ class TestExtendAndFit:
         lines = out.strip().splitlines()
         assert lines[0].startswith("t,")
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("flags", [("--t1", "nan"), ("--t0", "-inf"), ("--t1", "inf")])
+    def test_kernel_rejects_nonfinite_times(self, capsys, worked_file, flags):
+        code = main(["kernel", worked_file, *flags])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_fit_rejects_damped_data(self, capsys, tmp_path):
         times = np.arange(64) * 0.1
@@ -304,3 +358,19 @@ class TestAnalysisCommands:
             "--gammas", "0,1",
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--gammas", "1,abc"),
+            ("--gammas", "0,1", "--scan", "1,x"),
+            ("--gammas", "1,nan"),
+            ("--gammas", "0,1;inf,0"),
+            ("--gammas", "0,1", "--xi", "nan"),
+            ("--gammas", "0,1", "--m", "inf"),
+        ],
+    )
+    def test_lattice_rejects_malformed_flags(self, capsys, flags):
+        code = main(["lattice", "--d", "1", "--L", "1", "--N", "2", *flags])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")

@@ -14,8 +14,11 @@ from openext import (
     coupling_matrix,
     decoupling_report,
     is_s_invariant,
+    orbit,
     subspaces_equal,
 )
+
+from openext.numerics import DEFAULT_TOLERANCES
 
 from conftest import haar_unitary, random_conservative
 
@@ -49,6 +52,85 @@ def planted_block_system(rng, sizes, conjugate=True):
         w[n1:, n1:] = haar_unitary(n2, rng)
         omega = w @ omega @ w.conj().T
     return ConservativeSystem(n1, n2, omega)
+
+
+def reference_grouping(system, tol=DEFAULT_TOLERANCES):
+    """Channel grouping built the direct way, as a test-local oracle.
+
+    One orbit per channel and side, the overlap |F_p^H u_q| of the orbit
+    of channel p with channel q, union-find over the linked pairs, then
+    the orbit of each group's channels.  Returns (assignment, frames)
+    with frames[k] = (H1 frame, H2 frame) of group k.
+    """
+    cs = channels(system, tol)
+    r = cs.rank
+    orbits1 = [orbit(system.omega1, cs.g[:, q], tol) for q in range(r)]
+    orbits2 = [orbit(system.omega2, cs.g_prime[:, q], tol) for q in range(r)]
+    parent = list(range(r))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for p in range(r):
+        for q in range(p + 1, r):
+            touch1 = np.linalg.norm(orbits1[p].frame.conj().T @ cs.g[:, q])
+            touch2 = np.linalg.norm(orbits2[p].frame.conj().T @ cs.g_prime[:, q])
+            if touch1 > tol.tau_residual or touch2 > tol.tau_residual:
+                a, b = find(p), find(q)
+                parent[max(a, b)] = min(a, b)
+    roots = {}
+    for q in range(r):
+        roots.setdefault(find(q), []).append(q)
+    groups = sorted(roots.values(), key=lambda group: group[0])
+    assignment = [0] * r
+    for k, group in enumerate(groups):
+        for q in group:
+            assignment[q] = k
+    frames = [
+        (orbit(system.omega1, cs.g[:, group], tol).frame, orbit(system.omega2, cs.g_prime[:, group], tol).frame)
+        for group in groups
+    ]
+    return tuple(assignment), frames
+
+
+def structured_system(rng):
+    """Random system with repeated eigenvalues, sparse or equal-strength couplings.
+
+    Each side's spectrum is drawn from a few levels, so eigen-clusters of
+    dimension two or more are common; about half the systems couple
+    single eigenvectors (channels inside one cluster then have orthogonal
+    projections, and a channel is orthogonal to most clusters), and about
+    a third give all channels the same strength.
+    """
+    n1, n2 = (int(k) for k in rng.integers(2, 7, size=2))
+    w1 = rng.choice([0.0, 1.0, 2.5], n1).astype(complex)
+    w2 = rng.choice([-1.0, 0.5, 3.0], n2).astype(complex)
+    rank = int(rng.integers(1, min(n1, n2) + 1))
+    if rng.random() < 0.5:
+        gamma = np.zeros((n1, n2), dtype=complex)
+        rows = rng.choice(n1, rank, replace=False)
+        cols = rng.choice(n2, rank, replace=False)
+        gamma[rows, cols] = rng.uniform(0.5, 2.0, rank)
+    else:
+        a = haar_unitary(n1, rng)[:, :rank]
+        b = haar_unitary(n2, rng)[:, :rank]
+        gamma = a @ np.diag(rng.uniform(0.5, 2.0, rank)) @ b.conj().T
+    if rng.random() < 1 / 3:
+        # equal channel strengths: replace every nonzero singular value by one
+        left, sigma, right_h = np.linalg.svd(gamma, full_matrices=False)
+        keep = sigma > 1e-12
+        gamma = left[:, keep] @ right_h[keep]
+    # rotated eigenbases turn the exact zeros of a sparse coupling into rounding noise
+    u1, u2 = (haar_unitary(n1, rng), haar_unitary(n2, rng)) if rng.random() < 0.5 else (np.eye(n1), np.eye(n2))
+    omega = np.zeros((n1 + n2, n1 + n2), dtype=complex)
+    omega[:n1, :n1] = u1 @ np.diag(w1) @ u1.conj().T
+    omega[n1:, n1:] = u2 @ np.diag(w2) @ u2.conj().T
+    gamma = u1 @ gamma @ u2.conj().T
+    omega[:n1, n1:] = gamma
+    omega[n1:, :n1] = gamma.conj().T
+    return ConservativeSystem(n1, n2, 0.5 * (omega + omega.conj().T))
 
 
 class TestChannels:
@@ -227,6 +309,58 @@ class TestCanonicalDecomposition:
         dec = canonical_decomposition(sys_)
         assert dec.assignment == ()
         assert sum(a.dim + b.dim for a, b in dec.components) == 3
+
+    def test_matches_per_channel_reference(self):
+        rng = np.random.default_rng(58)
+        shared = 0
+        for _ in range(150):
+            sys_ = structured_system(rng)
+            assignment, frames = reference_grouping(sys_)
+            dec = canonical_decomposition(sys_)
+            assert dec.assignment == assignment
+            for (h1, h2), (f1, f2) in zip(dec.components, frames):
+                assert np.array_equal(h1.frame[: sys_.n1], f1)
+                assert np.array_equal(h2.frame[sys_.n1 :], f2)
+            shared += len(frames) < len(assignment)
+        # both outcomes occur: some channels merge, some stay apart
+        assert 0 < shared < 150
+
+    @pytest.mark.parametrize(
+        "g0, g1, assignment, dims",
+        [
+            # projections onto the 2-dim cluster are e0 and e1: orthogonal
+            ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], (0, 1), [(1, 1), (1, 1), (1, 0)]),
+            # both project onto e0 / sqrt(2): the channels interact
+            ([1.0, 0.0, 1.0], [1.0, 0.0, -1.0], (0, 0), [(2, 2), (1, 0)]),
+        ],
+    )
+    def test_two_channels_in_one_two_dim_cluster(self, g0, g1, assignment, dims):
+        # omega1 = diag(1, 1, 4): span(e0, e1) is one eigen-cluster
+        g = np.array([g0, g1], dtype=complex).T
+        g /= np.linalg.norm(g, axis=0)
+        gamma = g @ np.diag([2.0, 1.0])
+        omega = np.diag([1.0, 1.0, 4.0, 0.0, 5.0]).astype(complex)
+        omega[:3, 3:] = gamma
+        omega[3:, :3] = gamma.conj().T
+        sys_ = ConservativeSystem(3, 2, omega)
+        dec = canonical_decomposition(sys_)
+        assert dec.assignment == assignment
+        assert [(a.dim, b.dim) for a, b in dec.components] == dims
+        assert reference_grouping(sys_)[0] == assignment
+
+    def test_chain_of_links_is_one_component(self):
+        # channels 0 and 1 meet in the omega1 eigenvector e0, channels 1 and 2
+        # in the omega2 eigenvector e1; 0 and 2 touch only through channel 1
+        r = 2**-0.5
+        g = np.array([[r, 0.0, r], [r, 0.0, -r], [0.0, 1.0, 0.0]]).T
+        g_prime = np.array([[1.0, 0.0, 0.0], [0.0, r, r], [0.0, r, -r]]).T
+        gamma = g @ np.diag([3.0, 2.0, 1.0]) @ g_prime.T
+        omega = np.diag([1.0, 2.0, 4.0, 0.0, 3.0, 5.0]).astype(complex)
+        omega[:3, 3:] = gamma
+        omega[3:, :3] = gamma.T
+        sys_ = ConservativeSystem(3, 3, omega)
+        assert canonical_decomposition(sys_).assignment == (0, 0, 0)
+        assert reference_grouping(sys_)[0] == (0, 0, 0)
 
 
 class TestDecouplingReport:

@@ -243,6 +243,19 @@ class TestJsonRoundTrips:
         with pytest.raises(ValidationError):
             detect_kind({"what": 1})
 
+    @pytest.mark.parametrize("sizes", [{"n1": True, "n2": 3}, {"n1": 3, "n2": True}])
+    def test_system_rejects_boolean_block_size(self, worked_system, sizes):
+        data = system_to_json(worked_system)
+        data.update(sizes)
+        with pytest.raises(ValidationError):
+            system_from_json(data)
+
+    def test_measure_rejects_boolean_dim(self):
+        data = measure_to_json(PointMeasure.create(1, [(1.0, np.eye(1))]))
+        data["dim"] = True
+        with pytest.raises(ValidationError):
+            measure_from_json(data)
+
 
 class TestCsv:
     def test_kernel_round_trip(self):
@@ -253,6 +266,11 @@ class TestCsv:
         t2, v2 = read_kernel_csv(text)
         assert np.allclose(t2, times, atol=0, rtol=1e-15)
         assert np.allclose(v2, vals, atol=0, rtol=1e-15)
+
+    @pytest.mark.parametrize("row", ["0.1,1.0,abc", "0.1,nan,0.0", "0.1,1.0,-inf"])
+    def test_kernel_csv_rejects_malformed_rows(self, row):
+        with pytest.raises(ValidationError):
+            read_kernel_csv(f"t,re_11,im_11\n0.0,1.0,0.0\n{row}\n")
 
     def test_trajectory_has_header_and_rows(self):
         times = np.array([0.0, 0.5])
