@@ -21,7 +21,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .coupling import canonical_decomposition, channels, coupling_matrix, is_s_invariant
+from .coupling import canonical_decomposition, coupling_matrix, is_s_invariant
 from .decomposition import (
     check_multiplicity_bounds,
     coupled_parts,
@@ -214,8 +214,8 @@ def _cmd_decompose(args, tol: ToleranceConfig) -> int:
 
 def _cmd_channels(args, tol: ToleranceConfig) -> int:
     system, digest = _load_system(args.input)
-    cs = channels(system, tol)
     decomposition = canonical_decomposition(system, tol)
+    cs = decomposition.channels
     n1, n2 = system.n1, system.n2
     parts1 = [
         Subspace(n1, comp[0].frame[:n1]) for comp in decomposition.components if comp[0].dim

@@ -153,11 +153,13 @@ class SInvariantDecomposition:
     components[k] = (observable part, hidden part), both in full-space
     coordinates; their direct sums over k recover H1 and H2.  Channel q
     drives component assignment[q].  Components beyond the assigned ones
-    are the decoupled remainders (empty on one side).
+    are the decoupled remainders (empty on one side).  channels is the
+    channel set the grouping was built from.
     """
 
     components: tuple[tuple[Subspace, Subspace], ...]
     assignment: tuple[int, ...]
+    channels: ChannelSet
 
     @property
     def count(self) -> int:
@@ -218,7 +220,7 @@ def canonical_decomposition(
         components.append((parts.h1d, empty))
     if parts.h2d.dim:
         components.append((empty, parts.h2d))
-    return SInvariantDecomposition(tuple(components), tuple(groups.index(m) for m in members))
+    return SInvariantDecomposition(tuple(components), tuple(groups.index(m) for m in members), cs)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,13 @@ construction through the eigen-clusters of the hidden block.
 (every atom PSD) and through a seeded Monte-Carlo scan of the
 time-domain quadratic form
 
-    Q(v) = Re int int_{t>=s} conj(v(t)) a(t-s) v(s) dt ds  >=  0,
+    Q(v) = Re int int_{t>=s} conj(v(t)) a(t-s) v(s) dt ds  >=  0.
 
-and `fit_point_measure` recovers a measure from noise-free uniform
-kernel samples by a matrix-pencil frequency search plus per-frequency
-least squares.
+For a point measure Q is one quadratic form per atom in the
+phase-weighted sum of v plus one local term in the total mass
+A = sum_k N_k, because the phases cancel there.  `fit_point_measure`
+recovers a measure from noise-free uniform kernel samples by a
+matrix-pencil frequency search plus per-frequency least squares.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ class KernelSamples:
         v = np.asarray(self.values, dtype=np.complex128)
         if t.size == 0:
             raise ValidationError("kernel samples need at least one time")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValidationError("kernel sample times and values must be finite")
         if t[0] < 0:
             raise ValidationError("kernel is only defined for t >= 0 (rest condition)")
         if np.any(np.diff(t) <= 0):
@@ -198,22 +202,20 @@ MC_TIME_SPAN = 5.0
 DEFAULT_MC_SEED = 0x5EED
 
 
-def _quadratic_form_measure(measure: PointMeasure, times: np.ndarray, weights: np.ndarray, v: np.ndarray) -> float:
+def _quadratic_form_measure(phases: np.ndarray, masses: np.ndarray, weights: np.ndarray, v: np.ndarray) -> float:
     """Discretized double integral of the dissipation form for sampled v.
 
-    Uses the per-atom identity
-      Re sum_{j>=l} u_j^H N u_l = (S^H N S + sum_j u_j^H N u_j) / 2,
-    with u_j = w_j e^{i w t_j} v_j and S = sum_j u_j, which is exactly
-    the trapezoid-weighted double sum and is nonnegative for PSD N.
+    With the phase table phases[j, k] = w_j e^{i w_k t_j}, u_j = phases[j, k] v_j
+    and S_k = sum_j u_j, the per-atom identity
+      Re sum_{j>=l} u_j^H N_k u_l = (S_k^H N_k S_k + sum_j u_j^H N_k u_j) / 2
+    is exactly the trapezoid-weighted double sum and is nonnegative for PSD
+    N_k.  The phases cancel in the local term, so summed over atoms it is
+    sum_j w_j^2 v_j^H A v_j with the total mass A = sum_k N_k.
     """
-    total = 0.0
-    for atom in measure.atoms:
-        u = (weights * np.exp(1j * atom.frequency * times))[:, None] * v
-        s = u.sum(axis=0)
-        total += 0.5 * float(
-            np.real(s.conj() @ atom.mass @ s) + np.real(np.einsum("ji,ji->", u.conj() @ atom.mass, u))
-        )
-    return total
+    s = phases.T @ v
+    cross = np.vdot(s, np.einsum("kab,kb->ka", masses, s))
+    local = np.vdot(weights[:, None] ** 2 * v, v @ masses.sum(axis=0).T)
+    return 0.5 * float(np.real(cross + local))
 
 
 def _quadratic_form_samples(values: np.ndarray, weights: np.ndarray, v: np.ndarray) -> float:
@@ -228,19 +230,11 @@ def _quadratic_form_samples(values: np.ndarray, weights: np.ndarray, v: np.ndarr
 
 
 def _profile_form_matrix(
-    frequencies: np.ndarray,
-    masses: np.ndarray,
-    times: np.ndarray,
-    weights: np.ndarray,
-    profile: np.ndarray,
+    phases: np.ndarray, masses: np.ndarray, weights: np.ndarray, profile: np.ndarray
 ) -> np.ndarray:
     """Hermitian n x n form H with Q(g * profile) = g^H H g for a scalar profile."""
-    n = masses.shape[1]
-    h = np.zeros((n, n), dtype=np.complex128)
-    for freq, mass in zip(frequencies, masses):
-        u = weights * np.exp(1j * freq * times) * profile
-        rho = 0.5 * (abs(u.sum()) ** 2 + float((np.abs(u) ** 2).sum()))
-        h += rho * mass
+    rho = 0.5 * (np.abs(profile @ phases) ** 2 + float(np.sum((weights * np.abs(profile)) ** 2)))
+    h = np.tensordot(rho, masses, axes=1)
     return 0.5 * (h + h.conj().T)
 
 
@@ -258,6 +252,11 @@ def check_dissipation(
         test functions on a fixed grid; each trial evaluates the
         discretized quadratic form for a rough random profile and for a
         frequency-modulated profile along its worst spatial direction.
+        For measure input both are read from one phase table
+        E[j, k] = w_j e^{i w_k t_j} and the stacked Hermitian parts of the
+        masses, which the algebraic check reads too: with
+        S = E^T v the form is (1/2) Re(sum_k S_k^H N_k S_k
+        + sum_j w_j^2 v_j^H A v_j), A = sum_k N_k the total mass.
 
     The verdict is the algebraic result when available, else the
     Monte-Carlo one.
@@ -268,10 +267,11 @@ def check_dissipation(
         times = np.linspace(0.0, MC_TIME_SPAN, MC_GRID_POINTS)
         scale = float(np.linalg.norm(measure.total_mass(), 2))
         freqs = np.array([a.frequency for a in measure.atoms], dtype=np.float64)
-        masses = (
-            np.stack([a.mass for a in measure.atoms])
-            if measure.atoms
-            else np.zeros((0, n, n), dtype=np.complex128)
+        # Hermitian parts, filled into one (K, n, n) array without a list of copies
+        masses = np.fromiter(
+            (0.5 * (a.mass + a.mass.conj().T) for a in measure.atoms),
+            np.dtype((np.complex128, (n, n))),
+            len(measure.atoms),
         )
     elif isinstance(target, KernelSamples):
         measure, samples = None, target
@@ -292,17 +292,14 @@ def check_dissipation(
         weights[0] *= 0.5
         weights[-1] *= 0.5
 
-    witness: list[tuple[int, float]] = []
-    min_eigs: list[float] = []
     if measure is not None:
-        for k, atom in enumerate(measure.atoms):
-            w = np.linalg.eigvalsh(0.5 * (atom.mass + atom.mass.conj().T))
-            min_eigs.append(float(w[0]))
-            if below_psd_cut(w, tol):
-                witness.append((k, float(w[0])))
-        algebraic_available, algebraic_pass = True, not witness
+        eigs = np.linalg.eigvalsh(masses)
+        min_eigs = eigs[:, 0].tolist()
+        witness = [(k, min_eigs[k]) for k, w in enumerate(eigs) if below_psd_cut(w, tol)]
+        phases = weights[:, None] * np.exp(1j * np.outer(times, freqs))
     else:
-        algebraic_available, algebraic_pass = False, True
+        min_eigs, witness = [], []
+    algebraic_available, algebraic_pass = measure is not None, not witness
 
     span = times[-1] - times[0]
     threshold = -tol.tau_residual * scale * max(span, 1.0) ** 2
@@ -316,7 +313,7 @@ def check_dissipation(
 
     def evaluate(v: np.ndarray) -> float:
         if measure is not None:
-            return _quadratic_form_measure(measure, times, weights, v)
+            return _quadratic_form_measure(phases, masses, weights, v)
         return _quadratic_form_samples(samples.values, weights, v)
 
     mc_min = np.inf
@@ -340,7 +337,7 @@ def check_dissipation(
             else:
                 w_star = float(rng.uniform(*probe_band))
             modulated = taper * (1.0 + 0.2 * rng.random()) * np.exp(-1j * w_star * times)
-            h = _profile_form_matrix(freqs, masses, times, weights, modulated)
+            h = _profile_form_matrix(phases, masses, weights, modulated)
             direction = np.linalg.eigh(h)[1][:, 0]
             shaped = modulated[:, None] * direction[None, :]
             norm = np.sqrt(float((weights * (np.abs(shaped) ** 2).sum(axis=1)).sum()))

@@ -52,7 +52,7 @@ def complex_to_json(z: complex) -> list[float]:
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
     m = np.asarray(m, dtype=np.complex128)
-    return [[complex_to_json(m[i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def _as_complex(entry, where: str) -> complex:
@@ -210,6 +210,14 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _csv_text(header: list[str], times: np.ndarray, samples: np.ndarray) -> str:
+    """Header line, then one row per time: t, then re, im of each sample entry (row-major)."""
+    width = 2 * int(np.prod(samples.shape[1:]))
+    pairs = np.stack([samples.real, samples.imag], -1).reshape(times.size, width)
+    rows = (",".join(map(repr, [t, *row])) for t, row in zip(times.tolist(), pairs.tolist()))
+    return "\n".join([",".join(header), *rows]) + "\n"
+
+
 def write_kernel_csv(times, values) -> str:
     """Render kernel samples (T, n, n) as CSV text."""
     times = np.asarray(times, dtype=np.float64)
@@ -222,15 +230,7 @@ def write_kernel_csv(times, values) -> str:
         for j in range(n):
             header.append(f"re_{i + 1}{j + 1}")
             header.append(f"im_{i + 1}{j + 1}")
-    lines = [",".join(header)]
-    for k, t in enumerate(times):
-        row = [repr(float(t))]
-        flat = values[k].reshape(-1)
-        for z in flat:
-            row.append(repr(float(z.real)))
-            row.append(repr(float(z.imag)))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return _csv_text(header, times, values)
 
 
 def read_kernel_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -276,11 +276,4 @@ def write_trajectory_csv(times, states) -> str:
     for i in range(n):
         header.append(f"re_{i + 1}")
         header.append(f"im_{i + 1}")
-    lines = [",".join(header)]
-    for k, t in enumerate(times):
-        row = [repr(float(t))]
-        for z in states[k]:
-            row.append(repr(float(z.real)))
-            row.append(repr(float(z.imag)))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return _csv_text(header, times, states)

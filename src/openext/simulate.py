@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .extension import measure_of
 from .model import ConservativeSystem, OpenSystem
 from .numerics import DEFAULT_TOLERANCES, ToleranceConfig, eigh
@@ -74,6 +74,10 @@ class Trajectory:
             raise ValidationError("states must be one row per time")
         if t.size > 1 and np.any(np.diff(t) <= 0):
             raise ValidationError("times must be strictly ascending")
+        if not np.all(np.isfinite(s)):
+            raise NumericError(
+                "trajectory has non-finite states: the integration diverged (decrease the time step)"
+            )
         t.flags.writeable = False
         s.flags.writeable = False
         object.__setattr__(self, "times", t)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from openext import MeasureAtom, PointMeasure, kernel_of_measure
+from openext import ConservativeSystem, MeasureAtom, PointMeasure, kernel_of_measure
 from openext.cli import main
 from openext.serialization import (
     dumps,
@@ -308,6 +308,19 @@ class TestAnalysisCommands:
         code = main(["simulate", worked_file, "--both", *flags])
         assert code == 1
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["--open", "--both"])
+    def test_simulate_divergence_is_exit_two(self, capsys, tmp_path, mode):
+        # the explicit midpoint step is unstable at dt = 0.9 for this system
+        omega = np.array([[3.0, 1.0, 0.5], [1.0, 5.0, 0.0], [0.5, 0.0, 4.0]])
+        path = tmp_path / "system.json"
+        path.write_text(dumps(system_to_json(ConservativeSystem(1, 2, omega))))
+        code = main(["simulate", str(path), mode, "--dt", "0.9", "--T", "3000", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_lattice_report(self, capsys):
         code, out = run_cli(

@@ -29,6 +29,56 @@ from openext.extension import DEFAULT_MC_SEED, MC_GRID_POINTS, MC_TIME_SPAN
 from conftest import haar_unitary, krylov_span, random_measure, random_psd
 
 
+def trapezoid_grid():
+    """The Monte-Carlo grid of check_dissipation and its trapezoid weights."""
+    times = np.linspace(0.0, MC_TIME_SPAN, MC_GRID_POINTS)
+    weights = np.full(times.size, (times[-1] - times[0]) / (times.size - 1))
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    return times, weights
+
+
+def factor_tables(measure, times, weights):
+    """Phase table w_j e^{i w_k t_j} and the stacked atom masses."""
+    freqs = np.array([a.frequency for a in measure.atoms])
+    return weights[:, None] * np.exp(1j * np.outer(times, freqs)), np.stack([a.mass for a in measure.atoms])
+
+
+def per_atom_quadratic_form(measure, times, weights, v):
+    """Factorized form summed atom by atom, each with its own local term."""
+    total = 0.0
+    for atom in measure.atoms:
+        u = (weights * np.exp(1j * atom.frequency * times))[:, None] * v
+        s = u.sum(axis=0)
+        total += 0.5 * float(
+            np.real(s.conj() @ atom.mass @ s) + np.real(np.einsum("ji,ji->", u.conj() @ atom.mass, u))
+        )
+    return total
+
+
+def per_atom_profile_form(measure, times, weights, profile):
+    """Hermitian H with Q(g * profile) = g^H H g, accumulated atom by atom."""
+    h = np.zeros((measure.dim, measure.dim), dtype=complex)
+    for atom in measure.atoms:
+        u = weights * np.exp(1j * atom.frequency * times) * profile
+        rho = 0.5 * (abs(u.sum()) ** 2 + float((np.abs(u) ** 2).sum()))
+        h += rho * atom.mass
+    return 0.5 * (h + h.conj().T)
+
+
+def rank_deficient_measures(rng, count):
+    """Seeded measures, dim 1-8 and 1-12 atoms, every mass of rank below dim when dim > 1."""
+    for _ in range(count):
+        dim = int(rng.integers(1, 9))
+        freqs = np.sort(rng.uniform(-3.0, 3.0, int(rng.integers(1, 13))))
+        freqs = freqs + np.arange(freqs.size) * 0.05
+        atoms = [
+            MeasureAtom(float(f), random_psd(rng, dim, rank=int(rng.integers(1, max(dim, 2)))))
+            for f in freqs
+        ]
+        yield PointMeasure(dim, tuple(atoms))
+
+
 def dense_kernel(system, times):
     """Gamma exp(-i Omega2 t) Gamma* via scipy-free dense expm (eig route)."""
     w, v = np.linalg.eigh(system.omega2)
@@ -230,9 +280,41 @@ class TestCheckDissipation:
             v = rng.standard_normal((times.size, 2)) + 1j * rng.standard_normal(
                 (times.size, 2)
             )
-            qm = _quadratic_form_measure(mu, times, weights, v)
+            qm = _quadratic_form_measure(*factor_tables(mu, times, weights), weights, v)
             qs = _quadratic_form_samples(samples.values, weights, v)
             assert qm == pytest.approx(qs, rel=1e-10, abs=1e-10)
+
+    def test_stacked_forms_match_per_atom_oracles(self):
+        # the stacked helpers fold every atom's local term into one form
+        # in the total mass; atom by atom the sums must come out the same
+        from openext.extension import _profile_form_matrix, _quadratic_form_measure
+
+        rng = np.random.default_rng(25)
+        times, weights = trapezoid_grid()
+        for mu in rank_deficient_measures(rng, 40):
+            phases, masses = factor_tables(mu, times, weights)
+            n = mu.dim
+            v = rng.standard_normal((times.size, n)) + 1j * rng.standard_normal((times.size, n))
+            got = _quadratic_form_measure(phases, masses, weights, v)
+            assert got == pytest.approx(per_atom_quadratic_form(mu, times, weights, v), rel=1e-12)
+            profile = np.sin(np.pi * times / times[-1]) ** 2 * np.exp(-1j * rng.uniform(-4, 4) * times)
+            h = _profile_form_matrix(phases, masses, weights, profile)
+            ref = per_atom_profile_form(mu, times, weights, profile)
+            assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_profile_form_matrix_is_the_quadratic_form(self):
+        # g^H H(p) g must be the direct double sum over kernel lags for
+        # the separable test function p(t) g
+        from openext.extension import _profile_form_matrix, _quadratic_form_samples
+
+        rng = np.random.default_rng(26)
+        times, weights = trapezoid_grid()
+        for mu in rank_deficient_measures(rng, 6):
+            profile = rng.standard_normal(times.size) + 1j * rng.standard_normal(times.size)
+            g = rng.standard_normal(mu.dim) + 1j * rng.standard_normal(mu.dim)
+            h = _profile_form_matrix(*factor_tables(mu, times, weights), weights, profile)
+            direct = _quadratic_form_samples(kernel_of_measure(mu, times).values, weights, profile[:, None] * g)
+            assert float(np.real(g.conj() @ h @ g)) == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
     def test_trials_budget_respected(self):
         rng = np.random.default_rng(21)
@@ -321,6 +403,16 @@ class TestFitPointMeasure:
 
 
 class TestKernelSamples:
+    @pytest.mark.parametrize(
+        "where, bad", [("times", np.nan), ("times", np.inf), ("values", np.nan), ("values", -np.inf)]
+    )
+    def test_rejects_non_finite(self, where, bad):
+        # a NaN or inf sample used to pass check_dissipation as dissipative
+        data = {"times": np.arange(4) * 0.1, "values": np.ones((4, 2, 2), dtype=complex)}
+        data[where][(-1,) * data[where].ndim] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            KernelSamples(data["times"], data["values"])
+
     def test_shape_checks(self):
         with pytest.raises(ValidationError):
             KernelSamples(np.array([0.0, 1.0]), np.zeros((3, 2, 2)))

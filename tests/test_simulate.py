@@ -13,6 +13,7 @@ import pytest
 from openext import (
     ConservativeSystem,
     MeasureAtom,
+    NumericError,
     OpenSystem,
     PointMeasure,
     ValidationError,
@@ -206,6 +207,17 @@ class TestOpenPropagation:
         open_sys = OpenSystem(2, worked_system.omega1, mu)
         with pytest.raises(ValidationError):
             propagate_open(open_sys, None, np.array([0.0, 0.1, 0.3]))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_divergence_raises_numeric_error(self):
+        # dt = 0.9 is past the explicit step's stability limit here; the
+        # trajectory must not come back holding inf and NaN rows
+        omega = np.array([[3.0, 1.0, 0.5], [1.0, 5.0, 0.0], [0.5, 0.0, 4.0]])
+        mu = measure_of(ConservativeSystem(1, 2, omega))
+        open_sys = OpenSystem(1, omega[:1, :1], mu)
+        with pytest.raises(NumericError, match="diverged"):
+            propagate_open(open_sys, forcing_step([1.0]), np.arange(3335) * 0.9)
 
     def test_memory_damps_driven_mode(self, worked_system):
         # energy leaks into the hidden modes: the driven open system
