@@ -141,8 +141,7 @@ def is_s_invariant(
     p1[: system.n1, : system.n1] = np.eye(system.n1)
     r_omega = float(np.linalg.norm(pi @ omega - omega @ pi, 2))
     r_p1 = float(np.linalg.norm(pi @ p1 - p1 @ pi, 2))
-    scale = float(np.linalg.norm(omega, 2))
-    verdict = r_omega <= tol.tau_residual * scale and r_p1 <= tol.tau_residual
+    verdict = r_omega <= tol.tau_residual * system._omega_norm and r_p1 <= tol.tau_residual
     return verdict, (r_omega, r_p1)
 
 

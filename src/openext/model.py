@@ -25,6 +25,7 @@ coupling and is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +77,12 @@ class ConservativeSystem:
     @property
     def dim(self) -> int:
         return self.n1 + self.n2
+
+    @cached_property
+    def _omega_norm(self) -> float:
+        """||omega||_2, the residual scale of every S-invariance test on this
+        system; omega is read-only, so its 2-norm SVD runs once."""
+        return float(np.linalg.norm(self.omega, 2))
 
     @property
     def omega1(self) -> np.ndarray:

@@ -2,9 +2,20 @@
 
 Schema "openext/v1".  Complex scalars are encoded as [re, im] pairs and
 matrices as nested row arrays, so every stored number is a plain JSON
-float.  Floats are written with Python's shortest round-trip repr and
-dictionaries keep a fixed insertion order, which makes reports
+float.  Dictionaries keep a fixed insertion order, which makes reports
 byte-identical across runs for identical inputs.
+
+Rendering contract: `dumps(payload)` is byte-for-byte
+`json.dumps(payload, indent=2, allow_nan=False) + "\n"`, and every float
+is written with Python's shortest round-trip `repr`, in JSON and CSV
+alike.  The stdlib encoder falls back to pure Python under `indent`, so
+the hot part is done by one private renderer: a matrix node (a non-empty
+list of equal-length rows of [float, float] pairs, which is what
+`matrix_to_json` produces) is recognised by one type-set check over its
+flattened leaves and written row by row through a cached `%r` template.
+The CSV writers use the same row renderer.  Anything else takes a small
+generic path, and what that path does not know is handed to `json.dumps`
+itself.  Non-finite floats raise `ValueError` on every path.
 
 CSV formats:
   kernel samples   t, re_11, im_11, re_12, im_12, ...   (row-major)
@@ -13,9 +24,13 @@ CSV formats:
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 import tempfile
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -55,32 +70,39 @@ def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
     return np.stack([m.real, m.imag], -1).tolist()
 
 
-def _as_complex(entry, where: str) -> complex:
-    if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-        raise ValidationError(f"{where}: complex entries must be [re, im] pairs")
-    re, im = entry
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
-        raise ValidationError(f"{where}: complex entries must be numeric")
-    return complex(float(re), float(im))
+def _pair_leaves(rows: list) -> tuple[list, str | None]:
+    """Row-major leaves of a non-empty list of equal-length rows of pairs.
+
+    Returns (leaves, None), or ([], the first broken rule).  Each rule is
+    one C-level pass (`set(map(...))`), not a Python loop over entries.
+    """
+    if set(map(type, rows)) != {list}:
+        return [], "has a row that is not a list"
+    if len(set(map(len, rows))) != 1:
+        return [], "rows have inconsistent lengths"
+    entries = list(chain.from_iterable(rows))
+    if not set(map(type, entries)) <= {list, tuple} or set(map(len, entries)) - {2}:
+        return [], "complex entries must be [re, im] pairs"
+    return list(chain.from_iterable(entries)), None
 
 
 def matrix_from_json(rows, where: str = "matrix") -> np.ndarray:
+    """Decode nested [re, im] rows: shape checks, one leaf type set, one array, one finiteness test."""
     if not isinstance(rows, list) or not rows:
         raise ValidationError(f"{where} must be a non-empty list of rows")
-    width = None
-    out = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise ValidationError(f"{where} row {i} is not a list")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValidationError(f"{where} rows have inconsistent lengths")
-        out.append([_as_complex(e, f"{where}[{i}]") for e in row])
-    m = np.array(out, dtype=np.complex128)
-    if not np.all(np.isfinite(m)):
+    leaves, problem = _pair_leaves(rows)
+    if problem:
+        raise ValidationError(f"{where} {problem}")
+    # exact types: a JSON true is a bool, which isinstance would pass as an int
+    if not set(map(type, leaves)) <= {int, float}:
+        raise ValidationError(f"{where}: complex entries must be numeric")
+    try:
+        flat = np.array(leaves, dtype=np.float64)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise ValidationError(f"{where} has non-finite entries") from exc
+    if not np.isfinite(flat).all():
         raise ValidationError(f"{where} has non-finite entries")
-    return m
+    return flat.view(np.complex128).reshape(len(rows), len(rows[0]))
 
 
 def system_to_json(system: ConservativeSystem) -> dict:
@@ -191,9 +213,63 @@ def load_object(data: dict):
     return open_system_from_json(data)
 
 
+_INDENT = "  "
+
+
+@functools.lru_cache(maxsize=256)
+def _row_template(width: int, depth: int) -> str:
+    """%-template of one matrix row of `width` [re, im] pairs opened at indent level `depth`."""
+    inner, leaf = "\n" + _INDENT * (depth + 1), "\n" + _INDENT * (depth + 2)
+    pair = f"[{leaf}%r,{leaf}%r{inner}]"
+    return f"[{inner}" + f",{inner}".join([pair] * width) + "\n" + _INDENT * depth + "]"
+
+
+def _render_rows(template: str, rows, sep: str) -> str:
+    """Each row (a sequence of floats) through one %r template, joined by sep."""
+    return sep.join([template % tuple(row) for row in rows])
+
+
+def _render(obj, depth: int) -> str:
+    """JSON text of obj as json.dumps(indent=2, allow_nan=False) writes it at indent level depth."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is float and math.isfinite(obj):
+        return float.__repr__(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None or kind is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    if kind in (list, dict) and not obj:
+        return "[]" if kind is list else "{}"
+    inner = "\n" + _INDENT * (depth + 1)
+    close = "\n" + _INDENT * depth
+    if kind is list:
+        # a matrix node: exactly-float, finite leaves (an int or a bool
+        # prints differently from %r of a float, and a non-finite float
+        # must raise, so both take the generic path)
+        leaves, problem = _pair_leaves(obj)
+        if not problem and set(map(type, leaves)) == {float} and all(map(math.isfinite, leaves)):
+            step = 2 * len(obj[0])
+            rows = (leaves[i : i + step] for i in range(0, len(leaves), step))
+            body = _render_rows(_row_template(len(obj[0]), depth + 1), rows, f",{inner}")
+        else:
+            body = f",{inner}".join([_render(item, depth + 1) for item in obj])
+        return f"[{inner}{body}{close}]"
+    if kind is dict and set(map(type, obj)) == {str}:
+        body = f",{inner}".join(
+            [f"{encode_basestring_ascii(k)}: {_render(v, depth + 1)}" for k, v in obj.items()]
+        )
+        return f"{{{inner}{body}{close}}}"
+    # tuples, subclasses, non-string keys, non-finite floats and unknown
+    # types: the stdlib's own text (or its exception), re-indented, which is
+    # safe because JSON strings carry no raw newline
+    return json.dumps(obj, indent=2, allow_nan=False).replace("\n", close)
+
+
 def dumps(payload: dict) -> str:
     """Deterministic JSON text: fixed order, shortest float repr, newline-terminated."""
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    return _render(payload, 0) + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -214,8 +290,11 @@ def _csv_text(header: list[str], times: np.ndarray, samples: np.ndarray) -> str:
     """Header line, then one row per time: t, then re, im of each sample entry (row-major)."""
     width = 2 * int(np.prod(samples.shape[1:]))
     pairs = np.stack([samples.real, samples.imag], -1).reshape(times.size, width)
-    rows = (",".join(map(repr, [t, *row])) for t, row in zip(times.tolist(), pairs.tolist()))
-    return "\n".join([",".join(header), *rows]) + "\n"
+    rows = np.column_stack([times, pairs]).tolist()
+    text = ",".join(header) + "\n"
+    if rows:
+        text += _render_rows(",".join(["%r"] * (1 + width)), rows, "\n") + "\n"
+    return text
 
 
 def write_kernel_csv(times, values) -> str:
@@ -248,21 +327,20 @@ def read_kernel_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
     n = int(round(np.sqrt(n2)))
     if n * n != n2:
         raise ValidationError("kernel CSV column count is not a square matrix layout")
-    times = []
-    values = []
-    for ln in lines[1:]:
-        try:
-            fields = [float(x) for x in ln.split(",")]
-        except ValueError as exc:
-            raise ValidationError(f"kernel CSV has a non-numeric field ({exc})") from exc
-        if not np.all(np.isfinite(fields)):
-            raise ValidationError("kernel CSV has non-finite entries")
+    # one preallocated table filled row by row: never a list of every field
+    table = np.empty((len(lines) - 1, len(header)), dtype=np.float64)
+    for i, ln in enumerate(lines[1:]):
+        fields = ln.split(",")
         if len(fields) != len(header):
             raise ValidationError("kernel CSV row length does not match the header")
-        times.append(fields[0])
-        flat = np.array(fields[1:], dtype=np.float64).reshape(n2, 2)
-        values.append((flat[:, 0] + 1j * flat[:, 1]).reshape(n, n))
-    return np.array(times, dtype=np.float64), np.array(values, dtype=np.complex128)
+        try:
+            table[i] = np.fromiter(map(float, fields), np.float64, len(fields))
+        except ValueError as exc:
+            raise ValidationError(f"kernel CSV has a non-numeric field ({exc})") from exc
+    if not np.isfinite(table).all():
+        raise ValidationError("kernel CSV has non-finite entries")
+    values = table[:, 1::2] + 1j * table[:, 2::2]
+    return table[:, 0].copy(), values.reshape(len(table), n, n)
 
 
 def write_trajectory_csv(times, states) -> str:

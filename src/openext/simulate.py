@@ -268,11 +268,20 @@ def propagate_open(
     x = np.zeros((len(atoms) + 1, n), dtype=np.complex128)
     flat = x.reshape(-1)
     sigma = x[1:]
-    for j in range(times.size - 1):
-        v = np.add(step @ flat, drive[j], out=states[j + 1])
-        sigma *= decay
-        sigma += v
-        x[0] = v
+    # an unstable step overflows long before the end of the grid: stop at
+    # the first overflow instead of carrying inf and NaN to the last step
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for j in range(times.size - 1):
+                v = np.add(step @ flat, drive[j], out=states[j + 1])
+                sigma *= decay
+                sigma += v
+                x[0] = v
+        except FloatingPointError as exc:
+            raise NumericError(
+                f"open integration diverged at t = {float(times[j + 1]):.6g}: the state "
+                "overflowed (decrease the time step)"
+            ) from exc
 
     return Trajectory(
         times,

@@ -1,10 +1,14 @@
 """Command line front end: exit codes, envelopes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import openext
 from openext import ConservativeSystem, MeasureAtom, PointMeasure, kernel_of_measure
 from openext.cli import main
 from openext.serialization import (
@@ -111,6 +115,41 @@ class TestExitCodes:
         p = tmp_path / "kernel.csv"
         p.write_text("\n".join(lines) + "\n")
         code = main(["fit", str(p)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("kind", ["ragged", "empty_field", "header_only"])
+    def test_fit_rejects_malformed_csv_layout(self, capsys, tmp_path, kind):
+        times = np.arange(32) * 0.1
+        lines = write_kernel_csv(times, np.exp(-1j * times)[:, None, None]).splitlines()
+        fields = lines[5].split(",")
+        if kind == "ragged":
+            lines[5] = ",".join(fields[:-1])
+        elif kind == "empty_field":
+            lines[5] = ",".join([fields[0], "", *fields[2:]])
+        else:
+            lines = lines[:1]
+        p = tmp_path / "kernel.csv"
+        p.write_text("\n".join(lines) + "\n")
+        code = main(["fit", str(p)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "entry",
+        [None, "[1.0, 0.0, 0.0]", "1.0", "[true, 0.0]", '["1.0", 0.0]', "[null, 0.0]",
+         "[[1.0, 0.0], [0.0, 0.0]]", "[1e400, 0.0]"],
+        ids=["ragged", "triple", "scalar", "bool", "string", "null", "nested", "overflow"],
+    )
+    def test_malformed_matrix_is_exit_one(self, capsys, tmp_path, worked_system, entry):
+        data = system_to_json(worked_system)
+        data["omega"][0][-1] = "ENTRY"
+        text = json.dumps(data)
+        # None drops the entry, which leaves row 0 one entry short
+        text = text.replace(', "ENTRY"', "") if entry is None else text.replace('"ENTRY"', entry)
+        p = tmp_path / "system.json"
+        p.write_text(text)
+        code = main(["decompose", str(p)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
@@ -309,8 +348,6 @@ class TestAnalysisCommands:
         assert code == 1
         assert "budget" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("mode", ["--open", "--both"])
     def test_simulate_divergence_is_exit_two(self, capsys, tmp_path, mode):
         # the explicit midpoint step is unstable at dt = 0.9 for this system
@@ -320,6 +357,27 @@ class TestAnalysisCommands:
         code = main(["simulate", str(path), mode, "--dt", "0.9", "--T", "3000", "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_simulate_divergence_stops_at_first_overflow(self, tmp_path):
+        # a fresh interpreter, so stderr is what a user sees: numpy's
+        # RuntimeWarning lines would print there, outside pytest's filters
+        omega = np.array([[3.0, 1.0, 0.5], [1.0, 5.0, 0.0], [0.5, 0.0, 4.0]])
+        path = tmp_path / "system.json"
+        path.write_text(dumps(system_to_json(ConservativeSystem(1, 2, omega))))
+        src = os.path.dirname(os.path.dirname(openext.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "openext.cli", "simulate", str(path), "--open",
+             "--dt", "0.9", "--T", "3000", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"},
+        )
+        assert proc.returncode == 2
+        assert "RuntimeWarning" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error:")
+        # the message names the step that overflowed, well before T = 3000
+        assert float(line.split("t = ")[1].split(":")[0]) < 3000
         assert list(tmp_path.iterdir()) == [path]
 
     def test_lattice_report(self, capsys):

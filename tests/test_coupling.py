@@ -245,6 +245,18 @@ class TestSInvariance:
         # e1 couples to (e3 + e4), norm sqrt(2)
         assert max(residuals) == pytest.approx(np.sqrt(2.0))
 
+    def test_omega_norm_is_factored_once_per_system(self, worked_system, monkeypatch):
+        # two residual norms per call, plus one ||omega||_2 per system
+        impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+        calls = []
+        svd = impl.svd
+        monkeypatch.setattr(impl, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        e = np.eye(4)
+        results = [is_s_invariant(worked_system, Subspace(4, e[:, cols])) for cols in ([0, 2, 3], [1], [0])]
+        assert len(calls) == 2 * len(results) + 1
+        assert worked_system._omega_norm == float(np.linalg.norm(worked_system.omega, 2))
+        assert [verdict for verdict, _ in results] == [True, True, False]
+
     def test_canonical_components_are_invariant(self):
         rng = np.random.default_rng(54)
         for _ in range(5):

@@ -1,5 +1,7 @@
 """Core data types, validation reports, and JSON / CSV round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,24 @@ class TestJsonRoundTrips:
         with pytest.raises(ValidationError):
             measure_from_json(data)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[[[1, 0], [2, 0]], [[3, 0]]]",
+            "[[[1.0, 0.0, 0.0]]]",
+            "[[1.0]]",
+            "[[[true, 0.0]]]",
+            '[[["1.0", 0.0]]]',
+            "[[[null, 0.0]]]",
+            "[[[[1.0, 0.0], [0.0, 0.0]]]]",
+            "[[[1e400, 0.0]]]",
+        ],
+        ids=["ragged", "triple", "scalar", "bool", "string", "null", "nested", "overflow"],
+    )
+    def test_matrix_rejects_malformed(self, text):
+        with pytest.raises(ValidationError):
+            matrix_from_json(json.loads(text))
+
 
 class TestCsv:
     def test_kernel_round_trip(self):
@@ -267,10 +287,14 @@ class TestCsv:
         assert np.allclose(t2, times, atol=0, rtol=1e-15)
         assert np.allclose(v2, vals, atol=0, rtol=1e-15)
 
-    @pytest.mark.parametrize("row", ["0.1,1.0,abc", "0.1,nan,0.0", "0.1,1.0,-inf"])
+    @pytest.mark.parametrize("row", ["0.1,1.0,abc", "0.1,nan,0.0", "0.1,1.0,-inf", "0.1,1.0", "0.1,,0.0"])
     def test_kernel_csv_rejects_malformed_rows(self, row):
         with pytest.raises(ValidationError):
             read_kernel_csv(f"t,re_11,im_11\n0.0,1.0,0.0\n{row}\n")
+
+    def test_kernel_csv_rejects_header_only(self):
+        with pytest.raises(ValidationError):
+            read_kernel_csv("t,re_11,im_11\n")
 
     def test_trajectory_has_header_and_rows(self):
         times = np.array([0.0, 0.5])

@@ -208,8 +208,6 @@ class TestOpenPropagation:
         with pytest.raises(ValidationError):
             propagate_open(open_sys, None, np.array([0.0, 0.1, 0.3]))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_divergence_raises_numeric_error(self):
         # dt = 0.9 is past the explicit step's stability limit here; the
         # trajectory must not come back holding inf and NaN rows
