@@ -22,12 +22,13 @@ from .numerics import (
     DEFAULT_TOLERANCES,
     Subspace,
     ToleranceConfig,
+    _invariance_leak,
     cluster_spectrum,
     eigen_clusters,
     matrix_rank,
     max_abs,
-    orthonormal_basis,
     svd,
+    zero_subspace,
 )
 from .decomposition import _block_frame, _cluster_orbit, _embed, coupled_parts, orbit
 from .extension import kernel_eval
@@ -130,17 +131,14 @@ def is_s_invariant(
 
     Returns (verdict, (||[pi, omega]||, ||[pi, P1]||)); the first
     residual is compared against tau_residual * ||omega||, the second
-    against tau_residual (P1 has norm one).
+    against tau_residual (P1 has norm one).  Both come from the frame F:
+    the n x k leak of omega, and ||[pi, P1]|| = ||pi_12|| = ||F_1 F_2^H||.
     """
-    n = system.dim
-    if h_sub.ambient_dim != n:
+    if h_sub.ambient_dim != system.dim:
         raise ValidationError("subspace must live in the full space")
-    pi = h_sub.frame @ h_sub.frame.conj().T
-    omega = system.omega
-    p1 = np.zeros((n, n), dtype=np.complex128)
-    p1[: system.n1, : system.n1] = np.eye(system.n1)
-    r_omega = float(np.linalg.norm(pi @ omega - omega @ pi, 2))
-    r_p1 = float(np.linalg.norm(pi @ p1 - p1 @ pi, 2))
+    f, n1 = h_sub.frame, system.n1
+    r_omega = _invariance_leak(system.omega, f)
+    r_p1 = float(np.linalg.norm(f[:n1] @ f[n1:].conj().T, 2))
     verdict = r_omega <= tol.tau_residual * system._omega_norm and r_p1 <= tol.tau_residual
     return verdict, (r_omega, r_p1)
 
@@ -214,7 +212,7 @@ def canonical_decomposition(
         components.append((Subspace(n1 + n2, _embed(f1, n1, n2, 1)), Subspace(n1 + n2, _embed(f2, n1, n2, 2))))
 
     parts = coupled_parts(system, tol)
-    empty = Subspace(n1 + n2, np.zeros((n1 + n2, 0), dtype=np.complex128))
+    empty = zero_subspace(n1 + n2)
     if parts.h1d.dim:
         components.append((parts.h1d, empty))
     if parts.h2d.dim:
@@ -310,9 +308,7 @@ def decoupling_report(
     splitting = None
     if decoupled:
         seed = system.coupling.conj().T @ frame
-        h2_part = orbit(system.omega2, seed, tol) if n2 else orthonormal_basis(
-            np.zeros((0, 0)), tol
-        )
+        h2_part = orbit(system.omega2, seed, tol) if n2 else zero_subspace(0)
         splitting = (
             Subspace(n1 + n2, _embed(frame, n1, n2, 1)),
             Subspace(n1 + n2, _embed(h2_part.frame, n1, n2, 2)),

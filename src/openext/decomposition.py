@@ -30,6 +30,8 @@ from .numerics import (
     DEFAULT_TOLERANCES,
     Subspace,
     ToleranceConfig,
+    _invariance_leak,
+    _phase_fix,
     as_matrix,
     complement,
     compress,
@@ -73,8 +75,8 @@ def orbit(op, seed, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:
     Equals the span of the eigen-cluster projections of the seed: each
     cluster of the spectrum (merged at tau_eig_cluster relative to the
     spectral radius) contributes the projection of the seed onto its
-    eigenspace.  Rank decisions inside each cluster are taken relative
-    to the largest seed column norm.
+    eigenspace.  Each part's rank is cut on the d_c x k coefficients
+    V_c^H F, relative to the largest seed column norm.
     """
     a = as_matrix(op)
     n = a.shape[0]
@@ -89,17 +91,19 @@ def orbit(op, seed, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:
 
 def _cluster_orbit(v: np.ndarray, clusters, frame: np.ndarray, tol: ToleranceConfig) -> Subspace:
     """`orbit` of a nonzero seed, given the eigenvectors and clusters of the operator."""
-    seed_scale = float(np.max(np.linalg.norm(frame, axis=0)))
-    pieces = []
+    cut = tol.tau_rank * float(np.max(np.linalg.norm(frame, axis=0)))
+    coefficients = v.conj().T @ frame
+    pieces = [np.zeros((v.shape[0], 0), dtype=np.complex128)]
     for cl in clusters:
-        vc = v[:, cl.start : cl.stop]
-        projected = vc @ (vc.conj().T @ frame)
-        part = orthonormal_basis(projected, tol, scale=seed_scale)
-        if part.dim:
-            pieces.append(part.frame)
-    if not pieces:
-        return zero_subspace(v.shape[0])
-    return Subspace(v.shape[0], np.hstack(pieces))
+        c = coefficients[cl.start : cl.stop]
+        if cl.dim == 1:  # a 1 x k row: its one singular value is its norm
+            u, s = np.ones((1, 1)), np.linalg.norm(c, axis=1)
+        else:
+            u, s, _ = np.linalg.svd(c, full_matrices=False)
+        keep = int(np.count_nonzero(s > cut))
+        if keep:
+            pieces.append(v[:, cl.start : cl.stop] @ u[:, :keep])
+    return Subspace(v.shape[0], _phase_fix(np.hstack(pieces))[0])
 
 
 def _embed(frame: np.ndarray, n1: int, n2: int, side: int) -> np.ndarray:
@@ -158,9 +162,9 @@ def coupled_parts(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOL
 
     return CoupledParts(
         h1c=Subspace(n1 + n2, _embed(h1c_block.frame, n1, n2, 1)),
-        h1d=Subspace(n1 + n2, _embed(complement(h1c_block, tol).frame, n1, n2, 1)),
+        h1d=Subspace(n1 + n2, _embed(complement(h1c_block).frame, n1, n2, 1)),
         h2c=Subspace(n1 + n2, _embed(h2c_block.frame, n1, n2, 2)),
-        h2d=Subspace(n1 + n2, _embed(complement(h2c_block, tol).frame, n1, n2, 2)),
+        h2d=Subspace(n1 + n2, _embed(complement(h2c_block).frame, n1, n2, 2)),
     )
 
 
@@ -236,9 +240,8 @@ def multiplicity(
         if invariant_subspace.dim == 0:
             return 0, []
         f = invariant_subspace.frame
-        leak = a @ f - f @ (f.conj().T @ a @ f)
         scale = float(np.linalg.norm(a, 2))
-        residual = float(np.linalg.norm(leak, 2))
+        residual = _invariance_leak(a, f)
         if residual > tol.tau_residual * max(scale, 1.0):
             raise ValidationError(
                 f"subspace is not invariant: leak {residual:.3e} exceeds "
@@ -437,7 +440,7 @@ def is_reconstructible(
     intersection); on success it is None.
     """
     c = system.coupling_part
-    c_scale = float(np.linalg.norm(c, 2))
+    c_scale = float(np.linalg.norm(system.coupling, 2))
     _, v, clusters = eigen_clusters(system.omega, tol)
     for cl in clusters:
         frame = v[:, cl.start : cl.stop]

@@ -144,22 +144,20 @@ def measure_of(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERA
     """Point measure of the system's friction kernel.
 
     Eigen-clusters of the hidden block give the frequencies; the mass at
-    each is coupling @ E_cluster @ coupling^H.  Atoms with spectral norm
-    <= tau_rank * ||coupling coupling^H|| are dropped.
+    each is B B^H with the thin block B = coupling @ E_cluster.  Atoms
+    with spectral norm ||B||^2 <= tau_rank * ||coupling||^2 are dropped.
     """
     gamma = system.coupling
     if system.n2 == 0:
         return PointMeasure(system.n1, ())
     _, v, clusters = eigen_clusters(system.omega2, tol)
-    total = gamma @ gamma.conj().T
-    total_norm = float(np.linalg.norm(total, 2))
+    cut = tol.tau_rank * float(np.linalg.norm(gamma, 2)) ** 2
     atoms: list[MeasureAtom] = []
     for cluster in clusters:
         block = gamma @ v[:, cluster.start : cluster.stop]
-        mass = block @ block.conj().T
-        mass = 0.5 * (mass + mass.conj().T)
-        if float(np.linalg.norm(mass, 2)) > tol.tau_rank * total_norm:
-            atoms.append(MeasureAtom(cluster.value, mass))
+        if float(np.linalg.norm(block, 2)) ** 2 > cut:
+            mass = block @ block.conj().T
+            atoms.append(MeasureAtom(cluster.value, 0.5 * (mass + mass.conj().T)))
     return PointMeasure(system.n1, tuple(atoms))
 
 

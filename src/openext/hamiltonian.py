@@ -345,11 +345,15 @@ def frozen_report(spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) 
     gamma_stack = np.stack(spec.gammas)
     e_gamma = orthonormal_basis(gamma_stack.T.astype(np.complex128), tol)
     j_eff = e_gamma.dim
-    ortho = complement(e_gamma, tol)
-    frozen = Subspace(spec.total_dim, np.kron(np.eye(spec.volume, dtype=np.complex128), ortho.frame))
+    # frozen = kron(I_V, E_gamma^perp); its complement is kron(I_V, E_gamma)
+    eye = np.eye(spec.volume, dtype=np.complex128)
+    frozen = Subspace(spec.total_dim, np.kron(eye, complement(e_gamma).frame))
+    coupled = compress(omega, np.kron(eye, e_gamma.frame))
+    coupled_w, _, clusters = eigen_clusters(coupled, tol, vectors=False)
+    per = tuple((cl.value, cl.dim) for cl in clusters)
 
     freq = math.sqrt(spec.xi / spec.m)
-    omega_norm = float(np.linalg.norm(omega, 2))
+    omega_norm = max(float(coupled_w[-1]), freq)  # Omega is PSD: frozen plus coupled spectrum
     if frozen.dim:
         resid = omega @ frozen.frame - freq * frozen.frame
         max_resid = float(np.max(np.linalg.norm(resid, axis=0)))
@@ -359,10 +363,6 @@ def frozen_report(spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) 
         raise ValidationError(
             f"frozen directions fail the eigenvector check (residual {max_resid:.3e})"
         )
-
-    coupled = complement(frozen, tol).frame
-    _, _, clusters = eigen_clusters(compress(omega, coupled), tol, vectors=False)
-    per = tuple((cl.value, cl.dim) for cl in clusters)
 
     dim_lower = (n - j_eff) * spec.volume
     mult_upper = len(spec.gammas) * spec.volume

@@ -13,9 +13,9 @@ orthonormal frames, so this module fixes the conventions once:
 
 Matrices are plain complex ``numpy`` arrays; a ``Subspace`` is an
 orthonormal frame together with its ambient dimension.  The cluster,
-rank, complement and PSD cuts that the structural verdicts rest on are
-made here: `eigen_clusters`, `matrix_rank`, `complement` and
-`below_psd_cut`.
+rank and PSD cuts that the structural verdicts rest on are made here,
+each on the smallest matrix that carries it: `eigen_clusters`,
+`matrix_rank` and `below_psd_cut`.  `complement` makes no cut.
 """
 
 from __future__ import annotations
@@ -295,17 +295,12 @@ def zero_subspace(n: int) -> Subspace:
     return Subspace(n, np.zeros((n, 0), dtype=np.complex128))
 
 
-def orthonormal_basis(
-    columns,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-    *,
-    scale: float | None = None,
-) -> Subspace:
+def orthonormal_basis(columns, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:
     """Rank-revealing orthonormal basis of the column span.
 
-    Directions with singular value <= tau_rank * scale are discarded;
-    scale defaults to the largest column norm. Zero input (or an empty
-    column list) yields the zero subspace.
+    Directions with singular value <= tau_rank times the largest column
+    norm are discarded. Zero input (or an empty column list) yields the
+    zero subspace.
     """
     m = np.asarray(columns, dtype=np.complex128)
     if m.ndim == 1:
@@ -317,9 +312,7 @@ def orthonormal_basis(
         return zero_subspace(n)
     if not np.all(np.isfinite(m)):
         raise ValidationError("columns have non-finite entries")
-    col_norms = np.linalg.norm(m, axis=0)
-    if scale is None:
-        scale = float(col_norms.max())
+    scale = float(np.linalg.norm(m, axis=0).max())
     if scale == 0.0:
         return zero_subspace(n)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
@@ -327,24 +320,22 @@ def orthonormal_basis(
     return Subspace(n, _phase_fix(u[:, :keep])[0])
 
 
-def complement(sub: Subspace, tol: ToleranceConfig) -> Subspace:
-    """Orthonormal complement of sub in its ambient space.
-
-    The identity frame when sub is empty.  Raises NumericError when the
-    dimensions do not add up: the rank cut is ambiguous at the current
-    tolerances.
+def complement(sub: Subspace) -> Subspace:
+    """Orthonormal complement of sub: the trailing n - k columns of a
+    complete Householder QR of its frame, phase-fixed (the identity when
+    sub is empty).  No rank cut, and it moves continuously with the frame.
     """
     n = sub.ambient_dim
-    eye = np.eye(n, dtype=np.complex128)
     if sub.dim == 0:
-        return Subspace(n, eye)
-    result = orthonormal_basis(eye - sub.projector(), tol, scale=1.0)
-    if result.dim != n - sub.dim:
-        raise NumericError(
-            f"complement dimension {result.dim} != {n - sub.dim}; "
-            "rank cut is ambiguous at the current tolerances"
-        )
-    return result
+        return Subspace(n, np.eye(n, dtype=np.complex128))
+    q = np.linalg.qr(sub.frame, mode="complete")[0]
+    return Subspace(n, _phase_fix(q[:, sub.dim :])[0])
+
+
+def _invariance_leak(op: np.ndarray, frame: np.ndarray) -> float:
+    """||op F - F (F^H op F)||_2, which is ||[F F^H, op]||_2 for Hermitian op."""
+    image = op @ frame
+    return float(np.linalg.norm(image - frame @ (frame.conj().T @ image), 2))
 
 
 def subspaces_equal(a: Subspace, b: Subspace, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:

@@ -18,7 +18,7 @@ generic path, and what that path does not know is handed to `json.dumps`
 itself.  Non-finite floats raise `ValueError` on every path.
 
 CSV formats:
-  kernel samples   t, re_11, im_11, re_12, im_12, ...   (row-major)
+  kernel samples   t, re_1_1, im_1_1, re_1_2, ...   (row-major; names not read)
   trajectory       t, re_1, im_1, re_2, im_2, ...
 """
 
@@ -155,7 +155,11 @@ def measure_from_json(data: dict) -> PointMeasure:
         freq = entry["omega"]
         if not isinstance(freq, (int, float)) or isinstance(freq, bool):
             raise ValidationError(f"atom {k} frequency must be numeric")
-        atoms.append(MeasureAtom(float(freq), matrix_from_json(entry["mass"], f"atoms[{k}].mass")))
+        try:
+            freq = float(freq)
+        except OverflowError:
+            raise ValidationError(f"atom {k} frequency is beyond the float range") from None
+        atoms.append(MeasureAtom(freq, matrix_from_json(entry["mass"], f"atoms[{k}].mass")))
     return PointMeasure(dim, tuple(atoms))
 
 
@@ -307,8 +311,8 @@ def write_kernel_csv(times, values) -> str:
     header = ["t"]
     for i in range(n):
         for j in range(n):
-            header.append(f"re_{i + 1}{j + 1}")
-            header.append(f"im_{i + 1}{j + 1}")
+            header.append(f"re_{i + 1}_{j + 1}")
+            header.append(f"im_{i + 1}_{j + 1}")
     return _csv_text(header, times, values)
 
 

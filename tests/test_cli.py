@@ -107,6 +107,15 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_extend_rejects_a_frequency_beyond_the_float_range(self, capsys, tmp_path):
+        text = json.dumps(measure_to_json(PointMeasure.create(1, [(1.0, np.eye(1))])))
+        p = tmp_path / "measure.json"
+        p.write_text(text.replace('"omega": 1.0', '"omega": 1' + "0" * 400))
+        code = main(["extend", str(p)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("field", ["abc", "nan", "inf"])
     def test_fit_rejects_malformed_csv(self, capsys, tmp_path, field):
         times = np.arange(32) * 0.1

@@ -111,7 +111,7 @@ class TestCoupledParts:
             parts = coupled_parts(sys_)
             e = np.eye(7, dtype=complex)
             reach = orbit(sys_.omega, e[:, :3])
-            h1_plus_h2c = orthonormal_basis(np.hstack([e[:, :3], parts.h2c.frame]), scale=1.0)
+            h1_plus_h2c = orthonormal_basis(np.hstack([e[:, :3], parts.h2c.frame]))
             assert subspaces_equal(reach, h1_plus_h2c)
 
     def test_fully_coupled_system_has_trivial_frozen_parts(self):
@@ -285,7 +285,7 @@ class TestStrings:
             if dec.count == 0:
                 assert parts.h2c.dim == 0
                 continue
-            total = orthonormal_basis(np.hstack([s.frame for s in dec.strings]), scale=1.0)
+            total = orthonormal_basis(np.hstack([s.frame for s in dec.strings]))
             assert subspaces_equal(total, parts.h2c)
 
 

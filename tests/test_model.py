@@ -258,6 +258,12 @@ class TestJsonRoundTrips:
         with pytest.raises(ValidationError):
             measure_from_json(data)
 
+    def test_measure_rejects_a_frequency_beyond_the_float_range(self):
+        data = measure_to_json(PointMeasure.create(1, [(1.0, np.eye(1))]))
+        data["atoms"][0]["omega"] = 10**400
+        with pytest.raises(ValidationError):
+            measure_from_json(data)
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -291,6 +297,17 @@ class TestCsv:
     def test_kernel_csv_rejects_malformed_rows(self, row):
         with pytest.raises(ValidationError):
             read_kernel_csv(f"t,re_11,im_11\n0.0,1.0,0.0\n{row}\n")
+
+    def test_kernel_csv_names_every_column_once(self):
+        # a separator keeps (1, 11) and (11, 1) apart once n reaches 10
+        header = write_kernel_csv(np.zeros(1), np.zeros((1, 12, 12))).splitlines()[0].split(",")
+        assert len(header) == len(set(header)) == 1 + 2 * 12 * 12
+        assert header[1:3] == ["re_1_1", "im_1_1"]
+
+    def test_kernel_csv_reads_headers_without_separator(self):
+        times, values = read_kernel_csv("t,re_11,im_11,re_12,im_12,re_21,im_21,re_22,im_22\n0.5,1,2,3,4,5,6,7,8\n")
+        assert times.tolist() == [0.5]
+        assert values[0].tolist() == [[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j]]
 
     def test_kernel_csv_rejects_header_only(self):
         with pytest.raises(ValidationError):

@@ -181,7 +181,7 @@ class TestCsvOracle:
         header = ["t"]
         for i in range(n):
             for j in range(n):
-                header += [f"re_{i + 1}{j + 1}", f"im_{i + 1}{j + 1}"]
+                header += [f"re_{i + 1}_{j + 1}", f"im_{i + 1}_{j + 1}"]
         text = write_kernel_csv(times, values)
         assert text == oracle_csv_text(header, times, values)
         if steps:
