@@ -27,10 +27,11 @@ from .numerics import (
     eigen_clusters,
     matrix_rank,
     max_abs,
+    orthonormal_basis,
     svd,
     zero_subspace,
 )
-from .decomposition import _block_frame, _cluster_orbit, _embed, coupled_parts, orbit
+from .decomposition import _block_frame, _cluster_orbit, _embed, _split_parts, orbit
 from .extension import kernel_eval
 
 __all__ = [
@@ -182,8 +183,8 @@ def canonical_decomposition(
     over the kept clusters, and p < q are linked when it exceeds
     tau_residual on either side.  Connected components of that relation,
     ordered by their smallest channel, give the finest splitting; the
-    decoupled remainders h1d and h2d are attached as extra components
-    with an empty other side.
+    decoupled remainders h1d and h2d, read from the same two spectra, are
+    attached as extra components with an empty other side.
     """
     n1, n2 = system.n1, system.n2
     cs = channels(system, tol)
@@ -211,7 +212,12 @@ def canonical_decomposition(
         f1, f2 = (_cluster_orbit(v, clusters, u[:, group], tol).frame for v, clusters, u in sides)
         components.append((Subspace(n1 + n2, _embed(f1, n1, n2, 1)), Subspace(n1 + n2, _embed(f2, n1, n2, 2))))
 
-    parts = coupled_parts(system, tol)
+    # coupled_parts' seeds on the spectra above; no spectra when the coupling is zero
+    gamma = system.coupling
+    blocks = [zero_subspace(n1), zero_subspace(n2)]
+    for i, ((v, clusters, _), seed) in enumerate(zip(sides, (gamma, gamma.conj().T))):
+        blocks[i] = _cluster_orbit(v, clusters, orthonormal_basis(seed, tol).frame, tol)
+    parts = _split_parts(system, *blocks)
     empty = zero_subspace(n1 + n2)
     if parts.h1d.dim:
         components.append((parts.h1d, empty))

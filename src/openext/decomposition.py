@@ -154,12 +154,15 @@ class CoupledParts:
 
 def coupled_parts(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> CoupledParts:
     """Split each side into its coupled orbit and the decoupled remainder."""
-    n1, n2 = system.n1, system.n2
     gamma = system.coupling
-
     h1c_block = orbit(system.omega1, orthonormal_basis(gamma, tol), tol)
-    h2c_block = orbit(system.omega2, orthonormal_basis(gamma.conj().T, tol), tol) if n2 else zero_subspace(0)
+    h2c_block = orbit(system.omega2, orthonormal_basis(gamma.conj().T, tol), tol) if system.n2 else zero_subspace(0)
+    return _split_parts(system, h1c_block, h2c_block)
 
+
+def _split_parts(system: ConservativeSystem, h1c_block: Subspace, h2c_block: Subspace) -> CoupledParts:
+    """CoupledParts from the coupled orbits of each side, in block coordinates."""
+    n1, n2 = system.n1, system.n2
     return CoupledParts(
         h1c=Subspace(n1 + n2, _embed(h1c_block.frame, n1, n2, 1)),
         h1d=Subspace(n1 + n2, _embed(complement(h1c_block).frame, n1, n2, 1)),

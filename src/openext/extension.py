@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitError, NotPositiveSemidefiniteError, ValidationError
+from .errors import FitError, ValidationError
 from .model import ConservativeSystem, MeasureAtom, OpenSystem, PointMeasure
 from .numerics import (
     DEFAULT_TOLERANCES,
@@ -37,6 +37,7 @@ from .numerics import (
     eigen_clusters,
     eigh,
     max_abs,
+    require_psd,
 )
 
 __all__ = [
@@ -120,12 +121,7 @@ def minimal_extension(measure: PointMeasure, tol: ToleranceConfig = DEFAULT_TOLE
     hidden_freqs: list[float] = []
     for k, atom in enumerate(measure.atoms):
         w, v = eigh(atom.mass, tol)
-        if below_psd_cut(w, tol):
-            raise NotPositiveSemidefiniteError(
-                f"atom {k} (frequency {atom.frequency}) violates the dissipation condition: "
-                f"min eigenvalue {w[0]:.6e}",
-                min_eigenvalue=float(w[0]),
-            )
+        require_psd(w, tol, f"atom {k} (frequency {atom.frequency}) violates the dissipation condition")
         keep = np.flatnonzero(w > tol.tau_rank * max(float(w[-1]), 0.0))[::-1]
         for idx in keep:
             columns.append(np.sqrt(w[idx]) * v[:, idx])
@@ -200,7 +196,9 @@ MC_TIME_SPAN = 5.0
 DEFAULT_MC_SEED = 0x5EED
 
 
-def _quadratic_form_measure(phases: np.ndarray, masses: np.ndarray, weights: np.ndarray, v: np.ndarray) -> float:
+def _quadratic_form_measure(
+    phases: np.ndarray, masses: np.ndarray, total_mass: np.ndarray, weights: np.ndarray, v: np.ndarray
+) -> float:
     """Discretized double integral of the dissipation form for sampled v.
 
     With the phase table phases[j, k] = w_j e^{i w_k t_j}, u_j = phases[j, k] v_j
@@ -208,11 +206,11 @@ def _quadratic_form_measure(phases: np.ndarray, masses: np.ndarray, weights: np.
       Re sum_{j>=l} u_j^H N_k u_l = (S_k^H N_k S_k + sum_j u_j^H N_k u_j) / 2
     is exactly the trapezoid-weighted double sum and is nonnegative for PSD
     N_k.  The phases cancel in the local term, so summed over atoms it is
-    sum_j w_j^2 v_j^H A v_j with the total mass A = sum_k N_k.
+    sum_j w_j^2 v_j^H A v_j with the total mass A = total_mass = sum_k N_k.
     """
     s = phases.T @ v
     cross = np.vdot(s, np.einsum("kab,kb->ka", masses, s))
-    local = np.vdot(weights[:, None] ** 2 * v, v @ masses.sum(axis=0).T)
+    local = np.vdot(weights[:, None] ** 2 * v, v @ total_mass.T)
     return 0.5 * float(np.real(cross + local))
 
 
@@ -295,6 +293,7 @@ def check_dissipation(
         min_eigs = eigs[:, 0].tolist()
         witness = [(k, min_eigs[k]) for k, w in enumerate(eigs) if below_psd_cut(w, tol)]
         phases = weights[:, None] * np.exp(1j * np.outer(times, freqs))
+        total_mass = masses.sum(axis=0)
     else:
         min_eigs, witness = [], []
     algebraic_available, algebraic_pass = measure is not None, not witness
@@ -311,7 +310,7 @@ def check_dissipation(
 
     def evaluate(v: np.ndarray) -> float:
         if measure is not None:
-            return _quadratic_form_measure(phases, masses, weights, v)
+            return _quadratic_form_measure(phases, masses, total_mass, weights, v)
         return _quadratic_form_samples(samples.values, weights, v)
 
     mc_min = np.inf

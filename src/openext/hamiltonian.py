@@ -33,12 +33,14 @@ from .numerics import (
     Subspace,
     ToleranceConfig,
     as_matrix,
+    cluster_spectrum,
     complement,
     compress,
     eigen_clusters,
+    eigh,
     max_abs,
     orthonormal_basis,
-    principal_sqrt_psd,
+    require_psd,
 )
 
 __all__ = [
@@ -82,9 +84,7 @@ class QuadraticHamiltonian:
         if max_abs(k - k.T) > DEFAULT_TOLERANCES.tau_herm * scale:
             raise ValidationError("stiffness matrix must be symmetric")
         k = 0.5 * (k + k.T)
-        w = np.linalg.eigvalsh(k)
-        if w.size and w[0] < -DEFAULT_TOLERANCES.tau_residual * max(abs(w[-1]), 1.0):
-            raise ValidationError(f"stiffness must be positive semidefinite (min eigenvalue {w[0]:.3e})")
+        require_psd(np.linalg.eigvalsh(k), DEFAULT_TOLERANCES, "stiffness is not positive semidefinite")
         mass.flags.writeable = False
         k.flags.writeable = False
         object.__setattr__(self, "dof_labels", tuple(self.dof_labels))
@@ -96,25 +96,41 @@ class QuadraticHamiltonian:
         return len(self.dof_labels)
 
 
-def frequency_operator(h: QuadraticHamiltonian, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Hermitian PSD Omega = (M^{-1/2} K M^{-1/2})^{1/2}.
-
-    Warns when K is singular: the complex encoding z = Qdot~ - i Omega Q~
-    then loses the position component of the zero modes, though spectra
-    and multiplicities stay correct.
-    """
-    inv_sqrt_m = np.diag(1.0 / np.sqrt(np.diag(h.mass)))
-    sym = inv_sqrt_m @ h.stiffness @ inv_sqrt_m
+def _stiffness_spectrum(
+    h: QuadraticHamiltonian, tol: ToleranceConfig, *, vectors: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Clipped eigenvalues and eigenvectors (or None) of S, cut and warned as in `frequency_operator`."""
+    r = 1.0 / np.sqrt(np.diag(h.mass))
+    sym = (r[:, None] * h.stiffness) * r[None, :]
     sym = 0.5 * (sym + sym.T)
-    omega = principal_sqrt_psd(sym.astype(np.complex128), tol)
-    w = np.linalg.eigvalsh(omega)
-    if w.size and w[0] <= tol.tau_rank * max(float(w[-1]), 1.0):
+    w, v = eigh(sym, tol) if vectors else (np.linalg.eigvalsh(sym), None)
+    require_psd(w, tol, "M^-1/2 K M^-1/2 is not positive semidefinite")
+    w = np.clip(w, 0.0, None)
+    if w.size and w[0] <= tol.tau_rank * w[-1]:
         warnings.warn(
             "stiffness is singular: zero-frequency modes make the complex state encoding "
             "non-injective on positions",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return omega
+    return w, v
+
+
+def frequency_operator(h: QuadraticHamiltonian, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Hermitian PSD Omega = S^{1/2}, S = M^{-1/2} K M^{-1/2}, from one
+    eigendecomposition S = V diag(w) V^H.
+
+    Eigenvalues failing `below_psd_cut` raise NotPositiveSemidefiniteError;
+    the rest are clipped at zero and Omega = V diag(sqrt(w)) V^H.  Warns
+    when K is singular, decided as w_min <= tau_rank * w_max on w, not on
+    sqrt(w): a zero eigenvalue of S comes out as rounding of size
+    eps ||S||, which is sqrt(eps) ||Omega||, above the cut on Omega's
+    scale.  The complex encoding z = Qdot~ - i Omega Q~ then loses the
+    position component of the zero modes, though spectra and
+    multiplicities stay correct.
+    """
+    w, v = _stiffness_spectrum(h, tol)
+    root = (v * np.sqrt(w)) @ v.conj().T
+    return 0.5 * (root + root.conj().T)
 
 
 def encode_state(omega: np.ndarray, mass: np.ndarray, q, qdot) -> np.ndarray:
@@ -280,6 +296,11 @@ def lattice_system(
     terms, which enter the energy without 1/2, to the q^T K q / 2
     convention.  DOF ordering is site-major: label (site, component).
     """
+    ham = _lattice_hamiltonian(spec)
+    return frequency_operator(ham, tol), ham
+
+
+def _lattice_hamiltonian(spec: LatticeSpec) -> QuadraticHamiltonian:
     if spec.total_dim > LATTICE_DIM_BUDGET:
         raise BudgetError(
             f"lattice has {spec.total_dim} degrees of freedom; budget is {LATTICE_DIM_BUDGET}"
@@ -290,8 +311,7 @@ def lattice_system(
     for g in spec.gammas:
         k += 2.0 * np.kron(b, np.outer(g, g))
     labels = tuple((site, c) for site in spec.sites for c in range(n))
-    ham = QuadraticHamiltonian(labels, np.diag(np.full(spec.total_dim, spec.m)), k)
-    return frequency_operator(ham, tol), ham
+    return QuadraticHamiltonian(labels, np.diag(np.full(spec.total_dim, spec.m)), k)
 
 
 @dataclass(frozen=True)
@@ -394,15 +414,16 @@ def multiplicity_scan(spec: LatticeSpec, l_values, tol: ToleranceConfig = DEFAUL
 
     Empirical only: the ratio column is reported, never asserted, since
     the volume scaling of the multiplicity is a bulk statement with
-    boundary corrections at any finite size.
+    boundary corrections at any finite size.  Each row clusters sqrt of
+    one values-only solve of M^{-1/2} K M^{-1/2}, not a formed Omega.
     """
     rows = []
     for l_val in l_values:
         current = LatticeSpec(
             spec.d, int(l_val), spec.n_components, spec.m, spec.xi, spec.gammas
         )
-        omega, _ = lattice_system(current, tol)
-        _, _, clusters = eigen_clusters(omega, tol, vectors=False)
+        freqs = np.sqrt(_stiffness_spectrum(_lattice_hamiltonian(current), tol, vectors=False)[0])
+        clusters = cluster_spectrum(freqs, float(freqs[-1]), tol)
         mult = max(cl.dim for cl in clusters)
         rows.append(ScanRow(current.l_half_width, current.volume, int(mult), mult / current.volume))
     return rows

@@ -15,7 +15,8 @@ Matrices are plain complex ``numpy`` arrays; a ``Subspace`` is an
 orthonormal frame together with its ambient dimension.  The cluster,
 rank and PSD cuts that the structural verdicts rest on are made here,
 each on the smallest matrix that carries it: `eigen_clusters`,
-`matrix_rank` and `below_psd_cut`.  `complement` makes no cut.
+`matrix_rank` and `below_psd_cut` (`require_psd` raises on it).
+`complement` makes no cut.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "svd",
     "matrix_rank",
     "cluster_spectrum",
-    "principal_sqrt_psd",
     "orthonormal_basis",
     "subspaces_equal",
 ]
@@ -242,20 +242,10 @@ def below_psd_cut(w: np.ndarray, tol: ToleranceConfig) -> bool:
     return bool(w.size and w[0] < -tol.tau_residual * max(abs(w[0]), abs(w[-1])))
 
 
-def principal_sqrt_psd(matrix, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix.
-
-    Eigenvalues failing `below_psd_cut` raise
-    NotPositiveSemidefiniteError; tiny negatives are clamped to zero.
-    """
-    w, v = eigh(matrix, tol)
+def require_psd(w: np.ndarray, tol: ToleranceConfig, what: str) -> None:
+    """Raise NotPositiveSemidefiniteError, led by `what`, when w fails `below_psd_cut`."""
     if below_psd_cut(w, tol):
-        raise NotPositiveSemidefiniteError(
-            f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}",
-            min_eigenvalue=float(w[0]),
-        )
-    root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return 0.5 * (root + root.conj().T)
+        raise NotPositiveSemidefiniteError(f"{what}: min eigenvalue {w[0]:.6e}", min_eigenvalue=float(w[0]))
 
 
 @dataclass(frozen=True)

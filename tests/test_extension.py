@@ -280,7 +280,8 @@ class TestCheckDissipation:
             v = rng.standard_normal((times.size, 2)) + 1j * rng.standard_normal(
                 (times.size, 2)
             )
-            qm = _quadratic_form_measure(*factor_tables(mu, times, weights), weights, v)
+            phases, masses = factor_tables(mu, times, weights)
+            qm = _quadratic_form_measure(phases, masses, masses.sum(axis=0), weights, v)
             qs = _quadratic_form_samples(samples.values, weights, v)
             assert qm == pytest.approx(qs, rel=1e-10, abs=1e-10)
 
@@ -295,7 +296,7 @@ class TestCheckDissipation:
             phases, masses = factor_tables(mu, times, weights)
             n = mu.dim
             v = rng.standard_normal((times.size, n)) + 1j * rng.standard_normal((times.size, n))
-            got = _quadratic_form_measure(phases, masses, weights, v)
+            got = _quadratic_form_measure(phases, masses, masses.sum(axis=0), weights, v)
             assert got == pytest.approx(per_atom_quadratic_form(mu, times, weights, v), rel=1e-12)
             profile = np.sin(np.pi * times / times[-1]) ** 2 * np.exp(-1j * rng.uniform(-4, 4) * times)
             h = _profile_form_matrix(phases, masses, weights, profile)

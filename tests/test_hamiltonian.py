@@ -3,7 +3,11 @@
 The independent oracle for the frequency-domain encoding is classical
 velocity-Verlet integration of Newton's equations; for lattices it is a
 dense brute-force eigendecomposition of the assembled stiffness.
+`frequency_operator` is also held bitwise to a dense route: products
+with M^{-1/2} as a diagonal matrix and a principal square root of S.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -12,10 +16,14 @@ from openext import (
     BudgetError,
     ConservativeSystem,
     LatticeSpec,
+    NotPositiveSemidefiniteError,
     QuadraticHamiltonian,
+    ToleranceConfig,
     ValidationError,
+    cluster_spectrum,
     coupled_parts,
     decode_state,
+    eigh,
     encode_state,
     frequency_operator,
     frozen_report,
@@ -44,6 +52,39 @@ def verlet(mass, stiffness, q0, qdot0, dt, steps):
     return out
 
 
+def dense_frequency_operator(h):
+    """Omega through dense diagonal products and a principal square root of S."""
+    inv_sqrt_m = np.diag(1.0 / np.sqrt(np.diag(h.mass)))
+    sym = inv_sqrt_m @ h.stiffness @ inv_sqrt_m
+    sym = 0.5 * (sym + sym.T)
+    w, v = eigh(sym.astype(np.complex128))
+    root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return 0.5 * (root + root.conj().T)
+
+
+def seeded_hamiltonian(rng, n, rank):
+    """C C^T (+ I when rank == n) with C of size n x rank, non-uniform masses."""
+    c = rng.standard_normal((n, rank))
+    k = c @ c.T + (np.eye(n) if rank == n else 0.0)
+    return QuadraticHamiltonian(tuple(range(n)), np.diag(rng.uniform(0.5, 2.0, n)), k)
+
+
+def warns_singular(h):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        omega = frequency_operator(h)
+    return omega, any("singular" in str(w.message) for w in caught)
+
+
+LATTICE_SPECS = [
+    LatticeSpec(1, 2, 3, 1.0, 2.0, (np.array([1.0, 0.0, 0.0]),)),
+    LatticeSpec(2, 1, 3, 1.0, 1.0, (np.array([1.0, 0.0, 0.0]),)),
+    LatticeSpec(1, 1, 2, 1.0, 1.5, (np.array([1.0, 0.5]), np.array([0.0, 2.0]))),
+    LatticeSpec(1, 2, 2, 1.0, 1.0, (np.array([1.0, 1.0]),)),
+    LatticeSpec(2, 1, 2, 0.7, 1.3, (np.array([0.6, 0.8]),)),
+]
+
+
 class TestFrequencyOperator:
     def test_scalar(self):
         h = QuadraticHamiltonian(("q",), np.array([[2.0]]), np.array([[8.0]]))
@@ -68,8 +109,40 @@ class TestFrequencyOperator:
 
     def test_singular_stiffness_warns(self):
         h = QuadraticHamiltonian(("a", "b"), np.eye(2), np.diag([1.0, 0.0]))
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="singular"):
             frequency_operator(h)
+
+    def test_bitwise_equal_to_the_dense_route(self):
+        rng = np.random.default_rng(67)
+        for n in range(1, 13):
+            for rank in (n, n - 1, n // 2):
+                h = seeded_hamiltonian(rng, n, rank)
+                omega, _ = warns_singular(h)
+                assert np.array_equal(omega, dense_frequency_operator(h)), (n, rank)
+        for spec in LATTICE_SPECS:
+            omega, h = lattice_system(spec)
+            assert np.array_equal(omega, dense_frequency_operator(h))
+
+    def test_warns_exactly_when_the_stiffness_is_singular(self):
+        # a zero eigenvalue of S is rounding of size eps ||S||; on Omega's
+        # scale that is sqrt(eps) ||Omega||, above tau_rank, so the cut
+        # must be read on S
+        rng = np.random.default_rng(68)
+        assert all(warns_singular(seeded_hamiltonian(rng, 8, 7))[1] for _ in range(50))
+        assert not any(warns_singular(seeded_hamiltonian(rng, 8, 8))[1] for _ in range(50))
+
+    def test_clips_tiny_negative_eigenvalues(self):
+        h = QuadraticHamiltonian(("a", "b"), np.eye(2), np.diag([1.0, -1e-14]))
+        with pytest.warns(UserWarning, match="singular"):
+            omega = frequency_operator(h)
+        assert np.array_equal(omega, np.diag([1.0, 0.0]))
+
+    def test_rejects_indefinite_at_a_tighter_residual_cut(self):
+        # construction accepts -1e-12 at the default cut; frequency_operator
+        # applies its own tolerances to S
+        h = QuadraticHamiltonian(("a", "b"), np.eye(2), np.diag([1.0, -1e-12]))
+        with pytest.raises(NotPositiveSemidefiniteError):
+            frequency_operator(h, ToleranceConfig(tau_residual=1e-14))
 
     def test_square_is_weighted_stiffness(self):
         rng = np.random.default_rng(60)
@@ -277,6 +350,14 @@ class TestLattice:
         spec = LatticeSpec(1, 1, 1, 1.0, 1.0, (np.array([1.0]),))
         rep = frozen_report(spec)
         assert rep.frozen_dim_complex == 0
+
+    @pytest.mark.parametrize("spec", LATTICE_SPECS)
+    def test_scan_matches_the_clusters_of_dense_omega(self, spec):
+        rows = multiplicity_scan(spec, [0, 1, 2])
+        for row in rows:
+            current = LatticeSpec(spec.d, row.l_half_width, spec.n_components, spec.m, spec.xi, spec.gammas)
+            w = np.linalg.eigvalsh(lattice_system(current)[0])
+            assert row.max_multiplicity == max(cl.dim for cl in cluster_spectrum(w, float(np.max(np.abs(w)))))
 
     def test_scan_rows(self):
         spec = LatticeSpec(1, 1, 2, 1.0, 1.0, (np.array([0.0, 1.0]),))

@@ -12,13 +12,14 @@ from openext import (
     NotPositiveSemidefiniteError,
     OpenSystem,
     PointMeasure,
+    QuadraticHamiltonian,
     Subspace,
     UnboundedCouplingError,
     ValidationError,
     assemble,
     check_dissipation,
+    frequency_operator,
     minimal_extension,
-    principal_sqrt_psd,
     validate,
 )
 from openext.serialization import (
@@ -186,12 +187,18 @@ class TestValidate:
         mu = PointMeasure(n, (MeasureAtom(1.0, mass),))
         assert validate(mu).ok is psd
         assert check_dissipation(mu).verdict is psd
-        for route, arg in ((minimal_extension, mu), (principal_sqrt_psd, mass)):
-            if psd:
-                route(arg)
-            else:
+
+        def stiffness_route():
+            return frequency_operator(QuadraticHamiltonian(tuple(range(n)), np.eye(n), mass))
+
+        if psd:
+            minimal_extension(mu)
+            with pytest.warns(UserWarning, match="singular"):  # J - shift*I is singular to tau_rank
+                stiffness_route()
+        else:
+            for route in (lambda: minimal_extension(mu), stiffness_route):
                 with pytest.raises(NotPositiveSemidefiniteError):
-                    route(arg)
+                    route()
 
     def test_open_system_report(self):
         kernel = PointMeasure.create(2, [(1.0, np.eye(2))])

@@ -14,7 +14,6 @@ from openext import (
     eigh,
     matrix_rank,
     orthonormal_basis,
-    principal_sqrt_psd,
     subspaces_equal,
     svd,
 )
@@ -153,25 +152,6 @@ class TestEigenClusters:
         _, _, narrow = eigen_clusters(np.diag([0.5, 0.5 + 5e-8, 1.0]), tol)
         assert [c.dim for c in wide] == [1, 2]
         assert [c.dim for c in narrow] == [1, 1, 1]
-
-
-class TestPrincipalSqrt:
-    def test_square_recovers(self):
-        rng = np.random.default_rng(5)
-        a = random_psd(rng, 6)
-        r = principal_sqrt_psd(a)
-        assert np.allclose(r @ r, a, atol=1e-10 * np.linalg.norm(a, 2))
-        w = np.linalg.eigvalsh(r)
-        assert w[0] >= -1e-12
-
-    def test_clips_tiny_negative_eigenvalues(self):
-        a = np.diag([1.0, -1e-14])
-        r = principal_sqrt_psd(a)
-        assert np.all(np.isfinite(r))
-
-    def test_rejects_genuinely_indefinite(self):
-        with pytest.raises(ValidationError):
-            principal_sqrt_psd(np.diag([1.0, -0.5]))
 
 
 class TestSubspaces:

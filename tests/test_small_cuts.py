@@ -205,6 +205,23 @@ class TestOrbitOnClusterCoefficients:
                 assert projector_gap(got.frame[rows], want) <= 1e-12
 
 
+class TestCanonicalRemainders:
+    def test_decoupled_components_are_coupled_parts_bitwise(self):
+        # canonical_decomposition seeds the orbits on its own spectra; the
+        # remainders it attaches must be coupled_parts' h1d and h2d exactly
+        rank_zero = planted_system(np.random.default_rng(799), 5, 4, 0)
+        assert not rank_zero.coupling.any()
+        for system in [*systems(), rank_zero]:
+            parts = coupled_parts(system)
+            dec = canonical_decomposition(system)
+            remainders = dec.components[len(set(dec.assignment)) :]
+            want = [(parts.h1d, 0)] * bool(parts.h1d.dim) + [(parts.h2d, 1)] * bool(parts.h2d.dim)
+            assert len(remainders) == len(want)
+            for got, (sub, side) in zip(remainders, want):
+                assert np.array_equal(got[side].frame, sub.frame)
+                assert got[1 - side].dim == 0
+
+
 class TestComplementByQR:
     @pytest.mark.parametrize("n, k", [(1, 1), (4, 1), (6, 3), (7, 6), (5, 5)])
     def test_matches_the_singular_basis_of_the_projector(self, n, k):
