@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from openext import (
+    QuadraticHamiltonian,
     SpectralCluster,
     Subspace,
     ToleranceConfig,
     ValidationError,
     cluster_spectrum,
     eigh,
+    frequency_operator,
     matrix_rank,
     orthonormal_basis,
     subspaces_equal,
@@ -152,6 +154,18 @@ class TestEigenClusters:
         _, _, narrow = eigen_clusters(np.diag([0.5, 0.5 + 5e-8, 1.0]), tol)
         assert [c.dim for c in wide] == [1, 2]
         assert [c.dim for c in narrow] == [1, 1, 1]
+
+
+class TestPrincipalSqrt:
+    def test_square_recovers(self):
+        # With unit masses Omega is the principal square root of K.
+        rng = np.random.default_rng(5)
+        a = random_psd(rng, 6, rank=6).real
+        h = QuadraticHamiltonian(tuple("abcdef"), np.eye(6), a)
+        r = frequency_operator(h)
+        assert np.allclose(r @ r, h.stiffness, atol=1e-10 * np.linalg.norm(a, 2))
+        w = np.linalg.eigvalsh(r)
+        assert w[0] >= -1e-12
 
 
 class TestSubspaces:
