@@ -35,7 +35,6 @@ from .numerics import (
     as_matrix,
     cluster_spectrum,
     complement,
-    compress,
     eigen_clusters,
     eigh,
     max_abs,
@@ -62,11 +61,18 @@ LATTICE_DIM_BUDGET = 2000
 
 @dataclass(frozen=True)
 class QuadraticHamiltonian:
-    """Kinetic-plus-quadratic-potential system: sum p_i^2/2m_i + q^T K q / 2."""
+    """Kinetic-plus-quadratic-potential system: sum p_i^2/2m_i + q^T K q / 2.
+
+    Construction makes the one real eigendecomposition of
+    S = M^{-1/2} K M^{-1/2} that every frequency decision reads, and
+    rejects an indefinite K on it: by Sylvester's law of inertia S and K
+    have the same inertia.
+    """
 
     dof_labels: tuple
     mass: np.ndarray = field(repr=False)
     stiffness: np.ndarray = field(repr=False)
+    _spectrum: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mass = np.asarray(self.mass, dtype=np.float64)
@@ -84,26 +90,26 @@ class QuadraticHamiltonian:
         if max_abs(k - k.T) > DEFAULT_TOLERANCES.tau_herm * scale:
             raise ValidationError("stiffness matrix must be symmetric")
         k = 0.5 * (k + k.T)
-        require_psd(np.linalg.eigvalsh(k), DEFAULT_TOLERANCES, "stiffness is not positive semidefinite")
-        mass.flags.writeable = False
-        k.flags.writeable = False
+        r = 1.0 / np.sqrt(np.diag(mass))
+        sym = (r[:, None] * k) * r[None, :]
+        w, v = eigh(0.5 * (sym + sym.T))
+        require_psd(w, DEFAULT_TOLERANCES, "stiffness is not positive semidefinite")
+        for arr in (mass, k, w, v):
+            arr.flags.writeable = False
         object.__setattr__(self, "dof_labels", tuple(self.dof_labels))
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "stiffness", k)
+        object.__setattr__(self, "_spectrum", (w, v))
 
     @property
     def dim(self) -> int:
         return len(self.dof_labels)
 
 
-def _stiffness_spectrum(
-    h: QuadraticHamiltonian, tol: ToleranceConfig, *, vectors: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Clipped eigenvalues and eigenvectors (or None) of S, cut and warned as in `frequency_operator`."""
-    r = 1.0 / np.sqrt(np.diag(h.mass))
-    sym = (r[:, None] * h.stiffness) * r[None, :]
-    sym = 0.5 * (sym + sym.T)
-    w, v = eigh(sym, tol) if vectors else (np.linalg.eigvalsh(sym), None)
+def _stiffness_spectrum(h: QuadraticHamiltonian, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Clipped eigenvalues and real eigenvectors of S, from the decomposition
+    made at construction, cut and warned as in `frequency_operator`."""
+    w, v = h._spectrum
     require_psd(w, tol, "M^-1/2 K M^-1/2 is not positive semidefinite")
     w = np.clip(w, 0.0, None)
     if w.size and w[0] <= tol.tau_rank * w[-1]:
@@ -116,11 +122,12 @@ def _stiffness_spectrum(
 
 
 def frequency_operator(h: QuadraticHamiltonian, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Hermitian PSD Omega = S^{1/2}, S = M^{-1/2} K M^{-1/2}, from one
-    eigendecomposition S = V diag(w) V^H.
+    """Real symmetric PSD Omega = S^{1/2}, S = M^{-1/2} K M^{-1/2}, from the
+    one real eigendecomposition S = V diag(w) V^T made when h was built.
 
-    Eigenvalues failing `below_psd_cut` raise NotPositiveSemidefiniteError;
-    the rest are clipped at zero and Omega = V diag(sqrt(w)) V^H.  Warns
+    Eigenvalues failing `below_psd_cut` at tol raise
+    NotPositiveSemidefiniteError; the rest are clipped at zero and
+    Omega = V diag(sqrt(w)) V^T, a float64 array.  Warns
     when K is singular, decided as w_min <= tau_rank * w_max on w, not on
     sqrt(w): a zero eigenvalue of S comes out as rounding of size
     eps ||S||, which is sqrt(eps) ||Omega||, above the cut on Omega's
@@ -129,8 +136,8 @@ def frequency_operator(h: QuadraticHamiltonian, tol: ToleranceConfig = DEFAULT_T
     multiplicities stay correct.
     """
     w, v = _stiffness_spectrum(h, tol)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return 0.5 * (root + root.conj().T)
+    root = (v * np.sqrt(w)) @ v.T
+    return 0.5 * (root + root.T)
 
 
 def encode_state(omega: np.ndarray, mass: np.ndarray, q, qdot) -> np.ndarray:
@@ -191,7 +198,7 @@ def oscillator_system(
     g2 = _vector_family(gamma2, n2, "gamma2")
     if g1.shape[0] != g2.shape[0]:
         raise ValidationError("gamma1 and gamma2 must pair up (one per interaction term)")
-    hw = np.linalg.eigvalsh(hidden.stiffness)
+    hw = hidden._spectrum[0]  # the inertia of S is that of K
     if hw.size and hw[0] <= 0:
         raise ValidationError("hidden stiffness must be positive definite")
 
@@ -358,24 +365,38 @@ class FrozenReport:
         }
 
 
+def _apply_site_frame(op: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """op @ kron(I_V, frame) for op whose columns are site-major (site,
+    component) pairs, by one reshape: no dense Kronecker frame is formed."""
+    return (op.reshape(-1, frame.shape[0]) @ frame).reshape(op.shape[0], -1)
+
+
 def frozen_report(spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> FrozenReport:
-    """Locate the frozen subspace of a lattice and check both volume bounds."""
+    """Locate the frozen subspace of a lattice and check both volume bounds.
+
+    The frozen frame is kron(I_V, E_gamma^perp) and the coupled one
+    kron(I_V, E_gamma); the real Omega is applied to both through
+    `_apply_site_frame`.  The component frames come from an SVD and a QR
+    of the real gammas, which keep real data real (imaginary parts exactly
+    zero), so only their real parts are used.
+    """
     omega, _ = lattice_system(spec, tol)
     n = spec.n_components
     gamma_stack = np.stack(spec.gammas)
     e_gamma = orthonormal_basis(gamma_stack.T.astype(np.complex128), tol)
+    e_perp = complement(e_gamma)
     j_eff = e_gamma.dim
-    # frozen = kron(I_V, E_gamma^perp); its complement is kron(I_V, E_gamma)
-    eye = np.eye(spec.volume, dtype=np.complex128)
-    frozen = Subspace(spec.total_dim, np.kron(eye, complement(e_gamma).frame))
-    coupled = compress(omega, np.kron(eye, e_gamma.frame))
-    coupled_w, _, clusters = eigen_clusters(coupled, tol, vectors=False)
+    frozen = Subspace(spec.total_dim, np.kron(np.eye(spec.volume), e_perp.frame))
+    g, g_perp = e_gamma.frame.real, e_perp.frame.real
+    # F^T Omega F = (Omega F)^T F for the symmetric Omega
+    coupled = _apply_site_frame(_apply_site_frame(omega, g).T, g)
+    coupled_w, _, clusters = eigen_clusters(0.5 * (coupled + coupled.T), tol, vectors=False)
     per = tuple((cl.value, cl.dim) for cl in clusters)
 
     freq = math.sqrt(spec.xi / spec.m)
     omega_norm = max(float(coupled_w[-1]), freq)  # Omega is PSD: frozen plus coupled spectrum
     if frozen.dim:
-        resid = omega @ frozen.frame - freq * frozen.frame
+        resid = _apply_site_frame(omega, g_perp) - freq * frozen.frame.real
         max_resid = float(np.max(np.linalg.norm(resid, axis=0)))
     else:
         max_resid = 0.0
@@ -415,14 +436,15 @@ def multiplicity_scan(spec: LatticeSpec, l_values, tol: ToleranceConfig = DEFAUL
     Empirical only: the ratio column is reported, never asserted, since
     the volume scaling of the multiplicity is a bulk statement with
     boundary corrections at any finite size.  Each row clusters sqrt of
-    one values-only solve of M^{-1/2} K M^{-1/2}, not a formed Omega.
+    the eigenvalues of M^{-1/2} K M^{-1/2} solved when its Hamiltonian is
+    built, not a formed Omega.
     """
     rows = []
     for l_val in l_values:
         current = LatticeSpec(
             spec.d, int(l_val), spec.n_components, spec.m, spec.xi, spec.gammas
         )
-        freqs = np.sqrt(_stiffness_spectrum(_lattice_hamiltonian(current), tol, vectors=False)[0])
+        freqs = np.sqrt(_stiffness_spectrum(_lattice_hamiltonian(current), tol)[0])
         clusters = cluster_spectrum(freqs, float(freqs[-1]), tol)
         mult = max(cl.dim for cl in clusters)
         rows.append(ScanRow(current.l_half_width, current.volume, int(mult), mult / current.volume))

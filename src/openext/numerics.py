@@ -11,7 +11,10 @@ orthonormal frames, so this module fixes the conventions once:
 * rank and clustering decisions are made against an explicit
   ``ToleranceConfig`` rather than ad-hoc constants.
 
-Matrices are plain complex ``numpy`` arrays; a ``Subspace`` is an
+Matrices are plain complex ``numpy`` arrays, with one exception: `eigh`
+keeps real symmetric input real (real orthogonal vectors, each with its
+first significant entry made positive), so the real stiffness problems
+of `hamiltonian` take LAPACK's real solver.  A ``Subspace`` is an
 orthonormal frame together with its ambient dimension.  The cluster,
 rank and PSD cuts that the structural verdicts rest on are made here,
 each on the smallest matrix that carries it: `eigen_clusters`,
@@ -89,9 +92,9 @@ class ToleranceConfig:
 DEFAULT_TOLERANCES = ToleranceConfig()
 
 
-def as_matrix(values, *, square: bool = False, name: str = "matrix") -> np.ndarray:
-    """Coerce to a read-only complex128 2-D array, validating shape."""
-    m = np.asarray(values, dtype=np.complex128)
+def as_matrix(values, *, square: bool = False, name: str = "matrix", dtype=np.complex128) -> np.ndarray:
+    """Coerce to a read-only 2-D array (complex128 unless told), validating shape."""
+    m = np.asarray(values, dtype=dtype)
     if m.ndim != 2:
         raise ValidationError(f"{name} must be 2-D, got shape {m.shape}")
     if square and m.shape[0] != m.shape[1]:
@@ -107,8 +110,10 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def require_hermitian(m, tol: ToleranceConfig = DEFAULT_TOLERANCES, *, name: str = "matrix") -> np.ndarray:
-    m = as_matrix(m, square=True, name=name)
+def require_hermitian(
+    m, tol: ToleranceConfig = DEFAULT_TOLERANCES, *, name: str = "matrix", dtype=np.complex128
+) -> np.ndarray:
+    m = as_matrix(m, square=True, name=name, dtype=dtype)
     defect = max_abs(m - m.conj().T)
     if defect > tol.tau_herm * (1.0 + max_abs(m)):
         raise ValidationError(f"{name} is not Hermitian: max asymmetry {defect:.3e}")
@@ -135,19 +140,32 @@ def _phase_fix(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return fixed, phases
 
 
+def _sign_fix(columns: np.ndarray) -> np.ndarray:
+    """`_phase_fix` for real columns, in place: flip each column whose
+    first significant entry is negative (a zero column is left alone)."""
+    if columns.size:
+        mags = np.abs(columns)
+        first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+        columns *= np.where(columns[first, np.arange(columns.shape[1])] < 0, -1.0, 1.0)
+    return columns
+
+
 def eigh(matrix, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition, ascending eigenvalues, fixed phases.
 
     Returns (eigenvalues, vectors) with vectors[:, k] the k-th eigenvector.
-    Raises ValidationError for non-Hermitian input, NumericError if the
+    Real input is solved as real symmetric: the vectors come back real,
+    each with its first significant entry positive.  Raises
+    ValidationError for non-Hermitian input, NumericError if the
     underlying iteration fails.
     """
-    m = require_hermitian(matrix, tol)
+    real = np.isrealobj(matrix)
+    m = require_hermitian(matrix, tol, dtype=np.float64 if real else np.complex128)
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"eigh did not converge: {exc}") from exc
-    return w.astype(np.float64), _phase_fix(v)[0]
+    return w.astype(np.float64), _sign_fix(v) if real else _phase_fix(v)[0]
 
 
 def svd(matrix, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -3,8 +3,11 @@
 The independent oracle for the frequency-domain encoding is classical
 velocity-Verlet integration of Newton's equations; for lattices it is a
 dense brute-force eigendecomposition of the assembled stiffness.
-`frequency_operator` is also held bitwise to a dense route: products
-with M^{-1/2} as a diagonal matrix and a principal square root of S.
+`frequency_operator` solves S = M^{-1/2} K M^{-1/2} in real arithmetic;
+it is held to a complex dense route (products with M^{-1/2} as a
+diagonal matrix and a principal square root of S as a complex Hermitian
+matrix), and `frozen_report` to the same route with dense Kronecker
+frames.
 """
 
 import warnings
@@ -34,6 +37,7 @@ from openext import (
     oscillator_system,
     propagate_conservative,
 )
+from openext.numerics import DEFAULT_TOLERANCES, complement
 
 
 def verlet(mass, stiffness, q0, qdot0, dt, steps):
@@ -62,6 +66,26 @@ def dense_frequency_operator(h):
     return 0.5 * (root + root.conj().T)
 
 
+def dense_frozen_report(spec):
+    """Frozen dimension, coupled clusters, bound verdicts and ||Omega||_2
+    through the complex dense Omega and dense Kronecker frames."""
+    omega = dense_frequency_operator(lattice_system(spec)[1])
+    e_gamma = orthonormal_basis(np.stack(spec.gammas).T.astype(np.complex128))
+    eye = np.eye(spec.volume)
+    frozen = np.kron(eye, complement(e_gamma).frame)
+    coupled = np.kron(eye, e_gamma.frame)
+    restricted = coupled.conj().T @ omega @ coupled
+    w = np.linalg.eigvalsh(0.5 * (restricted + restricted.conj().T))
+    per = [(cl.value, cl.dim) for cl in cluster_spectrum(w, float(np.max(np.abs(w))))]
+    return {
+        "frozen_dim_complex": frozen.shape[1],
+        "clusters": per,
+        "dim_bound_ok": frozen.shape[1] >= (spec.n_components - e_gamma.dim) * spec.volume,
+        "mult_bound_ok": max(m for _, m in per) <= len(spec.gammas) * spec.volume,
+        "omega_norm": float(np.linalg.norm(omega, 2)),
+    }
+
+
 def seeded_hamiltonian(rng, n, rank):
     """C C^T (+ I when rank == n) with C of size n x rank, non-uniform masses."""
     c = rng.standard_normal((n, rank))
@@ -82,6 +106,12 @@ LATTICE_SPECS = [
     LatticeSpec(1, 1, 2, 1.0, 1.5, (np.array([1.0, 0.5]), np.array([0.0, 2.0]))),
     LatticeSpec(1, 2, 2, 1.0, 1.0, (np.array([1.0, 1.0]),)),
     LatticeSpec(2, 1, 2, 0.7, 1.3, (np.array([0.6, 0.8]),)),
+]
+
+# the specs above plus the two hand cases of TestLattice
+REPORT_SPECS = LATTICE_SPECS + [
+    LatticeSpec(1, 1, 2, 1.0, 1.0, (np.array([0.0, 1.0]),)),
+    LatticeSpec(1, 1, 1, 1.0, 1.0, (np.array([1.0]),)),
 ]
 
 
@@ -112,16 +142,31 @@ class TestFrequencyOperator:
         with pytest.warns(UserWarning, match="singular"):
             frequency_operator(h)
 
-    def test_bitwise_equal_to_the_dense_route(self):
+    def test_agrees_with_the_complex_dense_route(self):
+        # On a nonsingular S the two routes agree to rounding.  Where S is
+        # singular its zero eigenvalues come out as rounding of size
+        # eps ||S||, and their square roots, of size sqrt(eps) ||Omega||,
+        # differ between any two backward-stable solves; there the bound
+        # is sqrt(1e-13 ||S||_2), what ||A^1/2 - B^1/2||_2 <= ||A - B||_2^1/2
+        # (PSD A, B; Ando) gives for squares 1e-13 ||S||_2 apart.
         rng = np.random.default_rng(67)
-        for n in range(1, 13):
-            for rank in (n, n - 1, n // 2):
-                h = seeded_hamiltonian(rng, n, rank)
-                omega, _ = warns_singular(h)
-                assert np.array_equal(omega, dense_frequency_operator(h)), (n, rank)
-        for spec in LATTICE_SPECS:
-            omega, h = lattice_system(spec)
-            assert np.array_equal(omega, dense_frequency_operator(h))
+        cases = [
+            (seeded_hamiltonian(rng, n, rank), rank < n) for n in range(1, 13) for rank in (n, n - 1, n // 2)
+        ]
+        cases += [(lattice_system(spec)[1], False) for spec in LATTICE_SPECS]
+        for h, singular in cases:
+            omega, warned = warns_singular(h)
+            assert warned == singular
+            assert omega.dtype == np.float64
+            r = 1.0 / np.sqrt(np.diag(h.mass))
+            sym = (r[:, None] * h.stiffness) * r[None, :]
+            s_norm = np.linalg.norm(sym, 2)
+            assert np.linalg.norm(omega @ omega - sym, 2) <= 1e-13 * s_norm
+            gap = np.linalg.norm(omega - dense_frequency_operator(h), 2)
+            if singular:
+                assert gap <= np.sqrt(1e-13 * s_norm)
+            else:
+                assert gap <= 1e-13 * np.linalg.norm(omega, 2)
 
     def test_warns_exactly_when_the_stiffness_is_singular(self):
         # a zero eigenvalue of S is rounding of size eps ||S||; on Omega's
@@ -358,6 +403,18 @@ class TestLattice:
             current = LatticeSpec(spec.d, row.l_half_width, spec.n_components, spec.m, spec.xi, spec.gammas)
             w = np.linalg.eigvalsh(lattice_system(current)[0])
             assert row.max_multiplicity == max(cl.dim for cl in cluster_spectrum(w, float(np.max(np.abs(w)))))
+
+    @pytest.mark.parametrize("spec", REPORT_SPECS)
+    def test_report_agrees_with_the_complex_dense_route(self, spec):
+        rep, dense = frozen_report(spec), dense_frozen_report(spec)
+        assert not np.any(rep.frozen_subspace.frame.imag)  # real gammas give real frames
+        assert rep.frozen_dim_complex == dense["frozen_dim_complex"]
+        assert rep.dim_bound_ok == dense["dim_bound_ok"]
+        assert rep.mult_bound_ok == dense["mult_bound_ok"]
+        assert [m for _, m in rep.coupled_mult_per_cluster] == [m for _, m in dense["clusters"]]
+        for (v, _), (w, _) in zip(rep.coupled_mult_per_cluster, dense["clusters"]):
+            assert abs(v - w) <= 1e-12 * abs(w)
+        assert rep.max_frozen_residual <= DEFAULT_TOLERANCES.tau_residual * max(dense["omega_norm"], 1.0)
 
     def test_scan_rows(self):
         spec = LatticeSpec(1, 1, 2, 1.0, 1.0, (np.array([0.0, 1.0]),))

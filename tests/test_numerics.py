@@ -81,6 +81,70 @@ class TestEigh:
         with pytest.raises(ValidationError):
             eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_real_symmetric_input_stays_real(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 7, 30):
+            a = rng.standard_normal((n, n))
+            a = a + a.T
+            w, v = eigh(a)
+            assert w.dtype == np.float64 and v.dtype == np.float64
+            assert np.all(np.diff(w) >= 0)
+            assert np.allclose(v.T @ v, np.eye(n), atol=1e-13)
+            assert np.allclose((v * w) @ v.T, a, atol=1e-13 * max(1.0, np.abs(w).max()))
+
+    def test_real_sign_rule(self):
+        # the first entry above 1e-12 of the column's largest is positive;
+        # the block's eigenvectors (0, +-1, 1)/sqrt(2) have a zero first entry
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((6, 6))
+        blocked = np.array([[1.0, 0.0, 0.0], [0.0, 3.0, 1.0], [0.0, 1.0, 3.0]])
+        for m in (a + a.T, blocked):
+            _, v = eigh(m)
+            for col in v.T:
+                mags = np.abs(col)
+                assert col[np.argmax(mags > 1e-12 * mags.max())] > 0
+        _, v = eigh(blocked)
+        assert np.allclose(np.abs(v[0]), [1.0, 0.0, 0.0])
+        # the rule, not LAPACK's sign choice, fixes the vectors: the same
+        # answer for the same matrix in another memory order
+        assert np.array_equal(eigh(a + a.T)[1], eigh(np.asfortranarray(a + a.T))[1])
+
+    def test_empty_real_input(self):
+        w, v = eigh(np.zeros((0, 0)))
+        assert w.shape == (0,) and v.shape == (0, 0)
+        assert w.dtype == np.float64 and v.dtype == np.float64
+
+    def test_rejects_non_symmetric_real_input(self):
+        with pytest.raises(ValidationError):
+            eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(ValidationError):
+            eigh(np.ones((2, 3)))
+
+    def test_complex_input_keeps_the_complex_route(self):
+        # transcription of the complex-only eigh that real input now bypasses
+        def complex_route(matrix):
+            m = np.asarray(matrix, dtype=np.complex128)
+            w, v = np.linalg.eigh(m)
+            fixed = np.array(v, dtype=np.complex128)
+            for j in range(fixed.shape[1]):
+                col = fixed[:, j]
+                mags = np.abs(col)
+                top = mags.max() if mags.size else 0.0
+                if top == 0.0:
+                    continue
+                k = int(np.argmax(mags > 1e-12 * top))
+                fixed[:, j] = col * np.conj(col[k] / abs(col[k]))
+            return w.astype(np.float64), fixed
+
+        rng = np.random.default_rng(13)
+        for n in (0, 1, 3, 16):
+            h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for m in (h + h.conj().T, (h + h.T).real.astype(np.complex128)):
+                w, v = eigh(m)
+                w_ref, v_ref = complex_route(m)
+                assert v.dtype == np.complex128
+                assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
 
 class TestSvd:
     def test_factorization(self):
