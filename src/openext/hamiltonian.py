@@ -15,6 +15,14 @@ orthogonal to every coupling vector oscillate at the bare frequency
 sqrt(xi/m) forever, giving eigenvalue clusters whose size grows with
 the volume while the coupled spectrum stays bounded by (number of
 coupling vectors) x (number of sites).
+
+Every frequency decision reads one real eigendecomposition (w, V) of
+S = M^{-1/2} K M^{-1/2}, made when the Hamiltonian is built.  For the
+oscillator network and any hand-built K it is a dense solve of S.  A
+lattice stiffness is K = xi I + 2 B kron G, with B the Kronecker sum over
+the d axes of one chain form T and G = sum_j gamma_j gamma_j^T, so its
+spectrum is assembled from one solve of T and one of G and then
+certified against the assembled S (see `QuadraticHamiltonian`).
 """
 
 from __future__ import annotations
@@ -22,15 +30,14 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, NumericError, ValidationError
 from .model import ConservativeSystem
 from .numerics import (
     DEFAULT_TOLERANCES,
-    Subspace,
     ToleranceConfig,
     as_matrix,
     cluster_spectrum,
@@ -63,18 +70,24 @@ LATTICE_DIM_BUDGET = 2000
 class QuadraticHamiltonian:
     """Kinetic-plus-quadratic-potential system: sum p_i^2/2m_i + q^T K q / 2.
 
-    Construction makes the one real eigendecomposition of
+    Construction makes the one real eigendecomposition (w, V) of
     S = M^{-1/2} K M^{-1/2} that every frequency decision reads, and
     rejects an indefinite K on it: by Sylvester's law of inertia S and K
-    have the same inertia.
+    have the same inertia.  It is a dense solve of S, except for a
+    lattice: `_lattice_hamiltonian` hands in the spectrum it builds from
+    the Kronecker factors of K, with V orthogonal by construction, and
+    construction certifies it against the S it assembles from the
+    stiffness: max|S V - V diag(w)| <= tau_residual * max(max|w|, 1), else
+    NumericError (a NaN anywhere fails the test).
     """
 
     dof_labels: tuple
     mass: np.ndarray = field(repr=False)
     stiffness: np.ndarray = field(repr=False)
+    _factored: InitVar[tuple | None] = None
     _spectrum: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _factored):
         mass = np.asarray(self.mass, dtype=np.float64)
         if mass.ndim == 1:
             mass = np.diag(mass)
@@ -92,7 +105,17 @@ class QuadraticHamiltonian:
         k = 0.5 * (k + k.T)
         r = 1.0 / np.sqrt(np.diag(mass))
         sym = (r[:, None] * k) * r[None, :]
-        w, v = eigh(0.5 * (sym + sym.T))
+        sym = 0.5 * (sym + sym.T)
+        if _factored is None:
+            w, v = eigh(sym)
+        else:
+            w, v = _factored
+            resid = max_abs(sym @ v - v * w)
+            bound = DEFAULT_TOLERANCES.tau_residual * max(max_abs(w), 1.0)
+            if not resid <= bound:  # so that a NaN fails too
+                raise NumericError(
+                    f"factored stiffness spectrum fails its residual certificate ({resid:.3e} > {bound:.3e})"
+                )
         require_psd(w, DEFAULT_TOLERANCES, "stiffness is not positive semidefinite")
         for arr in (mass, k, w, v):
             arr.flags.writeable = False
@@ -123,7 +146,10 @@ def _stiffness_spectrum(h: QuadraticHamiltonian, tol: ToleranceConfig) -> tuple[
 
 def frequency_operator(h: QuadraticHamiltonian, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """Real symmetric PSD Omega = S^{1/2}, S = M^{-1/2} K M^{-1/2}, from the
-    one real eigendecomposition S = V diag(w) V^T made when h was built.
+    one real eigendecomposition S = V diag(w) V^T made when h was built:
+    a dense solve of S, or for a lattice the spectrum assembled from the
+    Kronecker factors of K and certified against S (see
+    `QuadraticHamiltonian`).
 
     Eigenvalues failing `below_psd_cut` at tol raise
     NotPositiveSemidefiniteError; the rest are clipped at zero and
@@ -242,6 +268,8 @@ class LatticeSpec:
             raise ValidationError("half-width must be >= 0")
         if self.n_components < 1:
             raise ValidationError("need at least one component per site")
+        if not (math.isfinite(self.m) and math.isfinite(self.xi)):
+            raise ValidationError("mass and stiffness must be finite")
         if self.m <= 0 or self.xi <= 0:
             raise ValidationError("mass and stiffness must be positive")
         gam = tuple(np.asarray(g, dtype=np.float64).reshape(-1) for g in self.gammas)
@@ -250,6 +278,8 @@ class LatticeSpec:
         for g in gam:
             if g.size != self.n_components:
                 raise ValidationError("coupling vectors must have one entry per component")
+            if not np.all(np.isfinite(g)):
+                raise ValidationError("coupling vectors must be finite")
             if float(np.linalg.norm(g)) == 0.0:
                 raise ValidationError("coupling vectors must be nonzero")
             g.flags.writeable = False
@@ -269,28 +299,47 @@ class LatticeSpec:
         return list(itertools.product(rng, repeat=self.d))
 
 
-def _dirichlet_form(spec: LatticeSpec) -> np.ndarray:
-    """Quadratic form of sum over sites of |forward gradient|^2, zero outside.
+def _chain_form(l_half_width: int) -> np.ndarray:
+    """Form T of the squared forward differences along one axis of 2L+1
+    sites, the neighbor past the last counting as zero.
 
-    Every site contributes its d forward differences; a neighbor beyond
-    the cube counts as zero, so boundary sites keep the full diagonal
-    weight of their outgoing bonds but gain no backward bond from
-    outside.
+    Tridiagonal, -1 off the diagonal, diagonal [1, 2, ..., 2]: every
+    site keeps the weight of its outgoing bond, and all but the first
+    gain one from the bond coming in.
     """
-    sites = spec.sites
-    index = {s: i for i, s in enumerate(sites)}
-    b = np.zeros((len(sites), len(sites)))
-    for s in sites:
-        i = index[s]
-        for axis in range(spec.d):
-            neighbor = tuple(c + (1 if a == axis else 0) for a, c in enumerate(s))
-            b[i, i] += 1.0
-            j = index.get(neighbor)
-            if j is not None:
-                b[j, j] += 1.0
-                b[i, j] -= 1.0
-                b[j, i] -= 1.0
+    size = 2 * l_half_width + 1
+    t = 2.0 * np.eye(size) - np.eye(size, k=1) - np.eye(size, k=-1)
+    t[0, 0] = 1.0
+    return t
+
+
+def _dirichlet_form(chain: np.ndarray, d: int) -> np.ndarray:
+    """Quadratic form B of sum over sites of |forward gradient|^2 on the
+    cube, zero outside: the Kronecker sum of the chain form over d axes,
+    the first axis slowest, as in `LatticeSpec.sites`."""
+    b = chain
+    for _ in range(d - 1):
+        b = np.kron(b, np.eye(chain.shape[0])) + np.kron(np.eye(b.shape[0]), chain)
     return b
+
+
+def _factored_spectrum(spec: LatticeSpec, chain: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of S = (xi I + 2 B kron G) / m from one solve of the chain
+    form T and one of G, ascending by a stable sort.
+
+    B = T (+) ... (+) T has eigenvalues beta = sum over axes of those of T
+    and vectors Q_B = Q_T kron ... kron Q_T; with G = U diag(g) U^T the
+    pairs are (xi + 2 beta_a g_b) / m and Q_B[:, a] kron U[:, b].
+    """
+    beta_t, q_t = eigh(chain)
+    g, u = eigh(gram)
+    beta, q_b = beta_t, q_t
+    for _ in range(spec.d - 1):
+        beta = np.add.outer(beta, beta_t).ravel()
+        q_b = np.kron(q_b, q_t)
+    w = ((spec.xi + 2.0 * np.multiply.outer(beta, g)) / spec.m).ravel()
+    order = np.argsort(w, kind="stable")
+    return w[order], np.kron(q_b, u)[:, order]
 
 
 def lattice_system(
@@ -302,6 +351,8 @@ def lattice_system(
     gradient form on the cube; the factor 2 converts the interaction
     terms, which enter the energy without 1/2, to the q^T K q / 2
     convention.  DOF ordering is site-major: label (site, component).
+    The spectrum of S comes from the Kronecker factors of K, certified
+    against the assembled S (`QuadraticHamiltonian`).
     """
     ham = _lattice_hamiltonian(spec)
     return frequency_operator(ham, tol), ham
@@ -312,13 +363,15 @@ def _lattice_hamiltonian(spec: LatticeSpec) -> QuadraticHamiltonian:
         raise BudgetError(
             f"lattice has {spec.total_dim} degrees of freedom; budget is {LATTICE_DIM_BUDGET}"
         )
-    b = _dirichlet_form(spec)
-    n = spec.n_components
+    chain = _chain_form(spec.l_half_width)
+    b = _dirichlet_form(chain, spec.d)
     k = spec.xi * np.eye(spec.total_dim)
     for g in spec.gammas:
         k += 2.0 * np.kron(b, np.outer(g, g))
-    labels = tuple((site, c) for site in spec.sites for c in range(n))
-    return QuadraticHamiltonian(labels, np.diag(np.full(spec.total_dim, spec.m)), k)
+    gamma_stack = np.stack(spec.gammas)
+    spectrum = _factored_spectrum(spec, chain, gamma_stack.T @ gamma_stack)
+    labels = tuple((site, c) for site in spec.sites for c in range(spec.n_components))
+    return QuadraticHamiltonian(labels, np.diag(np.full(spec.total_dim, spec.m)), k, spectrum)
 
 
 @dataclass(frozen=True)
@@ -327,13 +380,15 @@ class FrozenReport:
 
     Directions e_site x g with g orthogonal to every coupling vector are
     exact eigenvectors at the bare frequency sqrt(xi/m) regardless of
-    the volume.  frozen_dim_complex counts them as complex dimensions
-    (the real phase-space count is twice that).  Every eigen-cluster of
-    the restriction to the coupled complement must have multiplicity at
-    most (coupling count) x volume.
+    the volume.  frozen_frame is their real orthonormal frame
+    kron(I_V, E_gamma^perp), site-major like the DOF labels;
+    frozen_dim_complex counts them as complex dimensions (the real
+    phase-space count is twice that).  Every eigen-cluster of the
+    restriction to the coupled complement must have multiplicity at most
+    (coupling count) x volume.
     """
 
-    frozen_subspace: Subspace
+    frozen_frame: np.ndarray = field(repr=False)
     frozen_dim_complex: int
     frozen_dim_real: int
     frozen_frequency: float
@@ -376,7 +431,8 @@ def frozen_report(spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) 
 
     The frozen frame is kron(I_V, E_gamma^perp) and the coupled one
     kron(I_V, E_gamma); the real Omega is applied to both through
-    `_apply_site_frame`.  The component frames come from an SVD and a QR
+    `_apply_site_frame`, and the report carries the frozen one as a plain
+    real array.  The component frames come from an SVD and a QR
     of the real gammas, which keep real data real (imaginary parts exactly
     zero), so only their real parts are used.
     """
@@ -386,8 +442,10 @@ def frozen_report(spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) 
     e_gamma = orthonormal_basis(gamma_stack.T.astype(np.complex128), tol)
     e_perp = complement(e_gamma)
     j_eff = e_gamma.dim
-    frozen = Subspace(spec.total_dim, np.kron(np.eye(spec.volume), e_perp.frame))
     g, g_perp = e_gamma.frame.real, e_perp.frame.real
+    frozen = np.kron(np.eye(spec.volume), g_perp)
+    frozen.flags.writeable = False
+    frozen_dim = frozen.shape[1]
     # F^T Omega F = (Omega F)^T F for the symmetric Omega
     coupled = _apply_site_frame(_apply_site_frame(omega, g).T, g)
     coupled_w, _, clusters = eigen_clusters(0.5 * (coupled + coupled.T), tol, vectors=False)
@@ -395,8 +453,8 @@ def frozen_report(spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) 
 
     freq = math.sqrt(spec.xi / spec.m)
     omega_norm = max(float(coupled_w[-1]), freq)  # Omega is PSD: frozen plus coupled spectrum
-    if frozen.dim:
-        resid = _apply_site_frame(omega, g_perp) - freq * frozen.frame.real
+    if frozen_dim:
+        resid = _apply_site_frame(omega, g_perp) - freq * frozen
         max_resid = float(np.max(np.linalg.norm(resid, axis=0)))
     else:
         max_resid = 0.0
@@ -409,14 +467,14 @@ def frozen_report(spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) 
     mult_upper = len(spec.gammas) * spec.volume
     max_coupled = max((mult for _, mult in per), default=0)
     return FrozenReport(
-        frozen_subspace=frozen,
-        frozen_dim_complex=frozen.dim,
-        frozen_dim_real=2 * frozen.dim,
+        frozen_frame=frozen,
+        frozen_dim_complex=frozen_dim,
+        frozen_dim_real=2 * frozen_dim,
         frozen_frequency=freq,
         coupled_mult_per_cluster=per,
         dim_lower_bound=dim_lower,
         mult_upper_bound=mult_upper,
-        dim_bound_ok=frozen.dim >= dim_lower,
+        dim_bound_ok=frozen_dim >= dim_lower,
         mult_bound_ok=max_coupled <= mult_upper,
         max_frozen_residual=max_resid,
     )
@@ -436,8 +494,10 @@ def multiplicity_scan(spec: LatticeSpec, l_values, tol: ToleranceConfig = DEFAUL
     Empirical only: the ratio column is reported, never asserted, since
     the volume scaling of the multiplicity is a bulk statement with
     boundary corrections at any finite size.  Each row clusters sqrt of
-    the eigenvalues of M^{-1/2} K M^{-1/2} solved when its Hamiltonian is
-    built, not a formed Omega.
+    the eigenvalues of S = M^{-1/2} K M^{-1/2} that its Hamiltonian is
+    built with, not a formed Omega: assembled from one solve of the chain
+    form and one of G, and certified against the row's assembled S like
+    every lattice Hamiltonian (`QuadraticHamiltonian`).
     """
     rows = []
     for l_val in l_values:

@@ -7,7 +7,9 @@ dense brute-force eigendecomposition of the assembled stiffness.
 it is held to a complex dense route (products with M^{-1/2} as a
 diagonal matrix and a principal square root of S as a complex Hermitian
 matrix), and `frozen_report` to the same route with dense Kronecker
-frames.
+frames.  A lattice's spectrum is assembled from the Kronecker factors of
+its stiffness; `TestFactoredSpectrum` holds it to a dense real solve of
+the assembled S and checks that its certificate refuses a wrong factor.
 """
 
 import warnings
@@ -15,11 +17,13 @@ import warnings
 import numpy as np
 import pytest
 
+import openext.hamiltonian as hamiltonian
 from openext import (
     BudgetError,
     ConservativeSystem,
     LatticeSpec,
     NotPositiveSemidefiniteError,
+    NumericError,
     QuadraticHamiltonian,
     ToleranceConfig,
     ValidationError,
@@ -37,6 +41,7 @@ from openext import (
     oscillator_system,
     propagate_conservative,
 )
+from openext.cli import main
 from openext.numerics import DEFAULT_TOLERANCES, complement
 
 
@@ -379,7 +384,7 @@ class TestLattice:
         spec = LatticeSpec(1, 2, 3, 1.0, 2.0, (np.array([1.0, 0.0, 0.0]),))
         rep = frozen_report(spec)
         omega, _ = lattice_system(spec)
-        f = rep.frozen_subspace.frame
+        f = rep.frozen_frame
         r = omega @ f - np.sqrt(2.0) * f
         assert np.max(np.abs(r)) < 1e-9
         assert rep.max_frozen_residual < 1e-9
@@ -407,7 +412,9 @@ class TestLattice:
     @pytest.mark.parametrize("spec", REPORT_SPECS)
     def test_report_agrees_with_the_complex_dense_route(self, spec):
         rep, dense = frozen_report(spec), dense_frozen_report(spec)
-        assert not np.any(rep.frozen_subspace.frame.imag)  # real gammas give real frames
+        # real gammas give real frames: dropping the imaginary part loses nothing
+        assert rep.frozen_frame.dtype == np.float64
+        assert not np.any(complement(orthonormal_basis(np.stack(spec.gammas).T.astype(complex))).frame.imag)
         assert rep.frozen_dim_complex == dense["frozen_dim_complex"]
         assert rep.dim_bound_ok == dense["dim_bound_ok"]
         assert rep.mult_bound_ok == dense["mult_bound_ok"]
@@ -424,3 +431,119 @@ class TestLattice:
         for r in rows:
             assert r.max_multiplicity >= r.volume  # frozen part grows with volume
             assert r.ratio <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("name", ["m", "xi", "gamma"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_spec_rejects_non_finite_entries(self, name, bad):
+        args = {"m": 1.0, "xi": 1.0, "gamma": 0.5}
+        args[name] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            LatticeSpec(1, 1, 2, args["m"], args["xi"], (np.array([1.0, args["gamma"]]),))
+
+
+def per_site_dirichlet_form(spec):
+    """The gradient form summed bond by bond over the sites: the reference
+    that the Kronecker sum of the chain form must equal bitwise."""
+    sites = spec.sites
+    index = {s: i for i, s in enumerate(sites)}
+    b = np.zeros((len(sites), len(sites)))
+    for s in sites:
+        i = index[s]
+        for axis in range(spec.d):
+            neighbor = tuple(c + (1 if a == axis else 0) for a, c in enumerate(s))
+            b[i, i] += 1.0
+            j = index.get(neighbor)
+            if j is not None:
+                b[j, j] += 1.0
+                b[i, j] -= 1.0
+                b[j, i] -= 1.0
+    return b
+
+
+def seeded_lattice(rng, d, l_half_width, n, j):
+    gammas = tuple(rng.standard_normal(n) for _ in range(j))
+    return LatticeSpec(d, l_half_width, n, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)), gammas)
+
+
+# d = 1, 2, 3, each with J < N and J = N; masses drawn away from 1
+_rng = np.random.default_rng(69)
+FACTORED_SPECS = [
+    seeded_lattice(_rng, d, l_half_width, n, j)
+    for d, l_half_width, n, j in [(1, 4, 3, 1), (1, 3, 2, 2), (2, 2, 3, 2), (2, 1, 2, 2), (3, 1, 3, 1), (3, 1, 2, 2)]
+]
+
+
+class TestFactoredSpectrum:
+    @pytest.mark.parametrize("d,l_half_width", [(1, 0), (1, 1), (1, 6), (2, 0), (2, 1), (2, 3), (3, 1), (3, 2)])
+    def test_dirichlet_form_is_bitwise_the_per_site_sum(self, d, l_half_width):
+        spec = LatticeSpec(d, l_half_width, 2, 1.3, 0.9, (np.array([0.7, -1.3]), np.array([0.2, 0.9])))
+        b = per_site_dirichlet_form(spec)
+        assert np.array_equal(hamiltonian._dirichlet_form(hamiltonian._chain_form(l_half_width), d), b)
+        k = spec.xi * np.eye(spec.total_dim)
+        for g in spec.gammas:
+            k += 2.0 * np.kron(b, np.outer(g, g))
+        assert lattice_system(spec)[1].stiffness.tobytes() == (0.5 * (k + k.T)).tobytes()
+
+    @pytest.mark.parametrize("spec", FACTORED_SPECS)
+    def test_matches_the_dense_solve(self, spec):
+        assert spec.m != 1.0
+        omega, h = lattice_system(spec)
+        w = h._spectrum[0]
+        ref_w, ref_v = np.linalg.eigh(h.stiffness / spec.m)
+        assert np.all(np.abs(w - ref_w) <= 1e-12 * np.abs(ref_w))
+        freqs, ref_freqs = np.sqrt(w), np.sqrt(ref_w)
+        dims = [cl.dim for cl in cluster_spectrum(freqs, float(freqs[-1]))]
+        assert dims == [cl.dim for cl in cluster_spectrum(ref_freqs, float(ref_freqs[-1]))]
+        ref_omega = (ref_v * ref_freqs) @ ref_v.T
+        assert np.linalg.norm(omega - ref_omega, 2) <= 1e-12 * np.linalg.norm(ref_omega, 2)
+
+    def test_a_corrupted_factor_fails_the_certificate(self, monkeypatch, tmp_path, capsys):
+        spec = LatticeSpec(1, 2, 3, 1.3, 0.8, (np.array([1.0, 0.5, -0.2]),))
+        chain = hamiltonian._chain_form(2)
+        solve = hamiltonian.eigh
+
+        def corrupting(matrix, tol=DEFAULT_TOLERANCES):
+            if np.array_equal(matrix, chain):
+                matrix = matrix.copy()
+                matrix[0, 0] = 2.0
+            return solve(matrix, tol)
+
+        monkeypatch.setattr(hamiltonian, "eigh", corrupting)
+        with pytest.raises(NumericError, match="certificate"):
+            lattice_system(spec)
+        with pytest.raises(NumericError, match="certificate"):
+            multiplicity_scan(spec, [1, 2])
+        argv = ["lattice", "--d", "1", "--L", "2", "--N", "3", "--J", "1", "--m", "1.3", "--xi", "0.8",
+                "--gammas=1,0.5,-0.2", "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 2
+        assert "certificate" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_a_nan_fails_the_certificate(self):
+        h = lattice_system(FACTORED_SPECS[0])[1]
+        w, v = h._spectrum
+        nan_w, nan_v = w.copy(), v.copy()
+        nan_w[3] = np.nan
+        nan_v[3, 3] = np.nan
+        for spectrum in [(nan_w, v), (w, nan_v)]:
+            with pytest.raises(NumericError, match="certificate"):
+                QuadraticHamiltonian(h.dof_labels, h.mass, h.stiffness, spectrum)
+
+    @pytest.mark.parametrize("spec", FACTORED_SPECS)
+    def test_no_solve_is_larger_than_a_factor(self, spec, monkeypatch):
+        sizes, solve = [], np.linalg.eigh
+
+        def recording(matrix, *args, **kwargs):
+            sizes.append(np.shape(matrix)[0])
+            return solve(matrix, *args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("no values-only solve on a lattice Hamiltonian")
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        lattice_system(spec)
+        assert len(sizes) == 2 and max(sizes) <= max(2 * spec.l_half_width + 1, spec.n_components)
+        sizes.clear()
+        multiplicity_scan(spec, [0, 1, 2, 3])
+        assert len(sizes) == 8 and max(sizes) <= max(2 * 3 + 1, spec.n_components)
