@@ -17,7 +17,13 @@ time-domain quadratic form
 
 For a point measure Q is one quadratic form per atom in the
 phase-weighted sum of v plus one local term in the total mass
-A = sum_k N_k, because the phases cancel there.  `fit_point_measure`
+A = sum_k N_k, because the phases cancel there.  The scan runs in two
+passes per chunk of trials: it draws the test functions first, in one
+fixed order of the seeded stream, then evaluates them in batched
+products.  A rough trial stays factored as its interpolation matrix
+times its coarse node values, and a frequency-modulated trial p along
+its worst direction is read as lambda_min(H_p) / ||p||_w^2 from the
+form Q(g p) = g^H H_p g, with no eigenvector formed.  `fit_point_measure`
 recovers a measure from noise-free uniform kernel samples by a
 matrix-pencil frequency search plus per-frequency least squares.
 """
@@ -207,6 +213,9 @@ def _quadratic_form_measure(
     is exactly the trapezoid-weighted double sum and is nonnegative for PSD
     N_k.  The phases cancel in the local term, so summed over atoms it is
     sum_j w_j^2 v_j^H A v_j with the total mass A = total_mass = sum_k N_k.
+    This is the direct evaluation; `check_dissipation` reads the same form
+    through `_rough_form_values` and `_profile_form_matrix`, which the
+    tests hold to this one.
     """
     s = phases.T @ v
     cross = np.vdot(s, np.einsum("kab,kb->ka", masses, s))
@@ -226,12 +235,87 @@ def _quadratic_form_samples(values: np.ndarray, weights: np.ndarray, v: np.ndarr
 
 
 def _profile_form_matrix(
-    phases: np.ndarray, masses: np.ndarray, weights: np.ndarray, profile: np.ndarray
+    phases: np.ndarray, masses: np.ndarray, weights: np.ndarray, profiles: np.ndarray
 ) -> np.ndarray:
-    """Hermitian n x n form H with Q(g * profile) = g^H H g for a scalar profile."""
-    rho = 0.5 * (np.abs(profile @ phases) ** 2 + float(np.sum((weights * np.abs(profile)) ** 2)))
-    h = np.tensordot(rho, masses, axes=1)
-    return 0.5 * (h + h.conj().T)
+    """Hermitian n x n forms H with Q(g * p) = g^H H g, one per scalar profile
+    p along the last axis of profiles: H = sum_k rho_k N_k, made as one real
+    product of rho with the interleaved real and imaginary parts of the
+    mass stack.  H is Hermitian up to rounding and not symmetrized:
+    `eigvalsh` reads one triangle."""
+    rho = 0.5 * (
+        np.abs(profiles @ phases) ** 2
+        + np.sum((weights * np.abs(profiles)) ** 2, axis=-1, keepdims=True)
+    )
+    k, n = masses.shape[0], masses.shape[-1]
+    h = rho @ masses.reshape(k, -1).view(np.float64)
+    return h.view(np.complex128).reshape(profiles.shape[:-1] + (n, n))
+
+
+# Trials evaluated together.  It bounds the per-chunk stacks, the
+# (chunk, n, n) profile forms and the (K, chunk, n) phase sums, so that
+# the scan needs no more memory than building the (K, n, n) mass stack.
+MC_CHUNK = 4
+MC_MAX_NODES = 15
+
+
+def _draw_trials(rng, count: int, times: np.ndarray, taper: np.ndarray, n: int, freqs):
+    """Draw `count` Monte-Carlo test functions, consuming rng per trial in
+    the order integers (node count, 6 to MC_MAX_NODES), standard_normal
+    twice (real and imaginary node values), then, when atom frequencies
+    are given, random and choice + standard_normal or uniform over the
+    frequency band widened by 1 (probe frequency) and random (amplitude).
+
+    Returns (interp, coarse, profiles).  Rough trial t is
+    interp[t] @ coarse[t]: interp (count, g, MC_MAX_NODES) holds the tapered
+    piecewise-linear hat functions of its equispaced nodes and coarse the
+    node values, both zero past its node count.  profiles (count, g) are
+    the frequency-modulated scalar profiles, None without freqs.
+    """
+    nodes = np.empty(count, dtype=np.int64)
+    coarse = np.zeros((count, MC_MAX_NODES, n), dtype=np.complex128)
+    probes, amps = np.empty(count), np.empty(count)
+    band = (float(freqs.min()) - 1.0, float(freqs.max()) + 1.0) if freqs is not None else None
+    for t in range(count):
+        nodes[t] = rng.integers(6, MC_MAX_NODES + 1)
+        coarse[t, : nodes[t]] = rng.standard_normal((nodes[t], n)) + 1j * rng.standard_normal((nodes[t], n))
+        if freqs is not None:
+            if rng.random() < 0.5:
+                probes[t] = float(rng.choice(freqs)) + 0.02 * rng.standard_normal()
+            else:
+                probes[t] = float(rng.uniform(*band))
+            amps[t] = 1.0 + 0.2 * rng.random()
+
+    pos = np.outer(nodes - 1, (times - times[0]) / max(times[-1] - times[0], 1e-300))
+    left = np.minimum(pos.astype(np.int64), (nodes - 2)[:, None])
+    frac = pos - left
+    interp = np.zeros((count, times.size, MC_MAX_NODES))
+    trial, row = np.ogrid[:count, : times.size]
+    interp[trial, row, left] = taper * (1.0 - frac)
+    interp[trial, row, left + 1] = taper * frac
+    profiles = None
+    if freqs is not None:
+        profiles = (taper * amps[:, None]) * np.exp(-1j * np.outer(probes, times))
+    return interp, coarse, profiles
+
+
+def _rough_form_values(
+    phases: np.ndarray, masses: np.ndarray, total_mass: np.ndarray, weights: np.ndarray, interp, coarse
+) -> np.ndarray:
+    """Q(v_t) / ||v_t||_w^2 for the rough trials v_t = P_t C_t
+    (P = interp, C = coarse), never forming v_t: the squared norm and the
+    local term are the small Gram matrices P^T W P and P^T W^2 P against
+    C C^H and C A^T C^H, and the phase sums S_t = (P_t^T E)^T C_t meet the
+    mass stack in one batched product.  Zero-norm trials are dropped."""
+    pt = interp.transpose(0, 2, 1)
+    pw = pt * weights
+    ch = coarse.conj().transpose(0, 2, 1)
+    norm2 = np.einsum("tij,tij->t", pw @ interp, (coarse @ ch).real)
+    local = np.einsum("tij,tij->t", (pw * weights) @ interp, (coarse @ total_mass.T @ ch).real)
+    s = (pt @ phases.view(np.float64)).view(np.complex128).transpose(0, 2, 1) @ coarse
+    ns = s.transpose(1, 0, 2) @ masses.transpose(0, 2, 1)  # (N_k S_tk)^T, stacked (K, T, n)
+    cross = np.einsum("tku,ktu->t", s.view(np.float64), ns.view(np.float64))  # Re S^H N S
+    keep = norm2 > 0
+    return 0.5 * (cross[keep] + local[keep]) / norm2[keep]
 
 
 def check_dissipation(
@@ -246,13 +330,21 @@ def check_dissipation(
         atoms carry the offending minimum eigenvalues.
     (b) Monte-Carlo: seeded random compactly supported piecewise-linear
         test functions on a fixed grid; each trial evaluates the
-        discretized quadratic form for a rough random profile and for a
-        frequency-modulated profile along its worst spatial direction.
+        discretized quadratic form for a rough random profile and, for
+        measure input, for a frequency-modulated scalar profile p along
+        its worst spatial direction.  Trials are drawn first, MC_CHUNK at
+        a time in one fixed order of the seeded stream (`_draw_trials`),
+        then evaluated together, so memory does not grow with trials.
         For measure input both are read from one phase table
         E[j, k] = w_j e^{i w_k t_j} and the stacked Hermitian parts of the
         masses, which the algebraic check reads too: with
         S = E^T v the form is (1/2) Re(sum_k S_k^H N_k S_k
-        + sum_j w_j^2 v_j^H A v_j), A = sum_k N_k the total mass.
+        + sum_j w_j^2 v_j^H A v_j), A = sum_k N_k the total mass, read for
+        the rough trials from products with their factors
+        (`_rough_form_values`).  The worst direction of a modulated trial
+        is never formed: Q(g p) = g^H H_p g, so its value is
+        lambda_min(H_p) / ||p||_w^2 (`_profile_form_matrix`).  Sampled
+        kernels evaluate each rough trial by the direct double sum.
 
     The verdict is the algebraic result when available, else the
     Monte-Carlo one.
@@ -302,44 +394,27 @@ def check_dissipation(
     threshold = -tol.tau_residual * scale * max(span, 1.0) ** 2
     rng = np.random.default_rng(seed)
     taper = np.sin(np.pi * (times - times[0]) / max(span, 1e-300)) ** 2
-    probe_band = (
-        (float(freqs.min()) - 1.0, float(freqs.max()) + 1.0)
-        if measure is not None and freqs.size
-        else (0.0, 0.0)
-    )
-
-    def evaluate(v: np.ndarray) -> float:
-        if measure is not None:
-            return _quadratic_form_measure(phases, masses, total_mass, weights, v)
-        return _quadratic_form_samples(samples.values, weights, v)
+    modulate = measure is not None and freqs.size > 0 and n > 0
 
     mc_min = np.inf
-    for _ in range(trials):
-        nodes = rng.integers(6, 16)
-        coarse = rng.standard_normal((nodes, n)) + 1j * rng.standard_normal((nodes, n))
-        coarse_t = np.linspace(times[0], times[-1], nodes)
-        rough = np.empty((times.size, n), dtype=np.complex128)
-        for c in range(n):
-            rough[:, c] = np.interp(times, coarse_t, coarse[:, c].real) + 1j * np.interp(
-                times, coarse_t, coarse[:, c].imag
+    for start in range(0, trials, MC_CHUNK):
+        interp, coarse, profiles = _draw_trials(
+            rng, min(MC_CHUNK, trials - start), times, taper, n, freqs if modulate else None
+        )
+        if measure is not None:
+            values = _rough_form_values(phases, masses, total_mass, weights, interp, coarse)
+            if profiles is not None:
+                lowest = np.linalg.eigvalsh(_profile_form_matrix(phases, masses, weights, profiles))[:, 0]
+                values = np.concatenate([values, lowest / (np.abs(profiles) ** 2 @ weights)])
+        else:
+            rough = interp @ coarse
+            norm2 = (np.abs(rough) ** 2).sum(axis=2) @ weights
+            values = np.array(
+                [_quadratic_form_samples(samples.values, weights, v / np.sqrt(q))
+                 for v, q in zip(rough, norm2) if q > 0]
             )
-        rough *= taper[:, None]
-        norm = np.sqrt(float((weights * (np.abs(rough) ** 2).sum(axis=1)).sum()))
-        if norm > 0:
-            mc_min = min(mc_min, evaluate(rough / norm))
-
-        if measure is not None and freqs.size and n > 0:
-            if rng.random() < 0.5:
-                w_star = float(rng.choice(freqs)) + 0.02 * rng.standard_normal()
-            else:
-                w_star = float(rng.uniform(*probe_band))
-            modulated = taper * (1.0 + 0.2 * rng.random()) * np.exp(-1j * w_star * times)
-            h = _profile_form_matrix(phases, masses, weights, modulated)
-            direction = np.linalg.eigh(h)[1][:, 0]
-            shaped = modulated[:, None] * direction[None, :]
-            norm = np.sqrt(float((weights * (np.abs(shaped) ** 2).sum(axis=1)).sum()))
-            if norm > 0:
-                mc_min = min(mc_min, evaluate(shaped / norm))
+        if values.size:
+            mc_min = min(mc_min, float(values.min()))
 
     if not np.isfinite(mc_min):
         mc_min = 0.0

@@ -78,16 +78,19 @@ class QuadraticHamiltonian:
     the Kronecker factors of K, with V orthogonal by construction, and
     construction certifies it against the S it assembles from the
     stiffness: max|S V - V diag(w)| <= tau_residual * max(max|w|, 1), else
-    NumericError (a NaN anywhere fails the test).
+    NumericError (a NaN anywhere fails the test).  The symmetry check,
+    the certificate and the PSD cut read the private `_tol`, which the
+    builders that take tolerances pass on.
     """
 
     dof_labels: tuple
     mass: np.ndarray = field(repr=False)
     stiffness: np.ndarray = field(repr=False)
     _factored: InitVar[tuple | None] = None
+    _tol: InitVar[ToleranceConfig] = DEFAULT_TOLERANCES
     _spectrum: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, _factored):
+    def __post_init__(self, _factored, _tol):
         mass = np.asarray(self.mass, dtype=np.float64)
         if mass.ndim == 1:
             mass = np.diag(mass)
@@ -100,7 +103,7 @@ class QuadraticHamiltonian:
         if np.any(np.diag(mass) <= 0):
             raise ValidationError("masses must be positive")
         scale = max(max_abs(k), 1.0)
-        if max_abs(k - k.T) > DEFAULT_TOLERANCES.tau_herm * scale:
+        if max_abs(k - k.T) > _tol.tau_herm * scale:
             raise ValidationError("stiffness matrix must be symmetric")
         k = 0.5 * (k + k.T)
         r = 1.0 / np.sqrt(np.diag(mass))
@@ -111,12 +114,12 @@ class QuadraticHamiltonian:
         else:
             w, v = _factored
             resid = max_abs(sym @ v - v * w)
-            bound = DEFAULT_TOLERANCES.tau_residual * max(max_abs(w), 1.0)
+            bound = _tol.tau_residual * max(max_abs(w), 1.0)
             if not resid <= bound:  # so that a NaN fails too
                 raise NumericError(
                     f"factored stiffness spectrum fails its residual certificate ({resid:.3e} > {bound:.3e})"
                 )
-        require_psd(w, DEFAULT_TOLERANCES, "stiffness is not positive semidefinite")
+        require_psd(w, _tol, "stiffness is not positive semidefinite")
         for arr in (mass, k, w, v):
             arr.flags.writeable = False
         object.__setattr__(self, "dof_labels", tuple(self.dof_labels))
@@ -239,7 +242,7 @@ def oscillator_system(
     labels = tuple(("q", i) for i in range(n_observable)) + tuple(
         ("phi", lab) for lab in hidden.dof_labels
     )
-    total = QuadraticHamiltonian(labels, np.diag(mass), k)
+    total = QuadraticHamiltonian(labels, np.diag(mass), k, _tol=tol)
     omega = frequency_operator(total, tol)
     return ConservativeSystem(n_observable, n2, omega)
 
@@ -352,13 +355,13 @@ def lattice_system(
     terms, which enter the energy without 1/2, to the q^T K q / 2
     convention.  DOF ordering is site-major: label (site, component).
     The spectrum of S comes from the Kronecker factors of K, certified
-    against the assembled S (`QuadraticHamiltonian`).
+    against the assembled S at tol (`QuadraticHamiltonian`).
     """
-    ham = _lattice_hamiltonian(spec)
+    ham = _lattice_hamiltonian(spec, tol)
     return frequency_operator(ham, tol), ham
 
 
-def _lattice_hamiltonian(spec: LatticeSpec) -> QuadraticHamiltonian:
+def _lattice_hamiltonian(spec: LatticeSpec, tol: ToleranceConfig) -> QuadraticHamiltonian:
     if spec.total_dim > LATTICE_DIM_BUDGET:
         raise BudgetError(
             f"lattice has {spec.total_dim} degrees of freedom; budget is {LATTICE_DIM_BUDGET}"
@@ -371,7 +374,7 @@ def _lattice_hamiltonian(spec: LatticeSpec) -> QuadraticHamiltonian:
     gamma_stack = np.stack(spec.gammas)
     spectrum = _factored_spectrum(spec, chain, gamma_stack.T @ gamma_stack)
     labels = tuple((site, c) for site in spec.sites for c in range(spec.n_components))
-    return QuadraticHamiltonian(labels, np.diag(np.full(spec.total_dim, spec.m)), k, spectrum)
+    return QuadraticHamiltonian(labels, np.diag(np.full(spec.total_dim, spec.m)), k, spectrum, tol)
 
 
 @dataclass(frozen=True)
@@ -459,7 +462,7 @@ def frozen_report(spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) 
     else:
         max_resid = 0.0
     if max_resid > tol.tau_residual * max(omega_norm, 1.0):
-        raise ValidationError(
+        raise NumericError(
             f"frozen directions fail the eigenvector check (residual {max_resid:.3e})"
         )
 
@@ -504,7 +507,7 @@ def multiplicity_scan(spec: LatticeSpec, l_values, tol: ToleranceConfig = DEFAUL
         current = LatticeSpec(
             spec.d, int(l_val), spec.n_components, spec.m, spec.xi, spec.gammas
         )
-        freqs = np.sqrt(_stiffness_spectrum(_lattice_hamiltonian(current), tol)[0])
+        freqs = np.sqrt(_stiffness_spectrum(_lattice_hamiltonian(current, tol), tol)[0])
         clusters = cluster_spectrum(freqs, float(freqs[-1]), tol)
         mult = max(cl.dim for cl in clusters)
         rows.append(ScanRow(current.l_half_width, current.volume, int(mult), mult / current.volume))

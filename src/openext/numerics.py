@@ -124,19 +124,22 @@ def _phase_fix(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotate each column so its first significant entry is real positive.
 
     Returns (fixed, phases) with columns == fixed * phases; the phase of
-    a zero column is 1.
+    a zero column is 1 and the column is left as it is.  The result is
+    bitwise that of rotating column by column: each phase is a scalar
+    division z / |z|, since numpy's vectorized complex divide can differ
+    in the last bit, and the rotation is one out-of-place product with a
+    (1, c) row, since the in-place broadcast takes another multiply loop
+    on 1 x 1 input.
     """
     fixed = np.array(columns, dtype=np.complex128)
     phases = np.ones(fixed.shape[1], dtype=np.complex128)
-    for j in range(fixed.shape[1]):
-        col = fixed[:, j]
-        mags = np.abs(col)
-        top = mags.max() if mags.size else 0.0
-        if top == 0.0:
-            continue
-        k = int(np.argmax(mags > 1e-12 * top))
-        phases[j] = col[k] / abs(col[k])
-        fixed[:, j] = col * np.conj(phases[j])
+    if fixed.size:
+        mags = np.abs(fixed)
+        top = mags.max(axis=0)
+        cols = np.flatnonzero(top > 0.0)
+        first = np.argmax(mags[:, cols] > 1e-12 * top[cols], axis=0)
+        phases[cols] = [z / abs(z) for z in fixed[first, cols]]
+        fixed[:, cols] = fixed[:, cols] * np.conj(phases[cols])[None, :]
     return fixed, phases
 
 

@@ -439,6 +439,18 @@ class TestAnalysisCommands:
         )
         assert code == 1
 
+    def test_lattice_numeric_failure_under_a_tolerance_file_exits_2(self, capsys, tmp_path):
+        # a valid spec whose checks cannot pass at tau_residual = 1e-22 is a
+        # numeric failure (exit 2), not a rejected input (exit 1); the file
+        # reaches the construction-time certificate, which fails first
+        tol_file = tmp_path / "t.json"
+        tol_file.write_text(json.dumps({"tau_residual": 1e-22}))
+        argv = ["lattice", "--d", "2", "--L", "3", "--N", "2", "--J", "1", "--gammas", "1,0.5",
+                "--tolerances", str(tol_file)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "certificate" in err
+
     @pytest.mark.parametrize(
         "flags",
         [

@@ -24,7 +24,15 @@ from openext import (
     minimal_extension,
     orbit,
 )
-from openext.extension import DEFAULT_MC_SEED, MC_GRID_POINTS, MC_TIME_SPAN
+from openext.extension import (
+    DEFAULT_MC_SEED,
+    MC_GRID_POINTS,
+    MC_TIME_SPAN,
+    _profile_form_matrix,
+    _quadratic_form_measure,
+    _quadratic_form_samples,
+)
+from openext.numerics import DEFAULT_TOLERANCES, below_psd_cut
 
 from conftest import haar_unitary, krylov_span, random_measure, random_psd
 
@@ -64,6 +72,90 @@ def per_atom_profile_form(measure, times, weights, profile):
         rho = 0.5 * (abs(u.sum()) ** 2 + float((np.abs(u) ** 2).sum()))
         h += rho * atom.mass
     return 0.5 * (h + h.conj().T)
+
+
+def reference_check_dissipation(target, trials, seed=DEFAULT_MC_SEED, tol=DEFAULT_TOLERANCES):
+    """The per-trial Monte-Carlo loop that `check_dissipation` batches: each
+    trial interpolates its rough test function with np.interp and evaluates
+    the direct form; each modulated trial takes the worst direction from a
+    full eigh of the per-atom profile form.  Returns the report fields."""
+    measure = target if isinstance(target, PointMeasure) else None
+    if measure is not None:
+        times, weights = trapezoid_grid()
+        n, scale = measure.dim, float(np.linalg.norm(measure.total_mass(), 2))
+        freqs = np.array([a.frequency for a in measure.atoms])
+        phases = weights[:, None] * np.exp(1j * np.outer(times, freqs))
+        masses = np.stack([0.5 * (a.mass + a.mass.conj().T) for a in measure.atoms])
+        eigs = np.linalg.eigvalsh(masses)
+        witness = tuple((k, float(w[0])) for k, w in enumerate(eigs) if below_psd_cut(w, tol))
+        min_eigs = tuple(eigs[:, 0].tolist())
+    else:
+        witness, min_eigs = (), ()
+        times, n, scale = target.times, target.dim, float(np.linalg.norm(target.values[0], 2))
+        weights = np.full(times.size, (times[-1] - times[0]) / (times.size - 1))
+        weights[0] *= 0.5
+        weights[-1] *= 0.5
+    span = times[-1] - times[0]
+    threshold = -tol.tau_residual * scale * max(span, 1.0) ** 2
+    rng = np.random.default_rng(seed)
+    taper = np.sin(np.pi * (times - times[0]) / span) ** 2
+
+    def evaluate(v):
+        if measure is not None:
+            return _quadratic_form_measure(phases, masses, masses.sum(axis=0), weights, v)
+        return _quadratic_form_samples(target.values, weights, v)
+
+    mc_min = np.inf
+    for _ in range(trials):
+        nodes = rng.integers(6, 16)
+        coarse = rng.standard_normal((nodes, n)) + 1j * rng.standard_normal((nodes, n))
+        coarse_t = np.linspace(times[0], times[-1], nodes)
+        rough = np.empty((times.size, n), dtype=complex)
+        for c in range(n):
+            rough[:, c] = np.interp(times, coarse_t, coarse[:, c].real) + 1j * np.interp(
+                times, coarse_t, coarse[:, c].imag
+            )
+        rough *= taper[:, None]
+        norm = np.sqrt(float((weights * (np.abs(rough) ** 2).sum(axis=1)).sum()))
+        if norm > 0:
+            mc_min = min(mc_min, evaluate(rough / norm))
+        if measure is not None and freqs.size and n > 0:
+            if rng.random() < 0.5:
+                w_star = float(rng.choice(freqs)) + 0.02 * rng.standard_normal()
+            else:
+                w_star = float(rng.uniform(freqs.min() - 1.0, freqs.max() + 1.0))
+            modulated = taper * (1.0 + 0.2 * rng.random()) * np.exp(-1j * w_star * times)
+            direction = np.linalg.eigh(per_atom_profile_form(measure, times, weights, modulated))[1][:, 0]
+            shaped = modulated[:, None] * direction[None, :]
+            norm = np.sqrt(float((weights * (np.abs(shaped) ** 2).sum(axis=1)).sum()))
+            mc_min = min(mc_min, evaluate(shaped / norm))
+    mc_min = mc_min if np.isfinite(mc_min) else 0.0
+    return {
+        "verdict": not witness if measure is not None else mc_min >= threshold,
+        "mc_pass": mc_min >= threshold,
+        "mc_negative_found": mc_min < threshold,
+        "witness_atoms": witness,
+        "atom_min_eigenvalues": min_eigs,
+        "mc_min_value": mc_min,
+        "threshold": threshold,
+    }
+
+
+def planted_measures(rng, count):
+    """Seeded measures, dim 1-6 and 1-8 atoms, some masses rank deficient;
+    every other one carries one indefinite atom."""
+    for i in range(count):
+        dim = int(rng.integers(1, 7))
+        freqs = np.sort(rng.uniform(-3.0, 3.0, int(rng.integers(1, 9))))
+        freqs = freqs + 0.05 * np.arange(freqs.size)
+        atoms = [MeasureAtom(float(f), random_psd(rng, dim)) for f in freqs]
+        if i % 2:
+            u = haar_unitary(dim, rng)
+            spectrum = rng.uniform(0.1, 1.0, dim)
+            spectrum[0] = -rng.uniform(0.01, 1.0)
+            k = int(rng.integers(len(atoms)))
+            atoms[k] = MeasureAtom(atoms[k].frequency, u @ np.diag(spectrum) @ u.conj().T)
+        yield PointMeasure(dim, tuple(atoms))
 
 
 def rank_deficient_measures(rng, count):
@@ -316,6 +408,57 @@ class TestCheckDissipation:
             h = _profile_form_matrix(*factor_tables(mu, times, weights), weights, profile)
             direct = _quadratic_form_samples(kernel_of_measure(mu, times).values, weights, profile[:, None] * g)
             assert float(np.real(g.conj() @ h @ g)) == pytest.approx(direct, rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("trials", [1, 5, 8, 9, 32])
+    def test_batched_trials_match_the_per_trial_loop(self, trials):
+        rng, planted = np.random.default_rng(27), 0
+        for mu in planted_measures(rng, 12):
+            got, ref = check_dissipation(mu, trials=trials).as_dict(), reference_check_dissipation(mu, trials)
+            planted += bool(ref["witness_atoms"])
+            for key in ("verdict", "mc_pass", "mc_negative_found", "atom_min_eigenvalues", "threshold"):
+                assert got[key] == (list(ref[key]) if key == "atom_min_eigenvalues" else ref[key]), key
+            assert [(w["atom"], w["min_eigenvalue"]) for w in got["witness_atoms"]] == list(ref["witness_atoms"])
+            assert abs(got["mc_min_value"] - ref["mc_min_value"]) <= 1e-6 * abs(ref["threshold"])
+        assert planted == 6
+
+    def test_batched_samples_route_matches_the_per_trial_loop(self):
+        rng = np.random.default_rng(28)
+        times = np.linspace(0.0, 2.0, 24)
+        for mu in planted_measures(rng, 4):
+            samples = kernel_of_measure(mu, times)
+            got, ref = check_dissipation(samples, trials=9), reference_check_dissipation(samples, 9)
+            assert abs(got.mc_min_value - ref["mc_min_value"]) <= 1e-6 * abs(ref["threshold"])
+            assert (got.verdict, got.mc_negative_found) == (ref["verdict"], ref["mc_negative_found"])
+
+    def test_profile_forms_are_the_measure_form(self):
+        # the batched route reads lambda_min(H_p) in place of evaluating the
+        # form along the worst direction: Q(p d) = d^H H_p d must hold for
+        # every profile of a stack
+        rng = np.random.default_rng(29)
+        times, weights = trapezoid_grid()
+        for mu in rank_deficient_measures(rng, 10):
+            phases, masses = factor_tables(mu, times, weights)
+            profiles = rng.standard_normal((3, times.size)) + 1j * rng.standard_normal((3, times.size))
+            forms = _profile_form_matrix(phases, masses, weights, profiles)
+            scale = float(np.linalg.norm(mu.total_mass(), 2)) * float(np.max(np.abs(profiles))) ** 2
+            for p, h in zip(profiles, forms):
+                d = rng.standard_normal(mu.dim) + 1j * rng.standard_normal(mu.dim)
+                direct = _quadratic_form_measure(phases, masses, masses.sum(axis=0), weights, p[:, None] * d)
+                assert abs(float(np.real(d.conj() @ h @ d)) - direct) <= 1e-12 * scale * float(np.vdot(d, d).real)
+
+    def test_memory_does_not_grow_with_trials(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(30)
+        mu = random_measure(rng, 64, 32)
+        stack_bytes = 32 * 64 * 64 * 16
+        tracemalloc.start()
+        try:
+            check_dissipation(mu, trials=512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * stack_bytes
 
     def test_trials_budget_respected(self):
         rng = np.random.default_rng(21)

@@ -389,6 +389,22 @@ class TestLattice:
         assert np.max(np.abs(r)) < 1e-9
         assert rep.max_frozen_residual < 1e-9
 
+    def test_failed_frozen_check_is_a_numeric_error(self, monkeypatch, capsys):
+        # a valid spec whose Omega misses the frozen eigenvectors is a
+        # computation failing (exit 2), not a rejected input (exit 1)
+        build = hamiltonian.lattice_system
+
+        def shifted(spec, tol=DEFAULT_TOLERANCES):
+            omega, h = build(spec, tol)
+            return omega + 1e-6 * np.eye(omega.shape[0]), h
+
+        monkeypatch.setattr(hamiltonian, "lattice_system", shifted)
+        with pytest.raises(NumericError, match="frozen directions"):
+            frozen_report(LatticeSpec(1, 2, 3, 1.0, 2.0, (np.array([1.0, 0.0, 0.0]),)))
+        assert main(["lattice", "--d", "1", "--L", "2", "--N", "3", "--J", "1", "--xi", "2",
+                     "--gammas", "1,0,0"]) == 2
+        assert "frozen directions" in capsys.readouterr().err
+
     def test_coupled_multiplicity_bound(self):
         spec = LatticeSpec(1, 2, 2, 1.0, 1.0, (np.array([1.0, 1.0]),))
         rep = frozen_report(spec)
@@ -528,6 +544,17 @@ class TestFactoredSpectrum:
         for spectrum in [(nan_w, v), (w, nan_v)]:
             with pytest.raises(NumericError, match="certificate"):
                 QuadraticHamiltonian(h.dof_labels, h.mass, h.stiffness, spectrum)
+
+    def test_the_certificate_reads_the_given_tolerances(self):
+        spec = LatticeSpec(2, 3, 2, 1.0, 1.0, (np.array([1.0, 0.5]),))
+        tight = ToleranceConfig(tau_residual=1e-22)
+        lattice_system(spec)
+        with pytest.raises(NumericError, match="certificate"):
+            lattice_system(spec, tight)
+        with pytest.raises(NumericError, match="certificate"):
+            multiplicity_scan(spec, [1], tight)
+        with pytest.raises(NumericError, match="certificate"):
+            frozen_report(spec, tight)
 
     @pytest.mark.parametrize("spec", FACTORED_SPECS)
     def test_no_solve_is_larger_than_a_factor(self, spec, monkeypatch):

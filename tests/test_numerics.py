@@ -21,6 +21,7 @@ from openext import (
 )
 from openext.numerics import (
     DEFAULT_TOLERANCES,
+    _phase_fix,
     complement,
     eigen_clusters,
     require_hermitian,
@@ -144,6 +145,38 @@ class TestEigh:
                 w_ref, v_ref = complex_route(m)
                 assert v.dtype == np.complex128
                 assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+
+def per_column_phase_fix(columns):
+    """Column-by-column loop that `_phase_fix` vectorizes."""
+    fixed = np.array(columns, dtype=np.complex128)
+    phases = np.ones(fixed.shape[1], dtype=np.complex128)
+    for j in range(fixed.shape[1]):
+        col = fixed[:, j]
+        mags = np.abs(col)
+        top = mags.max() if mags.size else 0.0
+        if top == 0.0:
+            continue
+        k = int(np.argmax(mags > 1e-12 * top))
+        phases[j] = col[k] / abs(col[k])
+        fixed[:, j] = col * np.conj(phases[j])
+    return fixed, phases
+
+
+def test_phase_fix_is_bitwise_the_per_column_loop():
+    # zero columns, signed zeros and entries below the significance cut
+    # included; tobytes compares the signs of zeros too
+    rng = np.random.default_rng(5)
+    for trial in range(600):
+        rows, cols = int(rng.integers(0, 24)), int(rng.integers(0, 24))
+        a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        a[:, rng.random(cols) < 0.2] = 0.0
+        a[rng.random((rows, cols)) < 0.2] = -0.0
+        a[rng.random((rows, cols)) < 0.1] *= 1e-14
+        if trial % 3 == 0:
+            a = a.real.copy()
+        for got, ref in zip(_phase_fix(a), per_column_phase_fix(a)):
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestSvd:
