@@ -96,7 +96,7 @@ def _read_input(path: str) -> tuple[dict, str]:
         raw = fh.read()
     try:
         data = json.loads(raw.decode("utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to parse
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     return data, _digest(raw)
 
@@ -174,6 +174,11 @@ def _cmd_kernel(args, tol: ToleranceConfig) -> int:
     _require_finite(("--t0", args.t0), ("--t1", args.t1))
     if args.steps < 1 or args.t1 <= args.t0 or args.t0 < 0:
         raise ValidationError("need t1 > t0 >= 0 and steps >= 1")
+    if args.steps * system.n1**2 > SIMULATE_SIZE_BUDGET:
+        raise BudgetError(
+            f"--steps {args.steps} at observable dimension {system.n1} exceed "
+            f"the budget of {SIMULATE_SIZE_BUDGET} kernel entries (steps x n1^2)"
+        )
     times = np.linspace(args.t0, args.t1, args.steps)
     samples = kernel_eval(system, times, tol)
     _emit(write_kernel_csv(samples.times, samples.values), args.out)

@@ -264,17 +264,10 @@ class DecouplingReport:
 KERNEL_CHECK_POINTS = 25
 
 
-def _kernel_check_times(system: ConservativeSystem) -> np.ndarray:
-    """25 points covering the slowest beat period of the hidden spectrum."""
-    if system.n2 >= 2:
-        w = np.linalg.eigvalsh(system.omega2)
-        radius = float(np.max(np.abs(w))) if w.size else 0.0
-        diffs = np.diff(w)
-        gaps = diffs[diffs > 1e-12 * max(radius, 1.0)]
-        gap = float(gaps.min()) if gaps.size else 0.0
-    else:
-        gap = 0.0
-    horizon = 2.0 * np.pi / gap if gap > 0 else 2.0 * np.pi
+def _kernel_check_times(system: ConservativeSystem, tol: ToleranceConfig) -> np.ndarray:
+    """25 points over the slowest beat period: the least gap between hidden eigen-clusters."""
+    values = [cl.value for cl in eigen_clusters(system.omega2, tol, vectors=False)[2]]
+    horizon = 2.0 * np.pi / float(np.diff(values).min()) if len(values) > 1 else 2.0 * np.pi
     return np.linspace(0.0, horizon, KERNEL_CHECK_POINTS)
 
 
@@ -298,7 +291,7 @@ def decoupling_report(
     r_int = float(np.linalg.norm(pi @ omega1 @ pi_c, 2))
     r_int_rev = float(np.linalg.norm(pi_c @ omega1 @ pi, 2))
 
-    times = _kernel_check_times(system)
+    times = _kernel_check_times(system, tol)
     kernel = kernel_eval(system, times, tol)
     r_ker = max(
         (float(np.linalg.norm(pi @ a @ pi_c, 2)) for a in kernel.values), default=0.0

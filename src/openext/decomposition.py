@@ -28,6 +28,7 @@ from .errors import ValidationError
 from .model import ConservativeSystem
 from .numerics import (
     DEFAULT_TOLERANCES,
+    STRUCTURE_TOL,
     Subspace,
     ToleranceConfig,
     _invariance_leak,
@@ -119,7 +120,7 @@ def _embed(frame: np.ndarray, n1: int, n2: int, side: int) -> np.ndarray:
 def _block_frame(sub: Subspace, n1: int, side: int) -> np.ndarray:
     """Inverse of _embed; checks the frame really is supported on one block."""
     other = sub.frame[n1:] if side == 1 else sub.frame[:n1]
-    if other.size and max_abs(other) > 1e-9:
+    if other.size and max_abs(other) > STRUCTURE_TOL:
         raise ValidationError("subspace is not supported on a single block")
     return sub.frame[:n1] if side == 1 else sub.frame[n1:]
 
@@ -144,7 +145,7 @@ class CoupledParts:
         if len(dims) != 1:
             raise ValidationError("all four parts must share one ambient space")
         for a, b in ((self.h1c, self.h1d), (self.h2c, self.h2d)):
-            if a.dim and b.dim and max_abs(a.frame.conj().T @ b.frame) > 1e-9:
+            if a.dim and b.dim and max_abs(a.frame.conj().T @ b.frame) > STRUCTURE_TOL:
                 raise ValidationError("coupled and decoupled parts must be orthogonal")
 
     @property

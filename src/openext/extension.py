@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitError, ValidationError
-from .model import ConservativeSystem, MeasureAtom, OpenSystem, PointMeasure
+from .model import ConservativeSystem, MeasureAtom, PointMeasure
 from .numerics import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
@@ -44,6 +44,7 @@ from .numerics import (
     eigh,
     max_abs,
     require_psd,
+    uniform_step,
 )
 
 __all__ = [
@@ -365,8 +366,7 @@ def check_dissipation(
         measure, samples = None, target
         n = samples.dim
         times = samples.times
-        dt = np.diff(times)
-        if times.size > 2 and np.max(np.abs(dt - dt[0])) > 1e-9 * max(dt[0], 1e-300):
+        if times.size > 2 and uniform_step(times) is None:
             raise ValidationError("kernel samples must lie on a uniform grid for the Monte-Carlo check")
         scale = float(np.linalg.norm(samples.values[0], 2))
         freqs = masses = None
@@ -449,9 +449,9 @@ def fit_point_measure(
     Matrix pencil on the scalar trace sequence finds the frequencies
     (pencil length = half the sample count, singular-value cut at
     1e-8 * sigma_max, capped at max_atoms); masses follow from entrywise
-    least squares against the recovered exponentials and are projected
-    to the nearest PSD matrix.  The recovered measure must reproduce the
-    samples within 1e-6 * ||a(0)||; otherwise a fit error is raised.
+    least squares against the recovered exponentials, projected to the nearest
+    PSD matrix, and dropped at norm <= tau_rank * ||a(0)|| (`measure_of`'s rule).
+    The fit must reproduce the samples within 1e-6 * ||a(0)|| or raises FitError.
     """
     if max_atoms < 0:
         raise ValidationError("max_atoms must be nonnegative")
@@ -459,10 +459,9 @@ def fit_point_measure(
     g = times.size
     if g < 4:
         raise ValidationError("need at least 4 samples to fit")
-    dt = np.diff(times)
-    if np.max(np.abs(dt - dt[0])) > 1e-9 * max(dt[0], 1e-300):
+    step = uniform_step(times)
+    if step is None:
         raise ValidationError("fit requires a uniform time grid")
-    step = float(dt[0])
     n = samples.dim
     scale = float(np.linalg.norm(samples.values[0], 2))
     trace_seq = np.einsum("tii->t", samples.values)
@@ -509,7 +508,7 @@ def fit_point_measure(
         mass = 0.5 * (mass + mass.conj().T)
         w, v = np.linalg.eigh(mass)
         mass = (v * np.clip(w, 0.0, None)) @ v.conj().T
-        if float(np.linalg.norm(mass, 2)) > 1e-12 * max(scale, 1e-300):
+        if float(np.linalg.norm(mass, 2)) > tol.tau_rank * scale:
             atoms.append((float(freqs[k]), mass))
     fitted = PointMeasure.create(n, atoms, tol)
 

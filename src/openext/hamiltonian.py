@@ -78,7 +78,7 @@ class QuadraticHamiltonian:
     the Kronecker factors of K, with V orthogonal by construction, and
     construction certifies it against the S it assembles from the
     stiffness: max|S V - V diag(w)| <= tau_residual * max(max|w|, 1), else
-    NumericError (a NaN anywhere fails the test).  The symmetry check,
+    NumericError (a NaN anywhere fails the test).  The symmetry checks,
     the certificate and the PSD cut read the private `_tol`, which the
     builders that take tolerances pass on.
     """
@@ -110,7 +110,7 @@ class QuadraticHamiltonian:
         sym = (r[:, None] * k) * r[None, :]
         sym = 0.5 * (sym + sym.T)
         if _factored is None:
-            w, v = eigh(sym)
+            w, v = eigh(sym, _tol)
         else:
             w, v = _factored
             resid = max_abs(sym @ v - v * w)
@@ -326,7 +326,7 @@ def _dirichlet_form(chain: np.ndarray, d: int) -> np.ndarray:
     return b
 
 
-def _factored_spectrum(spec: LatticeSpec, chain: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _factored_spectrum(spec: LatticeSpec, chain: np.ndarray, gram: np.ndarray, tol: ToleranceConfig) -> tuple:
     """Eigenpairs of S = (xi I + 2 B kron G) / m from one solve of the chain
     form T and one of G, ascending by a stable sort.
 
@@ -334,8 +334,8 @@ def _factored_spectrum(spec: LatticeSpec, chain: np.ndarray, gram: np.ndarray) -
     and vectors Q_B = Q_T kron ... kron Q_T; with G = U diag(g) U^T the
     pairs are (xi + 2 beta_a g_b) / m and Q_B[:, a] kron U[:, b].
     """
-    beta_t, q_t = eigh(chain)
-    g, u = eigh(gram)
+    beta_t, q_t = eigh(chain, tol)
+    g, u = eigh(gram, tol)
     beta, q_b = beta_t, q_t
     for _ in range(spec.d - 1):
         beta = np.add.outer(beta, beta_t).ravel()
@@ -372,7 +372,7 @@ def _lattice_hamiltonian(spec: LatticeSpec, tol: ToleranceConfig) -> QuadraticHa
     for g in spec.gammas:
         k += 2.0 * np.kron(b, np.outer(g, g))
     gamma_stack = np.stack(spec.gammas)
-    spectrum = _factored_spectrum(spec, chain, gamma_stack.T @ gamma_stack)
+    spectrum = _factored_spectrum(spec, chain, gamma_stack.T @ gamma_stack, tol)
     labels = tuple((site, c) for site in spec.sites for c in range(spec.n_components))
     return QuadraticHamiltonian(labels, np.diag(np.full(spec.total_dim, spec.m)), k, spectrum, tol)
 

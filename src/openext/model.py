@@ -32,6 +32,7 @@ import numpy as np
 from .errors import UnboundedCouplingError, ValidationError
 from .numerics import (
     DEFAULT_TOLERANCES,
+    STRUCTURE_TOL,
     Subspace,
     ToleranceConfig,
     as_matrix,
@@ -139,7 +140,7 @@ class MeasureAtom:
             raise ValidationError("atom frequency must be finite")
         m = as_matrix(self.mass, square=True, name="mass")
         defect = max_abs(m - m.conj().T)
-        if defect > 1e-9 * (1.0 + max_abs(m)):
+        if defect > STRUCTURE_TOL * (1.0 + max_abs(m)):
             raise ValidationError(f"atom mass is not Hermitian: defect {defect:.3e}")
         object.__setattr__(self, "frequency", float(self.frequency))
         object.__setattr__(self, "mass", m)
@@ -286,7 +287,7 @@ class BlockPartition:
             for j in range(i + 1, len(parts)):
                 if parts[i].dim and parts[j].dim:
                     overlap = max_abs(parts[i].frame.conj().T @ parts[j].frame)
-                    if overlap > 1e-9:
+                    if overlap > STRUCTURE_TOL:
                         raise ValidationError(
                             f"partition parts {i} and {j} are not orthogonal: overlap {overlap:.3e}"
                         )

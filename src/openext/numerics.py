@@ -47,17 +47,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Relative tolerances used for validation, rank cuts and clustering.
+    """Relative tolerances, one per kind of verdict; each line names what reads it.
 
-    tau_herm       Hermitian symmetry check, relative to 1 + max|entry|.
-    tau_orth       orthonormality check for frames.
-    tau_rank       rank cuts in SVD / eigenvalue factorizations.
-    tau_eig_cluster  gap threshold for merging eigenvalues into clusters.
-    tau_residual   block / commutator / membership residual checks.
+    tau_herm         Hermitian checks: `require_hermitian` (every `eigh`), `validate`, stiffness symmetry.
+    tau_rank         rank cuts (`matrix_rank`, frames, orbits, channels, atoms, fits), mass/stiffness definiteness.
+    tau_eig_cluster  eigenvalue and atom-frequency merges (`eigen_clusters`, `PointMeasure.create`, `validate`).
+    tau_residual     residual verdicts (invariance, links, decoupling, `subspaces_equal`), PSD/MC cuts, certificates.
     """
 
     tau_herm: float = 1e-10
-    tau_orth: float = 1e-10
     tau_rank: float = 1e-9
     tau_eig_cluster: float = 1e-8
     tau_residual: float = 1e-9
@@ -71,16 +69,20 @@ class ToleranceConfig:
         bad = set(mapping) - known
         if bad:
             raise ValidationError(f"unknown tolerance keys: {sorted(bad)}")
-        values = {k: float(v) for k, v in mapping.items()}
-        for k, v in values.items():
-            if not (v > 0.0) or not np.isfinite(v):
-                raise ValidationError(f"tolerance {k} must be finite and positive, got {v}")
-        return cls(**values)
+        for k, v in mapping.items():
+            # JSON numbers only (a JSON true is a Python bool, an int subclass), compared
+            # as Python numbers so that an integer past the float range fails, not overflows
+            if type(v) not in (int, float) or not 0.0 < v <= np.finfo(float).max.item():
+                raise ValidationError(f"tolerance {k} must be a finite positive number, got {v!r}")
+        return cls(**{k: float(v) for k, v in mapping.items()})
 
     @classmethod
     def from_file(cls, path: str) -> "ToleranceConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to parse
+                raise ValidationError(f"tolerance file {path}: not valid JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise ValidationError("tolerance file must contain a JSON object")
         return cls.from_mapping(data)
@@ -90,6 +92,10 @@ class ToleranceConfig:
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
+
+# Bound of the construction-time structure checks (orthonormal frames, block support,
+# Hermitian atom masses, uniform grids): invariants, not verdicts, so not a config field.
+STRUCTURE_TOL = 1e-9
 
 
 def as_matrix(values, *, square: bool = False, name: str = "matrix", dtype=np.complex128) -> np.ndarray:
@@ -104,6 +110,12 @@ def as_matrix(values, *, square: bool = False, name: str = "matrix", dtype=np.co
     m = np.ascontiguousarray(m)
     m.flags.writeable = False
     return m
+
+
+def uniform_step(times: np.ndarray) -> float | None:
+    """Step dt[0] of a grid whose steps all lie within STRUCTURE_TOL * dt[0] of it, else None."""
+    dt = np.diff(times)
+    return float(dt[0]) if dt.size and np.max(np.abs(dt - dt[0])) <= STRUCTURE_TOL * dt[0] else None
 
 
 def max_abs(m: np.ndarray) -> float:
@@ -288,7 +300,7 @@ class Subspace:
         if f.shape[1] > self.ambient_dim:
             raise ValidationError("frame has more columns than the ambient dimension")
         gram_defect = max_abs(f.conj().T @ f - np.eye(f.shape[1]))
-        if gram_defect > 1e-9:
+        if gram_defect > STRUCTURE_TOL:
             raise ValidationError(f"frame columns are not orthonormal: defect {gram_defect:.3e}")
         f = np.ascontiguousarray(f)
         f.flags.writeable = False
@@ -356,4 +368,4 @@ def subspaces_equal(a: Subspace, b: Subspace, tol: ToleranceConfig = DEFAULT_TOL
         )
     if a.dim != b.dim:
         return False
-    return max_abs(a.projector() - b.projector()) <= max(tol.tau_residual, 1e-10)
+    return max_abs(a.projector() - b.projector()) <= tol.tau_residual

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .extension import measure_of
 from .model import ConservativeSystem, OpenSystem
-from .numerics import DEFAULT_TOLERANCES, ToleranceConfig, eigh
+from .numerics import DEFAULT_TOLERANCES, ToleranceConfig, eigh, uniform_step
 
 __all__ = [
     "Trajectory",
@@ -198,13 +198,12 @@ def propagate_conservative(
         norms = np.linalg.norm(states, axis=1)
         ref = max(float(norms[0]), 1e-300)
         drift = float(np.max(np.abs(norms - norms[0])) / ref)
-    uniform = dts.size == 0 or np.max(np.abs(dts - dts[0])) <= 1e-9 * dts[0]
     return Trajectory(
         times,
         states,
         {
             "scheme": "eigenbasis",
-            "dt": float(dts[0]) if uniform and dts.size else None,
+            "dt": uniform_step(times),
             "norm_drift": drift,
         },
     )
@@ -231,9 +230,8 @@ def propagate_open(
     times = _check_grid(grid)
     if times.size < 2:
         raise ValidationError("open propagation needs at least two grid points")
-    dts = np.diff(times)
-    h = float(dts[0])
-    if np.max(np.abs(dts - h)) > 1e-9 * h:
+    h = uniform_step(times)
+    if h is None:
         raise ValidationError("open propagation requires a uniform grid")
     n = open_system.dim
     f = sample_forcing(f1, times, n)

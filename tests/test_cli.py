@@ -69,6 +69,12 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "validate", str(tmp_path / "absent.json"))
         assert code == 1
 
+    def test_input_that_is_not_utf8_is_exit_one(self, capsys, tmp_path):
+        p = tmp_path / "system.json"
+        p.write_bytes(b"\xff\xfe")
+        assert main(["validate", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_malformed_payload_is_exit_one(self, capsys, tmp_path):
         p = tmp_path / "junk.json"
         p.write_text("{\"schema\": \"openext/v1\"}")
@@ -213,6 +219,35 @@ class TestToleranceFlags:
         code, _ = run_cli(capsys, "decompose", worked_file, "--tau-residual", value)
         assert code == 1
 
+    def test_tau_orth_is_gone(self, capsys, worked_file, tmp_path):
+        code, _ = run_cli(capsys, "decompose", worked_file, "--tau-orth", "1e-3")
+        assert code == 1
+        tol_file = tmp_path / "tol.json"
+        tol_file.write_text(json.dumps({"tau_orth": 1e-10}))
+        code, _ = run_cli(capsys, "decompose", worked_file, "--tolerances", str(tol_file))
+        assert code == 1
+        assert "tau_orth" not in json.loads(run_cli(capsys, "decompose", worked_file)[1])["tolerances"]
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"{", b"\xff\xfe", b'{"tau_rank": "abc"}', b'{"tau_rank": null}', b'{"tau_rank": true}',
+         b"[1e-9]", b'{"tau_rank": 1' + b"0" * 400 + b"}", b'{"tau_rank": ' + b"1" * 5000 + b"}"],
+        ids=["truncated", "not-utf8", "string", "null", "bool", "list", "int-overflow", "int-too-long"],
+    )
+    @pytest.mark.parametrize("route", ["flag", "env"])
+    def test_malformed_tolerance_file_is_exit_one(self, capsys, worked_file, tmp_path, monkeypatch, content, route):
+        tol_file = tmp_path / "tol.json"
+        tol_file.write_bytes(content)
+        argv = ["decompose", worked_file]
+        if route == "flag":
+            argv += ["--tolerances", str(tol_file)]
+        else:
+            monkeypatch.setenv("OPENEXT_TOLERANCES", str(tol_file))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "tolerance" in err  # rejected when read, not by a later verdict
+
 
 class TestExtendAndFit:
     def test_extend_emits_loadable_system(self, capsys, measure_file):
@@ -246,6 +281,14 @@ class TestExtendAndFit:
         lines = out.strip().splitlines()
         assert lines[0].startswith("t,")
         assert len(lines) == 6
+
+    def test_kernel_size_budget(self, capsys, worked_file, tmp_path):
+        # rejected before the time grid is allocated; n1 = 2, so 4 entries per step
+        target = tmp_path / "kernel.csv"
+        code = main(["kernel", worked_file, "--steps", str(10**12), "--out", str(target)])
+        assert code == 1
+        assert "budget" in capsys.readouterr().err
+        assert not target.exists()
 
     @pytest.mark.parametrize("flags", [("--t1", "nan"), ("--t0", "-inf"), ("--t1", "inf")])
     def test_kernel_rejects_nonfinite_times(self, capsys, worked_file, flags):

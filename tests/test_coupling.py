@@ -418,6 +418,13 @@ class TestDecouplingReport:
         rep = decoupling_report(worked_system, sub)
         assert rep.decoupled
 
+    def test_time_grid_spans_the_beat_between_eigen_clusters(self):
+        # 1 and 1 + 1e-10 merge into one atom at 1 + 5e-11; the beat is with 2
+        omega = np.diag([0.0, 1.0, 1.0 + 1e-10, 2.0]).astype(complex)
+        omega[0, 1:] = omega[1:, 0] = 1.0
+        rep = decoupling_report(ConservativeSystem(1, 3, omega), Subspace(1, np.eye(1)))
+        assert rep.times[-1] == pytest.approx(2.0 * np.pi / (2.0 - (1.0 + 5e-11)), rel=1e-12)
+
     def test_kernel_residual_times_recorded(self, worked_system):
         rep = decoupling_report(worked_system, Subspace(2, np.eye(2)[:, 1:]))
         assert len(rep.times) > 0

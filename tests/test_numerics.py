@@ -1,10 +1,12 @@
 """Deterministic linear algebra layer: phase fixing, clustering, subspaces."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import openext
 from openext import (
     QuadraticHamiltonian,
     SpectralCluster,
@@ -25,6 +27,7 @@ from openext.numerics import (
     complement,
     eigen_clusters,
     require_hermitian,
+    uniform_step,
     zero_subspace,
 )
 
@@ -35,7 +38,6 @@ class TestToleranceConfig:
     def test_defaults(self):
         t = ToleranceConfig()
         assert t.tau_herm == 1e-10
-        assert t.tau_orth == 1e-10
         assert t.tau_rank == 1e-9
         assert t.tau_eig_cluster == 1e-8
         assert t.tau_residual == 1e-9
@@ -53,6 +55,17 @@ class TestToleranceConfig:
     def test_from_mapping_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
             ToleranceConfig.from_mapping({"tau_rank": 0.0})
+
+    def test_every_field_is_read(self):
+        source = "".join(p.read_text() for p in Path(openext.__file__).parent.glob("*.py"))
+        for name in ToleranceConfig.__dataclass_fields__:
+            assert f".{name}" in source, name
+
+    def test_from_mapping_accepts_only_json_numbers(self):
+        assert ToleranceConfig.from_mapping({"tau_rank": 1}).tau_rank == 1.0
+        for value in (True, None, "1e-9", [1e-9], float("nan"), 10**400):
+            with pytest.raises(ValidationError):
+                ToleranceConfig.from_mapping({"tau_rank": value})
 
     def test_round_trip_file(self, tmp_path):
         t = ToleranceConfig().replace(tau_eig_cluster=3e-7)
@@ -303,12 +316,30 @@ class TestSubspaces:
         g = f @ haar_unitary(2, rng)
         assert subspaces_equal(Subspace(4, f), Subspace(4, g))
 
+    def test_equality_reads_tau_residual_without_a_floor(self):
+        line = Subspace(2, np.array([[1.0], [0.0]]))
+        tilted = Subspace(2, np.array([[1.0], [1e-11]]) / np.hypot(1.0, 1e-11))
+        assert subspaces_equal(line, tilted)
+        assert not subspaces_equal(line, tilted, ToleranceConfig(tau_residual=1e-12))
+
     def test_projector_idempotent(self):
         rng = np.random.default_rng(10)
         u = haar_unitary(5, rng)
         p = Subspace(5, u[:, :3]).projector()
         assert np.allclose(p @ p, p, atol=1e-12)
         assert np.allclose(p, p.conj().T, atol=1e-12)
+
+
+def test_uniform_step():
+    dt = 0.1
+    grid = dt * np.arange(6)
+    for rel, expected in ((2e-9, None), (5e-10, dt)):
+        bumped = grid.copy()
+        bumped[3:] += rel * dt
+        assert uniform_step(bumped) == expected
+    assert uniform_step(grid) == dt
+    assert uniform_step(np.zeros(0)) is None
+    assert uniform_step(np.array([1.0])) is None
 
 
 def test_default_tolerances_are_shared_instance():
