@@ -41,7 +41,7 @@ from .extension import (
 )
 from .hamiltonian import LatticeSpec, frozen_report, multiplicity_scan
 from .model import BlockPartition, ConservativeSystem, OpenSystem, PointMeasure, validate
-from .numerics import DEFAULT_TOLERANCES, Subspace, ToleranceConfig
+from .numerics import DEFAULT_TOLERANCES, SIZE_BUDGET, Subspace, ToleranceConfig
 from .serialization import (
     SCHEMA,
     atomic_write_text,
@@ -56,7 +56,6 @@ from .serialization import (
     write_trajectory_csv,
 )
 from .simulate import (
-    SIMULATE_SIZE_BUDGET,
     equivalence_residual,
     forcing_pulse,
     forcing_sine,
@@ -174,10 +173,10 @@ def _cmd_kernel(args, tol: ToleranceConfig) -> int:
     _require_finite(("--t0", args.t0), ("--t1", args.t1))
     if args.steps < 1 or args.t1 <= args.t0 or args.t0 < 0:
         raise ValidationError("need t1 > t0 >= 0 and steps >= 1")
-    if args.steps * system.n1**2 > SIMULATE_SIZE_BUDGET:
+    if args.steps * system.n1**2 > SIZE_BUDGET:
         raise BudgetError(
             f"--steps {args.steps} at observable dimension {system.n1} exceed "
-            f"the budget of {SIMULATE_SIZE_BUDGET} kernel entries (steps x n1^2)"
+            f"the budget of {SIZE_BUDGET} kernel entries (steps x n1^2)"
         )
     times = np.linspace(args.t0, args.t1, args.steps)
     samples = kernel_eval(system, times, tol)
@@ -358,10 +357,10 @@ def _cmd_simulate(args, tol: ToleranceConfig) -> int:
     if args.dt <= 0 or args.total_time <= 0:
         raise ValidationError("need positive --dt and --T")
     ratio = args.total_time / args.dt
-    if not math.isfinite(ratio) or (round(ratio) + 1) * system.dim > SIMULATE_SIZE_BUDGET:
+    if not math.isfinite(ratio) or (round(ratio) + 1) * system.dim > SIZE_BUDGET:
         raise BudgetError(
             f"--T {args.total_time} / --dt {args.dt} steps at dimension {system.dim} exceed "
-            f"the budget of {SIMULATE_SIZE_BUDGET} state entries (grid points x dimension)"
+            f"the budget of {SIZE_BUDGET} state entries (grid points x dimension)"
         )
     steps = round(ratio)
     times = np.linspace(0.0, steps * args.dt, steps + 1)
@@ -433,7 +432,11 @@ def _cmd_fit(args, tol: ToleranceConfig) -> int:
     with open(args.input, "rb") as fh:
         raw = fh.read()
     digest = _digest(raw)
-    times, values = read_kernel_csv(raw.decode("utf-8"))
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{args.input}: not UTF-8 text ({exc})") from exc
+    times, values = read_kernel_csv(text)
     samples = KernelSamples(times, values)
     measure = fit_point_measure(samples, args.max_atoms, tol)
     payload = measure_to_json(measure)

@@ -34,10 +34,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitError, ValidationError
-from .model import ConservativeSystem, MeasureAtom, PointMeasure
+from .errors import BudgetError, FitError, ValidationError
+from .model import ConservativeSystem, PointMeasure
 from .numerics import (
     DEFAULT_TOLERANCES,
+    SIZE_BUDGET,
     ToleranceConfig,
     below_psd_cut,
     eigen_clusters,
@@ -108,10 +109,8 @@ def kernel_of_measure(measure: PointMeasure, times) -> KernelSamples:
     """Direct kernel of a point measure: sum_k e^{-i w_k t} N_k."""
     t = np.asarray(times, dtype=np.float64).reshape(-1)
     n = measure.dim
-    values = np.zeros((t.size, n, n), dtype=np.complex128)
-    for atom in measure.atoms:
-        values += np.exp(-1j * atom.frequency * t)[:, None, None] * atom.mass[None, :, :]
-    return KernelSamples(t, values)
+    phases = np.exp(-1j * np.outer(t, measure.frequencies))
+    return KernelSamples(t, (phases @ measure.masses.reshape(-1, n * n)).reshape(t.size, n, n))
 
 
 def minimal_extension(measure: PointMeasure, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> ConservativeSystem:
@@ -126,13 +125,13 @@ def minimal_extension(measure: PointMeasure, tol: ToleranceConfig = DEFAULT_TOLE
     n1 = measure.dim
     columns: list[np.ndarray] = []
     hidden_freqs: list[float] = []
-    for k, atom in enumerate(measure.atoms):
-        w, v = eigh(atom.mass, tol)
-        require_psd(w, tol, f"atom {k} (frequency {atom.frequency}) violates the dissipation condition")
+    for k, (freq, mass) in enumerate(zip(measure.frequencies.tolist(), measure.masses)):
+        w, v = eigh(mass, tol)
+        require_psd(w, tol, f"atom {k} (frequency {freq}) violates the dissipation condition")
         keep = np.flatnonzero(w > tol.tau_rank * max(float(w[-1]), 0.0))[::-1]
         for idx in keep:
             columns.append(np.sqrt(w[idx]) * v[:, idx])
-            hidden_freqs.append(atom.frequency)
+            hidden_freqs.append(freq)
     n2 = len(columns)
     omega = np.zeros((n1 + n2, n1 + n2), dtype=np.complex128)
     if n2:
@@ -149,19 +148,20 @@ def measure_of(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERA
     Eigen-clusters of the hidden block give the frequencies; the mass at
     each is B B^H with the thin block B = coupling @ E_cluster.  Atoms
     with spectral norm ||B||^2 <= tau_rank * ||coupling||^2 are dropped.
+    The masses fill one exactly Hermitian stack, which the measure keeps.
     """
     gamma = system.coupling
     if system.n2 == 0:
-        return PointMeasure(system.n1, ())
+        return PointMeasure(system.n1)
     _, v, clusters = eigen_clusters(system.omega2, tol)
     cut = tol.tau_rank * float(np.linalg.norm(gamma, 2)) ** 2
-    atoms: list[MeasureAtom] = []
-    for cluster in clusters:
-        block = gamma @ v[:, cluster.start : cluster.stop]
-        if float(np.linalg.norm(block, 2)) ** 2 > cut:
-            mass = block @ block.conj().T
-            atoms.append(MeasureAtom(cluster.value, 0.5 * (mass + mass.conj().T)))
-    return PointMeasure(system.n1, tuple(atoms))
+    blocks = [(c.value, gamma @ v[:, c.start : c.stop]) for c in clusters]
+    kept = [(f, b) for f, b in blocks if float(np.linalg.norm(b, 2)) ** 2 > cut]
+    masses = np.empty((len(kept), system.n1, system.n1), dtype=np.complex128)
+    for k, (_, block) in enumerate(kept):
+        mass = block @ block.conj().T
+        masses[k] = 0.5 * (mass + mass.conj().T)
+    return PointMeasure(system.n1, [f for f, _ in kept], masses)
 
 
 @dataclass(frozen=True)
@@ -253,8 +253,8 @@ def _profile_form_matrix(
 
 
 # Trials evaluated together.  It bounds the per-chunk stacks, the
-# (chunk, n, n) profile forms and the (K, chunk, n) phase sums, so that
-# the scan needs no more memory than building the (K, n, n) mass stack.
+# (chunk, n, n) profile forms and the (K, chunk, n) phase sums, so that the
+# scan's memory stays of the order of the (K, n, n) mass stack it reads.
 MC_CHUNK = 4
 MC_MAX_NODES = 15
 
@@ -337,8 +337,8 @@ def check_dissipation(
         a time in one fixed order of the seeded stream (`_draw_trials`),
         then evaluated together, so memory does not grow with trials.
         For measure input both are read from one phase table
-        E[j, k] = w_j e^{i w_k t_j} and the stacked Hermitian parts of the
-        masses, which the algebraic check reads too: with
+        E[j, k] = w_j e^{i w_k t_j} and the measure's mass stack, which
+        the algebraic check reads too: with
         S = E^T v the form is (1/2) Re(sum_k S_k^H N_k S_k
         + sum_j w_j^2 v_j^H A v_j), A = sum_k N_k the total mass, read for
         the rough trials from products with their factors
@@ -355,13 +355,7 @@ def check_dissipation(
         n = measure.dim
         times = np.linspace(0.0, MC_TIME_SPAN, MC_GRID_POINTS)
         scale = float(np.linalg.norm(measure.total_mass(), 2))
-        freqs = np.array([a.frequency for a in measure.atoms], dtype=np.float64)
-        # Hermitian parts, filled into one (K, n, n) array without a list of copies
-        masses = np.fromiter(
-            (0.5 * (a.mass + a.mass.conj().T) for a in measure.atoms),
-            np.dtype((np.complex128, (n, n))),
-            len(measure.atoms),
-        )
+        freqs, masses = measure.frequencies, measure.masses
     elif isinstance(target, KernelSamples):
         measure, samples = None, target
         n = samples.dim
@@ -452,6 +446,7 @@ def fit_point_measure(
     least squares against the recovered exponentials, projected to the nearest
     PSD matrix, and dropped at norm <= tau_rank * ||a(0)|| (`measure_of`'s rule).
     The fit must reproduce the samples within 1e-6 * ||a(0)|| or raises FitError.
+    A Hankel matrix past SIZE_BUDGET entries raises BudgetError before it is formed.
     """
     if max_atoms < 0:
         raise ValidationError("max_atoms must be nonnegative")
@@ -466,15 +461,17 @@ def fit_point_measure(
     scale = float(np.linalg.norm(samples.values[0], 2))
     trace_seq = np.einsum("tii->t", samples.values)
     if float(np.max(np.abs(samples.values))) == 0.0:
-        return PointMeasure(n, ())
+        return PointMeasure(n)
 
     pencil = g // 2
+    if (g - pencil) * (pencil + 1) > SIZE_BUDGET:
+        raise BudgetError(f"{g} samples exceed the budget of {SIZE_BUDGET} matrix-pencil Hankel entries")
     hankel = np.array([trace_seq[i : i + pencil + 1] for i in range(g - pencil)])
     _, s, vh = np.linalg.svd(hankel, full_matrices=False)
     rank = int(np.count_nonzero(s > PENCIL_SV_CUT * s[0]))
     rank = min(rank, max_atoms)
     if rank == 0:
-        return PointMeasure(n, ())
+        return PointMeasure(n)
     basis = vh[:rank].T
     lower, upper = basis[:-1, :], basis[1:, :]
     sv = np.linalg.svd(lower, compute_uv=False)

@@ -6,14 +6,15 @@ C^n1 (+) C^n2 stored as one block matrix
     omega = [[omega1, coupling], [coupling^H, omega2]],
 
 where the first block carries the observable variables and the second
-the hidden ones.  A point measure is a finite list of (frequency, mass)
-atoms describing a friction kernel a(t) = sum_k exp(-i w_k t) N_k, and
-an open system pairs an observable frequency operator with such a
-kernel.  Construction enforces structural invariants (shapes, Hermitian
-symmetry of the stored blocks, ascending frequencies); definiteness of
-the masses is a semantic property reported by :func:`validate` and by
-the dissipation checker rather than a construction-time requirement, so
-that invalid measures can still be represented and diagnosed.
+the hidden ones.  A point measure is one ascending frequency vector and
+one stack of Hermitian masses, describing a friction kernel
+a(t) = sum_k exp(-i w_k t) N_k, and an open system pairs an observable
+frequency operator with such a kernel.  Construction enforces structural
+invariants (shapes, Hermitian symmetry of the stored blocks, ascending
+frequencies); definiteness of the masses is a semantic property reported
+by :func:`validate` and by the dissipation checker rather than a
+construction-time requirement, so that invalid measures can still be
+represented and diagnosed.
 
 Systems with a nontrivial mass operator enter through
 :meth:`OpenSystem.from_mass_form`, which applies the standard rescaling
@@ -44,7 +45,6 @@ from .numerics import (
 
 __all__ = [
     "ConservativeSystem",
-    "MeasureAtom",
     "PointMeasure",
     "OpenSystem",
     "BlockPartition",
@@ -129,47 +129,50 @@ def assemble(omega1, omega2, coupling, tol: ToleranceConfig = DEFAULT_TOLERANCES
 
 
 @dataclass(frozen=True)
-class MeasureAtom:
-    """One atom of a point spectral measure: a frequency and its mass matrix."""
-
-    frequency: float
-    mass: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if not np.isfinite(self.frequency):
-            raise ValidationError("atom frequency must be finite")
-        m = as_matrix(self.mass, square=True, name="mass")
-        defect = max_abs(m - m.conj().T)
-        if defect > STRUCTURE_TOL * (1.0 + max_abs(m)):
-            raise ValidationError(f"atom mass is not Hermitian: defect {defect:.3e}")
-        object.__setattr__(self, "frequency", float(self.frequency))
-        object.__setattr__(self, "mass", m)
-
-    @property
-    def dim(self) -> int:
-        return self.mass.shape[0]
-
-
-@dataclass(frozen=True)
 class PointMeasure:
-    """Finite point measure on the real frequency line with matrix masses."""
+    """Finite point measure on the real frequency line with matrix masses.
+
+    Atom k sits at frequencies[k] (a read-only float64 vector, strictly
+    increasing) with mass masses[k] (a read-only complex128 stack of shape
+    (K, dim, dim)).  The stack holds each mass's Hermitian part, which is
+    the mass itself, bits and buffer, when it is exactly Hermitian; a mass
+    further than STRUCTURE_TOL from Hermitian is rejected.
+    """
 
     dim: int
-    atoms: tuple[MeasureAtom, ...]
+    frequencies: np.ndarray = field(default=(), repr=False)
+    masses: np.ndarray = field(default=(), repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError("measure dimension must be at least 1")
-        atoms = tuple(self.atoms)
-        for atom in atoms:
-            if atom.dim != self.dim:
-                raise ValidationError(
-                    f"atom mass has size {atom.dim}, measure dimension is {self.dim}"
-                )
-        freqs = [a.frequency for a in atoms]
-        if any(f2 <= f1 for f1, f2 in zip(freqs, freqs[1:])):
+        freqs = np.asarray(self.frequencies, dtype=np.float64)
+        if freqs.ndim != 1 or not np.all(np.isfinite(freqs)):
+            raise ValidationError("atom frequencies must be one finite 1-D vector")
+        if np.any(np.diff(freqs) <= 0):
             raise ValidationError("atom frequencies must be strictly increasing")
-        object.__setattr__(self, "atoms", atoms)
+        masses = np.ascontiguousarray(self.masses, dtype=np.complex128)
+        if masses.size == 0:
+            masses = masses.reshape(0, self.dim, self.dim)
+        if masses.shape != (freqs.size, self.dim, self.dim):
+            raise ValidationError(f"masses have shape {masses.shape}, expected {(freqs.size, self.dim, self.dim)}")
+        # atom by atom, so that checking makes no temporary of the stack's size
+        for k, mass in enumerate(masses):
+            size = max_abs(mass)
+            if not np.isfinite(size):
+                raise ValidationError(f"atom {k} mass has non-finite entries")
+            defect = max_abs(mass - mass.conj().T)
+            if defect == 0.0:
+                continue
+            if defect > STRUCTURE_TOL * (1.0 + size):
+                raise ValidationError(f"atom mass is not Hermitian: defect {defect:.3e}")
+            if masses is self.masses:  # the caller's buffer: copy before writing
+                masses = masses.copy()
+            masses[k] = 0.5 * (mass + mass.conj().T)
+        freqs.flags.writeable = False
+        masses.flags.writeable = False
+        object.__setattr__(self, "frequencies", freqs)
+        object.__setattr__(self, "masses", masses)
 
     @classmethod
     def create(
@@ -186,6 +189,9 @@ class PointMeasure:
         """
         pairs = [(float(f), as_matrix(m, square=True, name="mass")) for f, m in atoms]
         pairs = [(f, m) for f, m in pairs if max_abs(m) > 0.0]
+        for _, m in pairs:
+            if m.shape[0] != dim:
+                raise ValidationError(f"atom mass has size {m.shape[0]}, measure dimension is {dim}")
         pairs.sort(key=lambda p: p[0])
         merged: list[tuple[float, np.ndarray]] = []
         if pairs:
@@ -196,15 +202,13 @@ class PointMeasure:
                     f_prev, m_prev = merged[-1]
                     merged[-1] = (f_prev, m_prev + m)
                 else:
-                    merged.append((f, np.array(m)))
-        return cls(dim, tuple(MeasureAtom(f, m) for f, m in merged))
+                    merged.append((f, m))
+        return cls(dim, [f for f, _ in merged], [m for _, m in merged])
 
     def total_mass(self) -> np.ndarray:
-        """Sum of the atom masses; equals the kernel value at t = 0."""
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for atom in self.atoms:
-            out = out + atom.mass
-        return out
+        """Sum of the atom masses, the kernel value at t = 0, accumulated in atom order:
+        numpy's reductions may pair terms differently (they do for 1 x 1 masses)."""
+        return sum(self.masses, np.zeros((self.dim, self.dim), dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -220,7 +224,7 @@ class OpenSystem:
         if m.shape[0] != self.dim:
             raise ValidationError(f"omega1 has size {m.shape[0]}, expected {self.dim}")
         if self.kernel is None:
-            object.__setattr__(self, "kernel", PointMeasure(self.dim, ()))
+            object.__setattr__(self, "kernel", PointMeasure(self.dim))
         if self.kernel.dim != self.dim:
             raise ValidationError(
                 f"kernel dimension {self.kernel.dim} does not match system dimension {self.dim}"
@@ -260,11 +264,8 @@ class OpenSystem:
             raise ValidationError("kernel dimension does not match the mass operator")
         omega1 = inv_root @ a @ inv_root
         omega1 = 0.5 * (omega1 + omega1.conj().T)
-        scaled = PointMeasure.create(
-            kernel.dim,
-            [(atom.frequency, inv_root @ atom.mass @ inv_root) for atom in kernel.atoms],
-            tol,
-        )
+        masses = inv_root @ kernel.masses @ inv_root
+        scaled = PointMeasure.create(kernel.dim, zip(kernel.frequencies, masses), tol)
         return cls(m.shape[0], omega1, scaled)
 
 
@@ -326,9 +327,9 @@ def _validate_system(system: ConservativeSystem, tol: ToleranceConfig) -> list[V
 
 def _validate_measure(measure: PointMeasure, tol: ToleranceConfig) -> list[Violation]:
     out: list[Violation] = []
-    freqs = [a.frequency for a in measure.atoms]
+    freqs = measure.frequencies.tolist()
     if freqs:
-        span = max(freqs) - min(freqs)
+        span = freqs[-1] - freqs[0]
         for f1, f2 in zip(freqs, freqs[1:]):
             if (f2 - f1) <= tol.tau_eig_cluster * span:
                 out.append(
@@ -338,16 +339,15 @@ def _validate_measure(measure: PointMeasure, tol: ToleranceConfig) -> list[Viola
                         f2 - f1,
                     )
                 )
-    for k, atom in enumerate(measure.atoms):
-        if max_abs(atom.mass) == 0.0:
+    eigs = np.linalg.eigvalsh(measure.masses)
+    for k, (f, w) in enumerate(zip(freqs, eigs)):
+        if not measure.masses[k].any():
             out.append(Violation("zero_mass", f"atom {k} has zero mass", 0.0))
-            continue
-        w = np.linalg.eigvalsh(0.5 * (atom.mass + atom.mass.conj().T))
-        if below_psd_cut(w, tol):
+        elif below_psd_cut(w, tol):
             out.append(
                 Violation(
                     "mass_not_psd",
-                    f"atom {k} (frequency {atom.frequency}) has min eigenvalue {w[0]:.6e}",
+                    f"atom {k} (frequency {f}) has min eigenvalue {w[0]:.6e}",
                     float(w[0]),
                 )
             )

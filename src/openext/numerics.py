@@ -97,6 +97,10 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 # Hermitian atom masses, uniform grids): invariants, not verdicts, so not a config field.
 STRUCTURE_TOL = 1e-9
 
+# Largest array, in complex entries, that `kernel` (steps x n1^2), `simulate` (grid points
+# x dimension) and `fit` (its matrix-pencil Hankel) form from their input; past it, BudgetError.
+SIZE_BUDGET = 10_000_000
+
 
 def as_matrix(values, *, square: bool = False, name: str = "matrix", dtype=np.complex128) -> np.ndarray:
     """Coerce to a read-only 2-D array (complex128 unless told), validating shape."""

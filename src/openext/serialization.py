@@ -35,7 +35,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .errors import ValidationError
-from .model import ConservativeSystem, MeasureAtom, OpenSystem, PointMeasure
+from .model import ConservativeSystem, OpenSystem, PointMeasure
 
 SCHEMA = "openext/v1"
 
@@ -128,13 +128,12 @@ def system_from_json(data: dict) -> ConservativeSystem:
 
 
 def measure_to_json(measure: PointMeasure) -> dict:
+    freqs = measure.frequencies.tolist()
     return {
         "schema": SCHEMA,
         "kind": "point_measure",
         "dim": measure.dim,
-        "atoms": [
-            {"omega": float(a.frequency), "mass": matrix_to_json(a.mass)} for a in measure.atoms
-        ],
+        "atoms": [{"omega": f, "mass": matrix_to_json(m)} for f, m in zip(freqs, measure.masses)],
     }
 
 
@@ -146,7 +145,7 @@ def measure_from_json(data: dict) -> PointMeasure:
     dim = data["dim"]
     if type(dim) is not int:
         raise ValidationError("dim must be an integer")
-    atoms = []
+    freqs, masses = [], []
     if not isinstance(data["atoms"], list):
         raise ValidationError("atoms must be a list")
     for k, entry in enumerate(data["atoms"]):
@@ -159,8 +158,12 @@ def measure_from_json(data: dict) -> PointMeasure:
             freq = float(freq)
         except OverflowError:
             raise ValidationError(f"atom {k} frequency is beyond the float range") from None
-        atoms.append(MeasureAtom(freq, matrix_from_json(entry["mass"], f"atoms[{k}].mass")))
-    return PointMeasure(dim, tuple(atoms))
+        mass = matrix_from_json(entry["mass"], f"atoms[{k}].mass")
+        if mass.shape != (dim, dim):
+            raise ValidationError(f"atoms[{k}].mass has shape {mass.shape}, measure dimension is {dim}")
+        freqs.append(freq)
+        masses.append(mass)
+    return PointMeasure(dim, freqs, masses)
 
 
 def open_system_to_json(system: OpenSystem) -> dict:

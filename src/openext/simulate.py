@@ -49,11 +49,6 @@ __all__ = [
     "sample_forcing",
 ]
 
-# Largest trajectory the command line propagates, in state entries
-# (grid points x dimension): each (T, dim) complex array costs 16 bytes
-# per entry, and a run holds a few of them.
-SIMULATE_SIZE_BUDGET = 10_000_000
-
 # Steps per block of the conservative closed form.  It bounds the
 # temporaries to a few (block x dim) arrays whatever the grid length.
 _CONSERVATIVE_BLOCK = 128
@@ -88,10 +83,15 @@ class Trajectory:
         return self.states.shape[1]
 
 
+def _column(t) -> np.ndarray:
+    """Times as a column: a forcing of a time array t is then the (T, dim)
+    array of its vectors at t (one vector for a scalar t)."""
+    return np.asarray(t, dtype=np.float64)[..., None]
+
+
 def forcing_step(direction, t_on: float = 0.0):
     """Constant forcing along `direction`, switched on at t_on."""
-    d = np.asarray(direction, dtype=np.complex128).reshape(-1)
-    return lambda t: d if t >= t_on else np.zeros_like(d)
+    return forcing_pulse(direction, t_on, np.inf)
 
 
 def forcing_pulse(direction, t_on: float, t_off: float):
@@ -99,30 +99,23 @@ def forcing_pulse(direction, t_on: float, t_off: float):
     if not t_off > t_on:
         raise ValidationError("pulse needs t_off > t_on")
     d = np.asarray(direction, dtype=np.complex128).reshape(-1)
-    return lambda t: d if t_on <= t < t_off else np.zeros_like(d)
+    return lambda t: np.where((t_on <= _column(t)) & (_column(t) < t_off), d, 0.0)
 
 
 def forcing_sine(direction, frequency: float, t_on: float = 0.0):
     """sin(frequency * (t - t_on)) along `direction` for t >= t_on."""
     d = np.asarray(direction, dtype=np.complex128).reshape(-1)
-    return lambda t: np.sin(frequency * (t - t_on)) * d if t >= t_on else np.zeros_like(d)
+    return lambda t: np.where(_column(t) >= t_on, np.sin(frequency * (_column(t) - t_on)) * d, 0.0)
 
 
 def sample_forcing(forcing, times: np.ndarray, dim: int) -> np.ndarray:
-    """Normalize a forcing (None, callable, or samples) to a (T, dim) array."""
+    """Normalize a forcing (None, a function of the time array, or samples)
+    to a (T, dim) array; a function is called once, on the whole grid."""
     if forcing is None:
         return np.zeros((times.size, dim), dtype=np.complex128)
-    if callable(forcing):
-        out = np.empty((times.size, dim), dtype=np.complex128)
-        for j, t in enumerate(times):
-            row = np.asarray(forcing(float(t)), dtype=np.complex128).reshape(-1)
-            if row.size != dim:
-                raise ValidationError(f"forcing returned dimension {row.size}, expected {dim}")
-            out[j] = row
-        return out
-    arr = np.asarray(forcing, dtype=np.complex128)
+    arr = np.asarray(forcing(times) if callable(forcing) else forcing, dtype=np.complex128)
     if arr.shape != (times.size, dim):
-        raise ValidationError(f"forcing samples must have shape {(times.size, dim)}, got {arr.shape}")
+        raise ValidationError(f"forcing samples have shape {arr.shape}, expected {(times.size, dim)}")
     return arr
 
 
@@ -240,13 +233,13 @@ def propagate_open(
     else:
         f_mid = 0.5 * (f[:-1] + f[1:])
 
-    atoms = open_system.kernel.atoms
-    freqs = np.array([a.frequency for a in atoms], dtype=np.float64)
-    masses = [a.mass for a in atoms]
-    half = np.exp(-0.5j * h * freqs)
+    kernel = open_system.kernel
+    freqs, masses = kernel.frequencies, kernel.masses
+    # e^{-i w_k h/2} N_k; a(h/2) is their sum, in atom order like a(0)
+    half = np.exp(-0.5j * h * freqs)[:, None, None] * masses
     eye = np.eye(n, dtype=np.complex128)
-    a0 = sum(masses, np.zeros((n, n), dtype=np.complex128))
-    a_half = sum((e * m for e, m in zip(half, masses)), np.zeros((n, n), dtype=np.complex128))
+    a0 = kernel.total_mass()
+    a_half = sum(half, np.zeros((n, n), dtype=np.complex128))
     local = -1j * open_system.omega1
     # node stage: u = u_v v - (h^2/2) sum_k N_k sigma_k + (h/2) f_j, the
     # trapezoid's half weight on the newest sample folded into u_v
@@ -255,15 +248,14 @@ def propagate_open(
     #   - h^2 sum_k e^{-i w_k h/2} N_k sigma_k + from_u u + h f_mid_j
     from_u = h * local - 0.25 * h * h * a0
     step = np.hstack(
-        [eye + 0.25 * h * h * a_half + from_u @ u_v]
-        + [-h * h * (e * m) - 0.5 * h * h * (from_u @ m) for e, m in zip(half, masses)]
+        [eye + 0.25 * h * h * a_half + from_u @ u_v, *(-h * h * half - 0.5 * h * h * (from_u @ masses))]
     )
     drive = f[:-1] @ (0.5 * h * from_u).T + h * f_mid
     decay = np.exp(-1j * h * freqs)[:, None]
 
     states = np.zeros((times.size, n), dtype=np.complex128)
     # x = [v; sigma_1; ...; sigma_K], all zero at rest
-    x = np.zeros((len(atoms) + 1, n), dtype=np.complex128)
+    x = np.zeros((freqs.size + 1, n), dtype=np.complex128)
     flat = x.reshape(-1)
     sigma = x[1:]
     # an unstable step overflows long before the end of the grid: stop at

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from openext import ConservativeSystem, MeasureAtom, PointMeasure
+from openext import ConservativeSystem, PointMeasure
 from openext.numerics import DEFAULT_TOLERANCES
 
 
@@ -64,8 +64,7 @@ def random_measure(rng, dim, n_atoms, freq_lo=-3.0, freq_hi=3.0):
     freqs = np.sort(rng.uniform(freq_lo, freq_hi, n_atoms))
     # enforce clear separation so atom counts are unambiguous
     freqs = freqs + np.arange(n_atoms) * 0.05
-    atoms = tuple(MeasureAtom(float(f), random_psd(rng, dim)) for f in freqs)
-    return PointMeasure(dim, atoms)
+    return PointMeasure(dim, freqs, [random_psd(rng, dim) for _ in freqs])
 
 
 def random_conservative(rng, n1, n2, norm_cap=None):

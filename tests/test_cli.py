@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import openext
-from openext import ConservativeSystem, MeasureAtom, PointMeasure, kernel_of_measure
+from openext import ConservativeSystem, PointMeasure, kernel_of_measure
 from openext.cli import main
 from openext.serialization import (
     dumps,
@@ -39,7 +39,7 @@ def measure_file(tmp_path):
 
 @pytest.fixture
 def bad_measure_file(tmp_path):
-    mu = PointMeasure(2, (MeasureAtom(1.0, np.diag([1.0, -0.5])),))
+    mu = PointMeasure(2, [1.0], [np.diag([1.0, -0.5])])
     p = tmp_path / "bad.json"
     p.write_text(dumps(measure_to_json(mu)))
     return str(p)
@@ -295,6 +295,24 @@ class TestExtendAndFit:
         code = main(["kernel", worked_file, *flags])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_fit_rejects_non_utf8_csv(self, capsys, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"t,re_1_1,im_1_1\n0,1,0\n\xff\xfe,1,0\n")
+        code = main(["fit", str(p)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "UTF-8" in err
+
+    def test_fit_size_budget(self, capsys, tmp_path):
+        # 6,400 rows at n1 = 1 ask for a 3,200 x 3,201 Hankel, past the 10^7 entries
+        times = np.arange(6400) * 0.01
+        p = tmp_path / "long.csv"
+        p.write_text(write_kernel_csv(times, np.exp(-1j * times)[:, None, None]))
+        code = main(["fit", str(p)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "budget" in err
 
     def test_fit_rejects_damped_data(self, capsys, tmp_path):
         times = np.arange(64) * 0.1

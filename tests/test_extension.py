@@ -12,7 +12,6 @@ from openext import (
     ConservativeSystem,
     FitError,
     KernelSamples,
-    MeasureAtom,
     NotPositiveSemidefiniteError,
     PointMeasure,
     ValidationError,
@@ -22,6 +21,7 @@ from openext import (
     kernel_of_measure,
     measure_of,
     minimal_extension,
+    minimal_subsystem,
     orbit,
 )
 from openext.extension import (
@@ -47,19 +47,18 @@ def trapezoid_grid():
 
 
 def factor_tables(measure, times, weights):
-    """Phase table w_j e^{i w_k t_j} and the stacked atom masses."""
-    freqs = np.array([a.frequency for a in measure.atoms])
-    return weights[:, None] * np.exp(1j * np.outer(times, freqs)), np.stack([a.mass for a in measure.atoms])
+    """Phase table w_j e^{i w_k t_j} and the atom mass stack."""
+    return weights[:, None] * np.exp(1j * np.outer(times, measure.frequencies)), measure.masses
 
 
 def per_atom_quadratic_form(measure, times, weights, v):
     """Factorized form summed atom by atom, each with its own local term."""
     total = 0.0
-    for atom in measure.atoms:
-        u = (weights * np.exp(1j * atom.frequency * times))[:, None] * v
+    for freq, mass in zip(measure.frequencies, measure.masses):
+        u = (weights * np.exp(1j * freq * times))[:, None] * v
         s = u.sum(axis=0)
         total += 0.5 * float(
-            np.real(s.conj() @ atom.mass @ s) + np.real(np.einsum("ji,ji->", u.conj() @ atom.mass, u))
+            np.real(s.conj() @ mass @ s) + np.real(np.einsum("ji,ji->", u.conj() @ mass, u))
         )
     return total
 
@@ -67,10 +66,10 @@ def per_atom_quadratic_form(measure, times, weights, v):
 def per_atom_profile_form(measure, times, weights, profile):
     """Hermitian H with Q(g * profile) = g^H H g, accumulated atom by atom."""
     h = np.zeros((measure.dim, measure.dim), dtype=complex)
-    for atom in measure.atoms:
-        u = weights * np.exp(1j * atom.frequency * times) * profile
+    for freq, mass in zip(measure.frequencies, measure.masses):
+        u = weights * np.exp(1j * freq * times) * profile
         rho = 0.5 * (abs(u.sum()) ** 2 + float((np.abs(u) ** 2).sum()))
-        h += rho * atom.mass
+        h += rho * mass
     return 0.5 * (h + h.conj().T)
 
 
@@ -83,9 +82,9 @@ def reference_check_dissipation(target, trials, seed=DEFAULT_MC_SEED, tol=DEFAUL
     if measure is not None:
         times, weights = trapezoid_grid()
         n, scale = measure.dim, float(np.linalg.norm(measure.total_mass(), 2))
-        freqs = np.array([a.frequency for a in measure.atoms])
+        freqs = measure.frequencies
         phases = weights[:, None] * np.exp(1j * np.outer(times, freqs))
-        masses = np.stack([0.5 * (a.mass + a.mass.conj().T) for a in measure.atoms])
+        masses = measure.masses
         eigs = np.linalg.eigvalsh(masses)
         witness = tuple((k, float(w[0])) for k, w in enumerate(eigs) if below_psd_cut(w, tol))
         min_eigs = tuple(eigs[:, 0].tolist())
@@ -148,14 +147,13 @@ def planted_measures(rng, count):
         dim = int(rng.integers(1, 7))
         freqs = np.sort(rng.uniform(-3.0, 3.0, int(rng.integers(1, 9))))
         freqs = freqs + 0.05 * np.arange(freqs.size)
-        atoms = [MeasureAtom(float(f), random_psd(rng, dim)) for f in freqs]
+        masses = [random_psd(rng, dim) for _ in freqs]
         if i % 2:
             u = haar_unitary(dim, rng)
             spectrum = rng.uniform(0.1, 1.0, dim)
             spectrum[0] = -rng.uniform(0.01, 1.0)
-            k = int(rng.integers(len(atoms)))
-            atoms[k] = MeasureAtom(atoms[k].frequency, u @ np.diag(spectrum) @ u.conj().T)
-        yield PointMeasure(dim, tuple(atoms))
+            masses[int(rng.integers(len(masses)))] = u @ np.diag(spectrum) @ u.conj().T
+        yield PointMeasure(dim, freqs, masses)
 
 
 def rank_deficient_measures(rng, count):
@@ -164,11 +162,8 @@ def rank_deficient_measures(rng, count):
         dim = int(rng.integers(1, 9))
         freqs = np.sort(rng.uniform(-3.0, 3.0, int(rng.integers(1, 13))))
         freqs = freqs + np.arange(freqs.size) * 0.05
-        atoms = [
-            MeasureAtom(float(f), random_psd(rng, dim, rank=int(rng.integers(1, max(dim, 2)))))
-            for f in freqs
-        ]
-        yield PointMeasure(dim, tuple(atoms))
+        masses = [random_psd(rng, dim, rank=int(rng.integers(1, max(dim, 2)))) for _ in freqs]
+        yield PointMeasure(dim, freqs, masses)
 
 
 def dense_kernel(system, times):
@@ -210,7 +205,7 @@ class TestKernelEval:
         times = np.linspace(0.0, 4.0, 21)
         got = kernel_of_measure(mu, times).values
         for k, t in enumerate(times):
-            ref = sum(np.exp(-1j * a.frequency * t) * a.mass for a in mu.atoms)
+            ref = sum(np.exp(-1j * w * t) * m for w, m in zip(mu.frequencies, mu.masses))
             assert np.allclose(got[k], ref, atol=1e-13 * max(1.0, np.abs(ref).max()))
 
     def test_requires_sorted_nonnegative_times(self, worked_system):
@@ -270,7 +265,7 @@ class TestMinimalExtension:
         assert got.dim == ref.shape[1]
 
     def test_rejects_indefinite_atom(self):
-        mu = PointMeasure(2, (MeasureAtom(1.0, np.diag([1.0, -0.3])),))
+        mu = PointMeasure(2, [1.0], [np.diag([1.0, -0.3])])
         with pytest.raises(NotPositiveSemidefiniteError):
             minimal_extension(mu)
 
@@ -287,11 +282,11 @@ class TestMeasureOf:
             mu = random_measure(rng, dim, int(rng.integers(1, 6)))
             sys_ = minimal_extension(mu)
             back = measure_of(sys_)
-            assert len(back.atoms) == len(mu.atoms)
-            for a, b in zip(mu.atoms, back.atoms):
-                scale = max(np.abs(a.mass).max(), 1e-30)
-                assert abs(a.frequency - b.frequency) < 1e-9 * max(1.0, abs(a.frequency))
-                assert np.max(np.abs(a.mass - b.mass)) < 1e-9 * scale
+            assert back.frequencies.size == mu.frequencies.size
+            for fa, fb, ma, mb in zip(mu.frequencies, back.frequencies, mu.masses, back.masses):
+                scale = max(np.abs(ma).max(), 1e-30)
+                assert abs(fa - fb) < 1e-9 * max(1.0, abs(fa))
+                assert np.max(np.abs(ma - mb)) < 1e-9 * scale
 
     def test_invariant_under_hidden_unitary(self):
         rng = np.random.default_rng(17)
@@ -306,14 +301,48 @@ class TestMeasureOf:
         omega[n1:, n1:] = u.conj().T @ sys_.omega2 @ u
         rotated = ConservativeSystem(n1, sys_.n2, omega)
         back = measure_of(rotated)
-        assert len(back.atoms) == len(mu.atoms)
-        for a, b in zip(mu.atoms, back.atoms):
-            assert np.max(np.abs(a.mass - b.mass)) < 1e-9 * max(np.abs(a.mass).max(), 1.0)
+        assert back.frequencies.size == mu.frequencies.size
+        for ma, mb in zip(mu.masses, back.masses):
+            assert np.max(np.abs(ma - mb)) < 1e-9 * max(np.abs(ma).max(), 1.0)
 
     def test_uncoupled_hidden_modes_dropped(self):
         omega = np.diag([1.0, 2.0, 3.0]).astype(complex)
         sys_ = ConservativeSystem(1, 2, omega)
-        assert len(measure_of(sys_).atoms) == 0
+        assert measure_of(sys_).frequencies.size == 0
+
+
+class TestRoundTripProperty:
+    """measure_of inverts minimal_extension on drawn measures (dim <= 3,
+    K <= 4, frequencies at least 0.5 apart, PSD masses of drawn rank), and
+    the extension is minimal: the hidden dimension is the sum of the ranks."""
+
+    def test_measure_of_minimal_extension_is_the_measure(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def measures(draw):
+            dim = draw(st.integers(1, 3))
+            gaps = draw(st.lists(st.floats(0.5, 2.0), min_size=1, max_size=4))
+            ranks = draw(st.lists(st.integers(1, dim), min_size=len(gaps), max_size=len(gaps)))
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            masses = [random_psd(rng, dim, rank=r) for r in ranks]
+            return PointMeasure(dim, -3.0 + np.cumsum(gaps), masses), ranks
+
+        @hypothesis.settings(max_examples=50, deadline=None, derandomize=True)
+        @hypothesis.given(measures())
+        def check(case):
+            mu, ranks = case
+            ext = minimal_extension(mu)
+            back = measure_of(ext)
+            assert back.frequencies.size == mu.frequencies.size
+            assert np.allclose(back.frequencies, mu.frequencies, rtol=0.0, atol=1e-12)
+            for got, want in zip(back.masses, mu.masses):
+                assert np.linalg.norm(got - want, 2) <= 1e-9 * np.linalg.norm(want, 2)
+            assert ext.n2 == sum(ranks)
+            assert minimal_subsystem(ext).n2 == sum(ranks)
+
+        check()
 
 
 class TestCheckDissipation:
@@ -329,7 +358,7 @@ class TestCheckDissipation:
 
     def test_indefinite_measure_fails_with_witness(self):
         mass = np.diag([1.0, -0.4])
-        mu = PointMeasure(2, (MeasureAtom(0.7, mass), MeasureAtom(2.0, np.eye(2)),))
+        mu = PointMeasure(2, [0.7, 2.0], [mass, np.eye(2)])
         rep = check_dissipation(mu)
         assert rep.verdict is False
         assert not rep.algebraic_pass
@@ -343,7 +372,7 @@ class TestCheckDissipation:
         for k in range(5):
             u = haar_unitary(3, rng)
             mass = u @ np.diag([1.0, 0.2, -0.5]) @ u.conj().T
-            mu = PointMeasure(3, (MeasureAtom(0.5 + 0.3 * k, mass),))
+            mu = PointMeasure(3, [0.5 + 0.3 * k], [mass])
             rep = check_dissipation(mu)
             assert rep.mc_negative_found
             assert rep.trials <= 32
@@ -460,6 +489,20 @@ class TestCheckDissipation:
             tracemalloc.stop()
         assert peak < 2 * stack_bytes
 
+    def test_no_second_copy_of_the_mass_stack(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(32)
+        mu = random_measure(rng, 64, 32)
+        stack_bytes = 32 * 64 * 64 * 16
+        tracemalloc.start()
+        try:
+            check_dissipation(mu, trials=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack_bytes / 2
+
     def test_trials_budget_respected(self):
         rng = np.random.default_rng(21)
         mu = random_measure(rng, 2, 2)
@@ -489,24 +532,23 @@ class TestFitPointMeasure:
             times = np.arange(128) * 0.1
             samples = kernel_of_measure(mu, times)
             fit = fit_point_measure(samples, max_atoms=8)
-            assert len(fit.atoms) == n_atoms
+            assert fit.frequencies.size == n_atoms
             scale = np.linalg.norm(mu.total_mass(), 2)
-            for a, b in zip(mu.atoms, fit.atoms):
-                assert abs(a.frequency - b.frequency) < 1e-6
-                assert np.max(np.abs(a.mass - b.mass)) < 1e-6 * scale
+            assert np.max(np.abs(mu.frequencies - fit.frequencies)) < 1e-6
+            assert np.max(np.abs(mu.masses - fit.masses)) < 1e-6 * scale
 
     def test_scalar_two_mode_example(self):
         mu = PointMeasure.create(1, [(1.0, [[2.0]]), (2.5, [[0.5]])])
         times = np.arange(64) * 0.1
         fit = fit_point_measure(kernel_of_measure(mu, times), max_atoms=4)
-        assert [round(a.frequency, 9) for a in fit.atoms] == [1.0, 2.5]
-        assert fit.atoms[0].mass[0, 0] == pytest.approx(2.0, abs=1e-9)
+        assert [round(f, 9) for f in fit.frequencies.tolist()] == [1.0, 2.5]
+        assert fit.masses[0, 0, 0] == pytest.approx(2.0, abs=1e-9)
 
     def test_zero_samples_give_empty_measure(self):
         times = np.arange(32) * 0.1
         vals = np.zeros((32, 2, 2), dtype=complex)
         fit = fit_point_measure(KernelSamples(times, vals), max_atoms=4)
-        assert len(fit.atoms) == 0
+        assert fit.frequencies.size == 0
 
     def test_damped_kernel_rejected(self):
         times = np.arange(64) * 0.1
@@ -529,8 +571,8 @@ class TestFitPointMeasure:
         mu = PointMeasure.create(1, [(w, [[1.0]])])
         times = np.arange(64) * dt
         fit = fit_point_measure(kernel_of_measure(mu, times), max_atoms=2)
-        assert len(fit.atoms) == 1
-        assert fit.atoms[0].frequency == pytest.approx(w, abs=1e-8)
+        assert fit.frequencies.size == 1
+        assert fit.frequencies[0] == pytest.approx(w, abs=1e-8)
 
     def test_nonuniform_grid_rejected(self):
         times = np.array([0.0, 0.1, 0.3])
@@ -543,7 +585,7 @@ class TestFitPointMeasure:
         mu = random_measure(rng, 1, 6, freq_lo=-3.0, freq_hi=3.0)
         times = np.arange(200) * 0.1
         fit = fit_point_measure(kernel_of_measure(mu, times), max_atoms=6)
-        assert len(fit.atoms) <= 6
+        assert fit.frequencies.size <= 6
 
 
 class TestKernelSamples:

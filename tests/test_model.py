@@ -8,7 +8,6 @@ import pytest
 from openext import (
     BlockPartition,
     ConservativeSystem,
-    MeasureAtom,
     NotPositiveSemidefiniteError,
     OpenSystem,
     PointMeasure,
@@ -87,32 +86,62 @@ class TestPointMeasure:
     def test_atoms_sorted_and_merged(self):
         m = np.eye(2)
         mu = PointMeasure.create(2, [(2.0, m), (1.0, m), (1.0 + 1e-12, m)])
-        assert [a.frequency for a in mu.atoms] == [1.0, 2.0]
-        assert np.array_equal(mu.atoms[0].mass, 2 * np.eye(2))
+        assert mu.frequencies.tolist() == [1.0, 2.0]
+        assert np.array_equal(mu.masses[0], 2 * np.eye(2))
 
     def test_create_drops_zero_mass(self):
         mu = PointMeasure.create(2, [(1.0, np.zeros((2, 2))), (2.0, np.eye(2))])
-        assert len(mu.atoms) == 1
+        assert mu.frequencies.size == 1
 
     def test_rejects_unsorted_direct_construction(self):
-        a = MeasureAtom(2.0, np.eye(2))
-        b = MeasureAtom(1.0, np.eye(2))
         with pytest.raises(ValidationError):
-            PointMeasure(2, (a, b))
+            PointMeasure(2, [2.0, 1.0], [np.eye(2), np.eye(2)])
 
     def test_rejects_non_hermitian_mass(self):
         with pytest.raises(ValidationError):
-            MeasureAtom(1.0, np.array([[0.0, 1.0], [0.0, 0.0]]))
+            PointMeasure(2, [1.0], [np.array([[0.0, 1.0], [0.0, 0.0]])])
+
+    def test_exactly_hermitian_stack_is_stored_without_copy(self):
+        stack = np.stack([np.eye(2), np.array([[2.0, 1j], [-1j, 1.0]])]).astype(complex)
+        mu = PointMeasure(2, np.array([0.5, 1.5]), stack)
+        assert mu.masses is stack
+        assert not mu.masses.flags.writeable and not mu.frequencies.flags.writeable
+        assert mu.frequencies.dtype == np.float64 and mu.masses.dtype == np.complex128
+
+    def test_stores_hermitian_parts_and_leaves_the_input(self):
+        near = np.array([[1.0, 0.5 + 1e-12], [0.5, 2.0]], dtype=complex)
+        stack = np.stack([np.eye(2, dtype=complex), near])
+        before = stack.copy()
+        mu = PointMeasure(2, [0.0, 1.0], stack)
+        assert np.array_equal(stack, before) and stack.flags.writeable
+        assert np.array_equal(mu.masses[0], np.eye(2))
+        assert np.array_equal(mu.masses[1], 0.5 * (near + near.conj().T))
+        assert np.array_equal(mu.masses[1], mu.masses[1].conj().T)
+
+    @pytest.mark.parametrize(
+        "freqs, masses",
+        [([1.0], np.ones((1, 3, 3))), ([1.0, 2.0], np.ones((1, 2, 2))), ([np.inf], np.ones((1, 2, 2))),
+         ([1.0], [[[np.nan, 0.0], [0.0, 1.0]]]), ([[1.0]], np.ones((1, 2, 2)))],
+        ids=["wrong_dim", "count_mismatch", "inf_frequency", "nan_mass", "frequencies_2d"],
+    )
+    def test_rejects_malformed_arrays(self, freqs, masses):
+        with pytest.raises(ValidationError):
+            PointMeasure(2, freqs, masses)
 
     def test_total_mass(self):
+        # bitwise the sum in atom order, also for 1 x 1 masses, where numpy's
+        # own reduction over the stack pairs the terms differently
         rng = np.random.default_rng(0)
-        mu = random_measure(rng, 3, 4)
-        direct = sum(a.mass for a in mu.atoms)
-        assert np.allclose(mu.total_mass(), direct)
+        for dim, count in ((3, 4), (1, 40)):
+            mu = random_measure(rng, dim, count)
+            direct = np.zeros((dim, dim), dtype=complex)
+            for mass in mu.masses:
+                direct = direct + mass
+            assert np.array_equal(mu.total_mass(), direct)
 
     def test_negative_frequencies_allowed(self):
         mu = PointMeasure.create(1, [(-2.5, [[1.0]])])
-        assert mu.atoms[0].frequency == -2.5
+        assert mu.frequencies[0] == -2.5
 
 
 class TestOpenSystem:
@@ -120,7 +149,7 @@ class TestOpenSystem:
         kernel = PointMeasure.create(2, [(1.0, np.eye(2))])
         sys_ = OpenSystem.from_mass_form([4.0, 1.0], np.diag([2.0, 3.0]), kernel)
         assert np.allclose(sys_.omega1, np.diag([0.5, 3.0]))
-        assert np.allclose(sys_.kernel.atoms[0].mass, np.diag([0.25, 1.0]))
+        assert np.allclose(sys_.kernel.masses[0], np.diag([0.25, 1.0]))
 
     def test_mass_form_matrix_mass(self):
         rng = np.random.default_rng(1)
@@ -171,7 +200,7 @@ class TestValidate:
         assert rep.ok and rep.kind == "point_measure"
 
     def test_indefinite_atom_flagged(self):
-        mu = PointMeasure(2, (MeasureAtom(1.0, np.diag([1.0, -0.5])),))
+        mu = PointMeasure(2, [1.0], [np.diag([1.0, -0.5])])
         rep = validate(mu)
         assert not rep.ok
         assert any(v.code == "mass_not_psd" for v in rep.violations)
@@ -184,7 +213,7 @@ class TestValidate:
         # scaled by the largest entry would reject what the others accept
         n = 10
         mass = np.ones((n, n)) - shift * np.eye(n)
-        mu = PointMeasure(n, (MeasureAtom(1.0, mass),))
+        mu = PointMeasure(n, [1.0], [mass])
         assert validate(mu).ok is psd
         assert check_dissipation(mu).verdict is psd
 
@@ -223,10 +252,8 @@ class TestJsonRoundTrips:
         rng = np.random.default_rng(4)
         mu = random_measure(rng, 3, 5)
         back = measure_from_json(measure_to_json(mu))
-        assert len(back.atoms) == 5
-        for a, b in zip(mu.atoms, back.atoms):
-            assert a.frequency == b.frequency
-            assert np.array_equal(a.mass, b.mass)
+        assert np.array_equal(back.frequencies, mu.frequencies)
+        assert np.array_equal(back.masses, mu.masses)
 
     def test_open_system(self):
         rng = np.random.default_rng(5)
@@ -234,7 +261,7 @@ class TestJsonRoundTrips:
         sys_ = OpenSystem(2, np.diag([1.0, 4.0]).astype(complex), mu)
         back = open_system_from_json(open_system_to_json(sys_))
         assert np.array_equal(back.omega1, sys_.omega1)
-        assert len(back.kernel.atoms) == 2
+        assert back.kernel.frequencies.size == 2
 
     def test_detect_kind_and_load(self, worked_system):
         rng = np.random.default_rng(6)

@@ -12,7 +12,6 @@ import pytest
 
 from openext import (
     ConservativeSystem,
-    MeasureAtom,
     NumericError,
     OpenSystem,
     PointMeasure,
@@ -72,10 +71,13 @@ def reference_open(open_system, f1, times):
         f_mid = sample_forcing(f1, times[:-1] + h / 2.0, n)
     else:
         f_mid = 0.5 * (f[:-1] + f[1:])
-    atoms = open_system.kernel.atoms
+    kernel_ = open_system.kernel
 
     def kernel(lag):
-        return sum((np.exp(-1j * a.frequency * lag) * a.mass for a in atoms), np.zeros((n, n), complex))
+        return sum(
+            (np.exp(-1j * w * lag) * m for w, m in zip(kernel_.frequencies, kernel_.masses)),
+            np.zeros((n, n), complex),
+        )
 
     def memory(target_t, j, history):
         # h * sum_{l<=j} a(target_t - t_l) v_l with half weight on l = j;
@@ -127,6 +129,16 @@ class TestForcingHelpers:
         assert np.array_equal(sample_forcing(arr, times, 2), arr)
         with pytest.raises(ValidationError):
             sample_forcing(np.ones((4, 2)), times, 2)
+        with pytest.raises(ValidationError):
+            sample_forcing(lambda t: np.ones((t.size, 3)), times, 2)
+
+    def test_grid_call_matches_pointwise_calls(self):
+        # one call on the grid gives, row by row, the vectors of scalar calls
+        times = np.linspace(0.0, 3.0, 31)
+        forcings = (forcing_step([1.0, 2j], 0.5), forcing_pulse([1.0, 0.0], 0.5, 2.0), forcing_sine([0.5, -1.0], 1.7, 0.3))
+        for f in forcings:
+            grid = sample_forcing(f, times, 2)
+            assert np.array_equal(grid, np.array([f(t) for t in times]))
 
 
 class TestConservativePropagation:
@@ -156,21 +168,21 @@ class TestConservativePropagation:
         sys_ = ConservativeSystem(1, 0, np.array([[w]], dtype=complex))
         a, b = 0.8, -0.3
         grid = np.array([0.0, 2.0])
-        traj = propagate_conservative(sys_, [0.0], lambda t: [a + b * t], grid)
+        traj = propagate_conservative(sys_, [0.0], lambda t: (a + b * t)[:, None], grid)
         ref = closed_form_linear_forcing(w, a, b, 2.0)
         assert abs(traj.states[1][0] - ref) < 1e-13
 
     def test_refining_grid_does_not_change_linear_forcing_result(self):
         w = 0.9
         sys_ = ConservativeSystem(1, 0, np.array([[w]], dtype=complex))
-        f = lambda t: [1.0 + 2.0 * t]
+        f = lambda t: (1.0 + 2.0 * t)[:, None]
         coarse = propagate_conservative(sys_, [0.0], f, np.linspace(0, 3, 4))
         fine = propagate_conservative(sys_, [0.0], f, np.linspace(0, 3, 301))
         assert abs(coarse.states[-1][0] - fine.states[-1][0]) < 1e-12
 
     def test_zero_frequency_mode_integrates_forcing(self):
         sys_ = ConservativeSystem(1, 0, np.zeros((1, 1), dtype=complex))
-        traj = propagate_conservative(sys_, [0.0], lambda t: [t], np.array([0.0, 2.0]))
+        traj = propagate_conservative(sys_, [0.0], lambda t: t[:, None], np.array([0.0, 2.0]))
         assert abs(traj.states[1][0] - 2.0) < 1e-13
 
     def test_meta_records_scheme(self):
@@ -238,7 +250,7 @@ class TestReferenceSchemes:
         rng = np.random.default_rng(80 + n_atoms)
         # full-rank atoms on a 3-dim observable block, forcing given as samples
         freqs = (-1.3, 0.4, 2.1)[:n_atoms]
-        mu = PointMeasure(3, tuple(MeasureAtom(w, random_psd(rng, 3, rank=3)) for w in freqs))
+        mu = PointMeasure(3, freqs, [random_psd(rng, 3, rank=3) for _ in freqs])
         h_ = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         open_sys = OpenSystem(3, h_ + h_.conj().T, mu)
         grid = np.linspace(0.0, 1.5, 61)
@@ -261,7 +273,7 @@ class TestReferenceSchemes:
         sys_ = ConservativeSystem(2, 3, h_ + h_.conj().T)
         v0 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         grid = 0.4 + np.cumsum(rng.uniform(1e-3, 2e-2, 700))
-        f = lambda t: [np.sin(3.0 * t), 1.0, 0.5j * t, 0.0, np.cos(t)]
+        f = lambda t: np.stack([np.sin(3.0 * t), np.ones_like(t), 0.5j * t, np.zeros_like(t), np.cos(t)], axis=1)
         got = propagate_conservative(sys_, v0, f, grid).states
         assert relative_error(got, reference_conservative(sys_, v0, f, grid)) <= 1e-12
 
@@ -298,6 +310,6 @@ class TestEquivalence:
         open_sys = OpenSystem(2, worked_system.omega1, mu_empty)
         v_open = propagate_open(open_sys, f, grid).states
         full0 = np.zeros(4, dtype=complex)
-        f_emb = lambda t: np.concatenate([np.asarray(f(t)), np.zeros(2)])
+        f_emb = lambda t: np.hstack([f(t), np.zeros((t.size, 2))])
         v_full = propagate_conservative(worked_system, full0, f_emb, grid).states[:, :2]
         assert np.max(np.abs(v_full - v_open)) > 0.05
