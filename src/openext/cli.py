@@ -412,11 +412,13 @@ def _cmd_lattice(args, tol: ToleranceConfig) -> int:
         f"d={spec.d};L={spec.l_half_width};N={spec.n_components};m={spec.m};"
         f"xi={spec.xi};gammas={args.gammas}".encode()
     )
-    if args.scan:
+    if args.scan is not None:
         try:
             l_values = [int(tok) for tok in args.scan.split(",") if tok.strip()]
         except ValueError as exc:
             raise ValidationError(f"--scan {args.scan!r} is not a list of integers") from exc
+        if not l_values:
+            raise ValidationError("--scan lists no L values")
         rows = multiplicity_scan(spec, l_values, tol)
         lines = ["L,volume,max_mult,ratio"]
         lines += [f"{r.l_half_width},{r.volume},{r.max_multiplicity},{r.ratio!r}" for r in rows]

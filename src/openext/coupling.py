@@ -247,19 +247,6 @@ class DecouplingReport:
     times: np.ndarray = field(repr=False)
     splitting: tuple[Subspace, Subspace] | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "decoupled": self.decoupled,
-            "residual_internal": self.residual_internal,
-            "residual_kernel": self.residual_kernel,
-            "reverse_residual_internal": self.reverse_residual_internal,
-            "reverse_residual_kernel": self.reverse_residual_kernel,
-            "time_grid": [float(t) for t in self.times],
-            "splitting_dims": None
-            if self.splitting is None
-            else [self.splitting[0].dim, self.splitting[1].dim],
-        }
-
 
 KERNEL_CHECK_POINTS = 25
 

@@ -25,10 +25,6 @@ class ValidationError(ValueError):
 class NotPositiveSemidefiniteError(ValidationError):
     """A matrix required to be positive semidefinite is not."""
 
-    def __init__(self, message: str, min_eigenvalue: float | None = None):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
-
 
 class UnboundedCouplingError(ValidationError):
     """Instantaneous (delta-like) friction requested: unbounded coupling unsupported."""
@@ -43,8 +39,4 @@ class NumericError(RuntimeError):
 
 
 class FitError(NumericError):
-    """Exponential fit failed; carries a condition estimate when available."""
-
-    def __init__(self, message: str, condition: float | None = None):
-        super().__init__(message)
-        self.condition = condition
+    """Exponential fit failed."""

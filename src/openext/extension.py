@@ -9,9 +9,9 @@ A point measure {(w_k, N_k)} generates the kernel sum_k e^{-i w_k t} N_k;
 (one block of dimension rank N_k per atom) and `measure_of` inverts the
 construction through the eigen-clusters of the hidden block.
 
-`check_dissipation` tests the no-gain condition both algebraically
-(every atom PSD) and through a seeded Monte-Carlo scan of the
-time-domain quadratic form
+`check_dissipation` tests the no-gain condition of a point measure both
+algebraically (every atom PSD) and through a seeded Monte-Carlo scan of
+the time-domain quadratic form
 
     Q(v) = Re int int_{t>=s} conj(v(t)) a(t-s) v(s) dt ds  >=  0.
 
@@ -166,10 +166,11 @@ def measure_of(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERA
 
 @dataclass(frozen=True)
 class DissipationReport:
-    """Outcome of the two dissipation checks (algebraic + Monte-Carlo)."""
+    """Outcome of the two dissipation checks (algebraic + Monte-Carlo).
+    The verdict is the algebraic one; "algebraic_available" stays in the
+    JSON form, always true, for the openext/v1 schema."""
 
     verdict: bool
-    algebraic_available: bool
     algebraic_pass: bool
     witness_atoms: tuple[tuple[int, float], ...]
     atom_min_eigenvalues: tuple[float, ...]
@@ -183,7 +184,7 @@ class DissipationReport:
     def as_dict(self) -> dict:
         return {
             "verdict": self.verdict,
-            "algebraic_available": self.algebraic_available,
+            "algebraic_available": True,
             "algebraic_pass": self.algebraic_pass,
             "witness_atoms": [
                 {"atom": int(i), "min_eigenvalue": float(e)} for i, e in self.witness_atoms
@@ -201,38 +202,6 @@ class DissipationReport:
 MC_GRID_POINTS = 200
 MC_TIME_SPAN = 5.0
 DEFAULT_MC_SEED = 0x5EED
-
-
-def _quadratic_form_measure(
-    phases: np.ndarray, masses: np.ndarray, total_mass: np.ndarray, weights: np.ndarray, v: np.ndarray
-) -> float:
-    """Discretized double integral of the dissipation form for sampled v.
-
-    With the phase table phases[j, k] = w_j e^{i w_k t_j}, u_j = phases[j, k] v_j
-    and S_k = sum_j u_j, the per-atom identity
-      Re sum_{j>=l} u_j^H N_k u_l = (S_k^H N_k S_k + sum_j u_j^H N_k u_j) / 2
-    is exactly the trapezoid-weighted double sum and is nonnegative for PSD
-    N_k.  The phases cancel in the local term, so summed over atoms it is
-    sum_j w_j^2 v_j^H A v_j with the total mass A = total_mass = sum_k N_k.
-    This is the direct evaluation; `check_dissipation` reads the same form
-    through `_rough_form_values` and `_profile_form_matrix`, which the
-    tests hold to this one.
-    """
-    s = phases.T @ v
-    cross = np.vdot(s, np.einsum("kab,kb->ka", masses, s))
-    local = np.vdot(weights[:, None] ** 2 * v, v @ total_mass.T)
-    return 0.5 * float(np.real(cross + local))
-
-
-def _quadratic_form_samples(values: np.ndarray, weights: np.ndarray, v: np.ndarray) -> float:
-    """Direct lower-triangular double sum using tabulated kernel lags."""
-    g = v.shape[0]
-    total = 0.0
-    for j in range(g):
-        lagged = np.einsum("lab,lb->la", values[j::-1], v[: j + 1])
-        contrib = np.real(np.conj(v[j]) @ (weights[: j + 1] * lagged.T).sum(axis=1))
-        total += weights[j] * contrib
-    return float(total)
 
 
 def _profile_form_matrix(
@@ -286,7 +255,7 @@ def _draw_trials(rng, count: int, times: np.ndarray, taper: np.ndarray, n: int, 
                 probes[t] = float(rng.uniform(*band))
             amps[t] = 1.0 + 0.2 * rng.random()
 
-    pos = np.outer(nodes - 1, (times - times[0]) / max(times[-1] - times[0], 1e-300))
+    pos = np.outer(nodes - 1, times / times[-1])
     left = np.minimum(pos.astype(np.int64), (nodes - 2)[:, None])
     frac = pos - left
     interp = np.zeros((count, times.size, MC_MAX_NODES))
@@ -320,104 +289,76 @@ def _rough_form_values(
 
 
 def check_dissipation(
-    target,
+    measure: PointMeasure,
     trials: int = 32,
     seed: int = DEFAULT_MC_SEED,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> DissipationReport:
-    """Test the no-gain condition of a PointMeasure or KernelSamples.
+    """Test the no-gain condition of a point measure.
 
-    (a) algebraic: every atom mass PSD (measure input only); witness
-        atoms carry the offending minimum eigenvalues.
+    (a) algebraic: every atom mass PSD; witness atoms carry the offending
+        minimum eigenvalues.  This is the verdict.
     (b) Monte-Carlo: seeded random compactly supported piecewise-linear
         test functions on a fixed grid; each trial evaluates the
-        discretized quadratic form for a rough random profile and, for
-        measure input, for a frequency-modulated scalar profile p along
-        its worst spatial direction.  Trials are drawn first, MC_CHUNK at
-        a time in one fixed order of the seeded stream (`_draw_trials`),
-        then evaluated together, so memory does not grow with trials.
-        For measure input both are read from one phase table
-        E[j, k] = w_j e^{i w_k t_j} and the measure's mass stack, which
-        the algebraic check reads too: with
+        discretized quadratic form for a rough random profile and for a
+        frequency-modulated scalar profile p along its worst spatial
+        direction.  Trials are drawn first, MC_CHUNK at a time in one
+        fixed order of the seeded stream (`_draw_trials`), then evaluated
+        together, so memory does not grow with trials.  Both are read
+        from one phase table E[j, k] = w_j e^{i w_k t_j} and the
+        measure's mass stack, which the algebraic check reads too: with
         S = E^T v the form is (1/2) Re(sum_k S_k^H N_k S_k
         + sum_j w_j^2 v_j^H A v_j), A = sum_k N_k the total mass, read for
         the rough trials from products with their factors
         (`_rough_form_values`).  The worst direction of a modulated trial
         is never formed: Q(g p) = g^H H_p g, so its value is
-        lambda_min(H_p) / ||p||_w^2 (`_profile_form_matrix`).  Sampled
-        kernels evaluate each rough trial by the direct double sum.
+        lambda_min(H_p) / ||p||_w^2 (`_profile_form_matrix`).
 
-    The verdict is the algebraic result when available, else the
-    Monte-Carlo one.
+    Sampled kernels are checked through their fitted measure
+    (`fit_point_measure`).
     """
-    if isinstance(target, PointMeasure):
-        measure, samples = target, None
-        n = measure.dim
-        times = np.linspace(0.0, MC_TIME_SPAN, MC_GRID_POINTS)
-        scale = float(np.linalg.norm(measure.total_mass(), 2))
-        freqs, masses = measure.frequencies, measure.masses
-    elif isinstance(target, KernelSamples):
-        measure, samples = None, target
-        n = samples.dim
-        times = samples.times
-        if times.size > 2 and uniform_step(times) is None:
-            raise ValidationError("kernel samples must lie on a uniform grid for the Monte-Carlo check")
-        scale = float(np.linalg.norm(samples.values[0], 2))
-        freqs = masses = None
-    else:
-        raise ValidationError("check_dissipation expects a PointMeasure or KernelSamples")
+    if not isinstance(measure, PointMeasure):
+        raise ValidationError(
+            "check_dissipation expects a PointMeasure; fit sampled kernels with fit_point_measure first"
+        )
     if trials < 1:
         raise ValidationError("trials must be positive")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    n, freqs, masses = measure.dim, measure.frequencies, measure.masses
+    times = np.linspace(0.0, MC_TIME_SPAN, MC_GRID_POINTS)
+    weights = np.full(MC_GRID_POINTS, MC_TIME_SPAN / (MC_GRID_POINTS - 1))
+    weights[[0, -1]] *= 0.5
 
-    weights = np.full(times.size, times[-1] - times[0], dtype=np.float64) / max(times.size - 1, 1)
-    if times.size > 1:
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
+    eigs = np.linalg.eigvalsh(masses)
+    min_eigs = eigs[:, 0].tolist()
+    witness = [(k, min_eigs[k]) for k, w in enumerate(eigs) if below_psd_cut(w, tol)]
+    phases = weights[:, None] * np.exp(1j * np.outer(times, freqs))
+    total_mass = masses.sum(axis=0)
 
-    if measure is not None:
-        eigs = np.linalg.eigvalsh(masses)
-        min_eigs = eigs[:, 0].tolist()
-        witness = [(k, min_eigs[k]) for k, w in enumerate(eigs) if below_psd_cut(w, tol)]
-        phases = weights[:, None] * np.exp(1j * np.outer(times, freqs))
-        total_mass = masses.sum(axis=0)
-    else:
-        min_eigs, witness = [], []
-    algebraic_available, algebraic_pass = measure is not None, not witness
-
-    span = times[-1] - times[0]
-    threshold = -tol.tau_residual * scale * max(span, 1.0) ** 2
+    scale = float(np.linalg.norm(measure.total_mass(), 2))
+    threshold = -tol.tau_residual * scale * MC_TIME_SPAN ** 2
     rng = np.random.default_rng(seed)
-    taper = np.sin(np.pi * (times - times[0]) / max(span, 1e-300)) ** 2
-    modulate = measure is not None and freqs.size > 0 and n > 0
+    taper = np.sin(np.pi * times / MC_TIME_SPAN) ** 2
 
     mc_min = np.inf
     for start in range(0, trials, MC_CHUNK):
         interp, coarse, profiles = _draw_trials(
-            rng, min(MC_CHUNK, trials - start), times, taper, n, freqs if modulate else None
+            rng, min(MC_CHUNK, trials - start), times, taper, n, freqs if freqs.size else None
         )
-        if measure is not None:
-            values = _rough_form_values(phases, masses, total_mass, weights, interp, coarse)
-            if profiles is not None:
-                lowest = np.linalg.eigvalsh(_profile_form_matrix(phases, masses, weights, profiles))[:, 0]
-                values = np.concatenate([values, lowest / (np.abs(profiles) ** 2 @ weights)])
-        else:
-            rough = interp @ coarse
-            norm2 = (np.abs(rough) ** 2).sum(axis=2) @ weights
-            values = np.array(
-                [_quadratic_form_samples(samples.values, weights, v / np.sqrt(q))
-                 for v, q in zip(rough, norm2) if q > 0]
-            )
+        values = _rough_form_values(phases, masses, total_mass, weights, interp, coarse)
+        if profiles is not None:
+            lowest = np.linalg.eigvalsh(_profile_form_matrix(phases, masses, weights, profiles))[:, 0]
+            values = np.concatenate([values, lowest / (np.abs(profiles) ** 2 @ weights)])
         if values.size:
             mc_min = min(mc_min, float(values.min()))
 
     if not np.isfinite(mc_min):
         mc_min = 0.0
     mc_pass = mc_min >= threshold
-    verdict = algebraic_pass if algebraic_available else mc_pass
     return DissipationReport(
-        verdict=bool(verdict),
-        algebraic_available=algebraic_available,
-        algebraic_pass=bool(algebraic_pass),
+        verdict=not witness,
+        algebraic_pass=not witness,
         witness_atoms=tuple(witness),
         atom_min_eigenvalues=tuple(min_eigs),
         mc_pass=bool(mc_pass),
@@ -477,13 +418,10 @@ def fit_point_measure(
     sv = np.linalg.svd(lower, compute_uv=False)
     condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     if not np.isfinite(condition) or condition > 1e10:
-        raise FitError(f"pencil subspace is ill-conditioned ({condition:.2e})", condition=condition)
+        raise FitError(f"pencil subspace is ill-conditioned ({condition:.2e})")
     z = np.linalg.eigvals(np.linalg.pinv(lower) @ upper)
     if np.any(np.abs(np.abs(z) - 1.0) > 1e-2):
-        raise FitError(
-            "recovered modes are not purely oscillatory; samples do not match an undamped kernel",
-            condition=condition,
-        )
+        raise FitError("recovered modes are not purely oscillatory; samples do not match an undamped kernel")
     angles = np.angle(z)
     if np.any(np.abs(angles) > np.pi * (1.0 - 1e-6)):
         raise ValidationError(
@@ -495,7 +433,7 @@ def fit_point_measure(
     sv2 = np.linalg.svd(vander, compute_uv=False)
     cond2 = float(sv2[0] / sv2[-1]) if sv2[-1] > 0 else np.inf
     if not np.isfinite(cond2) or cond2 > 1e10:
-        raise FitError(f"frequency design matrix is ill-conditioned ({cond2:.2e})", condition=cond2)
+        raise FitError(f"frequency design matrix is ill-conditioned ({cond2:.2e})")
     flat = samples.values.reshape(g, n * n)
     coeff, *_ = np.linalg.lstsq(vander, flat, rcond=None)
 
@@ -514,7 +452,6 @@ def fit_point_measure(
     if residual > FIT_RESIDUAL_CONTRACT * max(scale, 1e-300):
         raise FitError(
             f"fitted measure misses the samples by {residual:.3e} "
-            f"(contract {FIT_RESIDUAL_CONTRACT:.0e} * ||a(0)||); data may be noisy or out of model class",
-            condition=condition,
+            f"(contract {FIT_RESIDUAL_CONTRACT:.0e} * ||a(0)||); data may be noisy or out of model class"
         )
     return fitted

@@ -383,15 +383,16 @@ class FrozenReport:
 
     Directions e_site x g with g orthogonal to every coupling vector are
     exact eigenvectors at the bare frequency sqrt(xi/m) regardless of
-    the volume.  frozen_frame is their real orthonormal frame
-    kron(I_V, E_gamma^perp), site-major like the DOF labels;
-    frozen_dim_complex counts them as complex dimensions (the real
+    the volume.  site_frozen_frame is the real orthonormal per-site
+    frame E_gamma^perp (N x (N - J_eff)); the frozen frame is
+    kron(I_V, E_gamma^perp), site-major like the DOF labels, and is not
+    formed.  frozen_dim_complex counts them as complex dimensions (the real
     phase-space count is twice that).  Every eigen-cluster of the
     restriction to the coupled complement must have multiplicity at most
     (coupling count) x volume.
     """
 
-    frozen_frame: np.ndarray = field(repr=False)
+    site_frozen_frame: np.ndarray = field(repr=False)
     frozen_dim_complex: int
     frozen_dim_real: int
     frozen_frequency: float
@@ -434,10 +435,10 @@ def frozen_report(spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) 
 
     The frozen frame is kron(I_V, E_gamma^perp) and the coupled one
     kron(I_V, E_gamma); the real Omega is applied to both through
-    `_apply_site_frame`, and the report carries the frozen one as a plain
-    real array.  The component frames come from an SVD and a QR
-    of the real gammas, which keep real data real (imaginary parts exactly
-    zero), so only their real parts are used.
+    `_apply_site_frame`, and the report carries the per-site frame
+    E_gamma^perp as a plain real array.  The component frames come from an
+    SVD and a QR of the real gammas, which keep real data real (imaginary
+    parts exactly zero), so only their real parts are used.
     """
     omega, _ = lattice_system(spec, tol)
     n = spec.n_components
@@ -445,10 +446,9 @@ def frozen_report(spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) 
     e_gamma = orthonormal_basis(gamma_stack.T.astype(np.complex128), tol)
     e_perp = complement(e_gamma)
     j_eff = e_gamma.dim
-    g, g_perp = e_gamma.frame.real, e_perp.frame.real
-    frozen = np.kron(np.eye(spec.volume), g_perp)
-    frozen.flags.writeable = False
-    frozen_dim = frozen.shape[1]
+    g, g_perp = e_gamma.frame.real, e_perp.frame.real  # read-only views of the frames
+    volume, f = spec.volume, g_perp.shape[1]
+    frozen_dim = volume * f
     # F^T Omega F = (Omega F)^T F for the symmetric Omega
     coupled = _apply_site_frame(_apply_site_frame(omega, g).T, g)
     coupled_w, _, clusters = eigen_clusters(0.5 * (coupled + coupled.T), tol, vectors=False)
@@ -457,8 +457,11 @@ def frozen_report(spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) 
     freq = math.sqrt(spec.xi / spec.m)
     omega_norm = max(float(coupled_w[-1]), freq)  # Omega is PSD: frozen plus coupled spectrum
     if frozen_dim:
-        resid = _apply_site_frame(omega, g_perp) - freq * frozen
-        max_resid = float(np.max(np.linalg.norm(resid, axis=0)))
+        # Omega kron(I_V, E^perp) - freq kron(I_V, E^perp): the frame term sits on the site diagonal
+        resid = _apply_site_frame(omega, g_perp).reshape(volume, n, volume, f)
+        i = np.arange(volume)
+        resid[i, :, i, :] -= freq * g_perp
+        max_resid = float(np.max(np.linalg.norm(resid.reshape(volume * n, frozen_dim), axis=0)))
     else:
         max_resid = 0.0
     if max_resid > tol.tau_residual * max(omega_norm, 1.0):
@@ -470,7 +473,7 @@ def frozen_report(spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) 
     mult_upper = len(spec.gammas) * spec.volume
     max_coupled = max((mult for _, mult in per), default=0)
     return FrozenReport(
-        frozen_frame=frozen,
+        site_frozen_frame=g_perp,
         frozen_dim_complex=frozen_dim,
         frozen_dim_real=2 * frozen_dim,
         frozen_frequency=freq,

@@ -48,7 +48,6 @@ __all__ = [
     "PointMeasure",
     "OpenSystem",
     "BlockPartition",
-    "assemble",
     "validate",
     "Violation",
     "ValidationReport",
@@ -99,33 +98,12 @@ class ConservativeSystem:
         return self.omega[: self.n1, self.n1 :]
 
     @property
-    def internal_part(self) -> np.ndarray:
-        """Block-diagonal part of omega (couplings zeroed)."""
-        out = np.zeros_like(self.omega)
-        out[: self.n1, : self.n1] = self.omega1
-        out[self.n1 :, self.n1 :] = self.omega2
-        return out
-
-    @property
     def coupling_part(self) -> np.ndarray:
         """Off-diagonal part of omega (internal blocks zeroed)."""
-        return self.omega - self.internal_part
-
-
-def assemble(omega1, omega2, coupling, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> ConservativeSystem:
-    """Build a conservative system from its three defining blocks."""
-    w1 = require_hermitian(omega1, tol, name="omega1")
-    w2 = require_hermitian(omega2, tol, name="omega2")
-    g = as_matrix(coupling, name="coupling")
-    n1, n2 = w1.shape[0], w2.shape[0]
-    if g.shape != (n1, n2):
-        raise ValidationError(f"coupling shape {g.shape} does not match blocks ({n1}, {n2})")
-    omega = np.zeros((n1 + n2, n1 + n2), dtype=np.complex128)
-    omega[:n1, :n1] = w1
-    omega[:n1, n1:] = g
-    omega[n1:, :n1] = g.conj().T
-    omega[n1:, n1:] = w2
-    return ConservativeSystem(n1, n2, omega)
+        out = self.omega.copy()
+        out[: self.n1, : self.n1] = 0.0
+        out[self.n1 :, self.n1 :] = 0.0
+        return out
 
 
 @dataclass(frozen=True)
@@ -293,10 +271,6 @@ class BlockPartition:
                             f"partition parts {i} and {j} are not orthogonal: overlap {overlap:.3e}"
                         )
         object.__setattr__(self, "parts", parts)
-
-    @property
-    def complete(self) -> bool:
-        return sum(p.dim for p in self.parts) == self.ambient_dim
 
 
 @dataclass(frozen=True)

@@ -282,7 +282,7 @@ def below_psd_cut(w: np.ndarray, tol: ToleranceConfig) -> bool:
 def require_psd(w: np.ndarray, tol: ToleranceConfig, what: str) -> None:
     """Raise NotPositiveSemidefiniteError, led by `what`, when w fails `below_psd_cut`."""
     if below_psd_cut(w, tol):
-        raise NotPositiveSemidefiniteError(f"{what}: min eigenvalue {w[0]:.6e}", min_eigenvalue=float(w[0]))
+        raise NotPositiveSemidefiniteError(f"{what}: min eigenvalue {w[0]:.6e}")
 
 
 @dataclass(frozen=True)

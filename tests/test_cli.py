@@ -361,6 +361,13 @@ class TestAnalysisCommands:
         code, _ = run_cli(capsys, "check", bad_measure_file)
         assert code == 1
 
+    def test_check_rejects_a_negative_seed(self, capsys, worked_file):
+        code = main(["check", worked_file, "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:") and "seed" in captured.err
+        assert captured.out == ""
+
     def test_simulate_both_reports_residual(self, capsys, worked_file):
         code, out = run_cli(
             capsys,
@@ -474,6 +481,14 @@ class TestAnalysisCommands:
         lines = out.strip().splitlines()
         assert lines[0] == "L,volume,max_mult,ratio"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("scan", ["", ","])
+    def test_lattice_scan_without_l_values_is_rejected(self, capsys, scan):
+        code = main(["lattice", "--d", "1", "--L", "1", "--N", "2", "--gammas", "0,1", "--scan", scan])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: --scan lists no L values")
+        assert captured.out == ""
 
     def test_lattice_budget_exit_code(self, capsys):
         code, _ = run_cli(

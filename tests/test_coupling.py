@@ -429,8 +429,3 @@ class TestDecouplingReport:
         rep = decoupling_report(worked_system, Subspace(2, np.eye(2)[:, 1:]))
         assert len(rep.times) > 0
         assert rep.times[0] == 0.0
-
-    def test_as_dict(self, worked_system):
-        d = decoupling_report(worked_system, Subspace(2, np.eye(2)[:, 1:])).as_dict()
-        assert d["decoupled"] is True
-        assert "reverse_residual_kernel" in d

@@ -29,8 +29,6 @@ from openext.extension import (
     MC_GRID_POINTS,
     MC_TIME_SPAN,
     _profile_form_matrix,
-    _quadratic_form_measure,
-    _quadratic_form_samples,
 )
 from openext.numerics import DEFAULT_TOLERANCES, below_psd_cut
 
@@ -44,6 +42,38 @@ def trapezoid_grid():
     weights[0] *= 0.5
     weights[-1] *= 0.5
     return times, weights
+
+
+def _quadratic_form_measure(
+    phases: np.ndarray, masses: np.ndarray, total_mass: np.ndarray, weights: np.ndarray, v: np.ndarray
+) -> float:
+    """Discretized double integral of the dissipation form for sampled v.
+
+    With the phase table phases[j, k] = w_j e^{i w_k t_j}, u_j = phases[j, k] v_j
+    and S_k = sum_j u_j, the per-atom identity
+      Re sum_{j>=l} u_j^H N_k u_l = (S_k^H N_k S_k + sum_j u_j^H N_k u_j) / 2
+    is exactly the trapezoid-weighted double sum and is nonnegative for PSD
+    N_k.  The phases cancel in the local term, so summed over atoms it is
+    sum_j w_j^2 v_j^H A v_j with the total mass A = total_mass = sum_k N_k.
+    This is the direct evaluation; `check_dissipation` reads the same form
+    through `_rough_form_values` and `_profile_form_matrix`, which the
+    tests hold to this one.
+    """
+    s = phases.T @ v
+    cross = np.vdot(s, np.einsum("kab,kb->ka", masses, s))
+    local = np.vdot(weights[:, None] ** 2 * v, v @ total_mass.T)
+    return 0.5 * float(np.real(cross + local))
+
+
+def _quadratic_form_samples(values: np.ndarray, weights: np.ndarray, v: np.ndarray) -> float:
+    """Direct lower-triangular double sum using tabulated kernel lags."""
+    g = v.shape[0]
+    total = 0.0
+    for j in range(g):
+        lagged = np.einsum("lab,lb->la", values[j::-1], v[: j + 1])
+        contrib = np.real(np.conj(v[j]) @ (weights[: j + 1] * lagged.T).sum(axis=1))
+        total += weights[j] * contrib
+    return float(total)
 
 
 def factor_tables(measure, times, weights):
@@ -73,36 +103,26 @@ def per_atom_profile_form(measure, times, weights, profile):
     return 0.5 * (h + h.conj().T)
 
 
-def reference_check_dissipation(target, trials, seed=DEFAULT_MC_SEED, tol=DEFAULT_TOLERANCES):
+def reference_check_dissipation(measure, trials, seed=DEFAULT_MC_SEED, tol=DEFAULT_TOLERANCES):
     """The per-trial Monte-Carlo loop that `check_dissipation` batches: each
     trial interpolates its rough test function with np.interp and evaluates
     the direct form; each modulated trial takes the worst direction from a
     full eigh of the per-atom profile form.  Returns the report fields."""
-    measure = target if isinstance(target, PointMeasure) else None
-    if measure is not None:
-        times, weights = trapezoid_grid()
-        n, scale = measure.dim, float(np.linalg.norm(measure.total_mass(), 2))
-        freqs = measure.frequencies
-        phases = weights[:, None] * np.exp(1j * np.outer(times, freqs))
-        masses = measure.masses
-        eigs = np.linalg.eigvalsh(masses)
-        witness = tuple((k, float(w[0])) for k, w in enumerate(eigs) if below_psd_cut(w, tol))
-        min_eigs = tuple(eigs[:, 0].tolist())
-    else:
-        witness, min_eigs = (), ()
-        times, n, scale = target.times, target.dim, float(np.linalg.norm(target.values[0], 2))
-        weights = np.full(times.size, (times[-1] - times[0]) / (times.size - 1))
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
+    times, weights = trapezoid_grid()
+    n, scale = measure.dim, float(np.linalg.norm(measure.total_mass(), 2))
+    freqs = measure.frequencies
+    phases = weights[:, None] * np.exp(1j * np.outer(times, freqs))
+    masses = measure.masses
+    eigs = np.linalg.eigvalsh(masses)
+    witness = tuple((k, float(w[0])) for k, w in enumerate(eigs) if below_psd_cut(w, tol))
+    min_eigs = tuple(eigs[:, 0].tolist())
     span = times[-1] - times[0]
     threshold = -tol.tau_residual * scale * max(span, 1.0) ** 2
     rng = np.random.default_rng(seed)
     taper = np.sin(np.pi * (times - times[0]) / span) ** 2
 
     def evaluate(v):
-        if measure is not None:
-            return _quadratic_form_measure(phases, masses, masses.sum(axis=0), weights, v)
-        return _quadratic_form_samples(target.values, weights, v)
+        return _quadratic_form_measure(phases, masses, masses.sum(axis=0), weights, v)
 
     mc_min = np.inf
     for _ in range(trials):
@@ -118,7 +138,7 @@ def reference_check_dissipation(target, trials, seed=DEFAULT_MC_SEED, tol=DEFAUL
         norm = np.sqrt(float((weights * (np.abs(rough) ** 2).sum(axis=1)).sum()))
         if norm > 0:
             mc_min = min(mc_min, evaluate(rough / norm))
-        if measure is not None and freqs.size and n > 0:
+        if freqs.size:
             if rng.random() < 0.5:
                 w_star = float(rng.choice(freqs)) + 0.02 * rng.standard_normal()
             else:
@@ -130,7 +150,7 @@ def reference_check_dissipation(target, trials, seed=DEFAULT_MC_SEED, tol=DEFAUL
             mc_min = min(mc_min, evaluate(shaped / norm))
     mc_min = mc_min if np.isfinite(mc_min) else 0.0
     return {
-        "verdict": not witness if measure is not None else mc_min >= threshold,
+        "verdict": not witness,
         "mc_pass": mc_min >= threshold,
         "mc_negative_found": mc_min < threshold,
         "witness_atoms": witness,
@@ -351,7 +371,7 @@ class TestCheckDissipation:
         mu = random_measure(rng, 2, 3)
         rep = check_dissipation(mu)
         assert rep.verdict is True
-        assert rep.algebraic_available and rep.algebraic_pass
+        assert rep.algebraic_pass and rep.as_dict()["algebraic_available"] is True
         assert rep.mc_pass
         assert rep.mc_min_value >= rep.threshold
         assert rep.seed == DEFAULT_MC_SEED
@@ -377,19 +397,22 @@ class TestCheckDissipation:
             assert rep.mc_negative_found
             assert rep.trials <= 32
 
-    def test_samples_mode_uses_mc_verdict(self, worked_system):
-        times = np.linspace(0.0, 5.0, 64)
-        samples = kernel_eval(worked_system, times)
-        rep = check_dissipation(samples)
-        assert rep.verdict is True
-        assert not rep.algebraic_available
+    def test_sampled_kernel_is_rejected(self):
+        # samples are checked through their fitted measure, not directly
+        mu = random_measure(np.random.default_rng(31), 2, 3)
+        with pytest.raises(ValidationError, match="fit_point_measure"):
+            check_dissipation(kernel_of_measure(mu, np.linspace(0.0, MC_TIME_SPAN, MC_GRID_POINTS)))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        mu = random_measure(np.random.default_rng(33), 2, 2)
+        with pytest.raises(ValidationError, match="seed"):
+            check_dissipation(mu, seed=seed)
 
     def test_dual_route_same_quadratic_form(self):
         # the per atom factorized form and the direct double sum over
         # sampled kernel values are two routes to one number; on the
         # same grid they must agree to roundoff for every profile
-        from openext.extension import _quadratic_form_measure, _quadratic_form_samples
-
         rng = np.random.default_rng(20)
         mu = random_measure(rng, 2, 3)
         times = np.linspace(0.0, MC_TIME_SPAN, MC_GRID_POINTS)
@@ -409,8 +432,6 @@ class TestCheckDissipation:
     def test_stacked_forms_match_per_atom_oracles(self):
         # the stacked helpers fold every atom's local term into one form
         # in the total mass; atom by atom the sums must come out the same
-        from openext.extension import _profile_form_matrix, _quadratic_form_measure
-
         rng = np.random.default_rng(25)
         times, weights = trapezoid_grid()
         for mu in rank_deficient_measures(rng, 40):
@@ -427,8 +448,6 @@ class TestCheckDissipation:
     def test_profile_form_matrix_is_the_quadratic_form(self):
         # g^H H(p) g must be the direct double sum over kernel lags for
         # the separable test function p(t) g
-        from openext.extension import _profile_form_matrix, _quadratic_form_samples
-
         rng = np.random.default_rng(26)
         times, weights = trapezoid_grid()
         for mu in rank_deficient_measures(rng, 6):
@@ -449,15 +468,6 @@ class TestCheckDissipation:
             assert [(w["atom"], w["min_eigenvalue"]) for w in got["witness_atoms"]] == list(ref["witness_atoms"])
             assert abs(got["mc_min_value"] - ref["mc_min_value"]) <= 1e-6 * abs(ref["threshold"])
         assert planted == 6
-
-    def test_batched_samples_route_matches_the_per_trial_loop(self):
-        rng = np.random.default_rng(28)
-        times = np.linspace(0.0, 2.0, 24)
-        for mu in planted_measures(rng, 4):
-            samples = kernel_of_measure(mu, times)
-            got, ref = check_dissipation(samples, trials=9), reference_check_dissipation(samples, 9)
-            assert abs(got.mc_min_value - ref["mc_min_value"]) <= 1e-6 * abs(ref["threshold"])
-            assert (got.verdict, got.mc_negative_found) == (ref["verdict"], ref["mc_negative_found"])
 
     def test_profile_forms_are_the_measure_form(self):
         # the batched route reads lambda_min(H_p) in place of evaluating the

@@ -384,7 +384,7 @@ class TestLattice:
         spec = LatticeSpec(1, 2, 3, 1.0, 2.0, (np.array([1.0, 0.0, 0.0]),))
         rep = frozen_report(spec)
         omega, _ = lattice_system(spec)
-        f = rep.frozen_frame
+        f = np.kron(np.eye(spec.volume), rep.site_frozen_frame)
         r = omega @ f - np.sqrt(2.0) * f
         assert np.max(np.abs(r)) < 1e-9
         assert rep.max_frozen_residual < 1e-9
@@ -429,7 +429,7 @@ class TestLattice:
     def test_report_agrees_with_the_complex_dense_route(self, spec):
         rep, dense = frozen_report(spec), dense_frozen_report(spec)
         # real gammas give real frames: dropping the imaginary part loses nothing
-        assert rep.frozen_frame.dtype == np.float64
+        assert rep.site_frozen_frame.dtype == np.float64
         assert not np.any(complement(orthonormal_basis(np.stack(spec.gammas).T.astype(complex))).frame.imag)
         assert rep.frozen_dim_complex == dense["frozen_dim_complex"]
         assert rep.dim_bound_ok == dense["dim_bound_ok"]

@@ -281,7 +281,7 @@ class TestFrozenReportClosedForm:
         frozen, per, max_resid, omega_norm = dense_frozen(spec)
         scale = max(omega_norm, 1.0)
         assert rep.frozen_dim_complex == frozen.shape[1]
-        assert projector_gap(rep.frozen_frame, frozen) <= 1e-12
+        assert projector_gap(np.kron(np.eye(spec.volume), rep.site_frozen_frame), frozen) <= 1e-12
         assert [m for _, m in rep.coupled_mult_per_cluster] == [m for _, m in per]
         for (v, _), (w, _) in zip(rep.coupled_mult_per_cluster, per):
             assert abs(v - w) <= 1e-12 * scale
