@@ -11,6 +11,7 @@ or precondition failure, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -468,6 +469,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
+@functools.cache  # pure: every main() call parses with the same parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="openext",

@@ -50,7 +50,7 @@ class ToleranceConfig:
     """Relative tolerances, one per kind of verdict; each line names what reads it.
 
     tau_herm         Hermitian checks: `require_hermitian` (every `eigh`), `validate`, stiffness symmetry.
-    tau_rank         rank cuts (`matrix_rank`, frames, orbits, channels, atoms, fits), mass/stiffness definiteness.
+    tau_rank         rank cuts (`matrix_rank`, frames, orbits, channels, atoms, fits, open-step mass ranges), mass/stiffness definiteness.
     tau_eig_cluster  eigenvalue and atom-frequency merges (`eigen_clusters`, `PointMeasure.create`, `validate`).
     tau_residual     residual verdicts (invariance, links, decoupling, `subspaces_equal`), PSD/MC cuts, certificates.
     """

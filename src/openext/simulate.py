@@ -17,10 +17,12 @@ from rest with an explicit midpoint step; the memory integral uses
 composite trapezoid over the stored history.  Because the kernel is a
 finite sum of exponentials e^{-i w_k t} N_k, the history enters only
 through the sums sigma_k(t_j) = sum_{l<=j} e^{-i w_k (t_j - t_l)} v_l,
-which obey sigma_k <- e^{-i w_k h} sigma_k + v.  On a uniform grid the
-midpoint step is then a constant linear map of (v, sigma_1..sigma_K)
-plus a forcing input: one matrix-vector product per step instead of
-O(history) work.
+which obey sigma_k <- e^{-i w_k h} sigma_k + v.  Carried on each mass's
+range (tau_k = R_k^H sigma_k for N_k = L_k R_k^H, eigenpairs at or below
+tau_rank times the largest of the stack cut), the midpoint step is a
+constant linear map of a state of dimension n + sum_k rank N_k, applied
+as a block scan in about 2 sqrt(steps) Python iterations;
+`propagate_open` gives the scan and the bound of the cut.
 
 Both trajectories are compared by `equivalence_residual`: driving the
 extension with a forcing supported on the observable block and
@@ -29,6 +31,7 @@ projecting must agree with driving the open system directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,11 +217,28 @@ def propagate_open(
     composite trapezoid over the stored history.  The history enters
     through one decaying sum per kernel atom,
     sigma_k(t_j) = sum_{l<=j} e^{-i w_k (t_j - t_l)} v_l, which is
-    algebraically identical to re-evaluating the kernel at every lag.
-    Each step is then one product of a constant n x n(K+1) matrix with
-    (v, sigma_1..sigma_K) plus the step's forcing input, followed by
-    sigma_k <- e^{-i w_k h} sigma_k + v.  Second order: halving the
-    step shrinks the error about fourfold.
+    algebraically identical to re-evaluating the kernel at every lag,
+    and only as N_k sigma_k.  So each mass is factored on its range,
+    N_k = L_k R_k^H, and the memory state is tau_k = R_k^H sigma_k: one
+    step is the constant linear map x <- A x + (drive_j, R^H drive_j) of
+    x = (v, tau_1..tau_K), of dimension n + sum_k rank N_k.  Second
+    order: halving the step shrinks the error about fourfold.
+
+    The map is applied in blocks of s = ceil(sqrt(steps)) steps: s
+    products of a (blocks x d) array give every block's response from
+    rest, then one pass chains the blocks, adding to each block the
+    response to its initial state through the v-rows of A^1..A^s and
+    carrying that state by A^s.  That is about 2 sqrt(steps) Python
+    iterations, with temporaries of O(sqrt(steps) n d) entries.
+
+    The range cut drops mass eigenpairs with |lambda| <= tau_rank times
+    the largest |lambda| of the stack.  For a positive semidefinite
+    measure the open evolution is a contraction, so the dropped parts
+    dN_k move the solution by at most (t^2 / 2) sum_k ||dN_k|| max ||v||
+    up to time t, each ||dN_k|| <= tau_rank * max |lambda|.
+
+    An unstable step raises `NumericError` naming the end of the block
+    in which the state overflowed (the first block, if A^s overflows).
     """
     times = _check_grid(grid)
     if times.size < 2:
@@ -233,13 +253,21 @@ def propagate_open(
     else:
         f_mid = 0.5 * (f[:-1] + f[1:])
 
-    kernel = open_system.kernel
-    freqs, masses = kernel.frequencies, kernel.masses
-    # e^{-i w_k h/2} N_k; a(h/2) is their sum, in atom order like a(0)
-    half = np.exp(-0.5j * h * freqs)[:, None, None] * masses
+    # each mass on its range: N_k = W_k diag(lam) W_k^H, indefinite or not,
+    # keeping |lam| > tau_rank * (largest |lam| of the stack); the columns of
+    # left = W diag(lam) and right = W are the kept pairs of every atom
+    lam, vecs = np.linalg.eigh(open_system.kernel.masses)
+    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
+    atom, pair = np.nonzero(np.abs(lam) > tol.tau_rank * scale)
+    right = vecs[atom, :, pair].T
+    left = right * lam[atom, pair]
+    freqs = open_system.kernel.frequencies[atom]
+    d = n + freqs.size
+    # e^{-i w_k h/2} per range column; a(0) and a(h/2) from the factors
+    half = np.exp(-0.5j * h * freqs)
     eye = np.eye(n, dtype=np.complex128)
-    a0 = kernel.total_mass()
-    a_half = sum(half, np.zeros((n, n), dtype=np.complex128))
+    a0 = left @ right.conj().T
+    a_half = (left * half) @ right.conj().T
     local = -1j * open_system.omega1
     # node stage: u = u_v v - (h^2/2) sum_k N_k sigma_k + (h/2) f_j, the
     # trapezoid's half weight on the newest sample folded into u_v
@@ -247,35 +275,55 @@ def propagate_open(
     # midpoint stage: v' = (I + (h^2/4) a(h/2)) v
     #   - h^2 sum_k e^{-i w_k h/2} N_k sigma_k + from_u u + h f_mid_j
     from_u = h * local - 0.25 * h * h * a0
-    step = np.hstack(
-        [eye + 0.25 * h * h * a_half + from_u @ u_v, *(-h * h * half - 0.5 * h * h * (from_u @ masses))]
+    # v' = top x + drive_j, then tau' = decay tau + R^H v'
+    top = np.hstack(
+        [eye + 0.25 * h * h * a_half + from_u @ u_v, -h * h * (left * half) - 0.5 * h * h * (from_u @ left)]
     )
-    drive = f[:-1] @ (0.5 * h * from_u).T + h * f_mid
-    decay = np.exp(-1j * h * freqs)[:, None]
+    decay = np.exp(-1j * h * freqs)
+    project = right.conj()  # v @ project is (R^H v)^T
+    step = np.vstack([top, project.T @ top])
+    step[n:, n:] += np.diag(decay)
 
-    states = np.zeros((times.size, n), dtype=np.complex128)
-    # x = [v; sigma_1; ...; sigma_K], all zero at rest
-    x = np.zeros((freqs.size + 1, n), dtype=np.complex128)
-    flat = x.reshape(-1)
-    sigma = x[1:]
+    steps = times.size - 1
+    size = math.isqrt(steps - 1) + 1  # ceil(sqrt(steps))
+    blocks = -(-steps // size)
+    drive = f[:-1] @ (0.5 * h * from_u).T + h * f_mid
+    states = np.zeros((blocks * size + 1, n), dtype=np.complex128)
+    rows = states[1:].reshape(blocks, size, n)  # rows[b, i]: v after step b * size + i + 1
+    powers = np.empty((size, n, d), dtype=np.complex128)  # powers[i]: the v-rows of A^(i+1)
+    powers[0] = top
+    x = np.zeros((blocks, d), dtype=np.complex128)
     # an unstable step overflows long before the end of the grid: stop at
     # the first overflow instead of carrying inf and NaN to the last step
     with np.errstate(over="raise", invalid="raise"):
         try:
-            for j in range(times.size - 1):
-                v = np.add(step @ flat, drive[j], out=states[j + 1])
-                sigma *= decay
-                sigma += v
-                x[0] = v
+            # every block from rest, all blocks at once
+            for i in range(size):
+                reached = i + 1
+                inputs = drive[i::size]  # step i of every block; the last block may be short
+                x = x @ step.T
+                x[: len(inputs), :n] += inputs
+                x[: len(inputs), n:] += inputs @ project
+                rows[:, i] = x[:, :n]
+                if i:
+                    np.matmul(powers[i - 1], step, out=powers[i])
+            # chain the blocks: carry is the state at the start of block b
+            jump = np.linalg.matrix_power(step, size)
+            carry = np.zeros(d, dtype=np.complex128)
+            for b in range(1, blocks):
+                reached = min((b + 1) * size, steps)
+                carry = jump @ carry + x[b - 1]
+                m = reached - b * size
+                rows[b, :m] += (powers[:m].reshape(m * n, d) @ carry).reshape(m, n)
         except FloatingPointError as exc:
             raise NumericError(
-                f"open integration diverged at t = {float(times[j + 1]):.6g}: the state "
+                f"open integration diverged by t = {float(times[reached]):.6g}: the state "
                 "overflowed (decrease the time step)"
             ) from exc
 
     return Trajectory(
         times,
-        states,
+        states[: steps + 1],
         {"scheme": "explicit-midpoint", "dt": h, "norm_drift": None},
     )
 

@@ -1,6 +1,7 @@
 """Command line front end: exit codes, envelopes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,15 @@ import numpy as np
 import pytest
 
 import openext
-from openext import ConservativeSystem, PointMeasure, kernel_of_measure
+from openext import (
+    ConservativeSystem,
+    NumericError,
+    OpenSystem,
+    PointMeasure,
+    forcing_step,
+    kernel_of_measure,
+    measure_of,
+)
 from openext.cli import main
 from openext.serialization import (
     dumps,
@@ -18,6 +27,8 @@ from openext.serialization import (
     system_to_json,
     write_kernel_csv,
 )
+
+from test_simulate import stepwise_open
 
 
 @pytest.fixture
@@ -453,9 +464,19 @@ class TestAnalysisCommands:
         assert "RuntimeWarning" not in proc.stderr
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error:")
-        # the message names the step that overflowed, well before T = 3000
-        assert float(line.split("t = ")[1].split(":")[0]) < 3000
+        # the message names the block that overflowed, well before T = 3000
+        reported = float(line.split("t = ")[1].split(":")[0])
+        assert reported < 3000
         assert list(tmp_path.iterdir()) == [path]
+        # and lies within one block of the step at which the per-step
+        # recurrence first overflows on the same grid and forcing
+        steps = round(3000 / 0.9)
+        times = np.linspace(0.0, steps * 0.9, steps + 1)
+        open_sys = OpenSystem(1, omega[:1, :1], measure_of(ConservativeSystem(1, 2, omega)))
+        with pytest.raises(NumericError) as info:
+            stepwise_open(open_sys, forcing_step([1.0]), times)
+        first = float(str(info.value).split("t = ")[1].split(":")[0])
+        assert abs(reported - first) <= math.ceil(math.sqrt(steps)) * 0.9
 
     def test_lattice_report(self, capsys):
         code, out = run_cli(

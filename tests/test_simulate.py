@@ -1,11 +1,15 @@
 """Time evolution: exactness, convergence order, dynamical equivalence.
 
 Closed-form variation-of-constants expressions and analytic phase
-rotations serve as the oracles here.  The one comparison against an
-integrator is TestReferenceSchemes: plain per-step transcriptions of
-both schemes, with the memory trapezoid summed over every lag, check
-the recurrences the propagators are written as.
+rotations serve as the oracles here.  Two comparisons are against
+integrators: TestReferenceSchemes checks the recurrences against plain
+per-step transcriptions of both schemes, with the memory trapezoid
+summed over every lag, and TestBlockScan checks the open propagator's
+block scan on the masses' range against `stepwise_open`, the same
+recurrence on the full memory state, one matrix-vector product a step.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from openext import (
     sample_forcing,
 )
 
+from openext.numerics import DEFAULT_TOLERANCES
 from openext.simulate import _phi_coefficients
 
 from conftest import random_measure, random_psd
@@ -96,6 +101,50 @@ def reference_open(open_system, f1, times):
         u = v + 0.5 * h * (-1j * (omega1 @ v) - memory(t, j, states) + f[j])
         mem_mid = memory(t + 0.5 * h, j, states) + 0.25 * h * (kernel(0.5 * h) @ v + kernel(0.0) @ u)
         states[j + 1] = v + h * (-1j * (omega1 @ u) - mem_mid + f_mid[j])
+    return states
+
+
+def stepwise_open(open_system, f1, times):
+    """The open scheme as a per-step recurrence on the full memory state.
+
+    x = (v, sigma_1..sigma_K), sigma_k(t_j) = sum_{l<=j} e^{-i w_k (t_j - t_l)} v_l,
+    advanced by one product with a constant n x n(K+1) matrix per step and
+    sigma_k <- e^{-i w_k h} sigma_k + v, with no range cut.  Raises
+    NumericError naming the step whose state first overflowed.
+    """
+    n = open_system.dim
+    h = times[1] - times[0]
+    f = sample_forcing(f1, times, n)
+    if callable(f1):
+        f_mid = sample_forcing(f1, times[:-1] + h / 2.0, n)
+    else:
+        f_mid = 0.5 * (f[:-1] + f[1:])
+    freqs, masses = open_system.kernel.frequencies, open_system.kernel.masses
+    half = np.exp(-0.5j * h * freqs)[:, None, None] * masses
+    eye = np.eye(n, dtype=complex)
+    a0 = open_system.kernel.total_mass()
+    a_half = sum(half, np.zeros((n, n), dtype=complex))
+    local = -1j * open_system.omega1
+    u_v = eye + 0.5 * h * local + 0.25 * h * h * a0
+    from_u = h * local - 0.25 * h * h * a0
+    step = np.hstack(
+        [eye + 0.25 * h * h * a_half + from_u @ u_v, *(-h * h * half - 0.5 * h * h * (from_u @ masses))]
+    )
+    drive = f[:-1] @ (0.5 * h * from_u).T + h * f_mid
+    decay = np.exp(-1j * h * freqs)[:, None]
+    states = np.zeros((times.size, n), dtype=complex)
+    x = np.zeros((freqs.size + 1, n), dtype=complex)
+    flat = x.reshape(-1)
+    sigma = x[1:]
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for j in range(times.size - 1):
+                v = np.add(step @ flat, drive[j], out=states[j + 1])
+                sigma *= decay
+                sigma += v
+                x[0] = v
+        except FloatingPointError as exc:
+            raise NumericError(f"diverged at t = {float(times[j + 1]):.6g}: overflow") from exc
     return states
 
 
@@ -276,6 +325,126 @@ class TestReferenceSchemes:
         f = lambda t: np.stack([np.sin(3.0 * t), np.ones_like(t), 0.5j * t, np.zeros_like(t), np.cos(t)], axis=1)
         got = propagate_conservative(sys_, v0, f, grid).states
         assert relative_error(got, reference_conservative(sys_, v0, f, grid)) <= 1e-12
+
+
+def driven_open_system(rng, masses, freqs):
+    """An open system with the given atoms and a random Hermitian omega1."""
+    n = np.shape(masses)[-1]
+    h_ = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return OpenSystem(n, h_ + h_.conj().T, PointMeasure(n, freqs, masses))
+
+
+def random_samples(rng, times, n):
+    return rng.standard_normal((times.size, n)) + 1j * rng.standard_normal((times.size, n))
+
+
+class TestBlockScan:
+    """The block scan on the masses' range against the per-step recurrence."""
+
+    TOL = 1e-12
+
+    def check(self, open_sys, f, times):
+        got = propagate_open(open_sys, f, times).states
+        assert relative_error(got, stepwise_open(open_sys, f, times)) <= self.TOL
+
+    # one step; one block of two; a prime count, so the last block is short
+    # (97 = 9 x 10 + 7); several full blocks (1024 = 32 x 32)
+    @pytest.mark.parametrize("steps", [1, 2, 97, 1024])
+    def test_step_counts(self, steps):
+        rng = np.random.default_rng(90 + steps)
+        open_sys = driven_open_system(rng, [random_psd(rng, 3, rank=3) for _ in range(2)], (-0.7, 1.9))
+        times = np.arange(steps + 1) * 0.01
+        self.check(open_sys, random_samples(rng, times, 3), times)
+
+    def test_no_atoms(self):
+        rng = np.random.default_rng(95)
+        open_sys = driven_open_system(rng, np.empty((0, 3, 3)), ())
+        times = np.linspace(0.0, 4.0, 401)
+        self.check(open_sys, forcing_sine([1.0, 0.5j, -0.2], 1.3), times)
+
+    def test_rank_one_masses(self):
+        rng = np.random.default_rng(96)
+        masses = [random_psd(rng, 3, rank=1) for _ in range(3)]
+        open_sys = driven_open_system(rng, masses, (-1.1, 0.3, 2.4))
+        times = np.linspace(0.0, 3.0, 601)
+        self.check(open_sys, forcing_pulse([1.0, 0.0, 0.4], 0.2, 1.1), times)
+
+    def test_indefinite_mass(self):
+        rng = np.random.default_rng(97)
+        indefinite = random_psd(rng, 3, rank=1) - random_psd(rng, 3, rank=1)
+        open_sys = driven_open_system(rng, [random_psd(rng, 3, rank=2), indefinite], (0.5, 1.5))
+        times = np.linspace(0.0, 2.0, 401)
+        self.check(open_sys, random_samples(rng, times, 3), times)
+
+    def test_measure_of_32_by_32(self):
+        # the size of the benchmark's largest dynamics system: K = 32 rank-one atoms
+        rng = np.random.default_rng(98)
+        h_ = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        omega = h_ + h_.conj().T
+        omega *= 5.0 / np.linalg.norm(omega, 2)
+        system = ConservativeSystem(32, 32, omega)
+        mu = measure_of(system)
+        assert mu.frequencies.size == 32
+        open_sys = OpenSystem(32, system.omega1, mu)
+        direction = rng.standard_normal(32)
+        times = np.linspace(0.0, 1.0, 1001)
+        self.check(open_sys, forcing_sine(direction / np.linalg.norm(direction), 1.3), times)
+
+    def test_rank_deficient_masses_against_the_memory_sum(self):
+        # the O(T^2) memory sum, independent of both recurrences
+        rng = np.random.default_rng(99)
+        open_sys = driven_open_system(rng, [random_psd(rng, 3, rank=1), random_psd(rng, 3, rank=2)], (-0.4, 0.8))
+        times = np.linspace(0.0, 1.5, 151)
+        f = random_samples(rng, times, 3)
+        got = propagate_open(open_sys, f, times).states
+        assert relative_error(got, reference_open(open_sys, f, times)) <= self.TOL
+
+    def test_temporaries_within_the_states_size(self):
+        # the forcing samples, midpoints, drive and states are four arrays of
+        # the states' size; the scan's own temporaries add at most one more
+        rng = np.random.default_rng(101)
+        open_sys = driven_open_system(rng, [random_psd(rng, 4, rank=4) for _ in range(4)], (-1.0, 0.2, 0.9, 1.7))
+        times = np.arange(40_001) * 1e-3
+        tracemalloc.start()
+        try:
+            states = propagate_open(open_sys, forcing_sine([1.0, 0.0, 0.5, 0.2j], 1.1), times).states
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * states.nbytes
+
+    @staticmethod
+    def planted(factor):
+        """Two PSD rank-two masses on n = 3, and the same with factor * (the
+        cut) added to the second along the direction outside its range."""
+        rng = np.random.default_rng(100)
+        masses = np.array([random_psd(rng, 3, rank=2) for _ in range(2)])
+        size = factor * DEFAULT_TOLERANCES.tau_rank * np.max(np.abs(np.linalg.eigvalsh(masses)))
+        outside = np.linalg.svd(masses[1])[0][:, 2]
+        full = masses.copy()
+        full[1] += size * np.outer(outside, outside.conj())
+        cut = driven_open_system(rng, masses, (-0.6, 1.2))
+        return cut, OpenSystem(3, cut.omega1, PointMeasure(3, (-0.6, 1.2), full)), size
+
+    def test_component_below_the_cut_is_dropped(self):
+        cut, full, size = self.planted(0.5)
+        times = np.linspace(0.0, 10.0, 1001)
+        f = forcing_sine([1.0, -0.3, 0.6j], 0.8)
+        got = propagate_open(full, f, times).states
+        # it integrates the measure without the component ...
+        assert relative_error(got, stepwise_open(cut, f, times)) <= self.TOL
+        # ... which moves the result off the full-mass run by more than
+        # rounding, and by less than (t^2 / 2) ||dN|| max ||v||
+        ref = stepwise_open(full, f, times)
+        moved = np.linalg.norm(got - ref, axis=1)
+        bound = 0.5 * times**2 * size * np.max(np.linalg.norm(ref, axis=1))
+        assert np.max(moved) > 1e3 * np.finfo(float).eps * np.max(np.abs(ref))
+        assert np.all(moved <= bound)
+
+    def test_component_above_the_cut_is_kept(self):
+        _, full, _ = self.planted(2.0)
+        times = np.linspace(0.0, 10.0, 1001)
+        self.check(full, forcing_sine([1.0, -0.3, 0.6j], 0.8), times)
 
 
 class TestEquivalence:
