@@ -447,36 +447,52 @@ class TestAnalysisCommands:
         assert capsys.readouterr().err.startswith("error:")
         assert list(tmp_path.iterdir()) == [path]
 
-    def test_simulate_divergence_stops_at_first_overflow(self, tmp_path):
+    @staticmethod
+    def check_divergence(tmp_path, system, dt, total, env=()):
+        """Run a diverging `simulate --open` in a fresh interpreter and check
+        that it stops with one error line naming a time within one block of
+        the step at which the per-step recurrence first overflows."""
         # a fresh interpreter, so stderr is what a user sees: numpy's
         # RuntimeWarning lines would print there, outside pytest's filters
-        omega = np.array([[3.0, 1.0, 0.5], [1.0, 5.0, 0.0], [0.5, 0.0, 4.0]])
         path = tmp_path / "system.json"
-        path.write_text(dumps(system_to_json(ConservativeSystem(1, 2, omega))))
+        path.write_text(dumps(system_to_json(system)))
         src = os.path.dirname(os.path.dirname(openext.__file__))
         proc = subprocess.run(
             [sys.executable, "-m", "openext.cli", "simulate", str(path), "--open",
-             "--dt", "0.9", "--T", "3000", "--out", str(tmp_path / "out")],
+             "--dt", str(dt), "--T", str(total), "--out", str(tmp_path / "out")],
             capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"},
+            env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default", **dict(env)},
         )
         assert proc.returncode == 2
         assert "RuntimeWarning" not in proc.stderr
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error:")
-        # the message names the block that overflowed, well before T = 3000
         reported = float(line.split("t = ")[1].split(":")[0])
-        assert reported < 3000
+        assert reported < total
         assert list(tmp_path.iterdir()) == [path]
-        # and lies within one block of the step at which the per-step
-        # recurrence first overflows on the same grid and forcing
-        steps = round(3000 / 0.9)
-        times = np.linspace(0.0, steps * 0.9, steps + 1)
-        open_sys = OpenSystem(1, omega[:1, :1], measure_of(ConservativeSystem(1, 2, omega)))
+        # the same grid and forcing (a step along the first axis) per step
+        steps = round(total / dt)
+        times = np.linspace(0.0, steps * dt, steps + 1)
+        open_sys = OpenSystem(system.n1, system.omega1, measure_of(system))
         with pytest.raises(NumericError) as info:
-            stepwise_open(open_sys, forcing_step([1.0]), times)
+            stepwise_open(open_sys, forcing_step(np.eye(system.n1)[0]), times)
         first = float(str(info.value).split("t = ")[1].split(":")[0])
-        assert abs(reported - first) <= math.ceil(math.sqrt(steps)) * 0.9
+        assert abs(reported - first) <= math.ceil(math.sqrt(steps)) * dt
+
+    def test_simulate_divergence_stops_at_first_overflow(self, tmp_path):
+        omega = np.array([[3.0, 1.0, 0.5], [1.0, 5.0, 0.0], [0.5, 0.0, 4.0]])
+        self.check_divergence(tmp_path, ConservativeSystem(1, 2, omega), 0.9, 3000)
+
+    def test_simulate_divergence_under_threaded_blas(self, tmp_path):
+        # n1 = n2 = 32 over 40,000 steps: products large enough for a
+        # threaded BLAS, whose overflow flags never reach numpy, and an
+        # overflow about a fifth of the way in, past the first blocks
+        rng = np.random.default_rng(3)
+        h_ = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        omega = h_ + h_.conj().T
+        omega *= 5.0 / np.linalg.norm(omega, 2)
+        threads = {var: "2" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        self.check_divergence(tmp_path, ConservativeSystem(32, 32, omega), 0.3, 12000, threads)
 
     def test_lattice_report(self, capsys):
         code, out = run_cli(

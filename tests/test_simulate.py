@@ -140,6 +140,8 @@ def stepwise_open(open_system, f1, times):
         try:
             for j in range(times.size - 1):
                 v = np.add(step @ flat, drive[j], out=states[j + 1])
+                if not np.all(np.isfinite(v)):  # a threaded BLAS product raises no flag here
+                    raise FloatingPointError
                 sigma *= decay
                 sigma += v
                 x[0] = v
@@ -412,6 +414,23 @@ class TestBlockScan:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * states.nbytes
+
+    def test_temporaries_without_a_dense_step(self):
+        # one observable and 1,000 rank-one atoms: d = 1,001 exceeds
+        # sqrt(steps) = 100, and the scan's temporaries are a few arrays of
+        # sqrt(steps) n d entries, where one d x d matrix alone is ten
+        rng = np.random.default_rng(102)
+        masses = rng.uniform(0.5, 1.0, (1000, 1, 1)) * 1e-3
+        open_sys = OpenSystem(1, np.array([[0.3]]), PointMeasure(1, np.linspace(-3.0, 3.0, 1000), masses))
+        times = np.arange(10_001) * 1e-2
+        tracemalloc.start()
+        try:
+            states = propagate_open(open_sys, forcing_sine([1.0], 1.1), times).states
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        entry = np.dtype(complex).itemsize
+        assert peak <= 5 * states.nbytes + 5 * 100 * 1001 * entry < 1001 * 1001 * entry
 
     @staticmethod
     def planted(factor):
