@@ -86,7 +86,7 @@ def channels(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERANC
     rank = int(np.count_nonzero(sigma > tol.tau_rank * sigma[0]))
     gammas = tuple(float(s) ** 2 for s in sigma[:rank])
     # cluster the ascending strengths; reversed index i is channel rank - 1 - i
-    clusters = cluster_spectrum(gammas[::-1], max(gammas[0], 1e-300), tol)
+    clusters = cluster_spectrum(gammas[::-1], tol)
     groups = [tuple(range(rank - cl.stop, rank - cl.start)) for cl in reversed(clusters) if cl.dim > 1]
     return ChannelSet(
         rank,

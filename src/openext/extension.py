@@ -430,12 +430,11 @@ def fit_point_measure(
     freqs = np.sort(-angles / step)
 
     vander = np.exp(-1j * np.outer(times, freqs))
-    sv2 = np.linalg.svd(vander, compute_uv=False)
+    flat = samples.values.reshape(g, n * n)
+    coeff, _, _, sv2 = np.linalg.lstsq(vander, flat, rcond=None)
     cond2 = float(sv2[0] / sv2[-1]) if sv2[-1] > 0 else np.inf
     if not np.isfinite(cond2) or cond2 > 1e10:
         raise FitError(f"frequency design matrix is ill-conditioned ({cond2:.2e})")
-    flat = samples.values.reshape(g, n * n)
-    coeff, *_ = np.linalg.lstsq(vander, flat, rcond=None)
 
     atoms = []
     for k in range(freqs.size):

@@ -39,13 +39,13 @@ from .model import ConservativeSystem
 from .numerics import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
-    as_matrix,
     cluster_spectrum,
     complement,
     eigen_clusters,
     eigh,
     max_abs,
     orthonormal_basis,
+    require_hermitian,
     require_psd,
 )
 
@@ -54,8 +54,6 @@ __all__ = [
     "LatticeSpec",
     "FrozenReport",
     "frequency_operator",
-    "encode_state",
-    "decode_state",
     "oscillator_system",
     "lattice_system",
     "frozen_report",
@@ -78,9 +76,10 @@ class QuadraticHamiltonian:
     the Kronecker factors of K, with V orthogonal by construction, and
     construction certifies it against the S it assembles from the
     stiffness: max|S V - V diag(w)| <= tau_residual * max(max|w|, 1), else
-    NumericError (a NaN anywhere fails the test).  The symmetry checks,
-    the certificate and the PSD cut read the private `_tol`, which the
-    builders that take tolerances pass on.
+    NumericError (a NaN anywhere fails the test).  The stiffness's
+    Hermitian rule (`require_hermitian`), the certificate and the PSD cut
+    read the private `_tol`, which the builders that take tolerances pass
+    on.
     """
 
     dof_labels: tuple
@@ -102,9 +101,7 @@ class QuadraticHamiltonian:
             raise ValidationError("mass matrix must be diagonal")
         if np.any(np.diag(mass) <= 0):
             raise ValidationError("masses must be positive")
-        scale = max(max_abs(k), 1.0)
-        if max_abs(k - k.T) > _tol.tau_herm * scale:
-            raise ValidationError("stiffness matrix must be symmetric")
+        k = require_hermitian(k, _tol, name="stiffness", dtype=np.float64)
         k = 0.5 * (k + k.T)
         r = 1.0 / np.sqrt(np.diag(mass))
         sym = (r[:, None] * k) * r[None, :]
@@ -167,24 +164,6 @@ def frequency_operator(h: QuadraticHamiltonian, tol: ToleranceConfig = DEFAULT_T
     w, v = _stiffness_spectrum(h, tol)
     root = (v * np.sqrt(w)) @ v.T
     return 0.5 * (root + root.T)
-
-
-def encode_state(omega: np.ndarray, mass: np.ndarray, q, qdot) -> np.ndarray:
-    """Complex state z = M^{1/2} qdot - i Omega M^{1/2} q."""
-    m_sqrt = np.sqrt(np.diag(as_matrix(mass).real))
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
-    qdot = np.asarray(qdot, dtype=np.float64).reshape(-1)
-    return m_sqrt * qdot - 1j * (as_matrix(omega) @ (m_sqrt * q))
-
-
-def decode_state(omega: np.ndarray, mass: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Invert encode_state; requires Omega nonsingular."""
-    omega = as_matrix(omega)
-    m_sqrt = np.sqrt(np.diag(as_matrix(mass).real))
-    z = np.asarray(z, dtype=np.complex128).reshape(-1)
-    qdot = z.real / m_sqrt
-    q_tilde = np.linalg.solve(omega, -z.imag)
-    return (q_tilde.real / m_sqrt), qdot
 
 
 def _vector_family(raw, width: int, name: str) -> np.ndarray:
@@ -511,7 +490,7 @@ def multiplicity_scan(spec: LatticeSpec, l_values, tol: ToleranceConfig = DEFAUL
             spec.d, int(l_val), spec.n_components, spec.m, spec.xi, spec.gammas
         )
         freqs = np.sqrt(_stiffness_spectrum(_lattice_hamiltonian(current, tol), tol)[0])
-        clusters = cluster_spectrum(freqs, float(freqs[-1]), tol)
+        clusters = cluster_spectrum(freqs, tol)
         mult = max(cl.dim for cl in clusters)
         rows.append(ScanRow(current.l_half_width, current.volume, int(mult), mult / current.volume))
     return rows

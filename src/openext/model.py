@@ -38,7 +38,9 @@ from .numerics import (
     ToleranceConfig,
     as_matrix,
     below_psd_cut,
+    cluster_spectrum,
     eigh,
+    hermitian_defect,
     max_abs,
     require_hermitian,
 )
@@ -161,27 +163,26 @@ class PointMeasure:
     ) -> "PointMeasure":
         """Normalize raw (frequency, mass) pairs into a measure.
 
-        Atoms are sorted by frequency; atoms closer than
-        tau_eig_cluster * (frequency span) are merged by summing masses;
-        exactly-zero masses are dropped.
+        Exactly-zero masses are dropped and the atoms sorted by frequency
+        (stably).  Atoms that `cluster_spectrum` merges, gaps at most
+        tau_eig_cluster * max|frequency|, become one atom at the cluster
+        mean whose mass is their sum, taken in atom order.
         """
         pairs = [(float(f), as_matrix(m, square=True, name="mass")) for f, m in atoms]
-        pairs = [(f, m) for f, m in pairs if max_abs(m) > 0.0]
+        pairs = sorted(((f, m) for f, m in pairs if max_abs(m) > 0.0), key=lambda p: p[0])
         for _, m in pairs:
             if m.shape[0] != dim:
                 raise ValidationError(f"atom mass has size {m.shape[0]}, measure dimension is {dim}")
-        pairs.sort(key=lambda p: p[0])
-        merged: list[tuple[float, np.ndarray]] = []
-        if pairs:
-            span = pairs[-1][0] - pairs[0][0]
-            gap = tol.tau_eig_cluster * span
-            for f, m in pairs:
-                if merged and (f - merged[-1][0]) <= gap:
-                    f_prev, m_prev = merged[-1]
-                    merged[-1] = (f_prev, m_prev + m)
-                else:
-                    merged.append((f, m))
-        return cls(dim, [f for f, _ in merged], [m for _, m in merged])
+        freqs = np.array([f for f, _ in pairs])
+        if not np.all(np.isfinite(freqs)):
+            raise ValidationError("atom frequencies must be finite")
+        masses = [m for _, m in pairs]
+        clusters = cluster_spectrum(freqs, tol)
+        return cls(
+            dim,
+            [c.value for c in clusters],
+            [sum(masses[c.start + 1 : c.stop], masses[c.start]) for c in clusters],
+        )
 
     def total_mass(self) -> np.ndarray:
         """Sum of the atom masses, the kernel value at t = 0, accumulated in atom order:
@@ -290,29 +291,23 @@ class ValidationReport:
         return not self.violations
 
 
-def _validate_system(system: ConservativeSystem, tol: ToleranceConfig) -> list[Violation]:
-    out: list[Violation] = []
-    defect = max_abs(system.omega - system.omega.conj().T)
-    bound = tol.tau_herm * (1.0 + max_abs(system.omega))
-    if defect > bound:
-        out.append(Violation("not_hermitian", "omega is not Hermitian", defect))
-    return out
+def _hermitian_violations(m: np.ndarray, name: str, tol: ToleranceConfig) -> list[Violation]:
+    defect = hermitian_defect(m, tol)
+    return [] if defect is None else [Violation("not_hermitian", f"{name} is not Hermitian", defect)]
 
 
 def _validate_measure(measure: PointMeasure, tol: ToleranceConfig) -> list[Violation]:
     out: list[Violation] = []
     freqs = measure.frequencies.tolist()
-    if freqs:
-        span = freqs[-1] - freqs[0]
-        for f1, f2 in zip(freqs, freqs[1:]):
-            if (f2 - f1) <= tol.tau_eig_cluster * span:
-                out.append(
-                    Violation(
-                        "atoms_too_close",
-                        f"frequencies {f1} and {f2} are closer than the cluster tolerance",
-                        f2 - f1,
-                    )
+    for c in cluster_spectrum(measure.frequencies, tol):
+        for f1, f2 in zip(freqs[c.start : c.stop - 1], freqs[c.start + 1 : c.stop]):
+            out.append(
+                Violation(
+                    "atoms_too_close",
+                    f"frequencies {f1} and {f2} are closer than the cluster tolerance",
+                    f2 - f1,
                 )
+            )
     eigs = np.linalg.eigvalsh(measure.masses)
     for k, (f, w) in enumerate(zip(freqs, eigs)):
         if not measure.masses[k].any():
@@ -334,14 +329,10 @@ def validate(obj, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> ValidationReport
     Accepts a ConservativeSystem, PointMeasure or OpenSystem.
     """
     if isinstance(obj, ConservativeSystem):
-        return ValidationReport("conservative_system", tuple(_validate_system(obj, tol)))
+        return ValidationReport("conservative_system", tuple(_hermitian_violations(obj.omega, "omega", tol)))
     if isinstance(obj, PointMeasure):
         return ValidationReport("point_measure", tuple(_validate_measure(obj, tol)))
     if isinstance(obj, OpenSystem):
-        out: list[Violation] = []
-        defect = max_abs(obj.omega1 - obj.omega1.conj().T)
-        if defect > tol.tau_herm * (1.0 + max_abs(obj.omega1)):
-            out.append(Violation("not_hermitian", "omega1 is not Hermitian", defect))
-        out.extend(_validate_measure(obj.kernel, tol))
+        out = _hermitian_violations(obj.omega1, "omega1", tol) + _validate_measure(obj.kernel, tol)
         return ValidationReport("open_system", tuple(out))
     raise ValidationError(f"cannot validate object of type {type(obj).__name__}")

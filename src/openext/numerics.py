@@ -15,11 +15,12 @@ Matrices are plain complex ``numpy`` arrays, with one exception: `eigh`
 keeps real symmetric input real (real orthogonal vectors, each with its
 first significant entry made positive), so the real stiffness problems
 of `hamiltonian` take LAPACK's real solver.  A ``Subspace`` is an
-orthonormal frame together with its ambient dimension.  The cluster,
-rank and PSD cuts that the structural verdicts rest on are made here,
-each on the smallest matrix that carries it: `eigen_clusters`,
-`matrix_rank` and `below_psd_cut` (`require_psd` raises on it).
-`complement` makes no cut.
+orthonormal frame together with its ambient dimension.  The merge,
+Hermitian, rank and PSD cuts that the structural verdicts rest on are
+made here, each on the smallest matrix that carries it:
+`cluster_spectrum` (the only merge), `hermitian_defect`, `matrix_rank`
+and `below_psd_cut` (`require_psd` raises on it).  `complement` makes
+no cut.
 """
 
 from __future__ import annotations
@@ -49,9 +50,11 @@ __all__ = [
 class ToleranceConfig:
     """Relative tolerances, one per kind of verdict; each line names what reads it.
 
-    tau_herm         Hermitian checks: `require_hermitian` (every `eigh`), `validate`, stiffness symmetry.
+    tau_herm         read by `hermitian_defect` alone, the Hermitian rule of `require_hermitian`
+                     (every `eigh`, the stiffness), `validate` and `OpenSystem.from_mass_form`.
     tau_rank         rank cuts (`matrix_rank`, frames, orbits, channels, atoms, fits, open-step mass ranges), mass/stiffness definiteness.
-    tau_eig_cluster  eigenvalue and atom-frequency merges (`eigen_clusters`, `PointMeasure.create`, `validate`).
+    tau_eig_cluster  read by `cluster_spectrum` alone, the merge rule of eigen-clusters, channel
+                     groups, lattice multiplicities and atom frequencies (`PointMeasure.create`, `validate`).
     tau_residual     residual verdicts (invariance, links, decoupling, `subspaces_equal`), PSD/MC cuts, certificates.
     """
 
@@ -126,12 +129,18 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
+def hermitian_defect(m: np.ndarray, tol: ToleranceConfig) -> float | None:
+    """The Hermitian rule: max|m - m^H| when it exceeds tau_herm * (1 + max|m|), else None."""
+    defect = max_abs(m - m.conj().T)
+    return defect if defect > tol.tau_herm * (1.0 + max_abs(m)) else None
+
+
 def require_hermitian(
     m, tol: ToleranceConfig = DEFAULT_TOLERANCES, *, name: str = "matrix", dtype=np.complex128
 ) -> np.ndarray:
     m = as_matrix(m, square=True, name=name, dtype=dtype)
-    defect = max_abs(m - m.conj().T)
-    if defect > tol.tau_herm * (1.0 + max_abs(m)):
+    defect = hermitian_defect(m, tol)
+    if defect is not None:
         raise ValidationError(f"{name} is not Hermitian: max asymmetry {defect:.3e}")
     return m
 
@@ -227,27 +236,27 @@ class SpectralCluster:
         return self.stop - self.start
 
 
-def cluster_spectrum(eigenvalues, scale: float, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> list[SpectralCluster]:
-    """Merge ascending eigenvalues into clusters by the gap rule.
+def cluster_spectrum(values, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> list[SpectralCluster]:
+    """Merge ascending values into clusters by the gap rule, the package's only merge.
 
-    Consecutive values whose gap is <= tau_eig_cluster * scale belong to
-    the same cluster; the representative value is the cluster mean.
+    Consecutive values whose gap is <= tau_eig_cluster * max|values|
+    belong to the same cluster.  A one-member cluster takes its value as
+    it is, a larger one the `np.mean` of its members.
     """
-    w = np.asarray(eigenvalues, dtype=np.float64)
+    w = np.asarray(values, dtype=np.float64)
     if w.ndim != 1:
-        raise ValidationError("eigenvalues must be a 1-D array")
-    if w.size and np.any(np.diff(w) < 0):
-        raise ValidationError("eigenvalues must be ascending")
-    if scale < 0:
-        raise ValidationError("scale must be nonnegative")
-    clusters: list[SpectralCluster] = []
-    threshold = tol.tau_eig_cluster * scale
-    start = 0
-    for i in range(1, w.size + 1):
-        if i == w.size or (w[i] - w[i - 1]) > threshold:
-            clusters.append(SpectralCluster(start, i, float(np.mean(w[start:i]))))
-            start = i
-    return clusters
+        raise ValidationError("values to cluster must be a 1-D array")
+    gaps = np.diff(w)
+    if np.any(gaps < 0):
+        raise ValidationError("values to cluster must be ascending")
+    if not w.size:
+        return []
+    edges = [0, *(np.flatnonzero(gaps > tol.tau_eig_cluster * max_abs(w)) + 1).tolist(), w.size]
+    starts, stops = edges[:-1], edges[1:]
+    means = w[starts].tolist()
+    for k in np.flatnonzero(np.subtract(stops, starts) > 1).tolist():
+        means[k] = float(np.mean(w[starts[k] : stops[k]]))
+    return [SpectralCluster(*c) for c in zip(starts, stops, means)]
 
 
 def eigen_clusters(
@@ -255,8 +264,8 @@ def eigen_clusters(
 ) -> tuple[np.ndarray, np.ndarray | None, list[SpectralCluster]]:
     """Spectrum of a Hermitian matrix grouped into eigen-clusters.
 
-    Returns (eigenvalues, eigenvectors or None, clusters), merging at
-    tau_eig_cluster times the spectral radius (0 for an empty matrix).
+    Returns (eigenvalues, eigenvectors or None, clusters), merged by
+    `cluster_spectrum`, so at tau_eig_cluster times the spectral radius.
     With vectors=False only eigenvalues are computed and the input is
     not checked for Hermitian symmetry.
     """
@@ -264,8 +273,7 @@ def eigen_clusters(
         w, v = eigh(matrix, tol)
     else:
         w, v = np.linalg.eigvalsh(matrix), None
-    radius = float(np.max(np.abs(w))) if w.size else 0.0
-    return w, v, cluster_spectrum(w, radius, tol)
+    return w, v, cluster_spectrum(w, tol)
 
 
 def compress(op: np.ndarray, frame: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from openext import (
     minimal_extension,
     minimal_subsystem,
     orbit,
+    validate,
 )
 from openext.extension import (
     DEFAULT_MC_SEED,
@@ -364,6 +365,40 @@ class TestRoundTripProperty:
 
         check()
 
+    def test_round_trip_closes_on_created_measures_near_the_merge_cut(self):
+        # consecutive gaps of 0.1-10x tau_eig_cluster * max|f| fall on both sides of the
+        # cut; create and measure_of merge by one rule, so the atoms come back as created
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        cut = DEFAULT_TOLERANCES.tau_eig_cluster
+
+        @st.composite
+        def atoms(draw):
+            dim = draw(st.integers(1, 2))
+            base = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.0, 100.0))
+            ratios = draw(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=5))
+            freqs = base + np.concatenate(([0.0], np.cumsum(ratios))) * cut * abs(base)
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            return dim, [(f, random_psd(rng, dim)) for f in freqs]
+
+        merged = set()
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+        @hypothesis.given(atoms())
+        def check(case):
+            dim, raw = case
+            mu = PointMeasure.create(dim, raw)
+            merged.add(mu.frequencies.size < len(raw))
+            assert validate(mu).ok
+            back = measure_of(minimal_extension(mu))
+            assert back.frequencies.size == mu.frequencies.size
+            assert np.allclose(back.frequencies, mu.frequencies, rtol=1e-14, atol=0.0)
+            for got, want in zip(back.masses, mu.masses):
+                assert np.linalg.norm(got - want, 2) <= 1e-9 * np.linalg.norm(want, 2)
+
+        check()
+        assert merged == {True, False}
+
 
 class TestCheckDissipation:
     def test_valid_measure_passes_both_routes(self):
@@ -553,6 +588,23 @@ class TestFitPointMeasure:
         fit = fit_point_measure(kernel_of_measure(mu, times), max_atoms=4)
         assert [round(f, 9) for f in fit.frequencies.tolist()] == [1.0, 2.5]
         assert fit.masses[0, 0, 0] == pytest.approx(2.0, abs=1e-9)
+
+    def test_design_conditioning_is_read_from_lstsq(self, monkeypatch):
+        # the Vandermonde condition number comes from the singular values lstsq returns
+        mu = PointMeasure.create(1, [(1.0, [[2.0]]), (2.5, [[0.5]])])
+        samples = kernel_of_measure(mu, np.arange(64) * 0.1)
+        svd, lstsq, shapes = np.linalg.svd, np.linalg.lstsq, []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or svd(a, *args, **kw))
+        fit_point_measure(samples, max_atoms=4)
+        assert shapes == [(32, 33), (32, 2)]  # the Hankel and the pencil's lower block only
+
+        def flattened(a, b, rcond=None):
+            x, res, rank, sv = lstsq(a, b, rcond=rcond)
+            return x, res, rank, sv * np.r_[1.0, np.full(sv.size - 1, 1e-11)]
+
+        monkeypatch.setattr(np.linalg, "lstsq", flattened)
+        with pytest.raises(FitError, match=r"frequency design matrix is ill-conditioned \(\d\.\d\de\+11\)"):
+            fit_point_measure(samples, max_atoms=4)
 
     def test_zero_samples_give_empty_measure(self):
         times = np.arange(32) * 0.1

@@ -17,6 +17,7 @@ from openext import (
     ValidationError,
     check_dissipation,
     frequency_operator,
+    measure_of,
     minimal_extension,
     validate,
 )
@@ -79,8 +80,20 @@ class TestPointMeasure:
     def test_atoms_sorted_and_merged(self):
         m = np.eye(2)
         mu = PointMeasure.create(2, [(2.0, m), (1.0, m), (1.0 + 1e-12, m)])
-        assert mu.frequencies.tolist() == [1.0, 2.0]
+        # the merged atom sits at the cluster mean, 1 + 5e-13
+        assert mu.frequencies.tolist() == [np.mean([1.0, 1.0 + 1e-12]), 2.0]
         assert np.array_equal(mu.masses[0], 2 * np.eye(2))
+
+    def test_create_merges_at_the_scale_of_the_largest_frequency(self):
+        # gap 5e-7 <= tau_eig_cluster * 101: one rule with `measure_of`, so the round trip closes
+        atoms = [(100.0, [[1.0]]), (100.0 + 5e-7, [[2.0]]), (101.0, [[1.0]])]
+        mu = PointMeasure.create(1, atoms)
+        assert mu.frequencies.tolist() == [np.mean([100.0, 100.0 + 5e-7]), 101.0]
+        assert mu.masses[:, 0, 0].tolist() == [3.0, 1.0]
+        assert validate(mu).ok
+        back = measure_of(minimal_extension(mu))
+        assert back.frequencies.tolist() == mu.frequencies.tolist()
+        assert np.allclose(back.masses, mu.masses, rtol=0.0, atol=1e-12)
 
     def test_create_drops_zero_mass(self):
         mu = PointMeasure.create(2, [(1.0, np.zeros((2, 2))), (2.0, np.eye(2))])
@@ -219,6 +232,26 @@ class TestValidate:
         kernel = PointMeasure.create(2, [(1.0, np.eye(2))])
         rep = validate(OpenSystem(2, np.diag([1.0, 2.0]), kernel))
         assert rep.ok and rep.kind == "open_system"
+
+    def test_validate_flags_each_close_pair_of_a_direct_measure(self):
+        mu = PointMeasure(1, [100.0, 100.0 + 5e-7, 100.0 + 1e-6, 101.0], np.ones((4, 1, 1)))
+        rep = validate(mu)
+        f = mu.frequencies.tolist()
+        assert [v.code for v in rep.violations] == ["atoms_too_close"] * 2
+        assert [v.magnitude for v in rep.violations] == [f[1] - f[0], f[2] - f[1]]
+        assert validate(PointMeasure.create(1, zip(mu.frequencies, mu.masses))).ok
+
+    @pytest.mark.parametrize("asymmetry, ok", [(2e-10, True), (4e-10, False)])
+    def test_not_hermitian_at_the_hermitian_rule(self, asymmetry, ok):
+        # bound tau_herm * (1 + max|m|) = 3e-10 for both operators
+        m = np.array([[2.0, 1.0 + asymmetry], [1.0, 0.5]])
+        kernel = PointMeasure.create(2, [(1.0, np.eye(2))])
+        for obj, name in [(ConservativeSystem(1, 1, m), "omega"), (OpenSystem(2, m, kernel), "omega1")]:
+            rep = validate(obj)
+            assert rep.ok is ok
+            if not ok:
+                assert [(v.code, v.message) for v in rep.violations] == [("not_hermitian", f"{name} is not Hermitian")]
+                assert rep.violations[0].magnitude == pytest.approx(asymmetry)
 
 
 class TestJsonRoundTrips:

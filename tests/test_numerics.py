@@ -225,23 +225,79 @@ def test_matrix_rank_uses_relative_cut():
     assert matrix_rank(np.eye(3) * 1e-14, scale=1.0) == 0
 
 
+def loop_clusters(w, scale, tol=DEFAULT_TOLERANCES):
+    """The per-value gap loop that `cluster_spectrum` replaced, as the oracle."""
+    clusters, start, threshold = [], 0, tol.tau_eig_cluster * scale
+    for i in range(1, w.size + 1):
+        if i == w.size or (w[i] - w[i - 1]) > threshold:
+            clusters.append(SpectralCluster(start, i, float(np.mean(w[start:i]))))
+            start = i
+    return clusters
+
+
+def chain_spectrum(d, half_width):
+    """Ascending eigenvalues of the d-fold Kronecker sum of the chain form T."""
+    m = 2 * half_width + 1
+    beta = 2.0 - 2.0 * np.cos((2 * np.arange(1, m + 1) - 1) * np.pi / (2 * m + 1))
+    total = beta
+    for _ in range(d - 1):
+        total = np.add.outer(total, beta).ravel()
+    return np.sort(total)
+
+
 class TestClusterSpectrum:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [0.7],
+            [2.5] * 5,
+            1.0 + np.linspace(0.0, 1e-7, 40),
+            np.sort(np.r_[-np.geomspace(1.0, 1e-3, 30), -2.0 + 3e-9 * np.arange(4)]),
+            [0.0, 1e-300],
+            np.sort(np.random.default_rng(81).uniform(-1, 1, 500).round(8)),
+            chain_spectrum(3, 10),
+        ],
+        ids=["empty", "one", "all_equal", "ramp_10x_threshold", "negative", "zero_and_tiny", "seeded_rounded",
+             "chain_d3"],
+    )
+    def test_bitwise_the_per_value_loop(self, values):
+        w = np.asarray(values, dtype=np.float64)
+        want = loop_clusters(w, float(np.max(np.abs(w))) if w.size else 0.0)
+        got = cluster_spectrum(w)
+        assert [(c.start, c.stop) for c in got] == [(c.start, c.stop) for c in want]
+        assert np.array([c.value for c in got]).tobytes() == np.array([c.value for c in want]).tobytes()
+        assert all(type(x) is int for c in got for x in (c.start, c.stop))
+        assert all(type(c.value) is float for c in got)
+
+    def test_chain_spectrum_has_multi_member_clusters(self):
+        w = chain_spectrum(3, 10)
+        assert w.size == 9261
+        dims = [c.dim for c in cluster_spectrum(w)]
+        assert sum(dims) == w.size and max(dims) >= 6 and dims.count(1) < len(dims)
+
+    def test_rejects_unsorted_and_non_vector_input(self):
+        with pytest.raises(ValidationError):
+            cluster_spectrum(np.array([2.0, 1.0]))
+        with pytest.raises(ValidationError):
+            cluster_spectrum(np.ones((2, 2)))
+
     def test_groups_at_relative_width(self):
         vals = np.array([1.0, 1.0 + 5e-9, 2.0, 3.0])
-        out = cluster_spectrum(vals, scale=3.0)
+        out = cluster_spectrum(vals)
         assert [c.dim for c in out] == [2, 1, 1]
         assert out[0].value == pytest.approx(1.0 + 2.5e-9)
 
     def test_exact_degeneracy(self):
-        out = cluster_spectrum(np.array([2.0, 2.0, 2.0]), scale=2.0)
+        out = cluster_spectrum(np.array([2.0, 2.0, 2.0]))
         assert len(out) == 1
         assert out[0] == SpectralCluster(0, 3, 2.0)
 
     def test_empty(self):
-        assert cluster_spectrum(np.array([]), scale=1.0) == []
+        assert cluster_spectrum(np.array([])) == []
 
     def test_zero_scale_separates_distinct(self):
-        out = cluster_spectrum(np.array([0.0, 1e-300]), scale=0.0)
+        out = cluster_spectrum(np.array([0.0, 1e-300]))
         assert len(out) == 2
 
 
