@@ -41,7 +41,7 @@ from .extension import (
     minimal_extension,
 )
 from .hamiltonian import LatticeSpec, frozen_report, multiplicity_scan
-from .model import BlockPartition, ConservativeSystem, OpenSystem, PointMeasure, validate
+from .model import ConservativeSystem, OpenSystem, PointMeasure, validate
 from .numerics import DEFAULT_TOLERANCES, SIZE_BUDGET, Subspace, ToleranceConfig
 from .serialization import (
     SCHEMA,
@@ -228,16 +228,7 @@ def _cmd_channels(args, tol: ToleranceConfig) -> int:
     parts2 = [
         Subspace(n2, comp[1].frame[n1:]) for comp in decomposition.components if comp[1].dim
     ]
-    matrix = (
-        coupling_matrix(
-            system,
-            BlockPartition(1, n1, tuple(parts1)),
-            BlockPartition(2, n2, tuple(parts2)),
-            tol,
-        )
-        if parts1 and parts2
-        else np.zeros((len(parts1), len(parts2)), dtype=np.int64)
-    )
+    matrix = coupling_matrix(system, parts1, parts2, tol)
     payload = _envelope(
         "channels",
         digest,

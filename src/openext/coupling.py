@@ -12,12 +12,13 @@ frequency operator and the observable projection).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import BlockPartition, ConservativeSystem
+from .model import ConservativeSystem
 from .numerics import (
     DEFAULT_TOLERANCES,
     Subspace,
@@ -85,8 +86,8 @@ def channels(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERANC
     left, sigma, right_h = svd(gamma, tol)
     rank = int(np.count_nonzero(sigma > tol.tau_rank * sigma[0]))
     gammas = tuple(float(s) ** 2 for s in sigma[:rank])
-    # cluster the ascending strengths; reversed index i is channel rank - 1 - i
-    clusters = cluster_spectrum(gammas[::-1], tol)
+    # cluster ascending (sigma/sigma_0)^2, which cannot underflow; reversed i is channel rank - 1 - i
+    clusters = cluster_spectrum((sigma[:rank][::-1] / sigma[0]) ** 2, tol)
     groups = [tuple(range(rank - cl.stop, rank - cl.start)) for cl in reversed(clusters) if cl.dim > 1]
     return ChannelSet(
         rank,
@@ -99,26 +100,25 @@ def channels(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERANC
 
 def coupling_matrix(
     system: ConservativeSystem,
-    partition1: BlockPartition,
-    partition2: BlockPartition,
+    parts1: Sequence[Subspace],
+    parts2: Sequence[Subspace],
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> np.ndarray:
-    """Integer matrix of coupling ranks between partition blocks.
+    """Integer matrix of coupling ranks between observable and hidden parts.
 
-    Entry (a, b) is the numerical rank of the compression of the
-    coupling block to the a-th observable part and b-th hidden part,
+    parts1 and parts2 are subspaces of H1 and H2, in block coordinates.
+    Entry (a, b) is the numerical rank of the coupling block compressed to
+    parts1[a] and parts2[b] (any two subspaces; no orthogonality needed),
     measured against the largest singular value of the whole coupling.
     A zero row or column marks a part that no channel reaches.
     """
-    if partition1.side != 1 or partition2.side != 2:
-        raise ValidationError("coupling_matrix needs an observable-side and a hidden-side partition")
-    if partition1.ambient_dim != system.n1 or partition2.ambient_dim != system.n2:
-        raise ValidationError("partition ambient dims do not match the system blocks")
+    if any(p.ambient_dim != system.n1 for p in parts1) or any(p.ambient_dim != system.n2 for p in parts2):
+        raise ValidationError("part ambient dims do not match the system blocks")
     gamma = system.coupling
     scale = float(np.linalg.norm(gamma, 2)) if gamma.size else 0.0
-    out = np.zeros((len(partition1.parts), len(partition2.parts)), dtype=np.int64)
-    for a, pa in enumerate(partition1.parts):
-        for b, pb in enumerate(partition2.parts):
+    out = np.zeros((len(parts1), len(parts2)), dtype=np.int64)
+    for a, pa in enumerate(parts1):
+        for b, pb in enumerate(parts2):
             out[a, b] = matrix_rank(pa.frame.conj().T @ gamma @ pb.frame, tol, scale=scale)
     return out
 

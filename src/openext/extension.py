@@ -117,18 +117,20 @@ def minimal_extension(measure: PointMeasure, tol: ToleranceConfig = DEFAULT_TOLE
     """Smallest conservative system whose friction kernel matches the measure.
 
     Each atom mass is factored as N_k = C_k C_k^H with C_k of full column
-    rank (eigenvalues below tau_rank times the atom's largest eigenvalue
-    are cut); the hidden block is blockdiag(w_k I) and the coupling is
-    the concatenation [C_1 ... C_K].  The observable block is zero: the
-    kernel does not constrain it.  Raises for non-PSD atoms.
+    rank; eigenvalues <= tau_rank * ||a(0)||_2 (a(0) the total mass, the
+    scale of `measure_of`'s atom cut) are cut, so the kernel matches the
+    measure up to that cut.  The hidden block is blockdiag(w_k I) and the
+    coupling is [C_1 ... C_K].  The observable block is zero: the kernel
+    does not constrain it.  Raises for non-PSD atoms.
     """
     n1 = measure.dim
+    cut = tol.tau_rank * float(np.linalg.norm(measure.total_mass(), 2))
     columns: list[np.ndarray] = []
     hidden_freqs: list[float] = []
     for k, (freq, mass) in enumerate(zip(measure.frequencies.tolist(), measure.masses)):
         w, v = eigh(mass, tol)
         require_psd(w, tol, f"atom {k} (frequency {freq}) violates the dissipation condition")
-        keep = np.flatnonzero(w > tol.tau_rank * max(float(w[-1]), 0.0))[::-1]
+        keep = np.flatnonzero(w > cut)[::-1]
         for idx in keep:
             columns.append(np.sqrt(w[idx]) * v[:, idx])
             hidden_freqs.append(freq)

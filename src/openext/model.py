@@ -34,7 +34,6 @@ from .errors import UnboundedCouplingError, ValidationError
 from .numerics import (
     DEFAULT_TOLERANCES,
     STRUCTURE_TOL,
-    Subspace,
     ToleranceConfig,
     as_matrix,
     below_psd_cut,
@@ -49,7 +48,6 @@ __all__ = [
     "ConservativeSystem",
     "PointMeasure",
     "OpenSystem",
-    "BlockPartition",
     "validate",
     "Violation",
     "ValidationReport",
@@ -246,32 +244,6 @@ class OpenSystem:
         masses = inv_root @ kernel.masses @ inv_root
         scaled = PointMeasure.create(kernel.dim, zip(kernel.frequencies, masses), tol)
         return cls(m.shape[0], omega1, scaled)
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """Ordered orthogonal parts inside one side (observable or hidden)."""
-
-    side: int
-    ambient_dim: int
-    parts: tuple[Subspace, ...]
-
-    def __post_init__(self):
-        if self.side not in (1, 2):
-            raise ValidationError("side must be 1 (observable) or 2 (hidden)")
-        parts = tuple(self.parts)
-        for p in parts:
-            if p.ambient_dim != self.ambient_dim:
-                raise ValidationError("all parts must share the partition's ambient dimension")
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                if parts[i].dim and parts[j].dim:
-                    overlap = max_abs(parts[i].frame.conj().T @ parts[j].frame)
-                    if overlap > STRUCTURE_TOL:
-                        raise ValidationError(
-                            f"partition parts {i} and {j} are not orthogonal: overlap {overlap:.3e}"
-                        )
-        object.__setattr__(self, "parts", parts)
 
 
 @dataclass(frozen=True)

@@ -148,16 +148,16 @@ def require_hermitian(
 def _phase_fix(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotate each column so its first significant entry is real positive.
 
-    Returns (fixed, phases) with columns == fixed * phases; the phase of
-    a zero column is 1 and the column is left as it is.  The result is
-    bitwise that of rotating column by column: each phase is a scalar
-    division z / |z|, since numpy's vectorized complex divide can differ
-    in the last bit, and the rotation is one out-of-place product with a
-    (1, c) row, since the in-place broadcast takes another multiply loop
-    on 1 x 1 input.
+    Returns (fixed, phases) in the input's dtype (real phases are +-1),
+    with columns == fixed * phases; the phase of a zero column is 1 and
+    the column is left as it is.  The result is bitwise that of rotating
+    column by column: each phase is a scalar division z / |z|, since
+    numpy's vectorized complex divide can differ in the last bit, and the
+    rotation is one out-of-place product with a (1, c) row, since the
+    in-place broadcast takes another multiply loop on 1 x 1 input.
     """
-    fixed = np.array(columns, dtype=np.complex128)
-    phases = np.ones(fixed.shape[1], dtype=np.complex128)
+    fixed = np.array(columns)
+    phases = np.ones(fixed.shape[1], dtype=fixed.dtype)
     if fixed.size:
         mags = np.abs(fixed)
         top = mags.max(axis=0)
@@ -166,16 +166,6 @@ def _phase_fix(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phases[cols] = [z / abs(z) for z in fixed[first, cols]]
         fixed[:, cols] = fixed[:, cols] * np.conj(phases[cols])[None, :]
     return fixed, phases
-
-
-def _sign_fix(columns: np.ndarray) -> np.ndarray:
-    """`_phase_fix` for real columns, in place: flip each column whose
-    first significant entry is negative (a zero column is left alone)."""
-    if columns.size:
-        mags = np.abs(columns)
-        first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
-        columns *= np.where(columns[first, np.arange(columns.shape[1])] < 0, -1.0, 1.0)
-    return columns
 
 
 def eigh(matrix, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
@@ -193,7 +183,7 @@ def eigh(matrix, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray,
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"eigh did not converge: {exc}") from exc
-    return w.astype(np.float64), _sign_fix(v) if real else _phase_fix(v)[0]
+    return w.astype(np.float64), _phase_fix(v)[0]
 
 
 def svd(matrix, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -347,9 +337,11 @@ def orthonormal_basis(columns, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Sub
         return zero_subspace(n)
     if not np.all(np.isfinite(m)):
         raise ValidationError("columns have non-finite entries")
-    scale = float(np.linalg.norm(m, axis=0).max())
-    if scale == 0.0:
+    top = max_abs(m)
+    if top == 0.0:
         return zero_subspace(n)
+    # column norms of m / max|m|, whose squares cannot underflow
+    scale = top * float(np.linalg.norm(m / top, axis=0).max())
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     keep = int(np.count_nonzero(s > tol.tau_rank * scale))
     return Subspace(n, _phase_fix(u[:, :keep])[0])

@@ -56,6 +56,18 @@ def bad_measure_file(tmp_path):
     return str(p)
 
 
+@pytest.fixture
+def tiny_coupling_file(tmp_path):
+    # coupling entries whose squares underflow: sigma^2 is below the float range
+    omega = np.zeros((4, 4), dtype=complex)
+    omega[2:, 2:] = np.diag([1.0, 2.0])
+    omega[:2, 2:] = np.diag([1e-170, 3e-170])
+    omega[2:, :2] = omega[:2, 2:]
+    p = tmp_path / "tiny.json"
+    p.write_text(dumps(system_to_json(ConservativeSystem(2, 2, omega))))
+    return str(p)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -334,6 +346,14 @@ class TestExtendAndFit:
         assert code == 2
 
 
+    def test_extend_drops_an_atom_below_the_cut_of_the_total_mass(self, capsys, tmp_path):
+        p = tmp_path / "measure.json"
+        p.write_text(dumps(measure_to_json(PointMeasure(1, [1.0, 2.0], [[[1.0]], [[1e-10]]]))))
+        code, out = run_cli(capsys, "extend", str(p))
+        assert code == 0
+        assert json.loads(out)["n2"] == 1
+
+
 class TestAnalysisCommands:
     def test_decompose_worked_example(self, capsys, worked_file):
         _, out = run_cli(capsys, "decompose", worked_file)
@@ -357,6 +377,27 @@ class TestAnalysisCommands:
         payload = json.loads(out)
         assert payload["count"] == 2
         assert payload["assignment"] == [0]
+
+    def test_decompose_sees_couplings_whose_squares_underflow(self, capsys, tiny_coupling_file):
+        code, out = run_cli(capsys, "decompose", tiny_coupling_file)
+        assert code == 0
+        dims = json.loads(out)["parts"]
+        assert (dims["h1c"]["dim"], dims["h2c"]["dim"]) == (2, 2)
+
+    def test_channels_of_couplings_whose_squares_underflow(self, capsys, tiny_coupling_file):
+        code, out = run_cli(capsys, "channels", tiny_coupling_file)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["rank"] == 2
+        assert payload["degenerate_groups"] == []
+        assert payload["coupling_matrix"]["entries"] == [[1, 0], [0, 1]]
+
+    def test_canonical_of_couplings_whose_squares_underflow(self, capsys, tiny_coupling_file):
+        code, out = run_cli(capsys, "canonical", tiny_coupling_file)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["count"] == 2
+        assert payload["assignment"] == [0, 1]
 
     def test_check_worked_example(self, capsys, worked_file):
         code, out = run_cli(capsys, "check", worked_file)

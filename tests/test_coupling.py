@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from openext import (
-    BlockPartition,
     ConservativeSystem,
     Subspace,
     ValidationError,
@@ -195,30 +194,52 @@ class TestChannels:
         assert ch.gammas == pytest.approx(strengths)
         assert ch.degenerate_groups == groups
 
+    def test_couplings_whose_squares_underflow_stay_distinct(self):
+        omega = np.zeros((4, 4), dtype=complex)
+        omega[2:, 2:] = np.diag([1.0, 2.0])
+        omega[:2, 2:] = np.diag([1e-170, 3e-170])
+        omega[2:, :2] = omega[:2, 2:]
+        ch = channels(ConservativeSystem(2, 2, omega))
+        assert ch.rank == 2
+        assert ch.degenerate_groups == ()
+        assert ch.gammas == (0.0, 0.0)  # sigma^2 is below the float range
+
 
 class TestCouplingMatrix:
     def test_worked_example_against_hand_count(self, worked_system):
-        # partitions live in the coordinates of their own block
+        # parts live in the coordinates of their own block
         e = np.eye(2)
-        p1 = BlockPartition(1, 2, (Subspace(2, e[:, :1]), Subspace(2, e[:, 1:])))
-        p2 = BlockPartition(2, 2, (Subspace(2, e[:, :1]), Subspace(2, e[:, 1:])))
+        p1 = [Subspace(2, e[:, :1]), Subspace(2, e[:, 1:])]
+        p2 = [Subspace(2, e[:, :1]), Subspace(2, e[:, 1:])]
         m = coupling_matrix(worked_system, p1, p2)
         assert m.tolist() == [[1, 1], [0, 0]]
 
     def test_entries_are_ranks(self):
         rng = np.random.default_rng(53)
         sys_ = random_conservative(rng, 3, 3)
-        p1 = BlockPartition(1, 3, (Subspace(3, np.eye(3)),))
-        p2 = BlockPartition(2, 3, (Subspace(3, np.eye(3)),))
+        p1 = [Subspace(3, np.eye(3))]
+        p2 = [Subspace(3, np.eye(3))]
         m = coupling_matrix(sys_, p1, p2)
         assert m.shape == (1, 1)
         assert m[0, 0] == np.linalg.matrix_rank(sys_.coupling)
 
     def test_mismatched_ambient_rejected(self, worked_system):
-        p1 = BlockPartition(1, 3, (Subspace(3, np.eye(3)[:, :1]),))
-        p2 = BlockPartition(2, 3, (Subspace(3, np.eye(3)[:, 1:2]),))
+        p1 = [Subspace(3, np.eye(3)[:, :1])]
+        p2 = [Subspace(3, np.eye(3)[:, 1:2])]
         with pytest.raises(ValidationError):
             coupling_matrix(worked_system, p1, p2)
+
+    def test_empty_part_lists_give_zero_matrices(self, worked_system):
+        parts = [Subspace(2, np.eye(2)[:, :1]), Subspace(2, np.eye(2)[:, 1:])]
+        for p1, p2, shape in (([], parts, (0, 2)), (parts, [], (2, 0)), ([], [], (0, 0))):
+            m = coupling_matrix(worked_system, p1, p2)
+            assert m.dtype == np.int64 and m.shape == shape
+
+    def test_parts_need_not_be_orthogonal(self, worked_system):
+        e = np.eye(2)
+        overlapping = [Subspace(2, e), Subspace(2, e[:, :1])]
+        m = coupling_matrix(worked_system, overlapping, [Subspace(2, e)])
+        assert m.tolist() == [[np.linalg.matrix_rank(worked_system.coupling)], [1]]
 
 
 class TestSInvariance:

@@ -399,6 +399,42 @@ class TestRoundTripProperty:
         check()
         assert merged == {True, False}
 
+    def test_hidden_dimension_is_unique_across_the_atom_cut(self):
+        # atom scales 10^U(-12, 0) fall on both sides of tau_rank * ||a(0)||: the
+        # extension, its minimal subsystem and the extension of its measure agree
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def measures(draw):
+            dim = draw(st.integers(1, 3))
+            gaps = draw(st.lists(st.floats(0.5, 2.0), min_size=1, max_size=4))
+            scales = draw(st.lists(st.floats(-12.0, 0.0), min_size=len(gaps), max_size=len(gaps)))
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            masses = [10.0**e * random_psd(rng, dim) for e in scales]
+            return PointMeasure(dim, -3.0 + np.cumsum(gaps), masses)
+
+        dropped = set()
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+        @hypothesis.given(measures())
+        def check(mu):
+            ext = minimal_extension(mu)
+            back = measure_of(ext)
+            dropped.add(back.frequencies.size < mu.frequencies.size)
+            assert minimal_subsystem(ext).n2 == ext.n2
+            assert minimal_extension(back).n2 == ext.n2
+
+        check()
+        assert dropped == {True, False}
+
+    def test_atom_below_the_cut_is_dropped_by_every_route(self):
+        mu = PointMeasure(1, [1.0, 2.0], [[[1.0]], [[1e-10]]])
+        ext = minimal_extension(mu)
+        assert ext.n2 == 1
+        assert minimal_subsystem(ext).n2 == 1
+        assert measure_of(ext).frequencies.tolist() == [1.0]
+
 
 class TestCheckDissipation:
     def test_valid_measure_passes_both_routes(self):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from openext import (
-    BlockPartition,
     ConservativeSystem,
     NotPositiveSemidefiniteError,
     OpenSystem,
@@ -177,13 +176,6 @@ class TestOpenSystem:
         kernel = PointMeasure.create(2, [(1.0, np.eye(2))])
         with pytest.raises(ValidationError):
             OpenSystem.from_mass_form([1.0, 0.0], np.eye(2), kernel)
-
-
-class TestBlockPartition:
-    def test_requires_orthogonal_parts(self):
-        e = np.eye(3)
-        with pytest.raises(ValidationError):
-            BlockPartition(1, 3, (Subspace(3, e[:, :2]), Subspace(3, e[:, 1:2])))
 
 
 class TestValidate:

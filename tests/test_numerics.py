@@ -176,6 +176,18 @@ def per_column_phase_fix(columns):
     return fixed, phases
 
 
+def vectorized_sign_fix(columns):
+    """Flip each real column whose first significant entry is negative (a zero
+    column is left alone), in one vectorized product: the real-only route
+    `eigh` took before `_phase_fix` kept its input's dtype."""
+    columns = np.array(columns)
+    if columns.size:
+        mags = np.abs(columns)
+        first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+        columns *= np.where(columns[first, np.arange(columns.shape[1])] < 0, -1.0, 1.0)
+    return columns
+
+
 def test_phase_fix_is_bitwise_the_per_column_loop():
     # zero columns, signed zeros and entries below the significance cut
     # included; tobytes compares the signs of zeros too
@@ -188,8 +200,41 @@ def test_phase_fix_is_bitwise_the_per_column_loop():
         a[rng.random((rows, cols)) < 0.1] *= 1e-14
         if trial % 3 == 0:
             a = a.real.copy()
+            assert _phase_fix(a)[0].tobytes() == vectorized_sign_fix(a).tobytes()
+            continue
         for got, ref in zip(_phase_fix(a), per_column_phase_fix(a)):
             assert got.tobytes() == ref.tobytes()
+
+
+def test_phase_fix_keeps_real_columns_real_and_only_flips_signs():
+    rng = np.random.default_rng(6)
+    cases = [np.zeros((0, 0)), np.zeros((3, 0)), np.zeros((0, 3)), np.zeros((4, 2)), -np.zeros((4, 2))]
+    for _ in range(400):
+        rows, cols = int(rng.integers(1, 16)), int(rng.integers(1, 16))
+        a = rng.standard_normal((rows, cols))
+        a[:, rng.random(cols) < 0.2] = 0.0
+        a[rng.random((rows, cols)) < 0.2] = -0.0
+        a[rng.random((rows, cols)) < 0.1] *= 1e-14
+        cases.append(a)
+    for a in cases:
+        fixed, phases = _phase_fix(a)
+        assert fixed.dtype == phases.dtype == np.float64
+        assert fixed.shape == a.shape and phases.shape == (a.shape[1],)
+        assert fixed.tobytes() == vectorized_sign_fix(a).tobytes()
+        assert set(phases.tolist()) <= {-1.0, 1.0}
+        assert (fixed * phases).tobytes() == a.tobytes()
+
+
+def test_eigh_real_vectors_are_the_sign_fixed_solver_vectors():
+    # sparse and block-diagonal symmetric matrices give eigenvectors with exact and signed zeros
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(0, 12))
+        h = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+        m = h + h.T
+        w, v = eigh(m)
+        assert v.dtype == np.float64
+        assert v.tobytes() == vectorized_sign_fix(np.linalg.eigh(m)[1]).tobytes()
 
 
 class TestSvd:
@@ -350,6 +395,11 @@ class TestSubspaces:
         # the cut is relative to the largest column norm: tiny but well
         # conditioned columns survive, a column tiny next to another does not
         cols = 1e-12 * np.eye(3)[:, :2]
+        assert orthonormal_basis(cols).dim == 2
+        assert orthonormal_basis(cols * [1.0, 1e-10]).dim == 1
+
+    def test_orthonormal_basis_of_columns_whose_squares_underflow(self):
+        cols = np.diag([1e-170, 3e-170])
         assert orthonormal_basis(cols).dim == 2
         assert orthonormal_basis(cols * [1.0, 1e-10]).dim == 1
 
