@@ -60,7 +60,6 @@ class ChannelSet:
     span is canonical.
     """
 
-    rank: int
     gammas: tuple[float, ...]
     g: np.ndarray = field(repr=False)
     g_prime: np.ndarray = field(repr=False)
@@ -69,8 +68,10 @@ class ChannelSet:
     def __post_init__(self):
         if self.g.shape[1] != self.rank or self.g_prime.shape[1] != self.rank:
             raise ValidationError("channel vector count must equal the rank")
-        if len(self.gammas) != self.rank:
-            raise ValidationError("one strength per channel required")
+
+    @property
+    def rank(self) -> int:
+        return len(self.gammas)
 
 
 def channels(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> ChannelSet:
@@ -78,7 +79,6 @@ def channels(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERANC
     gamma = system.coupling
     if gamma.size == 0 or max_abs(gamma) == 0.0:
         return ChannelSet(
-            0,
             (),
             np.zeros((system.n1, 0), dtype=np.complex128),
             np.zeros((system.n2, 0), dtype=np.complex128),
@@ -90,7 +90,6 @@ def channels(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERANC
     clusters = cluster_spectrum((sigma[:rank][::-1] / sigma[0]) ** 2, tol)
     groups = [tuple(range(rank - cl.stop, rank - cl.start)) for cl in reversed(clusters) if cl.dim > 1]
     return ChannelSet(
-        rank,
         gammas,
         np.ascontiguousarray(left[:, :rank]),
         np.ascontiguousarray(right_h[:rank].conj().T),

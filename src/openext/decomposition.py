@@ -19,7 +19,6 @@ hidden-side frames on the last n2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,8 +226,8 @@ def multiplicity(
     op,
     invariant_subspace: Subspace | None = None,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> tuple[int, list[tuple[float, int]]]:
-    """Largest eigen-cluster dimension, with the per-cluster breakdown.
+) -> tuple[tuple[float, int], ...]:
+    """(value, dim) of every eigen-cluster, ascending; the multiplicity is the largest dim.
 
     With a subspace the operator is first compressed to it; the subspace
     must be invariant (leak checked against tau_residual times the
@@ -242,7 +241,7 @@ def multiplicity(
         if invariant_subspace.ambient_dim != a.shape[0]:
             raise ValidationError("subspace ambient does not match the operator")
         if invariant_subspace.dim == 0:
-            return 0, []
+            return ()
         f = invariant_subspace.frame
         scale = float(np.linalg.norm(a, 2))
         residual = _invariance_leak(a, f)
@@ -253,74 +252,78 @@ def multiplicity(
             )
         restricted = compress(a, f)
     _, _, clusters = eigen_clusters(restricted, tol, vectors=False)
-    if not clusters:
-        return 0, []
-    per = [(cl.value, cl.dim) for cl in clusters]
-    return max(m for _, m in per), per
+    return tuple((cl.value, cl.dim) for cl in clusters)
 
 
-def _min_cluster_gap(per_cluster: list[tuple[float, int]]) -> float:
+def _max_multiplicity(per_cluster: tuple[tuple[float, int], ...]) -> int:
+    return max((m for _, m in per_cluster), default=0)
+
+
+def _min_cluster_gap(per_cluster: tuple[tuple[float, int], ...]) -> float | None:
     values = [v for v, _ in per_cluster]
-    if len(values) < 2:
-        return math.inf
-    return float(min(b - a for a, b in zip(values, values[1:])))
+    return float(min(b - a for a, b in zip(values, values[1:]))) if len(values) > 1 else None
 
 
 @dataclass(frozen=True)
 class MultiplicityBoundReport:
-    """Coupling-rank bounds on spectral multiplicity, with per-cluster slack."""
+    """Coupling-rank bounds on spectral multiplicity, with per-cluster slack.
+    Stores the measured cluster tables; maxima, verdicts and violations are read off them."""
 
     coupling_rank: int
-    mult_h1c: int
-    mult_h2c: int
-    mult_minimal: int
     per_cluster_h1c: tuple[tuple[float, int], ...]
     per_cluster_h2c: tuple[tuple[float, int], ...]
     per_cluster_minimal: tuple[tuple[float, int], ...]
-    bound_h1c_ok: bool
-    bound_h2c_ok: bool
     h1_fully_coupled: bool
     minimal_bound: int
-    bound_minimal_ok: bool | None
-    min_gap_h1c: float
-    min_gap_h2c: float
-    min_gap_minimal: float
-    violations: tuple[str, ...]
-    ok: bool
+
+    @property
+    def mult_h1c(self) -> int:
+        return _max_multiplicity(self.per_cluster_h1c)
+
+    @property
+    def mult_h2c(self) -> int:
+        return _max_multiplicity(self.per_cluster_h2c)
+
+    @property
+    def mult_minimal(self) -> int:
+        return _max_multiplicity(self.per_cluster_minimal)
+
+    @property
+    def bound_minimal_ok(self) -> bool | None:
+        return self.mult_minimal <= self.minimal_bound if self.h1_fully_coupled else None
+
+    @property
+    def violations(self) -> tuple[str, ...]:
+        rank = self.coupling_rank
+        found = [f"mult(omega{i} on h{i}c) = {m} exceeds coupling rank {rank}"
+                 for i, m in ((1, self.mult_h1c), (2, self.mult_h2c)) if m > rank]
+        if self.bound_minimal_ok is False:  # None: the bound does not apply
+            found.append(f"mult(omega on minimal extension) = {self.mult_minimal} "
+                         f"exceeds min(n1, 2 rank) = {self.minimal_bound}")
+        return tuple(found)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def as_dict(self) -> dict:
-        def gap(x: float):
-            return None if math.isinf(x) else x
+        def side(per, bound, ok, **applies):
+            return {
+                "max_multiplicity": _max_multiplicity(per),
+                "bound": bound,
+                **applies,
+                "ok": ok,
+                "clusters": [{"value": v, "multiplicity": m, "slack": bound - m} for v, m in per],
+                "min_cluster_gap": _min_cluster_gap(per),
+            }
 
-        def clusters(per, bound):
-            return [
-                {"value": v, "multiplicity": m, "slack": bound - m} for v, m in per
-            ]
-
+        rank = self.coupling_rank
         return {
-            "coupling_rank": self.coupling_rank,
-            "h1_coupled": {
-                "max_multiplicity": self.mult_h1c,
-                "bound": self.coupling_rank,
-                "ok": self.bound_h1c_ok,
-                "clusters": clusters(self.per_cluster_h1c, self.coupling_rank),
-                "min_cluster_gap": gap(self.min_gap_h1c),
-            },
-            "h2_coupled": {
-                "max_multiplicity": self.mult_h2c,
-                "bound": self.coupling_rank,
-                "ok": self.bound_h2c_ok,
-                "clusters": clusters(self.per_cluster_h2c, self.coupling_rank),
-                "min_cluster_gap": gap(self.min_gap_h2c),
-            },
-            "minimal_extension": {
-                "max_multiplicity": self.mult_minimal,
-                "bound": self.minimal_bound,
-                "bound_applies": self.h1_fully_coupled,
-                "ok": self.bound_minimal_ok,
-                "clusters": clusters(self.per_cluster_minimal, self.minimal_bound),
-                "min_cluster_gap": gap(self.min_gap_minimal),
-            },
+            "coupling_rank": rank,
+            "h1_coupled": side(self.per_cluster_h1c, rank, self.mult_h1c <= rank),
+            "h2_coupled": side(self.per_cluster_h2c, rank, self.mult_h2c <= rank),
+            "minimal_extension": side(self.per_cluster_minimal, self.minimal_bound, self.bound_minimal_ok,
+                                      bound_applies=self.h1_fully_coupled),
             "violations": list(self.violations),
             "ok": self.ok,
         }
@@ -342,49 +345,18 @@ def check_multiplicity_bounds(
     rank = matrix_rank(system.coupling, tol)
 
     parts = coupled_parts(system, tol)
-    f1c = _block_frame(parts.h1c, n1, 1)
-    f2c = _block_frame(parts.h2c, n1, 2)
-    m1, per1 = multiplicity(system.omega1, Subspace(n1, f1c), tol)
-    m2, per2 = multiplicity(system.omega2, Subspace(n2, f2c), tol) if n2 else (0, [])
+    per1 = multiplicity(system.omega1, Subspace(n1, _block_frame(parts.h1c, n1, 1)), tol)
+    per2 = multiplicity(system.omega2, Subspace(n2, _block_frame(parts.h2c, n1, 2)), tol) if n2 else ()
 
     eye1 = _embed(np.eye(n1, dtype=np.complex128), n1, n2, 1)
     min_frame = np.hstack([eye1, parts.h2c.frame]) if parts.h2c.dim else eye1
-    m_min, per_min = multiplicity(system.omega, Subspace(n1 + n2, min_frame), tol)
-
-    fully = parts.h1c.dim == n1
-    minimal_bound = min(n1, 2 * rank)
-    violations = []
-    ok1 = m1 <= rank
-    ok2 = m2 <= rank
-    if not ok1:
-        violations.append(f"mult(omega1 on h1c) = {m1} exceeds coupling rank {rank}")
-    if not ok2:
-        violations.append(f"mult(omega2 on h2c) = {m2} exceeds coupling rank {rank}")
-    ok_min: bool | None = None
-    if fully:
-        ok_min = m_min <= minimal_bound
-        if not ok_min:
-            violations.append(
-                f"mult(omega on minimal extension) = {m_min} exceeds min(n1, 2 rank) = {minimal_bound}"
-            )
     return MultiplicityBoundReport(
         coupling_rank=rank,
-        mult_h1c=m1,
-        mult_h2c=m2,
-        mult_minimal=m_min,
-        per_cluster_h1c=tuple(per1),
-        per_cluster_h2c=tuple(per2),
-        per_cluster_minimal=tuple(per_min),
-        bound_h1c_ok=ok1,
-        bound_h2c_ok=ok2,
-        h1_fully_coupled=fully,
-        minimal_bound=minimal_bound,
-        bound_minimal_ok=ok_min,
-        min_gap_h1c=_min_cluster_gap(per1),
-        min_gap_h2c=_min_cluster_gap(per2),
-        min_gap_minimal=_min_cluster_gap(per_min),
-        violations=tuple(violations),
-        ok=not violations,
+        per_cluster_h1c=per1,
+        per_cluster_h2c=per2,
+        per_cluster_minimal=multiplicity(system.omega, Subspace(n1 + n2, min_frame), tol),
+        h1_fully_coupled=parts.h1c.dim == n1,
+        minimal_bound=min(n1, 2 * rank),
     )
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, FitError, ValidationError
+from .errors import BudgetError, FitError, NumericError, ValidationError
 from .model import ConservativeSystem, PointMeasure
 from .numerics import (
     DEFAULT_TOLERANCES,
@@ -149,19 +149,22 @@ def measure_of(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERA
 
     Eigen-clusters of the hidden block give the frequencies; the mass at
     each is B B^H with the thin block B = coupling @ E_cluster.  Atoms
-    with spectral norm ||B||^2 <= tau_rank * ||coupling||^2 are dropped.
+    with (||B||_2 / ||coupling||_2)^2 <= tau_rank are dropped (every atom of
+    a zero coupling); a kept mass that underflows to zero raises NumericError.
     The masses fill one exactly Hermitian stack, which the measure keeps.
     """
     gamma = system.coupling
     if system.n2 == 0:
         return PointMeasure(system.n1)
     _, v, clusters = eigen_clusters(system.omega2, tol)
-    cut = tol.tau_rank * float(np.linalg.norm(gamma, 2)) ** 2
+    scale = float(np.linalg.norm(gamma, 2))
     blocks = [(c.value, gamma @ v[:, c.start : c.stop]) for c in clusters]
-    kept = [(f, b) for f, b in blocks if float(np.linalg.norm(b, 2)) ** 2 > cut]
+    kept = [(f, b) for f, b in blocks if scale and (float(np.linalg.norm(b, 2)) / scale) ** 2 > tol.tau_rank]
     masses = np.empty((len(kept), system.n1, system.n1), dtype=np.complex128)
-    for k, (_, block) in enumerate(kept):
+    for k, (freq, block) in enumerate(kept):
         mass = block @ block.conj().T
+        if not mass.any():
+            raise NumericError(f"the mass of the atom at {freq} is below the float range")
         masses[k] = 0.5 * (mass + mass.conj().T)
     return PointMeasure(system.n1, [f for f, _ in kept], masses)
 
@@ -169,19 +172,29 @@ def measure_of(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERA
 @dataclass(frozen=True)
 class DissipationReport:
     """Outcome of the two dissipation checks (algebraic + Monte-Carlo).
-    The verdict is the algebraic one; "algebraic_available" stays in the
-    JSON form, always true, for the openext/v1 schema."""
+    The verdict is the algebraic one (no witness atom); "algebraic_available"
+    stays in the JSON form, always true, for the openext/v1 schema."""
 
-    verdict: bool
-    algebraic_pass: bool
     witness_atoms: tuple[tuple[int, float], ...]
     atom_min_eigenvalues: tuple[float, ...]
-    mc_pass: bool
     mc_min_value: float
-    mc_negative_found: bool
     trials: int
     seed: int
     threshold: float
+
+    @property
+    def algebraic_pass(self) -> bool:
+        return not self.witness_atoms
+
+    verdict = algebraic_pass
+
+    @property
+    def mc_pass(self) -> bool:
+        return self.mc_min_value >= self.threshold
+
+    @property
+    def mc_negative_found(self) -> bool:
+        return not self.mc_pass
 
     def as_dict(self) -> dict:
         return {
@@ -357,15 +370,10 @@ def check_dissipation(
 
     if not np.isfinite(mc_min):
         mc_min = 0.0
-    mc_pass = mc_min >= threshold
     return DissipationReport(
-        verdict=not witness,
-        algebraic_pass=not witness,
         witness_atoms=tuple(witness),
         atom_min_eigenvalues=tuple(min_eigs),
-        mc_pass=bool(mc_pass),
         mc_min_value=float(mc_min),
-        mc_negative_found=bool(mc_min < threshold),
         trials=int(trials),
         seed=int(seed),
         threshold=float(threshold),
@@ -387,8 +395,10 @@ def fit_point_measure(
     (pencil length = half the sample count, singular-value cut at
     1e-8 * sigma_max, capped at max_atoms); masses follow from entrywise
     least squares against the recovered exponentials, projected to the nearest
-    PSD matrix, and dropped at norm <= tau_rank * ||a(0)|| (`measure_of`'s rule).
-    The fit must reproduce the samples within 1e-6 * ||a(0)|| or raises FitError.
+    PSD matrix, and dropped at norm <= tau_rank * ||a(0)||_2, a(0) the sum of
+    the projected masses (the atom rule of `minimal_extension` and `measure_of`).
+    The fit must reproduce every sampled entry within 1e-6 times the largest
+    sampled |a_ij(t_j)| or raises FitError.
     A Hankel matrix past SIZE_BUDGET entries raises BudgetError before it is formed.
     """
     if max_atoms < 0:
@@ -401,10 +411,10 @@ def fit_point_measure(
     if step is None:
         raise ValidationError("fit requires a uniform time grid")
     n = samples.dim
-    scale = float(np.linalg.norm(samples.values[0], 2))
-    trace_seq = np.einsum("tii->t", samples.values)
-    if float(np.max(np.abs(samples.values))) == 0.0:
+    peak = max_abs(samples.values)
+    if peak == 0.0:
         return PointMeasure(n)
+    trace_seq = np.einsum("tii->t", samples.values)
 
     pencil = g // 2
     if (g - pencil) * (pencil + 1) > SIZE_BUDGET:
@@ -438,21 +448,21 @@ def fit_point_measure(
     if not np.isfinite(cond2) or cond2 > 1e10:
         raise FitError(f"frequency design matrix is ill-conditioned ({cond2:.2e})")
 
-    atoms = []
+    masses = []
     for k in range(freqs.size):
         mass = coeff[k].reshape(n, n)
         mass = 0.5 * (mass + mass.conj().T)
         w, v = np.linalg.eigh(mass)
-        mass = (v * np.clip(w, 0.0, None)) @ v.conj().T
-        if float(np.linalg.norm(mass, 2)) > tol.tau_rank * scale:
-            atoms.append((float(freqs[k]), mass))
+        masses.append((v * np.clip(w, 0.0, None)) @ v.conj().T)
+    cut = tol.tau_rank * float(np.linalg.norm(sum(masses), 2))
+    atoms = [(float(f), m) for f, m in zip(freqs, masses) if float(np.linalg.norm(m, 2)) > cut]
     fitted = PointMeasure.create(n, atoms, tol)
 
     reconstructed = kernel_of_measure(fitted, times)
     residual = max_abs(reconstructed.values - samples.values)
-    if residual > FIT_RESIDUAL_CONTRACT * max(scale, 1e-300):
+    if residual > FIT_RESIDUAL_CONTRACT * peak:
         raise FitError(
             f"fitted measure misses the samples by {residual:.3e} "
-            f"(contract {FIT_RESIDUAL_CONTRACT:.0e} * ||a(0)||); data may be noisy or out of model class"
+            f"(contract {FIT_RESIDUAL_CONTRACT:.0e} * max|a_ij(t_j)|); data may be noisy or out of model class"
         )
     return fitted

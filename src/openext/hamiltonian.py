@@ -373,14 +373,23 @@ class FrozenReport:
 
     site_frozen_frame: np.ndarray = field(repr=False)
     frozen_dim_complex: int
-    frozen_dim_real: int
     frozen_frequency: float
     coupled_mult_per_cluster: tuple[tuple[float, int], ...]
     dim_lower_bound: int
     mult_upper_bound: int
-    dim_bound_ok: bool
-    mult_bound_ok: bool
     max_frozen_residual: float
+
+    @property
+    def frozen_dim_real(self) -> int:
+        return 2 * self.frozen_dim_complex
+
+    @property
+    def dim_bound_ok(self) -> bool:
+        return self.frozen_dim_complex >= self.dim_lower_bound
+
+    @property
+    def mult_bound_ok(self) -> bool:
+        return max((m for _, m in self.coupled_mult_per_cluster), default=0) <= self.mult_upper_bound
 
     @property
     def satisfied(self) -> bool:
@@ -448,19 +457,13 @@ def frozen_report(spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) 
             f"frozen directions fail the eigenvector check (residual {max_resid:.3e})"
         )
 
-    dim_lower = (n - j_eff) * spec.volume
-    mult_upper = len(spec.gammas) * spec.volume
-    max_coupled = max((mult for _, mult in per), default=0)
     return FrozenReport(
         site_frozen_frame=g_perp,
         frozen_dim_complex=frozen_dim,
-        frozen_dim_real=2 * frozen_dim,
         frozen_frequency=freq,
         coupled_mult_per_cluster=per,
-        dim_lower_bound=dim_lower,
-        mult_upper_bound=mult_upper,
-        dim_bound_ok=frozen_dim >= dim_lower,
-        mult_bound_ok=max_coupled <= mult_upper,
+        dim_lower_bound=(n - j_eff) * volume,
+        mult_upper_bound=len(spec.gammas) * volume,
         max_frozen_residual=max_resid,
     )
 
@@ -470,7 +473,10 @@ class ScanRow:
     l_half_width: int
     volume: int
     max_multiplicity: int
-    ratio: float
+
+    @property
+    def ratio(self) -> float:
+        return self.max_multiplicity / self.volume
 
 
 def multiplicity_scan(spec: LatticeSpec, l_values, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> list[ScanRow]:
@@ -490,7 +496,6 @@ def multiplicity_scan(spec: LatticeSpec, l_values, tol: ToleranceConfig = DEFAUL
             spec.d, int(l_val), spec.n_components, spec.m, spec.xi, spec.gammas
         )
         freqs = np.sqrt(_stiffness_spectrum(_lattice_hamiltonian(current, tol), tol)[0])
-        clusters = cluster_spectrum(freqs, tol)
-        mult = max(cl.dim for cl in clusters)
-        rows.append(ScanRow(current.l_half_width, current.volume, int(mult), mult / current.volume))
+        mult = max(cl.dim for cl in cluster_spectrum(freqs, tol))
+        rows.append(ScanRow(current.l_half_width, current.volume, mult))
     return rows

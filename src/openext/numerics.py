@@ -323,8 +323,8 @@ def zero_subspace(n: int) -> Subspace:
 def orthonormal_basis(columns, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:
     """Rank-revealing orthonormal basis of the column span.
 
-    Directions with singular value <= tau_rank times the largest column
-    norm are discarded. Zero input (or an empty column list) yields the
+    Directions with singular value <= tau_rank times the largest one are
+    discarded, the cut of `matrix_rank`. Zero or empty input yields the
     zero subspace.
     """
     m = np.asarray(columns, dtype=np.complex128)
@@ -332,19 +332,13 @@ def orthonormal_basis(columns, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Sub
         m = m[:, None]
     if m.ndim != 2:
         raise ValidationError("columns must form a 2-D array")
-    n, k = m.shape
-    if k == 0:
-        return zero_subspace(n)
+    if m.size == 0:
+        return zero_subspace(m.shape[0])
     if not np.all(np.isfinite(m)):
         raise ValidationError("columns have non-finite entries")
-    top = max_abs(m)
-    if top == 0.0:
-        return zero_subspace(n)
-    # column norms of m / max|m|, whose squares cannot underflow
-    scale = top * float(np.linalg.norm(m / top, axis=0).max())
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    keep = int(np.count_nonzero(s > tol.tau_rank * scale))
-    return Subspace(n, _phase_fix(u[:, :keep])[0])
+    keep = int(np.count_nonzero(s > tol.tau_rank * s[0]))
+    return Subspace(m.shape[0], _phase_fix(u[:, :keep])[0])
 
 
 def complement(sub: Subspace) -> Subspace:

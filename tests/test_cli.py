@@ -68,6 +68,20 @@ def tiny_coupling_file(tmp_path):
     return str(p)
 
 
+@pytest.fixture
+def rank_gap_file(tmp_path):
+    # coupling singular values (1, 8e-10), both column norms 0.7071: the small
+    # value sits between tau_rank * sigma_max and tau_rank * the largest column norm
+    c, sc = 0.7071067811865476, 5.656854249492381e-10
+    omega = np.zeros((4, 4), dtype=complex)
+    omega[2, 2], omega[3, 3] = 1.0, 2.0
+    omega[:2, 2:] = [[c, c], [-sc, sc]]
+    omega[2:, :2] = omega[:2, 2:].T
+    p = tmp_path / "gap.json"
+    p.write_text(dumps(system_to_json(ConservativeSystem(2, 2, omega))))
+    return str(p)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -346,6 +360,20 @@ class TestExtendAndFit:
         assert code == 2
 
 
+    def test_fit_of_a_kernel_sampled_where_it_nearly_vanishes(self, capsys, tmp_path):
+        # atoms at 1 and 1.5 sampled from t0 = 2 pi, where |a(t0)| is about 1e-16
+        measure = tmp_path / "measure.json"
+        measure.write_text(dumps(measure_to_json(PointMeasure(1, [1.0, 1.5], [[[1.0]], [[1.0]]]))))
+        ext, csv = str(tmp_path / "ext.json"), str(tmp_path / "kernel.csv")
+        assert main(["extend", str(measure), "--out", ext]) == 0
+        assert main(["kernel", ext, "--t0", "6.283185307179586", "--t1", "18.983185307179586",
+                     "--steps", "128", "--out", csv]) == 0
+        code, out = run_cli(capsys, "fit", csv, "--max-atoms", "5")
+        assert code == 0
+        atoms = json.loads(out)["atoms"]
+        assert [a["omega"] for a in atoms] == pytest.approx([1.0, 1.5], abs=1e-12)
+        assert [a["mass"][0][0][0] for a in atoms] == pytest.approx([1.0, 1.0], abs=1e-12)
+
     def test_extend_drops_an_atom_below_the_cut_of_the_total_mass(self, capsys, tmp_path):
         p = tmp_path / "measure.json"
         p.write_text(dumps(measure_to_json(PointMeasure(1, [1.0, 2.0], [[[1.0]], [[1e-10]]]))))
@@ -398,6 +426,38 @@ class TestAnalysisCommands:
         payload = json.loads(out)
         assert payload["count"] == 2
         assert payload["assignment"] == [0, 1]
+
+    def test_decompose_cuts_frames_like_the_coupling_rank(self, capsys, rank_gap_file):
+        code, out = run_cli(capsys, "decompose", rank_gap_file)
+        assert code == 0
+        payload = json.loads(out)
+        dims = {name: part["dim"] for name, part in payload["parts"].items()}
+        assert dims == {"h1c": 1, "h1d": 1, "h2c": 2, "h2d": 0}
+        bounds = payload["multiplicity_bounds"]
+        assert bounds["coupling_rank"] == 1
+        assert bounds["violations"] == [] and bounds["ok"] is True
+
+    def test_canonical_components_sum_to_h1_at_a_rank_gap(self, capsys, rank_gap_file):
+        code, out = run_cli(capsys, "canonical", rank_gap_file)
+        assert code == 0
+        comps = json.loads(out)["components"]
+        assert [(c["h1_dim"], c["h2_dim"]) for c in comps] == [(1, 2), (1, 0)]
+
+    def test_channels_at_a_rank_gap(self, capsys, rank_gap_file):
+        code, out = run_cli(capsys, "channels", rank_gap_file)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["rank"] == 1
+        assert payload["coupling_matrix"]["entries"] == [[1], [0]]
+
+    @pytest.mark.parametrize("argv", [["check"], ["simulate", "--open", "--T", "0.1"], ["simulate", "--both", "--T", "0.1"]])
+    def test_atom_masses_below_the_float_range_are_exit_two(self, capsys, tiny_coupling_file, tmp_path, argv):
+        out = tmp_path / "out"
+        code = main([argv[0], tiny_coupling_file, *argv[1:], "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "atom at 1.0 is below the float range" in err
+        assert not out.exists()
 
     def test_check_worked_example(self, capsys, worked_file):
         code, out = run_cli(capsys, "check", worked_file)

@@ -10,6 +10,7 @@ import pytest
 
 from openext import (
     ConservativeSystem,
+    MultiplicityBoundReport,
     Subspace,
     ValidationError,
     check_multiplicity_bounds,
@@ -174,7 +175,7 @@ class TestMultiplicity:
                 w, v = np.linalg.eigh(h)
                 w[1] = w[0]
                 h = v @ np.diag(w) @ v.conj().T
-            m, table = multiplicity(h)
+            table = multiplicity(h)
             w = np.linalg.eigvalsh(h)
             scale = max(abs(w[0]), abs(w[-1]), 1e-300)
             counts = []
@@ -186,15 +187,13 @@ class TestMultiplicity:
                     counts.append(run)
                     run = 1
             counts.append(run)
-            assert m == max(counts)
             assert [c for _, c in table] == counts
 
     def test_restriction_to_invariant_subspace(self):
         h = np.diag([1.0, 1.0, 2.0, 2.0, 2.0])
         sub = Subspace(5, np.eye(5)[:, 2:])
-        m, table = multiplicity(h, invariant_subspace=sub)
-        assert m == 3
-        assert table == [(2.0, 3)]
+        table = multiplicity(h, invariant_subspace=sub)
+        assert table == ((2.0, 3),)
 
     def test_rejects_non_invariant_subspace(self):
         h = np.zeros((3, 3))
@@ -233,6 +232,36 @@ class TestMultiplicityBounds:
             n2 = int(rng.integers(0, 6))
             rep = check_multiplicity_bounds(random_conservative(rng, n1, n2))
             assert rep.ok, rep.violations
+
+    def test_violations_are_read_off_the_cluster_tables(self):
+        # no system reaches a violation, so the report is built from its tables
+        rep = MultiplicityBoundReport(
+            coupling_rank=1,
+            per_cluster_h1c=((0.0, 2),),
+            per_cluster_h2c=((1.0, 1), (2.5, 1)),
+            per_cluster_minimal=((0.0, 1), (1.0, 3)),
+            h1_fully_coupled=True,
+            minimal_bound=2,
+        )
+        assert (rep.mult_h1c, rep.mult_h2c, rep.mult_minimal) == (2, 1, 3)
+        assert rep.violations == (
+            "mult(omega1 on h1c) = 2 exceeds coupling rank 1",
+            "mult(omega on minimal extension) = 3 exceeds min(n1, 2 rank) = 2",
+        )
+        assert rep.bound_minimal_ok is False and rep.ok is False
+        d = rep.as_dict()
+        assert (d["h1_coupled"]["ok"], d["h2_coupled"]["ok"], d["minimal_extension"]["ok"]) == (False, True, False)
+        assert d["h1_coupled"]["min_cluster_gap"] is None
+        assert d["h2_coupled"]["min_cluster_gap"] == 1.5
+        assert d["violations"] == list(rep.violations) and d["ok"] is False
+
+    def test_minimal_bound_does_not_apply_unless_h1_is_fully_coupled(self):
+        rep = MultiplicityBoundReport(1, ((0.0, 1),), ((1.0, 1),), ((0.0, 1), (1.0, 3)), False, 2)
+        assert rep.bound_minimal_ok is None
+        assert rep.violations == () and rep.ok
+        minimal = rep.as_dict()["minimal_extension"]
+        assert minimal["ok"] is None and minimal["bound_applies"] is False
+        assert minimal["max_multiplicity"] == 3
 
     def test_report_dict_has_slack(self, worked_system):
         d = check_multiplicity_bounds(worked_system).as_dict()

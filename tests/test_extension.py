@@ -10,9 +10,11 @@ import pytest
 
 from openext import (
     ConservativeSystem,
+    DissipationReport,
     FitError,
     KernelSamples,
     NotPositiveSemidefiniteError,
+    NumericError,
     PointMeasure,
     ValidationError,
     check_dissipation,
@@ -428,6 +430,16 @@ class TestRoundTripProperty:
         check()
         assert dropped == {True, False}
 
+    def test_atom_mass_below_the_float_range_is_a_numeric_error(self):
+        # (||B|| / ||coupling||)^2 is about 1, so both atoms are kept, but
+        # their masses B B^H (about 1e-340) underflow to zero
+        omega = np.zeros((4, 4), dtype=complex)
+        omega[2, 2], omega[3, 3] = 1.0, 2.0
+        omega[:2, 2:] = np.diag([1e-170, 3e-170])
+        omega[2:, :2] = omega[:2, 2:]
+        with pytest.raises(NumericError, match="atom at 1.0 is below the float range"):
+            measure_of(ConservativeSystem(2, 2, omega))
+
     def test_atom_below_the_cut_is_dropped_by_every_route(self):
         mu = PointMeasure(1, [1.0, 2.0], [[[1.0]], [[1e-10]]])
         ext = minimal_extension(mu)
@@ -590,6 +602,14 @@ class TestCheckDissipation:
         rep = check_dissipation(mu, trials=5)
         assert rep.trials <= 5
 
+    def test_verdicts_are_read_off_the_measured_values(self):
+        rep = DissipationReport(((0, -0.4),), (-0.4, 1.0), -2.0, 32, 7, -1e-6)
+        assert (rep.verdict, rep.algebraic_pass, rep.mc_pass, rep.mc_negative_found) == (False, False, False, True)
+        d = rep.as_dict()
+        assert (d["verdict"], d["algebraic_pass"], d["mc_pass"], d["mc_negative_found"]) == (False, False, False, True)
+        clean = DissipationReport((), (0.5,), -1e-6, 32, 7, -1e-6)
+        assert (clean.verdict, clean.mc_pass, clean.mc_negative_found) == (True, True, False)
+
     def test_report_serializes(self):
         rng = np.random.default_rng(22)
         rep = check_dissipation(random_measure(rng, 2, 2))
@@ -641,6 +661,17 @@ class TestFitPointMeasure:
         monkeypatch.setattr(np.linalg, "lstsq", flattened)
         with pytest.raises(FitError, match=r"frequency design matrix is ill-conditioned \(\d\.\d\de\+11\)"):
             fit_point_measure(samples, max_atoms=4)
+
+    def test_scales_come_from_the_fit_and_the_samples_not_the_first_sample(self):
+        # |a(2 pi)| = |1 + e^{-3 pi i}| is about 1e-16: a first-sample scale
+        # cuts every atom and holds the residual to about 1e-22
+        mu = PointMeasure(1, [1.0, 1.5], [[[1.0]], [[1.0]]])
+        times = 2 * np.pi + np.linspace(0.0, 12.7, 128)
+        samples = kernel_of_measure(mu, times)
+        assert abs(samples.values[0, 0, 0]) < 1e-15
+        fitted = fit_point_measure(samples, max_atoms=5)
+        assert fitted.frequencies == pytest.approx([1.0, 1.5], abs=1e-12)
+        assert fitted.masses[:, 0, 0].real == pytest.approx([1.0, 1.0], abs=1e-12)
 
     def test_zero_samples_give_empty_measure(self):
         times = np.arange(32) * 0.1

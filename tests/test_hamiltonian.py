@@ -386,6 +386,13 @@ class TestLattice:
         exact = int(np.sum(np.abs(w - 1.0) < 1e-9))
         assert exact == rep.frozen_dim_complex
 
+    def test_bound_verdicts_are_read_off_the_stored_counts(self):
+        rep = hamiltonian.FrozenReport(np.zeros((2, 1)), 3, 1.0, ((1.0, 2), (2.0, 4)), 3, 3, 0.0)
+        assert rep.frozen_dim_real == 6 and rep.dim_bound_ok
+        assert rep.mult_bound_ok is False and rep.satisfied is False
+        d = rep.as_dict()
+        assert (d["frozen_dim_real"], d["dim_bound_ok"], d["mult_bound_ok"], d["satisfied"]) == (6, True, False, False)
+
     def test_frozen_directions_are_eigenvectors(self):
         spec = LatticeSpec(1, 2, 3, 1.0, 2.0, (np.array([1.0, 0.0, 0.0]),))
         rep = frozen_report(spec)

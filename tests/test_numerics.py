@@ -392,11 +392,31 @@ class TestSubspaces:
         assert sub.dim == 2
 
     def test_orthonormal_basis_scale_overrides_relative_cut(self):
-        # the cut is relative to the largest column norm: tiny but well
+        # the cut is relative to the largest singular value: tiny but well
         # conditioned columns survive, a column tiny next to another does not
         cols = 1e-12 * np.eye(3)[:, :2]
         assert orthonormal_basis(cols).dim == 2
         assert orthonormal_basis(cols * [1.0, 1e-10]).dim == 1
+
+    def test_orthonormal_basis_cuts_like_matrix_rank(self):
+        # sigma = (1, 8e-10) with both column norms 0.7071: the second value
+        # lies between tau_rank times the largest column norm and tau_rank * sigma_max
+        c, sc = 0.7071067811865476, 5.656854249492381e-10
+        gamma = np.array([[c, c], [-sc, sc]])
+        assert orthonormal_basis(gamma).dim == matrix_rank(gamma) == 1
+        rng = np.random.default_rng(61)
+        tau = DEFAULT_TOLERANCES.tau_rank
+        for _ in range(10):
+            n, k = int(rng.integers(3, 7)), int(rng.integers(2, 4))
+            u = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
+            v = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+            s = np.ones(k)
+            s[-1] = 0.0
+            top_column = float(np.linalg.norm(u @ np.diag(s) @ v.conj().T, axis=0).max())
+            s[-1] = tau * np.sqrt(top_column)  # between tau * top_column and tau * sigma_max = tau
+            gamma = u @ np.diag(s) @ v.conj().T
+            assert tau * np.linalg.norm(gamma, axis=0).max() < s[-1] < tau
+            assert orthonormal_basis(gamma).dim == matrix_rank(gamma) == k - 1
 
     def test_orthonormal_basis_of_columns_whose_squares_underflow(self):
         cols = np.diag([1e-170, 3e-170])
