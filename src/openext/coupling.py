@@ -173,9 +173,9 @@ def canonical_decomposition(
     g'_q (the orbits then share an eigenspace direction, so no invariant
     splitting can separate them).  Both overlaps are read from one
     eigendecomposition per side: for an eigen-cluster with eigenvectors
-    V_c put C = V_c^H U (U = g or g'); the orbit frame F_p of u_p holds
-    the unit vector V_c C[:, p] / |C[:, p]| exactly when
-    |C[:, p]| > tau_rank |u_p|, so the overlap is
+    V_c put C = V_c^H U (U = g or g', orthonormal columns); the orbit
+    frame F_p of u_p holds the unit vector V_c C[:, p] / |C[:, p]|
+    exactly when |C[:, p]| > tau_rank, so the overlap is
 
         |F_p^H u_q| = sqrt( sum_c |C[:, p]^H C[:, q]|^2 / |C[:, p]|^2 )
 
@@ -192,12 +192,11 @@ def canonical_decomposition(
     sides = [(*eigen_clusters(op, tol)[1:], u) for op, u in pairs]
     linked = np.eye(r, dtype=bool)
     for v, clusters, u in sides:
-        rank_cut = tol.tau_rank * np.linalg.norm(u, axis=0)
         overlap2 = np.zeros((r, r))
         for cl in clusters:
             c = v[:, cl.start : cl.stop].conj().T @ u
             norms = np.linalg.norm(c, axis=0)
-            kept = norms > rank_cut
+            kept = norms > tol.tau_rank
             overlap2[kept] += np.abs(c[:, kept].conj().T @ c) ** 2 / norms[kept, None] ** 2
         linked |= np.triu(np.sqrt(overlap2) > tol.tau_residual)
     linked |= linked.T

@@ -58,40 +58,30 @@ __all__ = [
 ]
 
 
-def _seed_frame(seed) -> np.ndarray:
-    if isinstance(seed, Subspace):
-        return seed.frame
-    frame = np.asarray(seed, dtype=np.complex128)
-    if frame.ndim == 1:
-        frame = frame[:, None]
-    if frame.ndim != 2:
-        raise ValidationError("seed must be a Subspace or a matrix of column vectors")
-    return frame
-
-
 def orbit(op, seed, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:
     """Smallest op-invariant subspace containing the seed vectors.
 
     Equals the span of the eigen-cluster projections of the seed: each
     cluster of the spectrum (merged at tau_eig_cluster relative to the
     spectral radius) contributes the projection of the seed onto its
-    eigenspace.  Each part's rank is cut on the d_c x k coefficients
-    V_c^H F, relative to the largest seed column norm.
+    eigenspace.  A `Subspace` seed is used as it is; any other seed is
+    first cut to an orthonormal frame F of its span by `orthonormal_basis`
+    (the frame rule).  Each part's rank is cut on the d_c x k coefficients
+    V_c^H F at tau_rank, so the orbit depends only on span(seed).
     """
     a = as_matrix(op)
     n = a.shape[0]
-    frame = _seed_frame(seed)
-    if frame.shape[0] != n:
-        raise ValidationError(f"seed ambient dim {frame.shape[0]} does not match operator dim {n}")
-    if frame.shape[1] == 0 or not frame.any():
+    basis = seed if isinstance(seed, Subspace) else orthonormal_basis(seed, tol)
+    if basis.ambient_dim != n:
+        raise ValidationError(f"seed ambient dim {basis.ambient_dim} does not match operator dim {n}")
+    if basis.dim == 0:
         return zero_subspace(n)
     _, v, clusters = eigen_clusters(a, tol)
-    return _cluster_orbit(v, clusters, frame, tol)
+    return _cluster_orbit(v, clusters, basis.frame, tol)
 
 
 def _cluster_orbit(v: np.ndarray, clusters, frame: np.ndarray, tol: ToleranceConfig) -> Subspace:
-    """`orbit` of a nonzero seed, given the eigenvectors and clusters of the operator."""
-    cut = tol.tau_rank * float(np.max(np.linalg.norm(frame, axis=0)))
+    """`orbit` of an orthonormal seed frame, given the eigenvectors and clusters of the operator."""
     coefficients = v.conj().T @ frame
     pieces = [np.zeros((v.shape[0], 0), dtype=np.complex128)]
     for cl in clusters:
@@ -100,7 +90,7 @@ def _cluster_orbit(v: np.ndarray, clusters, frame: np.ndarray, tol: ToleranceCon
             u, s = np.ones((1, 1)), np.linalg.norm(c, axis=1)
         else:
             u, s, _ = np.linalg.svd(c, full_matrices=False)
-        keep = int(np.count_nonzero(s > cut))
+        keep = int(np.count_nonzero(s > tol.tau_rank))
         if keep:
             pieces.append(v[:, cl.start : cl.stop] @ u[:, :keep])
     return Subspace(v.shape[0], _phase_fix(np.hstack(pieces))[0])
@@ -411,9 +401,11 @@ def is_reconstructible(
     The off-diagonal coupling part of omega must not annihilate any
     eigenvector: an annihilated mode evolves identically in the system
     with the coupling removed, so no observation can pin it down.  The
-    verdict is equivalent to both decoupled parts being trivial.  On
-    failure the witness is (eigenvalue, unit vector in the kernel
-    intersection); on success it is None.
+    verdict is equivalent to both decoupled parts being trivial.  The
+    coupling's image of each eigen-cluster is ranked by `matrix_rank` at
+    tau_rank * ||coupling||_2 (the compression rule).  On failure the
+    witness is (eigenvalue, unit vector in the kernel intersection); on
+    success it is None.
     """
     c = system.coupling_part
     c_scale = float(np.linalg.norm(system.coupling, 2))
@@ -421,10 +413,8 @@ def is_reconstructible(
     for cl in clusters:
         frame = v[:, cl.start : cl.stop]
         image = c @ frame
-        _, s, vh = np.linalg.svd(image, full_matrices=False)
-        rank = int(np.count_nonzero(s > tol.tau_rank * c_scale)) if c_scale > 0 else 0
-        if rank < cl.stop - cl.start:
-            null_combo = vh[-1].conj()
+        if matrix_rank(image, tol, scale=c_scale) < cl.dim:
+            null_combo = np.linalg.svd(image, full_matrices=False)[2][-1].conj()
             witness = frame @ null_combo
             witness = witness / np.linalg.norm(witness)
             return False, (cl.value, witness)

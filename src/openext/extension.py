@@ -396,7 +396,8 @@ def fit_point_measure(
     1e-8 * sigma_max, capped at max_atoms); masses follow from entrywise
     least squares against the recovered exponentials, projected to the nearest
     PSD matrix, and dropped at norm <= tau_rank * ||a(0)||_2, a(0) the sum of
-    the projected masses (the atom rule of `minimal_extension` and `measure_of`).
+    the projected masses (the atom rule of `minimal_extension` and `measure_of`);
+    the pencil cut acts first, so an atom it misses is lost even above that cut.
     The fit must reproduce every sampled entry within 1e-6 times the largest
     sampled |a_ij(t_j)| or raises FitError.
     A Hankel matrix past SIZE_BUDGET entries raises BudgetError before it is formed.

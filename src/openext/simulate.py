@@ -19,11 +19,11 @@ finite sum of exponentials e^{-i w_k t} N_k, the history enters only
 through the sums sigma_k(t_j) = sum_{l<=j} e^{-i w_k (t_j - t_l)} v_l,
 which obey sigma_k <- e^{-i w_k h} sigma_k + v.  Carried on each mass's
 range (tau_k = R_k^H sigma_k for N_k = L_k R_k^H, eigenpairs at or below
-tau_rank times the largest of the stack cut), the midpoint step is a
-constant linear map of a state of dimension n + sum_k rank N_k, a
-diagonal plus a rank-n part, applied as a block scan in about
-2 sqrt(steps) Python iterations; `propagate_open` gives the scan, its
-cost and the bound of the cut.
+tau_rank * ||a(0)||_2 cut, the atom rule of `minimal_extension`), the
+midpoint step is a constant linear map of a state of dimension
+n + sum_k rank N_k, a diagonal plus a rank-n part, applied as a block
+scan in about 2 sqrt(steps) Python iterations; `propagate_open` gives
+the scan, its cost and the bound of the cut.
 
 Both trajectories are compared by `equivalence_residual`: driving the
 extension with a forcing supported on the observable block and
@@ -237,11 +237,12 @@ def propagate_open(
     steps, and fades where d is in the hundreds per observable.
     Temporaries hold O(sqrt(steps) n d) entries.
 
-    The range cut drops mass eigenpairs with |lambda| <= tau_rank times
-    the largest |lambda| of the stack.  For a positive semidefinite
-    measure the open evolution is a contraction, so the dropped parts
-    dN_k move the solution by at most (t^2 / 2) sum_k ||dN_k|| max ||v||
-    up to time t, each ||dN_k|| <= tau_rank * max |lambda|.
+    The range cut drops mass eigenpairs with |lambda| <= tau_rank *
+    ||a(0)||_2, the cut of `minimal_extension` by the same expression, so a
+    positive semidefinite measure keeps exactly its minimal extension's
+    modes.  Its open evolution is a contraction, so the dropped parts dN_k
+    move the solution by at most (t^2 / 2) sum_k ||dN_k|| max ||v|| up to
+    time t, each ||dN_k|| <= tau_rank * ||a(0)||_2.
 
     An unstable step raises `NumericError` naming the first time whose
     state is not finite.
@@ -260,10 +261,10 @@ def propagate_open(
         f_mid = 0.5 * (f[:-1] + f[1:])
 
     # each mass on its range: N_k = W_k diag(lam) W_k^H, indefinite or not,
-    # keeping |lam| > tau_rank * (largest |lam| of the stack); the columns of
-    # left = W diag(lam) and right = W are the kept pairs of every atom
+    # keeping |lam| > tau_rank * ||a(0)||_2 as `minimal_extension` does; the
+    # columns of left = W diag(lam) and right = W are the kept pairs of every atom
     lam, vecs = np.linalg.eigh(open_system.kernel.masses)
-    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
+    scale = float(np.linalg.norm(open_system.kernel.total_mass(), 2))
     atom, pair = np.nonzero(np.abs(lam) > tol.tau_rank * scale)
     right = vecs[atom, :, pair].T
     left = right * lam[atom, pair]

@@ -58,13 +58,16 @@ def reference_grouping(system, tol=DEFAULT_TOLERANCES):
 
     One orbit per channel and side, the overlap |F_p^H u_q| of the orbit
     of channel p with channel q, union-find over the linked pairs, then
-    the orbit of each group's channels.  Returns (assignment, frames)
-    with frames[k] = (H1 frame, H2 frame) of group k.
+    the orbit of each group's channels.  The channel vectors are
+    orthonormal, so they are passed as `Subspace` seeds, as
+    `canonical_decomposition` hands them to its orbits.  Returns
+    (assignment, frames) with frames[k] = (H1 frame, H2 frame) of group k.
     """
     cs = channels(system, tol)
     r = cs.rank
-    orbits1 = [orbit(system.omega1, cs.g[:, q], tol) for q in range(r)]
-    orbits2 = [orbit(system.omega2, cs.g_prime[:, q], tol) for q in range(r)]
+    n1, n2 = system.n1, system.n2
+    orbits1 = [orbit(system.omega1, Subspace(n1, cs.g[:, [q]]), tol) for q in range(r)]
+    orbits2 = [orbit(system.omega2, Subspace(n2, cs.g_prime[:, [q]]), tol) for q in range(r)]
     parent = list(range(r))
 
     def find(x):
@@ -88,7 +91,10 @@ def reference_grouping(system, tol=DEFAULT_TOLERANCES):
         for q in group:
             assignment[q] = k
     frames = [
-        (orbit(system.omega1, cs.g[:, group], tol).frame, orbit(system.omega2, cs.g_prime[:, group], tol).frame)
+        (
+            orbit(system.omega1, Subspace(n1, cs.g[:, group]), tol).frame,
+            orbit(system.omega2, Subspace(n2, cs.g_prime[:, group]), tol).frame,
+        )
         for group in groups
     ]
     return tuple(assignment), frames

@@ -65,6 +65,39 @@ class TestOrbit:
         h = np.diag([1.0, 2.0, 3.0])
         assert orbit(h, np.array([1.0, 1.0, 1.0])).dim == 3
 
+    def test_depends_only_on_the_span_of_the_seed(self):
+        # the 3e-9 component along the second eigenvector stays above the
+        # cut however the seed's columns are scaled
+        h = np.diag([1.0, 2.0, 3.0])
+        seed = np.array([[1.0, 0.0], [3e-9, 0.0], [0.0, 1.0]])
+        got, scaled = orbit(h, seed), orbit(h, seed @ np.diag([1.0, 1e3]))
+        assert got.dim == 3
+        assert subspaces_equal(got, scaled)
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_span_invariance_property(self, trial):
+        # spectrum 1, 1, 1, 2, 3, 4 in a random eigenbasis; a seed of two unit
+        # columns in eigen-coordinates, with a component delta in [3e-9, 1e-8]
+        # of the first column along the top eigenvector; any R of condition
+        # number s in [1e2, 1e3] spans the same seed space
+        rng = np.random.default_rng(700 + trial)
+        basis = haar_unitary(6, rng)
+        h = basis @ np.diag([1.0, 1.0, 1.0, 2.0, 3.0, 4.0]) @ basis.conj().T
+        coeffs = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        coeffs[5] = 0.0
+        coeffs /= np.linalg.norm(coeffs, axis=0)
+        coeffs[5, 0] = 10.0 ** rng.uniform(np.log10(3e-9), -8.0)
+        seed = basis @ coeffs
+        s = 10.0 ** rng.uniform(2.0, 3.0)
+        r = np.diag([1.0, s]) @ haar_unitary(2, rng)
+        got, mixed = orbit(h, seed), orbit(h, seed @ r)
+        assert got.dim == 5  # two directions of the triple cluster, and 2, 3, 4
+        assert subspaces_equal(got, mixed)
+
+    def test_non_finite_seed_raises(self):
+        with pytest.raises(ValidationError):
+            orbit(np.diag([1.0, 2.0, 3.0]), np.array([np.nan, 0.0, 0.0]))
+
 
 class TestCoupledParts:
     def test_worked_example_blocks(self, worked_system):

@@ -280,6 +280,22 @@ class TestOpenPropagation:
         with pytest.raises(NumericError, match="diverged"):
             propagate_open(open_sys, forcing_step([1.0]), np.arange(3335) * 0.9)
 
+    def test_keeps_exactly_the_minimal_extension_modes(self):
+        # a 5e-9 f f^T on the first of ten unit atoms e e^T lies below the
+        # atom rule's cut, tau_rank * ||a(0)||_2 = 1e-8: minimal_extension
+        # drops it, and the range cut must drop it too, bit for bit
+        e, f = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        masses = [np.outer(e, e)] * 10
+        masses[0] = masses[0] + 5e-9 * np.outer(f, f)
+        mu = PointMeasure(2, np.arange(1.0, 11.0), masses)
+        omega1 = np.array([[0.5, 0.1], [0.1, -0.3]])
+        drive = forcing_step(np.ones(2) / np.sqrt(2))
+        grid = np.linspace(0.0, 5.0, 5001)
+        got = propagate_open(OpenSystem(2, omega1, mu), drive, grid)
+        extended = measure_of(minimal_extension(mu))
+        want = propagate_open(OpenSystem(2, omega1, extended), drive, grid)
+        assert np.array_equal(got.states, want.states)
+
     def test_memory_damps_driven_mode(self, worked_system):
         # energy leaks into the hidden modes: the driven open system
         # must stay strictly below the kernel-free response
