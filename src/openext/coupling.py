@@ -2,12 +2,13 @@
 
 The singular value decomposition of the coupling block Gamma defines
 the channels: unit vectors g_q in H1 and g'_q in H2 with
-Gamma = sum_q sqrt(gamma_q) |g_q><g'_q|.  Channels whose orbits touch
-belong to the same dynamical component; the connected components of
-that contact graph give the finest decomposition of the system into
-parts that evolve independently and split the observable space
-("s-invariant": the component projectors commute with both the
-frequency operator and the observable projection).
+Gamma = sum_q sqrt(gamma_q) |g_q><g'_q|.  The finest decomposition of
+the system into parts that evolve independently and split the
+observable space ("s-invariant": the component projectors commute with
+both the frequency operator and the observable projection) is read from
+the blocks of the algebra the channels generate with the two spectra.
+Whether a candidate observable subspace splits off is read from the
+spectral masses of the friction kernel, one per hidden eigen-cluster.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .model import ConservativeSystem
 from .numerics import (
     DEFAULT_TOLERANCES,
@@ -26,6 +27,7 @@ from .numerics import (
     _invariance_leak,
     cluster_spectrum,
     eigen_clusters,
+    eigh,
     matrix_rank,
     max_abs,
     orthonormal_basis,
@@ -33,7 +35,6 @@ from .numerics import (
     zero_subspace,
 )
 from .decomposition import _block_frame, _cluster_orbit, _embed, _split_parts, orbit
-from .extension import kernel_eval
 
 __all__ = [
     "ChannelSet",
@@ -45,6 +46,8 @@ __all__ = [
     "DecouplingReport",
     "decoupling_report",
 ]
+
+_ALGEBRA_SEED = 0  # seeds the weights of the generic combination X in `canonical_decomposition`
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,7 @@ class SInvariantDecomposition:
     coordinates; their direct sums over k recover H1 and H2.  Channel q
     drives component assignment[q].  Components beyond the assigned ones
     are the decoupled remainders (empty on one side).  channels is the
-    channel set the grouping was built from.
+    channel set, each degenerate group's vectors rotated onto the components.
     """
 
     components: tuple[tuple[Subspace, Subspace], ...]
@@ -166,75 +169,97 @@ class SInvariantDecomposition:
 def canonical_decomposition(
     system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> SInvariantDecomposition:
-    """Group channels whose orbits overlap; each group is one component.
+    """Split the coupled part along the blocks of the channel algebra.
 
-    Channels p and q interact iff the orbit of g_p under omega1 has a
-    component along g_q, or the orbit of g'_p under omega2 has one along
-    g'_q (the orbits then share an eigenspace direction, so no invariant
-    splitting can separate them).  Both overlaps are read from one
-    eigendecomposition per side: for an eigen-cluster with eigenvectors
-    V_c put C = V_c^H U (U = g or g', orthonormal columns); the orbit
-    frame F_p of u_p holds the unit vector V_c C[:, p] / |C[:, p]|
-    exactly when |C[:, p]| > tau_rank, so the overlap is
-
-        |F_p^H u_q| = sqrt( sum_c |C[:, p]^H C[:, q]|^2 / |C[:, p]|^2 )
-
-    over the kept clusters, and p < q are linked when it exceeds
-    tau_residual on either side.  Connected components of that relation,
-    ordered by their smallest channel, give the finest splitting; the
-    decoupled remainders h1d and h2d, read from the same two spectra, are
-    attached as extra components with an empty other side.
+    In channel coordinates x in C^r (x -> g x in H1, x -> g' x in H2) the
+    S-invariant splittings are those of C^r that reduce every Hermitian
+    generator: G_c = C_c^H C_c, C_c = V_c^H g, per eigen-cluster c of
+    omega1 (g' for omega2), and the diagonal of strengths sigma_q/sigma_0,
+    made scalar on each degenerate group.  The eigenvectors q_i of X, a
+    combination of the generators with seeded weights in [1, 2), lie in
+    single blocks; q_i and q_j are linked when |q_i^H G q_j| > tau_residual
+    for some G, and the blocks are the connected components (Murota, Kanno,
+    Kojima and Kojima, Japan J. Indust. Appl. Math. 27, 2010).  Channels
+    of a degenerate group are rotated onto the blocks: g, g_prime and
+    assignment move there only.  A repeated eigenvalue of X is accepted
+    only where its vectors link to nothing (one-dimensional components,
+    only their span canonical); any other repeat, from equivalent
+    components of dimension two or more or bad luck of the seed, raises
+    NumericError.  A component is the orbit of its channels, or of its
+    block's g q_i where they leak into other blocks past tau_rank; they
+    are ordered by smallest channel, and the decoupled remainders h1d and
+    h2d follow with an empty other side.
     """
     n1, n2 = system.n1, system.n2
     cs = channels(system, tol)
     r = cs.rank
-    pairs = ((system.omega1, cs.g), (system.omega2, cs.g_prime)) if r else ()
-    sides = [(*eigen_clusters(op, tol)[1:], u) for op, u in pairs]
-    linked = np.eye(r, dtype=bool)
-    for v, clusters, u in sides:
-        overlap2 = np.zeros((r, r))
+    sides = [eigen_clusters(op, tol)[1:] for op in (system.omega1, system.omega2)] if r else []
+    # sigma_q from g_q^H Gamma g'_q, which has no square to underflow; scalar on each degenerate group
+    strengths = np.sum(cs.g.conj() * (system.coupling @ cs.g_prime), axis=0).real
+    for group in map(list, cs.degenerate_groups):
+        strengths[group] = strengths[group].mean()
+    strengths /= max(strengths, default=1.0)
+    coefficients = [(v.conj().T @ u, clusters) for (v, clusters), u in zip(sides, (cs.g, cs.g_prime))]
+    rng = np.random.default_rng(_ALGEBRA_SEED)
+    x = np.diag(rng.uniform(1.0, 2.0) * strengths)
+    for a, clusters in coefficients:
+        x = x + (a.conj().T * np.repeat(rng.uniform(1.0, 2.0, len(clusters)), [cl.dim for cl in clusters])) @ a
+    _, q, x_clusters = eigen_clusters(x, tol)
+    link = np.abs(q.conj().T @ (strengths[:, None] * q))
+    for a, clusters in coefficients:
+        d = a @ q
         for cl in clusters:
-            c = v[:, cl.start : cl.stop].conj().T @ u
-            norms = np.linalg.norm(c, axis=0)
-            kept = norms > tol.tau_rank
-            overlap2[kept] += np.abs(c[:, kept].conj().T @ c) ** 2 / norms[kept, None] ** 2
-        linked |= np.triu(np.sqrt(overlap2) > tol.tau_residual)
-    linked |= linked.T
+            np.maximum(link, np.abs(d[cl.start : cl.stop].conj().T @ d[cl.start : cl.stop]), out=link)
+    linked = (link > tol.tau_residual) | np.eye(r, dtype=bool)
+    if any(cl.dim > 1 and np.count_nonzero(linked[cl.start : cl.stop]) > cl.dim for cl in x_clusters):
+        raise NumericError("ambiguous channel blocks: linked eigenvectors of X share an eigenvalue")
     while not np.array_equal(closure := linked @ linked, linked):
         linked = closure
     members = [tuple(np.flatnonzero(row).tolist()) for row in linked]
-    groups = sorted(set(members))
+    x_blocks = sorted(set(members))
+    # sum_k k Q_k Q_k^H over the blocks k: a channel outside a degenerate group is its eigenvector
+    block_index = (q * np.array([x_blocks.index(m) for m in members], dtype=np.float64)) @ q.conj().T
+    block_of = np.rint(block_index.diagonal().real).astype(np.int64)
+    for group in map(list, cs.degenerate_groups):
+        # Sigma is scalar on the group: rotate its channels (arrays this call's cs owns) and q's rows
+        found, w = eigh(block_index[np.ix_(group, group)], tol)
+        cs.g[:, group], cs.g_prime[:, group] = cs.g[:, group] @ w, cs.g_prime[:, group] @ w
+        q[group] = w.conj().T @ q[group]
+        block_of[group] = np.rint(found)
+    index: dict[int, int] = {}
+    assignment = tuple(index.setdefault(k, len(index)) for k in block_of.tolist())
+    groups = [[p for p in range(r) if assignment[p] == i] for i in range(len(index))]
 
     components: list[tuple[Subspace, Subspace]] = []
-    for group in groups:
-        f1, f2 = (_cluster_orbit(v, clusters, u[:, group], tol).frame for v, clusters, u in sides)
+    for group, block in zip(groups, (list(x_blocks[k]) for k in index)):
+        # close strengths leave eps/gap of one channel vector in the other, which the orbit's cut may keep
+        leak = np.linalg.norm(np.delete(q[group], block, axis=1))
+        seeds = [u[:, group] if leak <= tol.tau_rank else u @ q[:, block] for u in (cs.g, cs.g_prime)]
+        f1, f2 = (_cluster_orbit(v, cl, seed, tol).frame for (v, cl), seed in zip(sides, seeds))
         components.append((Subspace(n1 + n2, _embed(f1, n1, n2, 1)), Subspace(n1 + n2, _embed(f2, n1, n2, 2))))
 
     # coupled_parts' seeds on the spectra above; no spectra when the coupling is zero
     gamma = system.coupling
-    blocks = [zero_subspace(n1), zero_subspace(n2)]
-    for i, ((v, clusters, _), seed) in enumerate(zip(sides, (gamma, gamma.conj().T))):
-        blocks[i] = _cluster_orbit(v, clusters, orthonormal_basis(seed, tol).frame, tol)
-    parts = _split_parts(system, *blocks)
+    seeds = (gamma, gamma.conj().T)
+    coupled = [_cluster_orbit(v, cl, orthonormal_basis(s, tol).frame, tol) for (v, cl), s in zip(sides, seeds)]
+    parts = _split_parts(system, *(coupled or (zero_subspace(n1), zero_subspace(n2))))
     empty = zero_subspace(n1 + n2)
-    if parts.h1d.dim:
-        components.append((parts.h1d, empty))
-    if parts.h2d.dim:
-        components.append((empty, parts.h2d))
-    return SInvariantDecomposition(tuple(components), tuple(groups.index(m) for m in members), cs)
+    components += [(parts.h1d, empty)] * bool(parts.h1d.dim) + [(empty, parts.h2d)] * bool(parts.h2d.dim)
+    return SInvariantDecomposition(tuple(components), assignment, cs)
 
 
 @dataclass(frozen=True)
 class DecouplingReport:
     """Can a candidate observable subspace be split off?
 
-    The split succeeds iff the internal operator and the friction kernel
-    are both block-diagonal with respect to (h1_sub, complement): the
-    forward residuals are the norms of the omega1 block and the worst
-    kernel block over the sampled times.  Decoupling is mutual, so the
-    reverse residuals must come out small whenever the forward ones do;
-    both are reported.  On success `splitting` carries the full-space
-    invariant pair (h1_sub, orbit of coupling^H h1_sub).
+    Yes iff omega1 and the kernel a(t) = sum_c N_c e^{-i w_c t} are both
+    block-diagonal for (h1_sub, complement).  Exponentials at distinct
+    frequencies are linearly independent, so a(t) is exactly when every
+    N_c = B_c B_c^H is, B_c = Gamma V_c over every eigen-cluster c of
+    omega2.  The residuals are ||pi omega1 pi^perp|| and
+    sum_c ||(pi B_c)(pi^perp B_c)^H||, a bound on ||pi a(t) pi^perp|| at
+    every t; the reverse ones swap pi and pi^perp.  On success `splitting`
+    carries the full-space invariant pair (h1_sub, orbit of Gamma^H h1_sub).
     """
 
     decoupled: bool
@@ -242,18 +267,7 @@ class DecouplingReport:
     residual_kernel: float
     reverse_residual_internal: float
     reverse_residual_kernel: float
-    times: np.ndarray = field(repr=False)
     splitting: tuple[Subspace, Subspace] | None = None
-
-
-KERNEL_CHECK_POINTS = 25
-
-
-def _kernel_check_times(system: ConservativeSystem, tol: ToleranceConfig) -> np.ndarray:
-    """25 points over the slowest beat period: the least gap between hidden eigen-clusters."""
-    values = [cl.value for cl in eigen_clusters(system.omega2, tol, vectors=False)[2]]
-    horizon = 2.0 * np.pi / float(np.diff(values).min()) if len(values) > 1 else 2.0 * np.pi
-    return np.linspace(0.0, horizon, KERNEL_CHECK_POINTS)
 
 
 def decoupling_report(
@@ -272,37 +286,21 @@ def decoupling_report(
 
     pi = frame @ frame.conj().T
     pi_c = np.eye(n1, dtype=np.complex128) - pi
-    omega1 = system.omega1
-    r_int = float(np.linalg.norm(pi @ omega1 @ pi_c, 2))
-    r_int_rev = float(np.linalg.norm(pi_c @ omega1 @ pi, 2))
+    r_int = float(np.linalg.norm(pi @ system.omega1 @ pi_c, 2))
+    r_int_rev = float(np.linalg.norm(pi_c @ system.omega1 @ pi, 2))
 
-    times = _kernel_check_times(system, tol)
-    kernel = kernel_eval(system, times, tol)
-    r_ker = max(
-        (float(np.linalg.norm(pi @ a @ pi_c, 2)) for a in kernel.values), default=0.0
-    )
-    r_ker_rev = max(
-        (float(np.linalg.norm(pi_c @ a @ pi, 2)) for a in kernel.values), default=0.0
-    )
+    _, v, clusters = eigen_clusters(system.omega2, tol)
+    gv = system.coupling @ v
+    b = [(pi @ gv[:, cl.start : cl.stop], pi_c @ gv[:, cl.start : cl.stop]) for cl in clusters]
+    r_ker = sum((float(np.linalg.norm(inner @ outer.conj().T, 2)) for inner, outer in b), 0.0)
+    r_ker_rev = sum((float(np.linalg.norm(outer @ inner.conj().T, 2)) for inner, outer in b), 0.0)
 
     omega_scale = max(float(np.linalg.norm(system.omega, 2)), 1.0)
-    kernel_scale = max(float(np.linalg.norm(kernel.values[0], 2)), 1.0)
+    kernel_scale = max(float(np.linalg.norm(gv, 2)) ** 2 if gv.size else 0.0, 1.0)  # ||Gamma V|| = ||Gamma||
     decoupled = r_int <= tol.tau_residual * omega_scale and r_ker <= tol.tau_residual * kernel_scale
 
     splitting = None
     if decoupled:
-        seed = system.coupling.conj().T @ frame
-        h2_part = orbit(system.omega2, seed, tol) if n2 else zero_subspace(0)
-        splitting = (
-            Subspace(n1 + n2, _embed(frame, n1, n2, 1)),
-            Subspace(n1 + n2, _embed(h2_part.frame, n1, n2, 2)),
-        )
-    return DecouplingReport(
-        decoupled=decoupled,
-        residual_internal=r_int,
-        residual_kernel=r_ker,
-        reverse_residual_internal=r_int_rev,
-        reverse_residual_kernel=r_ker_rev,
-        times=times,
-        splitting=splitting,
-    )
+        h2_part = orbit(system.omega2, system.coupling.conj().T @ frame, tol) if n2 else zero_subspace(0)
+        splitting = (Subspace(n1 + n2, _embed(frame, n1, n2, 1)), Subspace(n1 + n2, _embed(h2_part.frame, n1, n2, 2)))
+    return DecouplingReport(decoupled, r_int, r_ker, r_int_rev, r_ker_rev, splitting)

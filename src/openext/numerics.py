@@ -60,7 +60,8 @@ class ToleranceConfig:
                      Also mass/stiffness definiteness.
     tau_eig_cluster  read by `cluster_spectrum` alone, the merge rule of eigen-clusters, channel
                      groups, lattice multiplicities and atom frequencies (`PointMeasure.create`, `validate`).
-    tau_residual     residual verdicts (invariance, links, decoupling, `subspaces_equal`), PSD/MC cuts, certificates.
+    tau_residual     residual verdicts (invariance, the channel algebra's links, the decoupling masses,
+                     `subspaces_equal`), PSD/MC cuts, certificates.
     """
 
     tau_herm: float = 1e-10

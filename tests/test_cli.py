@@ -28,6 +28,7 @@ from openext.serialization import (
     write_kernel_csv,
 )
 
+from test_coupling import equivalent_components_system, rotated
 from test_simulate import stepwise_open
 
 
@@ -442,6 +443,17 @@ class TestAnalysisCommands:
         assert code == 0
         comps = json.loads(out)["components"]
         assert [(c["h1_dim"], c["h2_dim"]) for c in comps] == [(1, 2), (1, 0)]
+
+    def test_canonical_on_equivalent_components_is_exit_two(self, capsys, tmp_path):
+        # two equivalent two-channel components: the split between them is not canonical
+        system = rotated(equivalent_components_system(), np.random.default_rng(64))
+        p = tmp_path / "equivalent.json"
+        p.write_text(dumps(system_to_json(system)))
+        code = main(["canonical", str(p)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and "ambiguous channel blocks" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_channels_at_a_rank_gap(self, capsys, rank_gap_file):
         code, out = run_cli(capsys, "channels", rank_gap_file)

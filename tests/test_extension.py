@@ -328,6 +328,22 @@ class TestMeasureOf:
         for ma, mb in zip(mu.masses, back.masses):
             assert np.max(np.abs(ma - mb)) < 1e-9 * max(np.abs(ma).max(), 1.0)
 
+    def test_covariant_under_observable_unitary(self):
+        # rotating H1 by u keeps the frequencies and takes every mass N to u N u^H
+        rng = np.random.default_rng(18)
+        for _ in range(5):
+            mu = random_measure(rng, 3, 4)
+            sys_ = minimal_extension(mu)
+            n1 = sys_.n1
+            u = haar_unitary(n1, rng)
+            w = np.eye(sys_.dim, dtype=complex)
+            w[:n1, :n1] = u
+            omega = w @ sys_.omega @ w.conj().T
+            back = measure_of(ConservativeSystem(n1, sys_.n2, 0.5 * (omega + omega.conj().T)))
+            assert np.allclose(back.frequencies, mu.frequencies, rtol=0.0, atol=1e-9)
+            for ma, mb in zip(mu.masses, back.masses):
+                assert np.max(np.abs(u @ ma @ u.conj().T - mb)) < 1e-9 * max(np.abs(ma).max(), 1.0)
+
     def test_uncoupled_hidden_modes_dropped(self):
         omega = np.diag([1.0, 2.0, 3.0]).astype(complex)
         sys_ = ConservativeSystem(1, 2, omega)
