@@ -113,8 +113,12 @@ def _envelope(command: str, digest: str, tol: ToleranceConfig, **payload) -> dic
     return out
 
 
-def _subspace_json(sub: Subspace) -> dict:
-    return {"dim": sub.dim, "frame": matrix_to_json(sub.frame)}
+def _full_frame(system: ConservativeSystem, sub: Subspace, side: int) -> np.ndarray:
+    """Frame of a subspace of H1 (side 1) or H2 (side 2) padded with zeros to
+    n1 + n2 rows: reports write every frame in full-space coordinates."""
+    full = np.zeros((system.dim, sub.dim), dtype=np.complex128)
+    full[slice(system.n1) if side == 1 else slice(system.n1, None)] = sub.frame
+    return full
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -196,8 +200,9 @@ def _cmd_decompose(args, tol: ToleranceConfig) -> int:
         digest,
         tol,
         parts={
-            name: _subspace_json(getattr(parts, name))
-            for name in ("h1c", "h1d", "h2c", "h2d")
+            name: {"dim": sub.dim, "frame": matrix_to_json(_full_frame(system, sub, side))}
+            for name, sub, side in (("h1c", parts.h1c, 1), ("h1d", parts.h1d, 1),
+                                    ("h2c", parts.h2c, 2), ("h2d", parts.h2d, 2))
         },
         four_block_residual=residual,
         strings={
@@ -205,7 +210,7 @@ def _cmd_decompose(args, tol: ToleranceConfig) -> int:
             "items": [
                 {
                     "dim": sub.dim,
-                    "frame": matrix_to_json(sub.frame),
+                    "frame": matrix_to_json(_full_frame(system, sub, 2)),
                     "content": [{"value": v, "weight": w} for v, w in measure],
                 }
                 for sub, measure in zip(strings.strings, strings.measures)
@@ -221,13 +226,8 @@ def _cmd_channels(args, tol: ToleranceConfig) -> int:
     system, digest = _load_system(args.input)
     decomposition = canonical_decomposition(system, tol)
     cs = decomposition.channels
-    n1, n2 = system.n1, system.n2
-    parts1 = [
-        Subspace(n1, comp[0].frame[:n1]) for comp in decomposition.components if comp[0].dim
-    ]
-    parts2 = [
-        Subspace(n2, comp[1].frame[n1:]) for comp in decomposition.components if comp[1].dim
-    ]
+    parts1 = [h1_part for h1_part, _ in decomposition.components if h1_part.dim]
+    parts2 = [h2_part for _, h2_part in decomposition.components if h2_part.dim]
     matrix = coupling_matrix(system, parts1, parts2, tol)
     payload = _envelope(
         "channels",
@@ -256,18 +256,14 @@ def _cmd_canonical(args, tol: ToleranceConfig) -> int:
     decomposition = canonical_decomposition(system, tol)
     components = []
     for h1_part, h2_part in decomposition.components:
-        joint = Subspace(
-            system.dim, np.hstack([h1_part.frame, h2_part.frame])
-        ) if h1_part.dim + h2_part.dim else None
-        verdict, residuals = (
-            is_s_invariant(system, joint, tol) if joint is not None else (True, (0.0, 0.0))
-        )
+        f1, f2 = _full_frame(system, h1_part, 1), _full_frame(system, h2_part, 2)
+        verdict, residuals = is_s_invariant(system, Subspace(system.dim, np.hstack([f1, f2])), tol)
         components.append(
             {
                 "h1_dim": h1_part.dim,
                 "h2_dim": h2_part.dim,
-                "h1_frame": matrix_to_json(h1_part.frame),
-                "h2_frame": matrix_to_json(h2_part.frame),
+                "h1_frame": matrix_to_json(f1),
+                "h2_frame": matrix_to_json(f2),
                 "s_invariant": verdict,
                 "residual_omega": residuals[0],
                 "residual_p1": residuals[1],

@@ -26,6 +26,7 @@ from .numerics import (
     ToleranceConfig,
     _invariance_leak,
     cluster_spectrum,
+    complement,
     eigen_clusters,
     eigh,
     matrix_rank,
@@ -34,7 +35,7 @@ from .numerics import (
     svd,
     zero_subspace,
 )
-from .decomposition import _block_frame, _cluster_orbit, _embed, _split_parts, orbit
+from .decomposition import _cluster_orbit, orbit
 
 __all__ = [
     "ChannelSet",
@@ -150,8 +151,8 @@ def is_s_invariant(
 class SInvariantDecomposition:
     """Finest splitting into independently evolving two-sided parts.
 
-    components[k] = (observable part, hidden part), both in full-space
-    coordinates; their direct sums over k recover H1 and H2.  Channel q
+    components[k] = (observable part, hidden part), a subspace of H1 and
+    one of H2; their direct sums over k recover H1 and H2.  Channel q
     drives component assignment[q].  Components beyond the assigned ones
     are the decoupled remainders (empty on one side).  channels is the
     channel set, each degenerate group's vectors rotated onto the components.
@@ -236,15 +237,14 @@ def canonical_decomposition(
         leak = np.linalg.norm(np.delete(q[group], block, axis=1))
         seeds = [u[:, group] if leak <= tol.tau_rank else u @ q[:, block] for u in (cs.g, cs.g_prime)]
         f1, f2 = (_cluster_orbit(v, cl, seed, tol).frame for (v, cl), seed in zip(sides, seeds))
-        components.append((Subspace(n1 + n2, _embed(f1, n1, n2, 1)), Subspace(n1 + n2, _embed(f2, n1, n2, 2))))
+        components.append((Subspace(n1, f1), Subspace(n2, f2)))
 
     # coupled_parts' seeds on the spectra above; no spectra when the coupling is zero
     gamma = system.coupling
     seeds = (gamma, gamma.conj().T)
     coupled = [_cluster_orbit(v, cl, orthonormal_basis(s, tol).frame, tol) for (v, cl), s in zip(sides, seeds)]
-    parts = _split_parts(system, *(coupled or (zero_subspace(n1), zero_subspace(n2))))
-    empty = zero_subspace(n1 + n2)
-    components += [(parts.h1d, empty)] * bool(parts.h1d.dim) + [(empty, parts.h2d)] * bool(parts.h2d.dim)
+    h1d, h2d = map(complement, coupled or (zero_subspace(n1), zero_subspace(n2)))
+    components += [(h1d, zero_subspace(n2))] * bool(h1d.dim) + [(zero_subspace(n1), h2d)] * bool(h2d.dim)
     return SInvariantDecomposition(tuple(components), assignment, cs)
 
 
@@ -258,15 +258,14 @@ class DecouplingReport:
     N_c = B_c B_c^H is, B_c = Gamma V_c over every eigen-cluster c of
     omega2.  The residuals are ||pi omega1 pi^perp|| and
     sum_c ||(pi B_c)(pi^perp B_c)^H||, a bound on ||pi a(t) pi^perp|| at
-    every t; the reverse ones swap pi and pi^perp.  On success `splitting`
-    carries the full-space invariant pair (h1_sub, orbit of Gamma^H h1_sub).
+    every t; omega1 and each N_c are Hermitian, so the swapped products
+    have the same norms.  On success `splitting` carries the invariant
+    pair (h1_sub, orbit of Gamma^H h1_sub), a subspace of H1 and one of H2.
     """
 
     decoupled: bool
     residual_internal: float
     residual_kernel: float
-    reverse_residual_internal: float
-    reverse_residual_kernel: float
     splitting: tuple[Subspace, Subspace] | None = None
 
 
@@ -275,32 +274,27 @@ def decoupling_report(
     h1_sub: Subspace,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> DecouplingReport:
-    """Test whether h1_sub decouples from the rest of the observable side."""
+    """Test whether h1_sub, a subspace of H1, decouples from the rest of the observable side."""
     n1, n2 = system.n1, system.n2
-    if h1_sub.ambient_dim == n1 + n2:
-        frame = _block_frame(h1_sub, n1, 1)
-    elif h1_sub.ambient_dim == n1:
-        frame = h1_sub.frame
-    else:
-        raise ValidationError("candidate subspace must live in H1 (or the full space, H1-supported)")
+    if h1_sub.ambient_dim != n1:
+        raise ValidationError("candidate subspace must live in H1")
 
+    frame = h1_sub.frame
     pi = frame @ frame.conj().T
     pi_c = np.eye(n1, dtype=np.complex128) - pi
     r_int = float(np.linalg.norm(pi @ system.omega1 @ pi_c, 2))
-    r_int_rev = float(np.linalg.norm(pi_c @ system.omega1 @ pi, 2))
 
     _, v, clusters = eigen_clusters(system.omega2, tol)
     gv = system.coupling @ v
-    b = [(pi @ gv[:, cl.start : cl.stop], pi_c @ gv[:, cl.start : cl.stop]) for cl in clusters]
-    r_ker = sum((float(np.linalg.norm(inner @ outer.conj().T, 2)) for inner, outer in b), 0.0)
-    r_ker_rev = sum((float(np.linalg.norm(outer @ inner.conj().T, 2)) for inner, outer in b), 0.0)
+    blocks = (gv[:, cl.start : cl.stop] for cl in clusters)
+    r_ker = sum((float(np.linalg.norm((pi @ b) @ (pi_c @ b).conj().T, 2)) for b in blocks), 0.0)
 
-    omega_scale = max(float(np.linalg.norm(system.omega, 2)), 1.0)
+    omega_scale = max(system._omega_norm, 1.0)
     kernel_scale = max(float(np.linalg.norm(gv, 2)) ** 2 if gv.size else 0.0, 1.0)  # ||Gamma V|| = ||Gamma||
     decoupled = r_int <= tol.tau_residual * omega_scale and r_ker <= tol.tau_residual * kernel_scale
 
     splitting = None
     if decoupled:
         h2_part = orbit(system.omega2, system.coupling.conj().T @ frame, tol) if n2 else zero_subspace(0)
-        splitting = (Subspace(n1 + n2, _embed(frame, n1, n2, 1)), Subspace(n1 + n2, _embed(h2_part.frame, n1, n2, 2)))
-    return DecouplingReport(decoupled, r_int, r_ker, r_int_rev, r_ker_rev, splitting)
+        splitting = (h1_sub, h2_part)
+    return DecouplingReport(decoupled, r_int, r_ker, splitting)

@@ -11,10 +11,10 @@ multiplicity of any coupled restriction is bounded by the coupling
 rank.
 
 Subspace conventions: `orbit` and `multiplicity` work in the ambient
-space of the operator they are given.  All subspaces stored on result
-types (CoupledParts, strings) live in the full space C^{n1+n2}, with
-observable-side frames supported on the first n1 coordinates and
-hidden-side frames on the last n2.
+space of the operator they are given.  Every one-sided subspace lives in
+its own block: observable-side parts are subspaces of H1 = C^{n1},
+hidden-side parts and strings subspaces of H2 = C^{n2}.  Only the
+restrictions to a sum of parts form the full-space basis, block-diagonal.
 """
 
 from __future__ import annotations
@@ -96,32 +96,15 @@ def _cluster_orbit(v: np.ndarray, clusters, frame: np.ndarray, tol: ToleranceCon
     return Subspace(v.shape[0], _phase_fix(np.hstack(pieces))[0])
 
 
-def _embed(frame: np.ndarray, n1: int, n2: int, side: int) -> np.ndarray:
-    """Pad an H1-side (side=1) or H2-side (side=2) frame to the full space."""
-    full = np.zeros((n1 + n2, frame.shape[1]), dtype=np.complex128)
-    if side == 1:
-        full[:n1] = frame
-    else:
-        full[n1:] = frame
-    return full
-
-
-def _block_frame(sub: Subspace, n1: int, side: int) -> np.ndarray:
-    """Inverse of _embed; checks the frame really is supported on one block."""
-    other = sub.frame[n1:] if side == 1 else sub.frame[:n1]
-    if other.size and max_abs(other) > STRUCTURE_TOL:
-        raise ValidationError("subspace is not supported on a single block")
-    return sub.frame[:n1] if side == 1 else sub.frame[n1:]
-
-
 @dataclass(frozen=True)
 class CoupledParts:
-    """Coupled/decoupled split of both sides, in full-space coordinates.
+    """Coupled/decoupled split of both sides, each part in its own block.
 
     h1c is the orbit of Ran(coupling) under omega1, h2c the orbit of
     Ran(coupling^H) under omega2; h1d and h2d are the orthogonal
-    complements within their blocks.  The decoupled parts never feel or
-    feed the other side.
+    complements within their blocks.  h1c and h1d are subspaces of H1,
+    h2c and h2d of H2.  The decoupled parts never feel or feed the other
+    side.
     """
 
     h1c: Subspace
@@ -130,35 +113,27 @@ class CoupledParts:
     h2d: Subspace
 
     def __post_init__(self):
-        dims = {s.ambient_dim for s in (self.h1c, self.h1d, self.h2c, self.h2d)}
-        if len(dims) != 1:
-            raise ValidationError("all four parts must share one ambient space")
         for a, b in ((self.h1c, self.h1d), (self.h2c, self.h2d)):
+            if a.ambient_dim != b.ambient_dim:
+                raise ValidationError("coupled and decoupled parts must share one block")
             if a.dim and b.dim and max_abs(a.frame.conj().T @ b.frame) > STRUCTURE_TOL:
                 raise ValidationError("coupled and decoupled parts must be orthogonal")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.h1c.ambient_dim
 
 
 def coupled_parts(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> CoupledParts:
     """Split each side into its coupled orbit and the decoupled remainder."""
     gamma = system.coupling
-    h1c_block = orbit(system.omega1, orthonormal_basis(gamma, tol), tol)
-    h2c_block = orbit(system.omega2, orthonormal_basis(gamma.conj().T, tol), tol) if system.n2 else zero_subspace(0)
-    return _split_parts(system, h1c_block, h2c_block)
+    h1c = orbit(system.omega1, orthonormal_basis(gamma, tol), tol)
+    h2c = orbit(system.omega2, orthonormal_basis(gamma.conj().T, tol), tol) if system.n2 else zero_subspace(0)
+    return CoupledParts(h1c, complement(h1c), h2c, complement(h2c))
 
 
-def _split_parts(system: ConservativeSystem, h1c_block: Subspace, h2c_block: Subspace) -> CoupledParts:
-    """CoupledParts from the coupled orbits of each side, in block coordinates."""
-    n1, n2 = system.n1, system.n2
-    return CoupledParts(
-        h1c=Subspace(n1 + n2, _embed(h1c_block.frame, n1, n2, 1)),
-        h1d=Subspace(n1 + n2, _embed(complement(h1c_block).frame, n1, n2, 1)),
-        h2c=Subspace(n1 + n2, _embed(h2c_block.frame, n1, n2, 2)),
-        h2d=Subspace(n1 + n2, _embed(complement(h2c_block).frame, n1, n2, 2)),
-    )
+def _block_basis(frame1: np.ndarray, frame2: np.ndarray) -> np.ndarray:
+    """Full-space basis diag(F1, F2) of span F1 + span F2, F1 a frame in H1 and F2 in H2."""
+    (n1, k1), (n2, k2) = frame1.shape, frame2.shape
+    basis = np.zeros((n1 + n2, k1 + k2), dtype=np.complex128)
+    basis[:n1, :k1], basis[n1:, k1:] = frame1, frame2
+    return basis
 
 
 def four_block_residual(system: ConservativeSystem, parts: CoupledParts) -> float:
@@ -168,13 +143,13 @@ def four_block_residual(system: ConservativeSystem, parts: CoupledParts) -> floa
     be nonzero are the four diagonal ones and the h1c/h2c coupling pair;
     a correct split drives everything else to zero.
     """
-    n = system.dim
-    if parts.ambient_dim != n:
-        raise ValidationError("parts ambient does not match the system")
+    if (parts.h1c.ambient_dim, parts.h2c.ambient_dim) != (system.n1, system.n2):
+        raise ValidationError("parts blocks do not match the system")
     order = (parts.h1d, parts.h1c, parts.h2c, parts.h2d)
-    if sum(p.dim for p in order) != n:
+    if sum(p.dim for p in order) != system.dim:
         raise ValidationError("parts do not span the full space")
-    basis = np.hstack([p.frame for p in order if p.dim]) if n else np.zeros((0, 0))
+    basis = _block_basis(np.hstack([parts.h1d.frame, parts.h1c.frame]),
+                         np.hstack([parts.h2c.frame, parts.h2d.frame]))
     t = basis.conj().T @ system.omega @ basis
     edges = np.cumsum([0] + [p.dim for p in order])
     allowed = {(0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1)}
@@ -190,18 +165,14 @@ def four_block_residual(system: ConservativeSystem, parts: CoupledParts) -> floa
 
 
 def _compress(system: ConservativeSystem, frame1: np.ndarray, frame2: np.ndarray) -> ConservativeSystem:
-    """Restriction of the system to span(frame1) + span(frame2) (full-space frames)."""
-    k1 = frame1.shape[1]
-    basis = np.hstack([frame1, frame2]) if frame2.size else frame1
-    return ConservativeSystem(k1, basis.shape[1] - k1, compress(system.omega, basis))
+    """Restriction of the system to span(frame1) + span(frame2), frame1 in H1 and frame2 in H2."""
+    return ConservativeSystem(frame1.shape[1], frame2.shape[1], compress(system.omega, _block_basis(frame1, frame2)))
 
 
 def minimal_subsystem(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> ConservativeSystem:
     """Restriction to H1 + h2c: the smallest extension with the same kernel."""
     parts = coupled_parts(system, tol)
-    n1, n2 = system.n1, system.n2
-    eye1 = _embed(np.eye(n1, dtype=np.complex128), n1, n2, 1)
-    return _compress(system, eye1, parts.h2c.frame)
+    return _compress(system, np.eye(system.n1, dtype=np.complex128), parts.h2c.frame)
 
 
 def reconstructible_core(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> ConservativeSystem:
@@ -335,15 +306,11 @@ def check_multiplicity_bounds(
     rank = matrix_rank(system.coupling, tol)
 
     parts = coupled_parts(system, tol)
-    per1 = multiplicity(system.omega1, Subspace(n1, _block_frame(parts.h1c, n1, 1)), tol)
-    per2 = multiplicity(system.omega2, Subspace(n2, _block_frame(parts.h2c, n1, 2)), tol) if n2 else ()
-
-    eye1 = _embed(np.eye(n1, dtype=np.complex128), n1, n2, 1)
-    min_frame = np.hstack([eye1, parts.h2c.frame]) if parts.h2c.dim else eye1
+    min_frame = _block_basis(np.eye(n1, dtype=np.complex128), parts.h2c.frame)
     return MultiplicityBoundReport(
         coupling_rank=rank,
-        per_cluster_h1c=per1,
-        per_cluster_h2c=per2,
+        per_cluster_h1c=multiplicity(system.omega1, parts.h1c, tol),
+        per_cluster_h2c=multiplicity(system.omega2, parts.h2c, tol) if n2 else (),
         per_cluster_minimal=multiplicity(system.omega, Subspace(n1 + n2, min_frame), tol),
         h1_fully_coupled=parts.h1c.dim == n1,
         minimal_bound=min(n1, 2 * rank),
@@ -352,7 +319,7 @@ def check_multiplicity_bounds(
 
 @dataclass(frozen=True)
 class StringDecomposition:
-    """Multiplicity-one invariant slices of the coupled hidden space.
+    """Multiplicity-one invariant slices of the coupled hidden space, subspaces of H2.
 
     String j collects the j-th orthonormal eigenvector of every
     eigen-cluster of omega2 restricted to h2c that is at least j+1
@@ -374,11 +341,8 @@ def string_decomposition(
     system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> StringDecomposition:
     """Decompose h2c into strings (see StringDecomposition)."""
-    n1, n2 = system.n1, system.n2
-    parts = coupled_parts(system, tol)
-    f2c = _block_frame(parts.h2c, n1, 2)
-    d = f2c.shape[1]
-    if d == 0:
+    f2c = coupled_parts(system, tol).h2c.frame
+    if f2c.shape[1] == 0:
         return StringDecomposition((), ())
     _, u, clusters = eigen_clusters(compress(system.omega2, f2c), tol)
     depth = max(cl.stop - cl.start for cl in clusters)
@@ -387,8 +351,7 @@ def string_decomposition(
     for j in range(depth):
         cols = [f2c @ u[:, cl.start + j] for cl in clusters if cl.stop - cl.start > j]
         content = tuple((cl.value, 1.0) for cl in clusters if cl.stop - cl.start > j)
-        frame = _embed(np.column_stack(cols), n1, n2, 2)
-        strings.append(Subspace(n1 + n2, frame))
+        strings.append(Subspace(system.n2, np.column_stack(cols)))
         measures.append(content)
     return StringDecomposition(tuple(strings), tuple(measures))
 

@@ -77,6 +77,14 @@ def random_conservative(rng, n1, n2, norm_cap=None):
     return ConservativeSystem(n1, n2, omega)
 
 
+def joint_frame(system, h1, h2):
+    """Full-space frame diag(F1, F2) of a subspace h1 of H1 and a subspace h2 of H2."""
+    frame = np.zeros((system.dim, h1.dim + h2.dim), dtype=complex)
+    frame[: system.n1, : h1.dim] = h1.frame
+    frame[system.n1 :, h1.dim :] = h2.frame
+    return frame
+
+
 def krylov_span(op, seeds, tol=1e-9):
     """Reference orbit: orthonormal basis of span{op^k s} by repeated QR.
 

@@ -38,7 +38,9 @@ from openext import (
     subspaces_equal,
 )
 
-from conftest import CRITERION_RESULTS, haar_unitary, random_psd
+from openext.numerics import complement
+
+from conftest import CRITERION_RESULTS, haar_unitary, joint_frame, random_psd
 
 
 def record(number, label, passed, detail):
@@ -83,9 +85,8 @@ def test_criterion_02_worked_example_integers(worked_system):
     core = reconstructible_core(worked_system)
 
     # the coupled observable part must be exactly the 0-eigenspace of
-    # omega1 (the first observable eigenvalue)
-    e = np.eye(4)
-    lam1_line = Subspace(4, e[:, :1])
+    # omega1 (the first observable eigenvalue), a line in H1
+    lam1_line = Subspace(2, np.eye(2)[:, :1])
     checks = {
         "h1c dim": parts.h1c.dim == 1,
         "h1c is the first eigenline": subspaces_equal(parts.h1c, lam1_line),
@@ -193,7 +194,7 @@ def test_criterion_05_oscillator_frozen_bound():
             # generic draw: no coordinate direction stays frozen
             f = parts.h1d.frame
             for s_idx in range(n):
-                e = np.zeros(sys_.dim)
+                e = np.zeros(n)
                 e[s_idx] = 1.0
                 if np.linalg.norm(f.conj().T @ e) > 1 - 1e-8:
                     failures.append((trial, f"coordinate {s_idx} frozen"))
@@ -294,9 +295,7 @@ def test_criterion_07_canonical_recovery():
         if len(two_sided) != planted:
             failures.append((trial, f"count {len(two_sided)} != {planted}"))
             continue
-        frames = [
-            np.hstack([f.frame for f in comp if f.dim]) for comp in dec.components
-        ]
+        frames = [joint_frame(sys_, *comp) for comp in dec.components]
         norm = np.linalg.norm(sys_.omega, 2)
         for i in range(len(frames)):
             for j in range(i + 1, len(frames)):
@@ -316,36 +315,43 @@ def test_criterion_07_canonical_recovery():
 
 
 def test_criterion_08_mutual_decoupling():
-    # reuse the instances produced by criterion 7
+    # reuse the instances produced by criterion 7: a component that splits off
+    # leaves a complement that splits off too, with the hidden side shared out
     if not CRITERION7_SYSTEMS:
         test_criterion_07_canonical_recovery()
     checked = 0
-    worst_reverse = 0.0
+    worst_overlap = 0.0
     failures = []
     for sys_, dec in CRITERION7_SYSTEMS:
-        n1 = sys_.n1
+        h2c_dim = coupled_parts(sys_).h2c.dim
         for h1p, _ in dec.components:
-            if h1p.dim == 0 or h1p.dim == n1:
+            if h1p.dim == 0 or h1p.dim == sys_.n1:
                 continue
-            sub = Subspace(n1, h1p.frame[:n1])
-            rep = decoupling_report(sys_, sub)
+            rep = decoupling_report(sys_, h1p)
             if not rep.decoupled:
                 # forward residuals nonzero: implication is vacuous
                 continue
             checked += 1
-            rev = max(rep.reverse_residual_internal, rep.reverse_residual_kernel)
-            worst_reverse = max(worst_reverse, rev)
-            if rev > 1e-9:
-                failures.append(rev)
+            rest = decoupling_report(sys_, complement(h1p))
+            if not rest.decoupled:
+                failures.append("complement not decoupled")
+                continue
+            f2, g2 = rep.splitting[1], rest.splitting[1]
+            overlap = float(np.linalg.norm(f2.frame.conj().T @ g2.frame, 2)) if f2.dim and g2.dim else 0.0
+            worst_overlap = max(worst_overlap, overlap)
+            if overlap > 1e-9:
+                failures.append(f"hidden overlap {overlap:.2e}")
+            if f2.dim + g2.dim != h2c_dim:
+                failures.append(f"hidden dims {f2.dim} + {g2.dim} != {h2c_dim}")
     ok = not failures and checked > 0
     record(
         8,
         "mutual decoupling",
         ok,
-        f"{checked} forward-decoupled components, worst reverse residual "
-        f"{worst_reverse:.2e} (tol 1e-9)"
+        f"{checked} forward-decoupled components, every complement decoupled, worst hidden "
+        f"overlap {worst_overlap:.2e} (tol 1e-9), hidden dims sum to dim h2c"
         if ok
-        else f"{len(failures)} reverse leaks, worst {worst_reverse:.2e}",
+        else f"{len(failures)} failures: {failures[:3]}",
     )
 
 

@@ -30,6 +30,7 @@ from openext.serialization import (
 
 from test_coupling import equivalent_components_system, rotated
 from test_simulate import stepwise_open
+from test_small_cuts import planted_system
 
 
 @pytest.fixture
@@ -443,6 +444,26 @@ class TestAnalysisCommands:
         assert code == 0
         comps = json.loads(out)["components"]
         assert [(c["h1_dim"], c["h2_dim"]) for c in comps] == [(1, 2), (1, 0)]
+
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_reports_write_full_space_frames(self, capsys, tmp_path, worked_system, planted):
+        # parts, strings and components are block subspaces in the library; every
+        # frame a report writes has n1 + n2 rows and is exactly zero off its block
+        system = planted_system(np.random.default_rng(702), 5, 7, 3) if planted else worked_system
+        n1, n2 = system.n1, system.n2
+        p = tmp_path / "system.json"
+        p.write_text(dumps(system_to_json(system)))
+        decompose = json.loads(run_cli(capsys, "decompose", str(p))[1])
+        frames = [(part["frame"], part["dim"], int(name[1])) for name, part in decompose["parts"].items()]
+        frames += [(item["frame"], item["dim"], 2) for item in decompose["strings"]["items"]]
+        components = json.loads(run_cli(capsys, "canonical", str(p))[1])["components"]
+        assert all(c["h1_dim"] or c["h2_dim"] for c in components)
+        frames += [(c[f"h{side}_frame"], c[f"h{side}_dim"], side) for c in components for side in (1, 2)]
+        for frame, dim, side in frames:
+            m = np.array([[complex(*z) for z in row] for row in frame]).reshape(n1 + n2, dim)
+            assert len(frame) == n1 + n2
+            assert not (m[n1:] if side == 1 else m[:n1]).any()
+            assert np.linalg.norm(m, axis=0) == pytest.approx(np.ones(dim), abs=1e-12)
 
     def test_canonical_on_equivalent_components_is_exit_two(self, capsys, tmp_path):
         # two equivalent two-channel components: the split between them is not canonical

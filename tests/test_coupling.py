@@ -19,9 +19,9 @@ from openext import (
     subspaces_equal,
 )
 
-from openext.numerics import DEFAULT_TOLERANCES
+from openext.numerics import DEFAULT_TOLERANCES, complement
 
-from conftest import haar_unitary, random_conservative
+from conftest import haar_unitary, joint_frame, random_conservative
 from test_acceptance import _planted_components
 
 
@@ -332,8 +332,7 @@ class TestSInvariance:
             sys_ = planted_block_system(rng, [(2, 1), (1, 2)])
             dec = canonical_decomposition(sys_)
             for h1p, h2p in dec.components:
-                cols = [f.frame for f in (h1p, h2p) if f.dim]
-                sub = Subspace(sys_.dim, np.hstack(cols))
+                sub = Subspace(sys_.dim, joint_frame(sys_, h1p, h2p))
                 verdict, _ = is_s_invariant(sys_, sub)
                 assert verdict
 
@@ -345,9 +344,8 @@ class TestCanonicalDecomposition:
         assert dec.assignment == (0,)
         dims = [(a.dim, b.dim) for a, b in dec.components]
         assert dims == [(1, 2), (1, 0)]
-        # second component is the frozen observable line
-        e = np.eye(4)
-        assert subspaces_equal(dec.components[1][0], Subspace(4, e[:, 1:2]))
+        # second component is the frozen observable line of H1
+        assert subspaces_equal(dec.components[1][0], Subspace(2, np.eye(2)[:, 1:2]))
 
     def test_components_partition_the_space(self):
         rng = np.random.default_rng(55)
@@ -370,9 +368,7 @@ class TestCanonicalDecomposition:
         rng = np.random.default_rng(57)
         sys_ = planted_block_system(rng, [(2, 2), (1, 1)])
         dec = canonical_decomposition(sys_)
-        frames = [
-            np.hstack([f.frame for f in comp if f.dim]) for comp in dec.components
-        ]
+        frames = [joint_frame(sys_, *comp) for comp in dec.components]
         norm = np.linalg.norm(sys_.omega, 2)
         for i in range(len(frames)):
             for j in range(i + 1, len(frames)):
@@ -403,15 +399,15 @@ class TestCanonicalDecomposition:
             if dec.channels.degenerate_groups:
                 degenerate += 1
                 for h1, h2 in dec.components[: len(set(dec.assignment))]:
-                    frame = np.hstack([h1.frame, h2.frame])
+                    frame = joint_frame(sys_, h1, h2)
                     assert is_s_invariant(sys_, Subspace(sys_.dim, frame))[0]
                     assert commutant_dim(sys_, frame) == 1
                 continue
             assignment, frames = reference_grouping(sys_)
             assert dec.assignment == assignment
             for (h1, h2), (f1, f2) in zip(dec.components, frames):
-                assert np.array_equal(h1.frame[: sys_.n1], f1)
-                assert np.array_equal(h2.frame[sys_.n1 :], f2)
+                assert np.array_equal(h1.frame, f1)
+                assert np.array_equal(h2.frame, f2)
             shared += len(frames) < len(assignment)
         # both outcomes occur: some channels merge, some stay apart
         assert 0 < shared < 150 - degenerate
@@ -483,10 +479,12 @@ class TestDecouplingReport:
         assert rep.decoupled
         assert rep.residual_internal < 1e-12
         assert rep.residual_kernel < 1e-12
-        assert rep.reverse_residual_internal < 1e-12
-        assert rep.reverse_residual_kernel < 1e-12
         h1_sub, h2_sub = rep.splitting
         assert h1_sub.dim == 1 and h2_sub.dim == 0
+        # mutual: the coupled line splits off too and takes the whole hidden side
+        rest = decoupling_report(worked_system, complement(sub))
+        assert rest.decoupled
+        assert rest.splitting[1].dim + h2_sub.dim == coupled_parts(worked_system).h2c.dim == 2
 
     def test_coupled_line_decouples_with_its_orbit(self, worked_system):
         sub = Subspace(2, np.eye(2)[:, :1])
@@ -513,11 +511,10 @@ class TestDecouplingReport:
         assert rep.residual_internal < 1e-12
         assert rep.residual_kernel > 0.4
 
-    def test_accepts_full_space_embedding(self, worked_system):
-        # the same candidate given as a subspace of the extension space
-        sub = Subspace(4, np.eye(4)[:, 1:2])
-        rep = decoupling_report(worked_system, sub)
-        assert rep.decoupled
+    def test_rejects_a_candidate_outside_h1(self, worked_system):
+        # candidates are subspaces of H1 = C^2; a frame in the full space C^4 is refused
+        with pytest.raises(ValidationError, match="must live in H1"):
+            decoupling_report(worked_system, Subspace(4, np.eye(4)[:, 1:2]))
 
     def test_kernel_that_vanishes_on_a_25_point_grid_is_caught(self):
         # 26 hidden modes; the second row of Gamma is conj(x) for x in the null space
@@ -537,7 +534,10 @@ class TestDecouplingReport:
         assert not rep.decoupled
         # one rank-one mass per mode, with off-diagonal entry x_c
         assert rep.residual_kernel == pytest.approx(np.abs(x).sum(), rel=1e-12)
-        assert rep.reverse_residual_kernel == pytest.approx(rep.residual_kernel, rel=1e-12)
+        # the complement line sees the same masses from the other side
+        rest = decoupling_report(sys_, complement(Subspace(2, np.eye(2)[:, :1])))
+        assert not rest.decoupled
+        assert rest.residual_kernel == pytest.approx(rep.residual_kernel, rel=1e-12)
         dense = max(abs(a[0, 1]) for a in kernel_eval(sys_, np.linspace(0.0, 20.0, 2001)).values)
         assert 1.96 < dense <= rep.residual_kernel
 
@@ -547,7 +547,7 @@ class TestDecouplingReport:
         for trial in range(50):
             sys_ = _planted_components(rng, 2 if trial % 2 == 0 else 3)
             n1 = sys_.n1
-            candidates = [h1.frame[:n1] for h1, _ in canonical_decomposition(sys_).components if 0 < h1.dim < n1]
+            candidates = [h1.frame for h1, _ in canonical_decomposition(sys_).components if 0 < h1.dim < n1]
             candidates.append(np.linalg.qr(lines.standard_normal((n1, 1)) + 1j * lines.standard_normal((n1, 1)))[0])
             kernel = np.asarray(kernel_eval(sys_, np.linspace(0.0, 60.0, 601)).values)
             scale = max(np.linalg.norm(sys_.coupling, 2) ** 2, 1.0)

@@ -28,7 +28,7 @@ from openext import (
     subspaces_equal,
 )
 
-from conftest import haar_unitary, krylov_span, random_conservative, random_measure
+from conftest import haar_unitary, joint_frame, krylov_span, random_conservative, random_measure
 
 
 class TestOrbit:
@@ -102,10 +102,10 @@ class TestOrbit:
 class TestCoupledParts:
     def test_worked_example_blocks(self, worked_system):
         parts = coupled_parts(worked_system)
-        e = np.eye(4)
-        assert subspaces_equal(parts.h1c, Subspace(4, e[:, :1]))
-        assert subspaces_equal(parts.h1d, Subspace(4, e[:, 1:2]))
-        assert subspaces_equal(parts.h2c, Subspace(4, e[:, 2:]))
+        e = np.eye(2)  # each part is a subspace of its own 2-dim block
+        assert subspaces_equal(parts.h1c, Subspace(2, e[:, :1]))
+        assert subspaces_equal(parts.h1d, Subspace(2, e[:, 1:2]))
+        assert subspaces_equal(parts.h2c, Subspace(2, e))
         assert parts.h2d.dim == 0
 
     def test_four_block_residual_zero_on_worked_example(self, worked_system):
@@ -113,13 +113,13 @@ class TestCoupledParts:
         assert four_block_residual(worked_system, parts) < 1e-12
 
     def test_four_block_residual_detects_wrong_split(self, worked_system):
-        e = np.eye(4)
+        e = np.eye(2)
         # swap the coupled and frozen observable lines
         wrong = type(coupled_parts(worked_system))(
-            Subspace(4, e[:, 1:2]),
-            Subspace(4, e[:, :1]),
-            Subspace(4, e[:, 2:]),
-            Subspace(4, e[:, :0]),
+            Subspace(2, e[:, 1:2]),
+            Subspace(2, e[:, :1]),
+            Subspace(2, e),
+            Subspace(2, e[:, :0]),
         )
         assert four_block_residual(worked_system, wrong) > 0.5
 
@@ -143,9 +143,8 @@ class TestCoupledParts:
         for _ in range(10):
             sys_ = random_conservative(rng, 3, 4)
             parts = coupled_parts(sys_)
-            e = np.eye(7, dtype=complex)
-            reach = orbit(sys_.omega, e[:, :3])
-            h1_plus_h2c = orthonormal_basis(np.hstack([e[:, :3], parts.h2c.frame]))
+            reach = orbit(sys_.omega, np.eye(7, dtype=complex)[:, :3])
+            h1_plus_h2c = Subspace(7, joint_frame(sys_, Subspace(3, np.eye(3)), parts.h2c))
             assert subspaces_equal(reach, h1_plus_h2c)
 
     def test_fully_coupled_system_has_trivial_frozen_parts(self):
@@ -313,8 +312,7 @@ class TestStrings:
 
     def test_string_lives_in_hidden_side(self, worked_system):
         dec = string_decomposition(worked_system)
-        f = dec.strings[0].frame
-        assert np.max(np.abs(f[:2, :])) < 1e-12
+        assert [s.ambient_dim for s in dec.strings] == [worked_system.n2]
 
     def test_degenerate_pair_gives_two_nested_strings(self):
         # one frequency with a rank-2 mass next to a simple one: the

@@ -40,7 +40,9 @@ from openext import (
     propagate_conservative,
 )
 from openext.cli import main
-from openext.numerics import DEFAULT_TOLERANCES, complement
+from openext.numerics import DEFAULT_TOLERANCES, complement, zero_subspace
+
+from conftest import joint_frame
 
 
 def verlet(mass, stiffness, q0, qdot0, dt, steps):
@@ -286,7 +288,7 @@ class TestOscillatorSystem:
         assert parts.h1d.dim >= 4 - span
         # frozen directions sit at sqrt(xi / m) = sqrt(2)
         if parts.h1d.dim:
-            f = parts.h1d.frame
+            f = joint_frame(sys_, parts.h1d, zero_subspace(sys_.n2))
             r = sys_.omega @ f - np.sqrt(2.0) * f
             assert np.max(np.abs(r)) < 1e-9
 
@@ -295,7 +297,7 @@ class TestOscillatorSystem:
         sys_, g1 = self.make(rng, 3, 2, 2)
         parts = coupled_parts(sys_)
         for s in range(3):
-            e = np.zeros(sys_.dim)
+            e = np.zeros(sys_.n1)
             e[s] = 1.0
             if parts.h1d.dim:
                 proj = np.linalg.norm(parts.h1d.frame.conj().T @ e)

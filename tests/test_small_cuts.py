@@ -3,8 +3,9 @@
 Each cut is checked against a test-local transcription of the dense
 n-dimensional route it replaces:
 
-* `orbit`: the projection V_c V_c^H F of the seed onto every eigen-cluster,
-  cut by an SVD relative to the largest seed column norm;
+* `orbit`: the seed cut to an orthonormal frame F at tau_rank * sigma_max,
+  then the projection V_c V_c^H F onto every eigen-cluster cut by an SVD at
+  tau_rank;
 * `complement`: a singular basis of I - F F^H, cut at tau_rank;
 * `is_s_invariant`: the dense commutators [pi, omega] and [pi, P1];
 * `frozen_report`: the coupled frame as the complement of the frozen one,
@@ -40,7 +41,7 @@ from openext.numerics import (
     zero_subspace,
 )
 
-from conftest import haar_unitary
+from conftest import haar_unitary, joint_frame
 
 TOL = DEFAULT_TOLERANCES
 
@@ -55,16 +56,16 @@ def dense_basis(columns, scale):
 
 
 def dense_orbit(op, seed):
-    """Orbit as the span of the seed's n x k projections onto every cluster."""
+    """Orbit as the span of an orthonormal seed frame's n x k projections onto every cluster."""
     n = op.shape[0]
     if seed.shape[1] == 0 or not seed.any():
         return np.zeros((n, 0), dtype=complex)
+    frame = dense_basis(seed, float(np.linalg.norm(seed, 2)))
     _, v, clusters = eigen_clusters(op, TOL)
-    seed_scale = float(np.max(np.linalg.norm(seed, axis=0)))
     pieces = [np.zeros((n, 0), dtype=complex)]
     for cl in clusters:
         vc = v[:, cl.start : cl.stop]
-        pieces.append(dense_basis(vc @ (vc.conj().T @ seed), seed_scale))
+        pieces.append(dense_basis(vc @ (vc.conj().T @ frame), 1.0))
     return np.hstack(pieces)
 
 
@@ -189,20 +190,29 @@ class TestOrbitOnClusterCoefficients:
         assert orbit(op, seed).dim == dense_orbit(op, seed).shape[1] == 1
         assert orbit(op, np.array([[1.0], [1e-8], [0.0]])).dim == 2
 
+    def test_cut_is_on_the_orthonormal_seed_frame(self):
+        # 3e-9 along the second eigenvector: above tau_rank on the orthonormal
+        # frame of the seed, below tau_rank times its largest column norm 1e3
+        op = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        seed = np.array([[1.0, 0.0], [3e-9, 0.0], [0.0, 1.0]]) @ np.diag([1.0, 1e3])
+        got, want = orbit(op, seed), dense_orbit(op, seed)
+        assert got.dim == want.shape[1] == 3
+        assert projector_gap(got.frame, want) <= 1e-12
+
     def test_coupled_parts_match_dense_routes(self):
         for system in systems():
             parts = coupled_parts(system)
-            n1, n2 = system.n1, system.n2
             h1c = dense_orbit(system.omega1, orthonormal_basis(system.coupling).frame)
             h2c = dense_orbit(system.omega2, orthonormal_basis(system.coupling.conj().T).frame)
-            for got, want, rows in (
-                (parts.h1c, h1c, slice(0, n1)),
-                (parts.h1d, svd_complement(h1c), slice(0, n1)),
-                (parts.h2c, h2c, slice(n1, n1 + n2)),
-                (parts.h2d, svd_complement(h2c), slice(n1, n1 + n2)),
+            for got, want, block in (
+                (parts.h1c, h1c, system.n1),
+                (parts.h1d, svd_complement(h1c), system.n1),
+                (parts.h2c, h2c, system.n2),
+                (parts.h2d, svd_complement(h2c), system.n2),
             ):
+                assert got.ambient_dim == block
                 assert got.dim == want.shape[1]
-                assert projector_gap(got.frame[rows], want) <= 1e-12
+                assert projector_gap(got.frame, want) <= 1e-12
 
 
 class TestCanonicalRemainders:
@@ -250,10 +260,11 @@ class TestSInvariantFromTheLeak:
             rng = np.random.default_rng(50 + index)
             n = system.dim
             dec = canonical_decomposition(system)
-            frames = [np.hstack([h1.frame, h2.frame]) for h1, h2 in dec.components]
+            frames = [joint_frame(system, h1, h2) for h1, h2 in dec.components]
             frames += [haar_unitary(n, rng)[:, :k] for k in (1, 2, n - 1)]
             parts = coupled_parts(system)
-            frames += [parts.h1c.frame, np.hstack([parts.h1d.frame, parts.h2d.frame])]
+            frames += [joint_frame(system, parts.h1c, zero_subspace(system.n2)),
+                       joint_frame(system, parts.h1d, parts.h2d)]
             scale = max(np.linalg.norm(system.omega, 2), 1.0)
             for frame in frames:
                 if frame.shape[1] == 0:
