@@ -178,10 +178,10 @@ def _cmd_kernel(args, tol: ToleranceConfig) -> int:
     _require_finite(("--t0", args.t0), ("--t1", args.t1))
     if args.steps < 1 or args.t1 <= args.t0 or args.t0 < 0:
         raise ValidationError("need t1 > t0 >= 0 and steps >= 1")
-    if args.steps * system.n1**2 > SIZE_BUDGET:
+    if args.steps * max(system.n1**2, system.n2) > SIZE_BUDGET:
         raise BudgetError(
-            f"--steps {args.steps} at observable dimension {system.n1} exceed "
-            f"the budget of {SIZE_BUDGET} kernel entries (steps x n1^2)"
+            f"--steps {args.steps} at dimensions n1 = {system.n1}, n2 = {system.n2} exceed the budget of "
+            f"{SIZE_BUDGET} entries for the kernel samples and their phase table (steps x max(n1^2, n2))"
         )
     times = np.linspace(args.t0, args.t1, args.steps)
     samples = kernel_eval(system, times, tol)

@@ -27,7 +27,6 @@ certified against the assembled S (see `QuadraticHamiltonian`).
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import InitVar, dataclass, field
@@ -68,100 +67,81 @@ LATTICE_DIM_BUDGET = 2000
 class QuadraticHamiltonian:
     """Kinetic-plus-quadratic-potential system: sum p_i^2/2m_i + q^T K q / 2.
 
+    `mass` is the vector of the m_i, each finite and positive.
     Construction makes the one real eigendecomposition (w, V) of
-    S = M^{-1/2} K M^{-1/2} that every frequency decision reads, and
-    rejects an indefinite K on it: by Sylvester's law of inertia S and K
-    have the same inertia.  It is a dense solve of S, except for a
-    lattice: `_lattice_hamiltonian` hands in the spectrum it builds from
-    the Kronecker factors of K, with V orthogonal by construction, and
-    construction certifies it against the S it assembles from the
-    stiffness: max|S V - V diag(w)| <= tau_residual * max(max|w|, 1), else
-    NumericError (a NaN anywhere fails the test).  The stiffness's
-    Hermitian rule (`require_hermitian`), the certificate and the PSD cut
-    read the private `_tol`, which the builders that take tolerances pass
-    on.
+    S = M^{-1/2} K M^{-1/2} that every frequency decision reads: a dense
+    solve of S, except for a lattice, whose `_lattice_hamiltonian` hands in
+    the spectrum it builds from the Kronecker factors of K, V orthogonal by
+    construction, certified here against the assembled S:
+    max|S V - V diag(w)| <= tau_residual * max(max|w|, 1), else
+    NumericError (a NaN anywhere fails the test).
+
+    The spectrum is cut once, under `tol`.  Eigenvalues failing
+    `below_psd_cut` raise NotPositiveSemidefiniteError (by Sylvester's law
+    of inertia S and K have the same inertia); the rest are clipped at zero
+    and stored.  Construction warns when K is singular, decided as
+    w_min <= tau_rank * w_max on w, not on sqrt(w): a zero eigenvalue of S
+    comes out as rounding of size eps ||S||, which is sqrt(eps) ||Omega||,
+    above the cut on Omega's scale.  The complex encoding
+    z = Qdot~ - i Omega Q~ then loses the position component of the zero
+    modes, though spectra and multiplicities stay correct.
     """
 
-    dof_labels: tuple
     mass: np.ndarray = field(repr=False)
     stiffness: np.ndarray = field(repr=False)
+    tol: ToleranceConfig = DEFAULT_TOLERANCES
     _factored: InitVar[tuple | None] = None
-    _tol: InitVar[ToleranceConfig] = DEFAULT_TOLERANCES
     _spectrum: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, _factored, _tol):
+    def __post_init__(self, _factored):
         mass = np.asarray(self.mass, dtype=np.float64)
-        if mass.ndim == 1:
-            mass = np.diag(mass)
         k = np.asarray(self.stiffness, dtype=np.float64)
-        n = len(self.dof_labels)
-        if mass.shape != (n, n) or k.shape != (n, n):
-            raise ValidationError("mass and stiffness must match the label count")
-        if max_abs(mass - np.diag(np.diag(mass))) > 0:
-            raise ValidationError("mass matrix must be diagonal")
-        if np.any(np.diag(mass) <= 0):
-            raise ValidationError("masses must be positive")
-        k = require_hermitian(k, _tol, name="stiffness", dtype=np.float64)
+        if mass.ndim != 1:
+            raise ValidationError("mass must be a vector of per-coordinate masses")
+        if k.shape != (mass.size, mass.size):
+            raise ValidationError("stiffness must be square, one row per mass")
+        if not (np.all(np.isfinite(mass)) and np.all(mass > 0)):
+            raise ValidationError("masses must be finite and positive")
+        tol = self.tol
+        k = require_hermitian(k, tol, name="stiffness", dtype=np.float64)
         k = 0.5 * (k + k.T)
-        r = 1.0 / np.sqrt(np.diag(mass))
+        r = 1.0 / np.sqrt(mass)
         sym = (r[:, None] * k) * r[None, :]
         sym = 0.5 * (sym + sym.T)
         if _factored is None:
-            w, v = eigh(sym, _tol)
+            w, v = eigh(sym, tol)
         else:
             w, v = _factored
             resid = max_abs(sym @ v - v * w)
-            bound = _tol.tau_residual * max(max_abs(w), 1.0)
+            bound = tol.tau_residual * max(max_abs(w), 1.0)
             if not resid <= bound:  # so that a NaN fails too
                 raise NumericError(
                     f"factored stiffness spectrum fails its residual certificate ({resid:.3e} > {bound:.3e})"
                 )
-        require_psd(w, _tol, "stiffness is not positive semidefinite")
+        require_psd(w, tol, "stiffness is not positive semidefinite")
+        w = np.clip(w, 0.0, None)
+        if w.size and w[0] <= tol.tau_rank * w[-1]:
+            warnings.warn(
+                "stiffness is singular: zero-frequency modes make the complex state encoding "
+                "non-injective on positions",
+                stacklevel=3,
+            )
         for arr in (mass, k, w, v):
             arr.flags.writeable = False
-        object.__setattr__(self, "dof_labels", tuple(self.dof_labels))
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "stiffness", k)
         object.__setattr__(self, "_spectrum", (w, v))
 
     @property
     def dim(self) -> int:
-        return len(self.dof_labels)
+        return self.mass.size
 
 
-def _stiffness_spectrum(h: QuadraticHamiltonian, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Clipped eigenvalues and real eigenvectors of S, from the decomposition
-    made at construction, cut and warned as in `frequency_operator`."""
+def frequency_operator(h: QuadraticHamiltonian) -> np.ndarray:
+    """Real symmetric PSD Omega = S^{1/2}, S = M^{-1/2} K M^{-1/2}, as
+    V diag(sqrt(w)) V^T from the spectrum (w, V) that h was built with,
+    cut and clipped there (see `QuadraticHamiltonian`); a float64 array."""
     w, v = h._spectrum
-    require_psd(w, tol, "M^-1/2 K M^-1/2 is not positive semidefinite")
-    w = np.clip(w, 0.0, None)
-    if w.size and w[0] <= tol.tau_rank * w[-1]:
-        warnings.warn(
-            "stiffness is singular: zero-frequency modes make the complex state encoding "
-            "non-injective on positions",
-            stacklevel=3,
-        )
-    return w, v
-
-
-def frequency_operator(h: QuadraticHamiltonian, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Real symmetric PSD Omega = S^{1/2}, S = M^{-1/2} K M^{-1/2}, from the
-    one real eigendecomposition S = V diag(w) V^T made when h was built:
-    a dense solve of S, or for a lattice the spectrum assembled from the
-    Kronecker factors of K and certified against S (see
-    `QuadraticHamiltonian`).
-
-    Eigenvalues failing `below_psd_cut` at tol raise
-    NotPositiveSemidefiniteError; the rest are clipped at zero and
-    Omega = V diag(sqrt(w)) V^T, a float64 array.  Warns
-    when K is singular, decided as w_min <= tau_rank * w_max on w, not on
-    sqrt(w): a zero eigenvalue of S comes out as rounding of size
-    eps ||S||, which is sqrt(eps) ||Omega||, above the cut on Omega's
-    scale.  The complex encoding z = Qdot~ - i Omega Q~ then loses the
-    position component of the zero modes, though spectra and
-    multiplicities stay correct.
-    """
-    w, v = _stiffness_spectrum(h, tol)
     root = (v * np.sqrt(w)) @ v.T
     return 0.5 * (root + root.T)
 
@@ -217,13 +197,8 @@ def oscillator_system(
     for j in range(g1.shape[0]):
         c = np.concatenate([g1[j], -g2[j]])
         k += 2.0 * np.outer(c, c)
-    mass = np.concatenate([np.full(n_observable, float(m)), np.diag(hidden.mass)])
-    labels = tuple(("q", i) for i in range(n_observable)) + tuple(
-        ("phi", lab) for lab in hidden.dof_labels
-    )
-    total = QuadraticHamiltonian(labels, np.diag(mass), k, _tol=tol)
-    omega = frequency_operator(total, tol)
-    return ConservativeSystem(n_observable, n2, omega)
+    mass = np.concatenate([np.full(n_observable, float(m)), hidden.mass])
+    return ConservativeSystem(n_observable, n2, frequency_operator(QuadraticHamiltonian(mass, k, tol)))
 
 
 @dataclass(frozen=True)
@@ -275,11 +250,6 @@ class LatticeSpec:
     def total_dim(self) -> int:
         return self.n_components * self.volume
 
-    @property
-    def sites(self) -> list[tuple[int, ...]]:
-        rng = range(-self.l_half_width, self.l_half_width + 1)
-        return list(itertools.product(rng, repeat=self.d))
-
 
 def _chain_form(l_half_width: int) -> np.ndarray:
     """Form T of the squared forward differences along one axis of 2L+1
@@ -298,7 +268,8 @@ def _chain_form(l_half_width: int) -> np.ndarray:
 def _dirichlet_form(chain: np.ndarray, d: int) -> np.ndarray:
     """Quadratic form B of sum over sites of |forward gradient|^2 on the
     cube, zero outside: the Kronecker sum of the chain form over d axes,
-    the first axis slowest, as in `LatticeSpec.sites`."""
+    sites in lexicographic order of their coordinates, the first axis
+    slowest."""
     b = chain
     for _ in range(d - 1):
         b = np.kron(b, np.eye(chain.shape[0])) + np.kron(np.eye(b.shape[0]), chain)
@@ -332,19 +303,18 @@ def lattice_system(
     K = xi I + 2 sum_j (B kron gamma_j gamma_j^T) with B the Dirichlet
     gradient form on the cube; the factor 2 converts the interaction
     terms, which enter the energy without 1/2, to the q^T K q / 2
-    convention.  DOF ordering is site-major: label (site, component).
-    The spectrum of S comes from the Kronecker factors of K, certified
-    against the assembled S at tol (`QuadraticHamiltonian`).
+    convention.  DOF ordering is site-major, (site, component), with the
+    sites in the order of `_dirichlet_form`.  The spectrum of S comes from
+    the Kronecker factors of K, certified against the assembled S at tol
+    (`QuadraticHamiltonian`).
     """
     ham = _lattice_hamiltonian(spec, tol)
-    return frequency_operator(ham, tol), ham
+    return frequency_operator(ham), ham
 
 
 def _lattice_hamiltonian(spec: LatticeSpec, tol: ToleranceConfig) -> QuadraticHamiltonian:
     if spec.total_dim > LATTICE_DIM_BUDGET:
-        raise BudgetError(
-            f"lattice has {spec.total_dim} degrees of freedom; budget is {LATTICE_DIM_BUDGET}"
-        )
+        raise BudgetError(f"lattice has {spec.total_dim} degrees of freedom; budget is {LATTICE_DIM_BUDGET}")
     chain = _chain_form(spec.l_half_width)
     b = _dirichlet_form(chain, spec.d)
     k = spec.xi * np.eye(spec.total_dim)
@@ -352,8 +322,7 @@ def _lattice_hamiltonian(spec: LatticeSpec, tol: ToleranceConfig) -> QuadraticHa
         k += 2.0 * np.kron(b, np.outer(g, g))
     gamma_stack = np.stack(spec.gammas)
     spectrum = _factored_spectrum(spec, chain, gamma_stack.T @ gamma_stack, tol)
-    labels = tuple((site, c) for site in spec.sites for c in range(spec.n_components))
-    return QuadraticHamiltonian(labels, np.diag(np.full(spec.total_dim, spec.m)), k, spectrum, tol)
+    return QuadraticHamiltonian(np.full(spec.total_dim, spec.m), k, tol, spectrum)
 
 
 @dataclass(frozen=True)
@@ -364,7 +333,7 @@ class FrozenReport:
     exact eigenvectors at the bare frequency sqrt(xi/m) regardless of
     the volume.  site_frozen_frame is the real orthonormal per-site
     frame E_gamma^perp (N x (N - J_eff)); the frozen frame is
-    kron(I_V, E_gamma^perp), site-major like the DOF labels, and is not
+    kron(I_V, E_gamma^perp), site-major like the coordinates, and is not
     formed.  frozen_dim_complex counts them as complex dimensions (the real
     phase-space count is twice that).  Every eigen-cluster of the
     restriction to the coupled complement must have multiplicity at most
@@ -486,16 +455,16 @@ def multiplicity_scan(spec: LatticeSpec, l_values, tol: ToleranceConfig = DEFAUL
     the volume scaling of the multiplicity is a bulk statement with
     boundary corrections at any finite size.  Each row clusters sqrt of
     the eigenvalues of S = M^{-1/2} K M^{-1/2} that its Hamiltonian is
-    built with, not a formed Omega: assembled from one solve of the chain
-    form and one of G, and certified against the row's assembled S like
-    every lattice Hamiltonian (`QuadraticHamiltonian`).
+    built with, cut and clipped there, not a formed Omega: assembled from
+    one solve of the chain form and one of G, and certified against the
+    row's assembled S like every lattice Hamiltonian (`QuadraticHamiltonian`).
     """
     rows = []
     for l_val in l_values:
         current = LatticeSpec(
             spec.d, int(l_val), spec.n_components, spec.m, spec.xi, spec.gammas
         )
-        freqs = np.sqrt(_stiffness_spectrum(_lattice_hamiltonian(current, tol), tol)[0])
+        freqs = np.sqrt(_lattice_hamiltonian(current, tol)._spectrum[0])
         mult = max(cl.dim for cl in cluster_spectrum(freqs, tol))
         rows.append(ScanRow(current.l_half_width, current.volume, mult))
     return rows

@@ -106,8 +106,9 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 # Hermitian atom masses, uniform grids): invariants, not verdicts, so not a config field.
 STRUCTURE_TOL = 1e-9
 
-# Largest array, in complex entries, that `kernel` (steps x n1^2), `simulate` (grid points
-# x dimension) and `fit` (its matrix-pencil Hankel) form from their input; past it, BudgetError.
+# Largest array, in complex entries, that `kernel` (steps x max(n1^2, n2): its samples and
+# its phase table), `simulate` (grid points x dimension) and `fit` (its matrix-pencil Hankel)
+# form from their input; past it, BudgetError.
 SIZE_BUDGET = 10_000_000
 
 

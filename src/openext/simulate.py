@@ -237,12 +237,14 @@ def propagate_open(
     steps, and fades where d is in the hundreds per observable.
     Temporaries hold O(sqrt(steps) n d) entries.
 
-    The range cut drops mass eigenpairs with |lambda| <= tau_rank *
-    ||a(0)||_2, the cut of `minimal_extension` by the same expression, so a
-    positive semidefinite measure keeps exactly its minimal extension's
-    modes.  Its open evolution is a contraction, so the dropped parts dN_k
-    move the solution by at most (t^2 / 2) sum_k ||dN_k|| max ||v|| up to
-    time t, each ||dN_k|| <= tau_rank * ||a(0)||_2.
+    The range cut drops mass eigenpairs with |lambda| <= tau_rank * c,
+    c = max(||a(0)||_2, max_k |lambda_k|): for a positive semidefinite
+    measure c is ||a(0)||_2 up to rounding, the cut of `minimal_extension`,
+    so it keeps exactly the minimal extension's modes, and where an
+    indefinite total mass cancels c keeps the atoms' scale.  The dropped
+    parts, each ||dN_k|| <= tau_rank * c, move a contracting (PSD) evolution
+    by at most (t^2 / 2) sum_k ||dN_k|| max ||v|| up to time t.
+    meta["hidden_dim"] counts the kept pairs, sum_k rank N_k.
 
     An unstable step raises `NumericError` naming the first time whose
     state is not finite.
@@ -261,10 +263,10 @@ def propagate_open(
         f_mid = 0.5 * (f[:-1] + f[1:])
 
     # each mass on its range: N_k = W_k diag(lam) W_k^H, indefinite or not,
-    # keeping |lam| > tau_rank * ||a(0)||_2 as `minimal_extension` does; the
-    # columns of left = W diag(lam) and right = W are the kept pairs of every atom
+    # keeping |lam| > tau_rank * max(||a(0)||_2, max |lam|); the columns of
+    # left = W diag(lam) and right = W are the kept pairs of every atom
     lam, vecs = np.linalg.eigh(open_system.kernel.masses)
-    scale = float(np.linalg.norm(open_system.kernel.total_mass(), 2))
+    scale = max(float(np.linalg.norm(open_system.kernel.total_mass(), 2)), float(np.abs(lam).max(initial=0.0)))
     atom, pair = np.nonzero(np.abs(lam) > tol.tau_rank * scale)
     right = vecs[atom, :, pair].T
     left = right * lam[atom, pair]
@@ -339,7 +341,7 @@ def propagate_open(
     return Trajectory(
         times,
         states[: steps + 1],
-        {"scheme": "explicit-midpoint", "dt": h, "norm_drift": None},
+        {"scheme": "explicit-midpoint", "dt": h, "norm_drift": None, "hidden_dim": freqs.size},
     )
 
 

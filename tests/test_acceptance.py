@@ -183,7 +183,7 @@ def test_criterion_05_oscillator_frozen_bound():
         nh = int(rng.integers(1, 4))
         kh = rng.standard_normal((nh, nh))
         kh = kh @ kh.T + nh * np.eye(nh)
-        hidden = QuadraticHamiltonian(tuple(range(nh)), np.eye(nh), kh)
+        hidden = QuadraticHamiltonian(np.ones(nh), kh)
         g2 = [rng.standard_normal(nh) for _ in range(j)]
         sys_ = oscillator_system(n, 1.0, 2.0, g1, hidden, g2)
         parts = coupled_parts(sys_)

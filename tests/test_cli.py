@@ -329,6 +329,20 @@ class TestExtendAndFit:
         assert "budget" in capsys.readouterr().err
         assert not target.exists()
 
+    def test_kernel_budget_counts_the_phase_table(self, capsys, monkeypatch, tmp_path):
+        # n1 = 1, n2 = 11: 10^6 steps are 10^6 kernel entries but an 1.1e7-entry
+        # steps x n2 phase table, refused before `kernel_eval` runs
+        def refused(*args, **kwargs):
+            raise AssertionError("kernel_eval reached")
+
+        monkeypatch.setattr(openext.cli, "kernel_eval", refused)
+        p = tmp_path / "wide.json"
+        p.write_text(dumps(system_to_json(ConservativeSystem(1, 11, np.eye(12)))))
+        code = main(["kernel", str(p), "--steps", str(10**6)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "budget" in err
+
     @pytest.mark.parametrize("flags", [("--t1", "nan"), ("--t0", "-inf"), ("--t1", "inf")])
     def test_kernel_rejects_nonfinite_times(self, capsys, worked_file, flags):
         code = main(["kernel", worked_file, *flags])

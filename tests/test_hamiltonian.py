@@ -12,6 +12,7 @@ its stiffness; `TestFactoredSpectrum` holds it to a dense real solve of
 the assembled S and checks that its certificate refuses a wrong factor.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -46,8 +47,8 @@ from conftest import joint_frame
 
 
 def verlet(mass, stiffness, q0, qdot0, dt, steps):
-    """Classical reference integrator for M qddot = -K q."""
-    minv = 1.0 / np.diag(mass)
+    """Classical reference integrator for M qddot = -K q, M = diag(mass)."""
+    minv = 1.0 / mass
     q = np.array(q0, dtype=float)
     v = np.array(qdot0, dtype=float)
     acc = -minv * (stiffness @ q)
@@ -63,7 +64,7 @@ def verlet(mass, stiffness, q0, qdot0, dt, steps):
 
 def dense_frequency_operator(h):
     """Omega through dense diagonal products and a principal square root of S."""
-    inv_sqrt_m = np.diag(1.0 / np.sqrt(np.diag(h.mass)))
+    inv_sqrt_m = np.diag(1.0 / np.sqrt(h.mass))
     sym = inv_sqrt_m @ h.stiffness @ inv_sqrt_m
     sym = 0.5 * (sym + sym.T)
     w, v = eigh(sym.astype(np.complex128))
@@ -95,14 +96,21 @@ def seeded_hamiltonian(rng, n, rank):
     """C C^T (+ I when rank == n) with C of size n x rank, non-uniform masses."""
     c = rng.standard_normal((n, rank))
     k = c @ c.T + (np.eye(n) if rank == n else 0.0)
-    return QuadraticHamiltonian(tuple(range(n)), np.diag(rng.uniform(0.5, 2.0, n)), k)
+    return QuadraticHamiltonian(rng.uniform(0.5, 2.0, n), k)
 
 
-def warns_singular(h):
+def warns_singular(build):
+    """Build a Hamiltonian and its Omega, and whether either step warned that K is singular."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        h = build()
         omega = frequency_operator(h)
-    return omega, any("singular" in str(w.message) for w in caught)
+    return h, omega, any("singular" in str(w.message) for w in caught)
+
+
+def lattice_sites(spec):
+    """The sites of the cube in the lattice's order, the first axis slowest."""
+    return list(itertools.product(range(-spec.l_half_width, spec.l_half_width + 1), repeat=spec.d))
 
 
 LATTICE_SPECS = [
@@ -122,30 +130,52 @@ REPORT_SPECS = LATTICE_SPECS + [
 
 class TestFrequencyOperator:
     def test_scalar(self):
-        h = QuadraticHamiltonian(("q",), np.array([[2.0]]), np.array([[8.0]]))
+        h = QuadraticHamiltonian(np.array([2.0]), np.array([[8.0]]))
         omega = frequency_operator(h)
         assert omega[0, 0] == pytest.approx(2.0)
 
     def test_diagonal(self):
-        h = QuadraticHamiltonian(
-            ("a", "b"), np.eye(2), np.diag([1.0, 4.0])
-        )
+        h = QuadraticHamiltonian(np.ones(2), np.diag([1.0, 4.0]))
         assert np.allclose(frequency_operator(h), np.diag([1.0, 2.0]), atol=1e-12)
 
     def test_coupled_pair_eigenvalues(self):
         k = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        h = QuadraticHamiltonian(("a", "b"), np.eye(2), k)
+        h = QuadraticHamiltonian(np.ones(2), k)
         w = np.linalg.eigvalsh(frequency_operator(h))
         assert np.allclose(w, [1.0, np.sqrt(3.0)], atol=1e-12)
 
     def test_mass_weighting(self):
-        h = QuadraticHamiltonian(("a",), np.array([[4.0]]), np.array([[4.0]]))
+        h = QuadraticHamiltonian(np.array([4.0]), np.array([[4.0]]))
         assert frequency_operator(h)[0, 0] == pytest.approx(1.0)
 
     def test_singular_stiffness_warns(self):
-        h = QuadraticHamiltonian(("a", "b"), np.eye(2), np.diag([1.0, 0.0]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            frequency_operator(QuadraticHamiltonian(np.ones(2), np.diag([1.0, 0.0])))
+        assert [str(w.message).split(":")[0] for w in caught] == ["stiffness is singular"]
         with pytest.warns(UserWarning, match="singular"):
+            h = QuadraticHamiltonian(np.ones(2), np.diag([1.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             frequency_operator(h)
+
+    @pytest.mark.parametrize(
+        "mass",
+        [np.eye(2), np.ones((2, 1)), np.array(1.0), np.array([1.0, np.inf]), np.array([np.nan, 1.0]),
+         np.array([1.0, 0.0]), np.array([-1.0, 1.0]), np.ones(3)],
+    )
+    def test_rejects_a_mass_that_is_not_a_vector_of_finite_positive_masses(self, mass):
+        with pytest.raises(ValidationError):
+            QuadraticHamiltonian(mass, np.diag([1.0, 4.0]))
+
+    def test_keeps_the_tolerances_it_was_built_with(self):
+        loose = ToleranceConfig(tau_rank=1e-6)
+        assert QuadraticHamiltonian(np.ones(1), np.eye(1)).tol is DEFAULT_TOLERANCES
+        assert QuadraticHamiltonian(np.ones(1), np.eye(1), loose).tol is loose
+        # w_min = 1e-7 w_max is singular at tau_rank = 1e-6 and not at the default 1e-9
+        QuadraticHamiltonian(np.ones(2), np.diag([1.0, 1e-7]))
+        with pytest.warns(UserWarning, match="singular"):
+            QuadraticHamiltonian(np.ones(2), np.diag([1.0, 1e-7]), loose)
 
     def test_agrees_with_the_complex_dense_route(self):
         # On a nonsingular S the two routes agree to rounding.  Where S is
@@ -156,14 +186,16 @@ class TestFrequencyOperator:
         # (PSD A, B; Ando) gives for squares 1e-13 ||S||_2 apart.
         rng = np.random.default_rng(67)
         cases = [
-            (seeded_hamiltonian(rng, n, rank), rank < n) for n in range(1, 13) for rank in (n, n - 1, n // 2)
+            (lambda n=n, rank=rank: seeded_hamiltonian(rng, n, rank), rank < n)
+            for n in range(1, 13)
+            for rank in (n, n - 1, n // 2)
         ]
-        cases += [(lattice_system(spec)[1], False) for spec in LATTICE_SPECS]
-        for h, singular in cases:
-            omega, warned = warns_singular(h)
+        cases += [(lambda spec=spec: lattice_system(spec)[1], False) for spec in LATTICE_SPECS]
+        for build, singular in cases:
+            h, omega, warned = warns_singular(build)
             assert warned == singular
             assert omega.dtype == np.float64
-            r = 1.0 / np.sqrt(np.diag(h.mass))
+            r = 1.0 / np.sqrt(h.mass)
             sym = (r[:, None] * h.stiffness) * r[None, :]
             s_norm = np.linalg.norm(sym, 2)
             assert np.linalg.norm(omega @ omega - sym, 2) <= 1e-13 * s_norm
@@ -178,50 +210,50 @@ class TestFrequencyOperator:
         # scale that is sqrt(eps) ||Omega||, above tau_rank, so the cut
         # must be read on S
         rng = np.random.default_rng(68)
-        assert all(warns_singular(seeded_hamiltonian(rng, 8, 7))[1] for _ in range(50))
-        assert not any(warns_singular(seeded_hamiltonian(rng, 8, 8))[1] for _ in range(50))
+        assert all(warns_singular(lambda: seeded_hamiltonian(rng, 8, 7))[2] for _ in range(50))
+        assert not any(warns_singular(lambda: seeded_hamiltonian(rng, 8, 8))[2] for _ in range(50))
 
     def test_clips_tiny_negative_eigenvalues(self):
-        h = QuadraticHamiltonian(("a", "b"), np.eye(2), np.diag([1.0, -1e-14]))
         with pytest.warns(UserWarning, match="singular"):
-            omega = frequency_operator(h)
+            omega = frequency_operator(QuadraticHamiltonian(np.ones(2), np.diag([1.0, -1e-14])))
         assert np.array_equal(omega, np.diag([1.0, 0.0]))
 
     def test_rejects_indefinite_at_a_tighter_residual_cut(self):
-        # construction accepts -1e-12 at the default cut; frequency_operator
-        # applies its own tolerances to S
-        h = QuadraticHamiltonian(("a", "b"), np.eye(2), np.diag([1.0, -1e-12]))
+        # construction accepts -1e-12 at the default cut, as a singular
+        # stiffness, and refuses it under the tolerances it is given
+        with pytest.warns(UserWarning, match="singular"):
+            QuadraticHamiltonian(np.ones(2), np.diag([1.0, -1e-12]))
         with pytest.raises(NotPositiveSemidefiniteError):
-            frequency_operator(h, ToleranceConfig(tau_residual=1e-14))
+            QuadraticHamiltonian(np.ones(2), np.diag([1.0, -1e-12]), ToleranceConfig(tau_residual=1e-14))
 
     def test_stiffness_takes_the_hermitian_rule(self):
         # the bound is tau_herm * (1 + max|k|) = 5e-10: an asymmetry of 6e-10 fails, 4.5e-10 passes
         with pytest.raises(ValidationError, match="stiffness is not Hermitian"):
-            QuadraticHamiltonian(("a", "b"), np.eye(2), np.array([[4.0, 1.0 + 6e-10], [1.0, 4.0]]))
-        h = QuadraticHamiltonian(("a", "b"), np.eye(2), np.array([[4.0, 1.0 + 4.5e-10], [1.0, 4.0]]))
+            QuadraticHamiltonian(np.ones(2), np.array([[4.0, 1.0 + 6e-10], [1.0, 4.0]]))
+        h = QuadraticHamiltonian(np.ones(2), np.array([[4.0, 1.0 + 4.5e-10], [1.0, 4.0]]))
         assert np.array_equal(h.stiffness, h.stiffness.T)
 
     def test_square_is_weighted_stiffness(self):
         rng = np.random.default_rng(60)
         c = rng.standard_normal((4, 4))
         k = c @ c.T + 4 * np.eye(4)
-        mass = np.diag(rng.uniform(0.5, 2.0, 4))
-        h = QuadraticHamiltonian(tuple(range(4)), mass, k)
+        mass = rng.uniform(0.5, 2.0, 4)
+        h = QuadraticHamiltonian(mass, k)
         omega = frequency_operator(h)
-        root_m = np.sqrt(np.diag(mass))
+        root_m = np.sqrt(mass)
         target = (k / root_m).T / root_m  # M^-1/2 K M^-1/2
         assert np.allclose(omega @ omega, target.T, atol=1e-10)
 
 
 def encode_state(omega, mass, q, qdot):
-    """Complex state z = M^{1/2} qdot - i Omega M^{1/2} q."""
-    m_sqrt = np.sqrt(np.diag(mass))
+    """Complex state z = M^{1/2} qdot - i Omega M^{1/2} q, M = diag(mass)."""
+    m_sqrt = np.sqrt(mass)
     return m_sqrt * qdot - 1j * (omega @ (m_sqrt * q))
 
 
 def decode_state(omega, mass, z):
     """Invert encode_state; requires Omega nonsingular."""
-    m_sqrt = np.sqrt(np.diag(mass))
+    m_sqrt = np.sqrt(mass)
     return np.linalg.solve(omega, -z.imag) / m_sqrt, z.real / m_sqrt
 
 
@@ -230,13 +262,13 @@ class TestEncoding:
 
     def test_norm_is_twice_energy(self):
         k = np.diag([4.0, 1.0])
-        mass = np.eye(2)
-        h = QuadraticHamiltonian(("a", "b"), mass, k)
+        mass = np.ones(2)
+        h = QuadraticHamiltonian(mass, k)
         omega = frequency_operator(h)
         q = np.array([1.0, -2.0])
         qdot = np.array([0.5, 0.25])
         z = encode_state(omega, mass, q, qdot)
-        energy = 0.5 * qdot @ mass @ qdot + 0.5 * q @ k @ q
+        energy = 0.5 * qdot @ (mass * qdot) + 0.5 * q @ k @ q
         assert np.linalg.norm(z) ** 2 == pytest.approx(2.0 * energy, rel=1e-12)
 
     def test_dynamics_match_verlet(self):
@@ -245,8 +277,8 @@ class TestEncoding:
         rng = np.random.default_rng(62)
         c = rng.standard_normal((3, 3))
         k = c @ c.T + 3 * np.eye(3)
-        mass = np.diag([1.0, 1.5, 0.75])
-        h = QuadraticHamiltonian(tuple(range(3)), mass, k)
+        mass = np.array([1.0, 1.5, 0.75])
+        h = QuadraticHamiltonian(mass, k)
         omega = frequency_operator(h)
         q0 = rng.standard_normal(3)
         v0 = rng.standard_normal(3)
@@ -270,7 +302,7 @@ class TestOscillatorSystem:
         g1 = [rng.standard_normal(n) for _ in range(j)]
         kh = rng.standard_normal((nh, nh))
         kh = kh @ kh.T + nh * np.eye(nh)
-        hidden = QuadraticHamiltonian(tuple(range(nh)), np.eye(nh), kh)
+        hidden = QuadraticHamiltonian(np.ones(nh), kh)
         g2 = [rng.standard_normal(nh) for _ in range(j)]
         return oscillator_system(n, 1.0, 2.0, g1, hidden, g2), g1
 
@@ -306,15 +338,17 @@ class TestOscillatorSystem:
     def test_rejects_indefinite_hidden_stiffness(self):
         # construction itself rejects genuinely indefinite stiffness
         with pytest.raises(ValidationError):
-            QuadraticHamiltonian(("b",), np.eye(1), np.array([[-1.0]]))
-        # a singular but PSD hidden block passes construction and is
-        # refused by the network assembly, which needs strict positivity
-        hidden = QuadraticHamiltonian(("b",), np.eye(1), np.array([[0.0]]))
+            QuadraticHamiltonian(np.ones(1), np.array([[-1.0]]))
+        # a singular but PSD hidden block passes construction, with its
+        # warning, and is refused by the network assembly, which needs
+        # strict positivity
+        with pytest.warns(UserWarning, match="singular"):
+            hidden = QuadraticHamiltonian(np.ones(1), np.array([[0.0]]))
         with pytest.raises(ValidationError):
             oscillator_system(2, 1.0, 1.0, [np.ones(2)], hidden, [np.ones(1)])
 
     def test_no_interactions_gives_block_diagonal(self):
-        hidden = QuadraticHamiltonian(("b",), np.eye(1), np.array([[4.0]]))
+        hidden = QuadraticHamiltonian(np.ones(1), np.array([[4.0]]))
         sys_ = oscillator_system(2, 1.0, 1.0, None, hidden, None)
         assert np.max(np.abs(sys_.coupling)) < 1e-12
 
@@ -324,7 +358,7 @@ class TestLattice:
         spec = LatticeSpec(2, 1, 3, 1.0, 1.0, (np.array([1.0, 0.0, 0.0]),))
         assert spec.volume == 9
         assert spec.total_dim == 27
-        assert len(spec.sites) == 9
+        assert len(lattice_sites(spec)) == 9
 
     def test_budget_enforced(self):
         spec = LatticeSpec(3, 5, 3, 1.0, 1.0, (np.array([1.0, 0.0, 0.0]),))
@@ -352,7 +386,7 @@ class TestLattice:
         gammas = (np.array([1.0, 0.5]), np.array([0.0, 2.0]))
         spec = LatticeSpec(1, 1, 2, 1.0, 1.5, gammas)
         _, h = lattice_system(spec)
-        sites = spec.sites
+        sites = lattice_sites(spec)
         index = {s: i for i, s in enumerate(sites)}
         for _ in range(5):
             q = rng.standard_normal(spec.total_dim)
@@ -432,6 +466,38 @@ class TestLattice:
         rep = frozen_report(spec)
         assert rep.frozen_dim_complex == 0
 
+    def test_frozen_count_is_the_couplings_null_space_per_site(self):
+        # the specific-heat statement: (N - rank Gamma) V directions freeze,
+        # with rank Gamma < J where one coupling vector is a multiple of another
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def specs(draw):
+            d, l_half_width = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+            n = draw(st.integers(1, min(4, 200 // (2 * l_half_width + 1) ** d)))
+            gammas = []
+            for _ in range(draw(st.integers(1, 3))):
+                if gammas and draw(st.booleans()):
+                    factor = draw(st.sampled_from([2.0, -1.0, 0.5]))
+                    gammas.append(factor * gammas[draw(st.integers(0, len(gammas) - 1))])
+                else:
+                    entries = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any))
+                    gammas.append(np.array(entries, dtype=float))
+            m, xi = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+            return LatticeSpec(d, l_half_width, n, m, xi, tuple(gammas))
+
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+        @hypothesis.given(specs())
+        @hypothesis.example(LatticeSpec(1, 3, 3, 1.0, 1.0, (np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]))))
+        def check(spec):
+            rank = np.linalg.matrix_rank(np.stack(spec.gammas))
+            rep = frozen_report(spec)
+            assert rep.frozen_dim_complex == (spec.n_components - rank) * spec.volume
+            assert rep.satisfied
+
+        check()
+
     @pytest.mark.parametrize("spec", LATTICE_SPECS)
     def test_scan_matches_the_clusters_of_dense_omega(self, spec):
         rows = multiplicity_scan(spec, [0, 1, 2])
@@ -475,7 +541,7 @@ class TestLattice:
 def per_site_dirichlet_form(spec):
     """The gradient form summed bond by bond over the sites: the reference
     that the Kronecker sum of the chain form must equal bitwise."""
-    sites = spec.sites
+    sites = lattice_sites(spec)
     index = {s: i for i, s in enumerate(sites)}
     b = np.zeros((len(sites), len(sites)))
     for s in sites:
@@ -558,7 +624,7 @@ class TestFactoredSpectrum:
         nan_v[3, 3] = np.nan
         for spectrum in [(nan_w, v), (w, nan_v)]:
             with pytest.raises(NumericError, match="certificate"):
-                QuadraticHamiltonian(h.dof_labels, h.mass, h.stiffness, spectrum)
+                QuadraticHamiltonian(h.mass, h.stiffness, h.tol, spectrum)
 
     def test_the_certificate_reads_the_given_tolerances(self):
         spec = LatticeSpec(2, 3, 2, 1.0, 1.0, (np.array([1.0, 0.5]),))

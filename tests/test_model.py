@@ -209,7 +209,7 @@ class TestValidate:
         assert check_dissipation(mu).verdict is psd
 
         def stiffness_route():
-            return frequency_operator(QuadraticHamiltonian(tuple(range(n)), np.eye(n), mass))
+            return frequency_operator(QuadraticHamiltonian(np.ones(n), mass))
 
         if psd:
             minimal_extension(mu)

@@ -372,7 +372,7 @@ class TestPrincipalSqrt:
         # With unit masses Omega is the principal square root of K.
         rng = np.random.default_rng(5)
         a = random_psd(rng, 6, rank=6).real
-        h = QuadraticHamiltonian(tuple("abcdef"), np.eye(6), a)
+        h = QuadraticHamiltonian(np.ones(6), a)
         r = frequency_operator(h)
         assert np.allclose(r @ r, h.stiffness, atol=1e-10 * np.linalg.norm(a, 2))
         w = np.linalg.eigvalsh(r)

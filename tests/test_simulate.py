@@ -394,6 +394,26 @@ class TestBlockScan:
         times = np.linspace(0.0, 2.0, 401)
         self.check(open_sys, random_samples(rng, times, 3), times)
 
+    def test_hidden_dim_is_the_minimal_extension_size(self):
+        rng = np.random.default_rng(103)
+        times = np.linspace(0.0, 1.0, 101)
+        for n_atoms in (1, 2, 3, 5):
+            mu = random_measure(rng, 3, n_atoms)
+            traj = propagate_open(OpenSystem(3, np.zeros((3, 3)), mu), forcing_step([1.0, 0.0, 0.0]), times)
+            assert traj.meta["hidden_dim"] == minimal_extension(mu).n2
+
+    def test_cancelling_total_mass_keeps_only_the_atoms_ranges(self):
+        # P and -P: a(0) = 0 exactly, yet each atom has rank one, and the
+        # range cut must not keep the other eigenpairs' rounding noise
+        rng = np.random.default_rng(104)
+        p = random_psd(rng, 3, rank=1)
+        open_sys = driven_open_system(rng, [p, -p], (0.5, 1.5))
+        assert not np.any(open_sys.kernel.total_mass())
+        times = np.linspace(0.0, 2.0, 401)
+        f = random_samples(rng, times, 3)
+        assert propagate_open(open_sys, f, times).meta["hidden_dim"] == 2
+        self.check(open_sys, f, times)
+
     def test_measure_of_32_by_32(self):
         # the size of the benchmark's largest dynamics system: K = 32 rank-one atoms
         rng = np.random.default_rng(98)
