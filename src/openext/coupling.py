@@ -51,7 +51,7 @@ __all__ = [
 _ALGEBRA_SEED = 0  # seeds the weights of the generic combination X in `canonical_decomposition`
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSet:
     """Rank-one channels of the coupling block.
 
@@ -147,7 +147,7 @@ def is_s_invariant(
     return verdict, (r_omega, r_p1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SInvariantDecomposition:
     """Finest splitting into independently evolving two-sided parts.
 
@@ -248,7 +248,7 @@ def canonical_decomposition(
     return SInvariantDecomposition(tuple(components), assignment, cs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecouplingReport:
     """Can a candidate observable subspace be split off?
 

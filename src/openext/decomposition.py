@@ -96,7 +96,7 @@ def _cluster_orbit(v: np.ndarray, clusters, frame: np.ndarray, tol: ToleranceCon
     return Subspace(v.shape[0], _phase_fix(np.hstack(pieces))[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoupledParts:
     """Coupled/decoupled split of both sides, each part in its own block.
 
@@ -317,7 +317,7 @@ def check_multiplicity_bounds(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StringDecomposition:
     """Multiplicity-one invariant slices of the coupled hidden space, subspaces of H2.
 

@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelSamples:
     """Friction kernel values on a time grid: values[j] = a(times[j])."""
 

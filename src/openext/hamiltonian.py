@@ -63,7 +63,7 @@ __all__ = [
 LATTICE_DIM_BUDGET = 2000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticHamiltonian:
     """Kinetic-plus-quadratic-potential system: sum p_i^2/2m_i + q^T K q / 2.
 
@@ -91,7 +91,7 @@ class QuadraticHamiltonian:
     stiffness: np.ndarray = field(repr=False)
     tol: ToleranceConfig = DEFAULT_TOLERANCES
     _factored: InitVar[tuple | None] = None
-    _spectrum: tuple = field(init=False, repr=False, compare=False)
+    _spectrum: tuple = field(init=False, repr=False)
 
     def __post_init__(self, _factored):
         mass = np.asarray(self.mass, dtype=np.float64)
@@ -201,7 +201,7 @@ def oscillator_system(
     return ConservativeSystem(n_observable, n2, frequency_operator(QuadraticHamiltonian(mass, k, tol)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeSpec:
     """Cube of sites, N position components each, gradient-coupled.
 
@@ -325,7 +325,7 @@ def _lattice_hamiltonian(spec: LatticeSpec, tol: ToleranceConfig) -> QuadraticHa
     return QuadraticHamiltonian(np.full(spec.total_dim, spec.m), k, tol, spectrum)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrozenReport:
     """Frozen directions of a lattice and the coupled-multiplicity bound.
 

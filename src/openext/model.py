@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConservativeSystem:
     """Two-block conservative system (n1 observable + n2 hidden variables)."""
 
@@ -106,7 +106,7 @@ class ConservativeSystem:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointMeasure:
     """Finite point measure on the real frequency line with matrix masses.
 
@@ -188,7 +188,7 @@ class PointMeasure:
         return sum(self.masses, np.zeros((self.dim, self.dim), dtype=np.complex128))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpenSystem:
     """Observable frequency operator plus a friction kernel measure."""
 

@@ -290,7 +290,7 @@ def require_psd(w: np.ndarray, tol: ToleranceConfig, what: str) -> None:
         raise NotPositiveSemidefiniteError(f"{what}: min eigenvalue {w[0]:.6e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """Orthonormal frame spanning a subspace of C^ambient_dim.
 

@@ -7,7 +7,11 @@ unitary to rounding and forced runs carry no step-size error beyond the
 linear interpolation of the forcing between grid points.  Written in
 closed form, each mode coefficient is its phase times a cumulative sum
 of phase-weighted forcing increments, so the whole grid is evaluated
-with array operations in fixed-size blocks of steps.
+with array operations in fixed-size blocks of steps.  The quadrature
+weights phi0, phi1 depend on w dt alone: they are tabulated once per
+distinct step length and mode, from their Taylor series for |w dt| <= 1
+and their closed forms above, which makes them accurate to rounding for
+every w dt.
 
 The open propagator integrates
 
@@ -54,11 +58,13 @@ __all__ = [
 ]
 
 # Steps per block of the conservative closed form.  It bounds the
-# temporaries to a few (block x dim) arrays whatever the grid length.
+# temporaries to a few (block x dim) arrays whatever the grid length; the
+# phi table beside them has (distinct steps x dim) entries: a few rows on
+# a uniform grid, the size of the forcing samples where all steps differ.
 _CONSERVATIVE_BLOCK = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled evolution: states[j] is the state at times[j]."""
 
@@ -137,16 +143,28 @@ def _phi_coefficients(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     For a mode with eigenvalue w and theta = w dt, the integral of
     e^{-i w (dt - s)} (f0 + (f1 - f0) s / dt) ds over the step equals
-    dt (phi0 f0 + phi1 (f1 - f0)).  Series branch guards small theta.
+    dt (phi0 f0 + phi1 (f1 - f0)), where
+    phi_j = int_0^1 u^j e^{-i theta (1 - u)} du = sum_k (-i theta)^k / (k + j + 1)!.
+
+    The closed forms phi0 = (1 - e) / (i theta) and
+    phi1 = phi0 - (phi0 - e) / (i theta), e = e^{-i theta}, cancel as
+    theta shrinks, so for |theta| <= 1 phi1 is its series by Horner in
+    19 terms (the first dropped term is at most 1/21!) and
+    phi0 = 1 - i theta phi1; both are then accurate to rounding for
+    every theta.  Elementwise: `propagate_conservative` calls it on a
+    table of one row per distinct step length.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    small = np.abs(theta) < 1e-5
+    small = np.abs(theta) <= 1.0
     safe = np.where(small, 1.0, theta)
     e = np.exp(-1j * safe)
     phi0_exact = (1.0 - e) / (1j * safe)
     phi1_exact = phi0_exact - (phi0_exact - e) / (1j * safe)
-    phi0_series = 1.0 - 1j * theta / 2.0 - theta**2 / 6.0 + 1j * theta**3 / 24.0
-    phi1_series = 0.5 - 1j * theta / 6.0 - theta**2 / 24.0 + 1j * theta**3 / 120.0
+    z = -1j * np.where(small, theta, 0.0)
+    phi1_series = np.full(theta.shape, 1.0 / math.factorial(20), dtype=np.complex128)
+    for k in range(17, -1, -1):
+        phi1_series = phi1_series * z + 1.0 / math.factorial(k + 2)
+    phi0_series = 1.0 + z * phi1_series
     return np.where(small, phi0_series, phi0_exact), np.where(small, phi1_series, phi1_exact)
 
 
@@ -172,6 +190,10 @@ def propagate_conservative(
     w, basis = eigh(system.omega, tol)
     ft = f @ basis.conj()
     dts = np.diff(times)
+    # phi depends on w dt alone, so it is tabulated once per distinct step
+    # length (a handful on a linspace grid) and each step gathers its row
+    steps, step_row = np.unique(dts, return_inverse=True)
+    phi0, phi1 = _phi_coefficients(np.multiply.outer(steps, w))
     states = np.empty((times.size, n), dtype=np.complex128)
     states[0] = v0
     # Mode coefficients c_j = P_j (c_0 + sum_{l<j} P_{l+1}^* g_l), where
@@ -180,9 +202,8 @@ def propagate_conservative(
     rotated = basis.conj().T @ v0
     for a in range(0, dts.size, _CONSERVATIVE_BLOCK):
         b = min(a + _CONSERVATIVE_BLOCK, dts.size)
-        dt = dts[a:b, None]
-        phi0, phi1 = _phi_coefficients(w * dt)
-        g = dt * (phi0 * ft[a:b] + phi1 * (ft[a + 1 : b + 1] - ft[a:b]))
+        rows = step_row[a:b]
+        g = dts[a:b, None] * (phi0[rows] * ft[a:b] + phi1[rows] * (ft[a + 1 : b + 1] - ft[a:b]))
         phase = np.exp(-1j * np.outer(times[a + 1 : b + 1] - times[0], w))
         block = rotated + np.cumsum(phase.conj() * g, axis=0)
         rotated = block[-1]

@@ -1,12 +1,16 @@
 """Time evolution: exactness, convergence order, dynamical equivalence.
 
 Closed-form variation-of-constants expressions and analytic phase
-rotations serve as the oracles here.  Two comparisons are against
+rotations serve as the oracles here.  Three comparisons are against
 integrators: TestReferenceSchemes checks the recurrences against plain
 per-step transcriptions of both schemes, with the memory trapezoid
-summed over every lag, and TestBlockScan checks the open propagator's
+summed over every lag; TestBlockScan checks the open propagator's
 block scan on the masses' range against `stepwise_open`, the same
-recurrence on the full memory state, one matrix-vector product a step.
+recurrence on the full memory state, one matrix-vector product a step;
+and TestPhiTable checks the conservative propagator's one-row-per-step
+phi table bitwise against `blockwise_conservative`, the block loop with
+phi on every (step, mode) entry.  TestPhiCoefficients checks phi itself
+against Gauss-Legendre quadrature.
 """
 
 import tracemalloc
@@ -32,8 +36,9 @@ from openext import (
     sample_forcing,
 )
 
-from openext.numerics import DEFAULT_TOLERANCES
-from openext.simulate import _phi_coefficients
+from openext import simulate
+from openext.numerics import DEFAULT_TOLERANCES, eigh
+from openext.simulate import _CONSERVATIVE_BLOCK, _phi_coefficients
 
 from conftest import random_measure, random_psd
 
@@ -64,6 +69,28 @@ def reference_conservative(system, v0, forcing, times):
             phi0 * ft[j] + phi1 * (ft[j + 1] - ft[j])
         )
         states[j + 1] = basis @ current
+    return states
+
+
+def blockwise_conservative(system, v0, forcing, times):
+    """The block closed form with phi evaluated on every (step, mode) entry."""
+    n = system.dim
+    f = sample_forcing(forcing, times, n)
+    w, basis = eigh(system.omega, DEFAULT_TOLERANCES)
+    ft = f @ basis.conj()
+    dts = np.diff(times)
+    states = np.empty((times.size, n), dtype=complex)
+    states[0] = v0
+    rotated = basis.conj().T @ np.asarray(v0, dtype=complex)
+    for a in range(0, dts.size, _CONSERVATIVE_BLOCK):
+        b = min(a + _CONSERVATIVE_BLOCK, dts.size)
+        dt = dts[a:b, None]
+        phi0, phi1 = _phi_coefficients(w * dt)
+        g = dt * (phi0 * ft[a:b] + phi1 * (ft[a + 1 : b + 1] - ft[a:b]))
+        phase = np.exp(-1j * np.outer(times[a + 1 : b + 1] - times[0], w))
+        block = rotated + np.cumsum(phase.conj() * g, axis=0)
+        rotated = block[-1]
+        states[a + 1 : b + 1] = (phase * block) @ basis.T
     return states
 
 
@@ -242,6 +269,73 @@ class TestConservativePropagation:
         assert traj.meta["scheme"] == "eigenbasis"
 
 
+class TestPhiCoefficients:
+    def test_against_gauss_legendre_for_every_theta(self):
+        # phi_j = int_0^1 u^j e^{-i theta (1 - u)} du, here as
+        # int_0^1 (1 - s)^j e^{-i theta s} ds by Gauss-Legendre on 60 nodes,
+        # 15 on each quarter of [0, 1]: exact to rounding for |theta| <= 30
+        # (one 60-node rule from leggauss carries about 6e-15 of node and
+        # weight error); the old series cut (1e-5) and the new branch
+        # point (1) are sampled on both sides
+        x, weights = np.polynomial.legendre.leggauss(15)
+        s = ((np.arange(4)[:, None] + 0.5 * (x + 1.0)) / 4.0).reshape(-1)
+        weights = np.tile(weights / 8.0, 4)
+        mags = np.concatenate([np.logspace(-12, np.log10(30.0), 600), [0.99999e-5, 1.01e-5, 1e-4, 1e-3, 1.0, np.nextafter(1.0, 2.0)]])
+        theta = np.concatenate([-mags, [0.0], mags])
+        phase = np.exp(-1j * np.outer(theta, s))
+        phi0, phi1 = _phi_coefficients(theta)
+        assert np.max(np.abs(phi0 - phase @ weights)) <= 1e-14
+        assert np.max(np.abs(phi1 - phase @ (weights * (1.0 - s)))) <= 1e-14
+
+
+def non_uniform_case():
+    """A forced 5-mode system with an initial state, on a random 700-point grid."""
+    rng = np.random.default_rng(84)
+    h_ = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    sys_ = ConservativeSystem(2, 3, h_ + h_.conj().T)
+    v0 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    grid = 0.4 + np.cumsum(rng.uniform(1e-3, 2e-2, 700))
+    f = lambda t: np.stack([np.sin(3.0 * t), np.ones_like(t), 0.5j * t, np.zeros_like(t), np.cos(t)], axis=1)
+    return sys_, v0, f, grid
+
+
+def alternating_grid():
+    # steps of 2^-6 and 3 x 2^-7 in runs of 1 to 40, so every time is exact
+    # and the grid has exactly two step lengths, neither in one contiguous run
+    runs = np.random.default_rng(85).integers(1, 41, size=16)
+    steps = np.concatenate([np.full(r, 2.0**-6 if i % 2 else 3 * 2.0**-7) for i, r in enumerate(runs)])
+    return np.concatenate([[0.0], np.cumsum(steps)])
+
+
+class TestPhiTable:
+    """phi tabulated once per distinct step against the block loop that
+    evaluates it on every (step, mode) entry: bitwise the same states."""
+
+    GRIDS = {
+        "linspace_1001": lambda: np.linspace(0.0, 1.0, 1001),
+        "alternating_runs": alternating_grid,
+        "random_700": lambda: non_uniform_case()[3],
+        "two_points": lambda: np.array([0.0, 0.7]),
+        "one_point": lambda: np.array([0.3]),
+    }
+
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_bitwise_the_block_loop_with_one_phi_row_per_distinct_step(self, name, monkeypatch):
+        sys_, v0, f, _ = non_uniform_case()
+        grid = self.GRIDS[name]()
+        ref = blockwise_conservative(sys_, v0, f, grid)
+        rows = []
+
+        def spy(theta):
+            rows.append(np.shape(theta)[0])
+            return _phi_coefficients(theta)
+
+        monkeypatch.setattr(simulate, "_phi_coefficients", spy)
+        got = propagate_conservative(sys_, v0, f, grid).states
+        assert np.array_equal(got, ref)
+        assert rows and max(rows) <= np.unique(np.diff(grid)).size
+
+
 class TestOpenPropagation:
     def test_memoryless_system_matches_conservative(self):
         # empty kernel: the open integrator must track the exact
@@ -335,12 +429,7 @@ class TestReferenceSchemes:
 
     def test_conservative_non_uniform_grid(self):
         # longer than one evaluation block, with an initial state
-        rng = np.random.default_rng(84)
-        h_ = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        sys_ = ConservativeSystem(2, 3, h_ + h_.conj().T)
-        v0 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        grid = 0.4 + np.cumsum(rng.uniform(1e-3, 2e-2, 700))
-        f = lambda t: np.stack([np.sin(3.0 * t), np.ones_like(t), 0.5j * t, np.zeros_like(t), np.cos(t)], axis=1)
+        sys_, v0, f, grid = non_uniform_case()
         got = propagate_conservative(sys_, v0, f, grid).states
         assert relative_error(got, reference_conservative(sys_, v0, f, grid)) <= 1e-12
 
