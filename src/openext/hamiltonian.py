@@ -22,7 +22,9 @@ oscillator network and any hand-built K it is a dense solve of S.  A
 lattice stiffness is K = xi I + 2 B kron G, with B the Kronecker sum over
 the d axes of one chain form T and G = sum_j gamma_j gamma_j^T, so its
 spectrum is assembled from one solve of T and one of G and then
-certified against the assembled S (see `QuadraticHamiltonian`).
+certified against the assembled S (see `QuadraticHamiltonian`).  A
+lattice's frozen report reads its coupled clusters off that certified
+spectrum too; the formed Omega serves only its frozen-residual check.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .numerics import (
     ToleranceConfig,
     cluster_spectrum,
     complement,
-    eigen_clusters,
     eigh,
     max_abs,
     orthonormal_basis,
@@ -106,13 +107,12 @@ class QuadraticHamiltonian:
         k = require_hermitian(k, tol, name="stiffness", dtype=np.float64)
         k = 0.5 * (k + k.T)
         r = 1.0 / np.sqrt(mass)
-        sym = (r[:, None] * k) * r[None, :]
-        sym = 0.5 * (sym + sym.T)
         if _factored is None:
-            w, v = eigh(sym, tol)
+            sym = (r[:, None] * k) * r[None, :]
+            w, v = eigh(0.5 * (sym + sym.T), tol)
         else:
             w, v = _factored
-            resid = max_abs(sym @ v - v * w)
+            resid = max_abs(r[:, None] * (k @ (r[:, None] * v)) - v * w)  # S V = R (K (R V))
             bound = tol.tau_residual * max(max_abs(w), 1.0)
             if not resid <= bound:  # so that a NaN fails too
                 raise NumericError(
@@ -139,11 +139,13 @@ class QuadraticHamiltonian:
 
 def frequency_operator(h: QuadraticHamiltonian) -> np.ndarray:
     """Real symmetric PSD Omega = S^{1/2}, S = M^{-1/2} K M^{-1/2}, as
-    V diag(sqrt(w)) V^T from the spectrum (w, V) that h was built with,
-    cut and clipped there (see `QuadraticHamiltonian`); a float64 array."""
+    X X^T with X = V diag(w^{1/4}) from the spectrum (w, V) that h was
+    built with, cut and clipped there (see `QuadraticHamiltonian`); a
+    float64 array.  numpy forms X X^T by a symmetric rank-k update, so
+    Omega is exactly symmetric."""
     w, v = h._spectrum
-    root = (v * np.sqrt(w)) @ v.T
-    return 0.5 * (root + root.T)
+    x = v * np.sqrt(np.sqrt(w))
+    return x @ x.T
 
 
 def _vector_family(raw, width: int, name: str) -> np.ndarray:
@@ -208,7 +210,9 @@ class LatticeSpec:
     Sites n in {-L..L}^d carry q_n in R^N with bare energy
     |p_n|^2/2m + xi |q_n|^2/2; each coupling vector gamma_j adds the
     squared forward differences of the scalar field (q_n, gamma_j), with
-    the field clamped to zero outside the cube.
+    the field clamped to zero outside the cube.  d, L and N are integers
+    (not bools), and each |gamma_j|^2 must be a normal float, neither
+    underflowing nor overflowing, since G = sum_j gamma_j gamma_j^T holds it.
     """
 
     d: int
@@ -219,6 +223,11 @@ class LatticeSpec:
     gammas: tuple
 
     def __post_init__(self):
+        for name in ("d", "l_half_width", "n_components"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.d < 1:
             raise ValidationError("lattice dimension must be >= 1")
         if self.l_half_width < 0:
@@ -232,13 +241,18 @@ class LatticeSpec:
         gam = tuple(np.asarray(g, dtype=np.float64).reshape(-1) for g in self.gammas)
         if not gam:
             raise ValidationError("need at least one coupling vector")
-        for g in gam:
+        for j, g in enumerate(gam):
             if g.size != self.n_components:
                 raise ValidationError("coupling vectors must have one entry per component")
             if not np.all(np.isfinite(g)):
                 raise ValidationError("coupling vectors must be finite")
-            if float(np.linalg.norm(g)) == 0.0:
+            if not np.any(g):
                 raise ValidationError("coupling vectors must be nonzero")
+            with np.errstate(over="ignore", under="ignore"):
+                square = float(g @ g)
+            if not np.finfo(np.float64).tiny <= square < math.inf:
+                fate = "overflows" if square > 1.0 else "underflows"
+                raise ValidationError(f"the squared norm of coupling vector {j} {fate} ({square:.3g})")
             g.flags.writeable = False
         object.__setattr__(self, "gammas", gam)
 
@@ -292,7 +306,8 @@ def _factored_spectrum(spec: LatticeSpec, chain: np.ndarray, gram: np.ndarray, t
         q_b = np.kron(q_b, q_t)
     w = ((spec.xi + 2.0 * np.multiply.outer(beta, g)) / spec.m).ravel()
     order = np.argsort(w, kind="stable")
-    return w[order], np.kron(q_b, u)[:, order]
+    a, c = np.divmod(order, g.size)  # sorted column k is Q_B[:, a_k] kron U[:, c_k]
+    return w[order], (q_b[:, None, a] * u[None, :, c]).reshape(-1, order.size)
 
 
 def lattice_system(
@@ -390,29 +405,32 @@ def _apply_site_frame(op: np.ndarray, frame: np.ndarray) -> np.ndarray:
 def frozen_report(spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> FrozenReport:
     """Locate the frozen subspace of a lattice and check both volume bounds.
 
-    The frozen frame is kron(I_V, E_gamma^perp) and the coupled one
-    kron(I_V, E_gamma); the real Omega is applied to both through
-    `_apply_site_frame`, and the report carries the per-site frame
-    E_gamma^perp as a plain real array.  The component frames come from an
-    SVD and a QR of the real gammas, which keep real data real (imaginary
-    parts exactly zero), so only their real parts are used.
+    The coupled clusters are `cluster_spectrum` of sqrt(w) over the
+    certified eigenpairs (w, V) whose eigenvector has weight below 1/2 on
+    the frozen frame kron(I_V, E_gamma^perp); there must be exactly
+    V * dim E_gamma of them, else NumericError.  Only the frozen-residual
+    check reads Omega, applied to that frame by `_apply_site_frame`, with
+    ||Omega||_2 = sqrt(w_max).  The report carries E_gamma^perp as a plain
+    real array: the component frames come from an SVD and a QR of the real
+    gammas, which keep real data real (imaginary parts exactly zero).
     """
-    omega, _ = lattice_system(spec, tol)
+    omega, h = lattice_system(spec, tol)
     n = spec.n_components
-    gamma_stack = np.stack(spec.gammas)
-    e_gamma = orthonormal_basis(gamma_stack.T.astype(np.complex128), tol)
-    e_perp = complement(e_gamma)
+    e_gamma = orthonormal_basis(np.stack(spec.gammas).T.astype(np.complex128), tol)
     j_eff = e_gamma.dim
-    g, g_perp = e_gamma.frame.real, e_perp.frame.real  # read-only views of the frames
+    g_perp = complement(e_gamma).frame.real  # a read-only view of the frame
     volume, f = spec.volume, g_perp.shape[1]
     frozen_dim = volume * f
-    # F^T Omega F = (Omega F)^T F for the symmetric Omega
-    coupled = _apply_site_frame(_apply_site_frame(omega, g).T, g)
-    coupled_w, _, clusters = eigen_clusters(0.5 * (coupled + coupled.T), tol, vectors=False)
-    per = tuple((cl.value, cl.dim) for cl in clusters)
+    w, v = h._spectrum
+    coupled = np.square(np.matmul(g_perp.T, v.reshape(volume, n, -1))).sum(axis=(0, 1)) < 0.5
+    del h, v  # K and V: the frozen residual below reads only Omega
+    count = int(np.count_nonzero(coupled))
+    if count != volume * j_eff:
+        raise NumericError(f"{count} eigenvectors lie in the coupled frame, not {volume} x {j_eff}")
+    per = tuple((cl.value, cl.dim) for cl in cluster_spectrum(np.sqrt(w[coupled]), tol))
 
     freq = math.sqrt(spec.xi / spec.m)
-    omega_norm = max(float(coupled_w[-1]), freq)  # Omega is PSD: frozen plus coupled spectrum
+    omega_norm = math.sqrt(w[-1])  # Omega is PSD
     if frozen_dim:
         # Omega kron(I_V, E^perp) - freq kron(I_V, E^perp): the frame term sits on the site diagonal
         resid = _apply_site_frame(omega, g_perp).reshape(volume, n, volume, f)
@@ -461,9 +479,7 @@ def multiplicity_scan(spec: LatticeSpec, l_values, tol: ToleranceConfig = DEFAUL
     """
     rows = []
     for l_val in l_values:
-        current = LatticeSpec(
-            spec.d, int(l_val), spec.n_components, spec.m, spec.xi, spec.gammas
-        )
+        current = LatticeSpec(spec.d, l_val, spec.n_components, spec.m, spec.xi, spec.gammas)
         freqs = np.sqrt(_lattice_hamiltonian(current, tol)._spectrum[0])
         mult = max(cl.dim for cl in cluster_spectrum(freqs, tol))
         rows.append(ScanRow(current.l_half_width, current.volume, mult))

@@ -41,7 +41,7 @@ from openext import (
     propagate_conservative,
 )
 from openext.cli import main
-from openext.numerics import DEFAULT_TOLERANCES, complement, zero_subspace
+from openext.numerics import DEFAULT_TOLERANCES, Subspace, complement, zero_subspace
 
 from conftest import joint_frame
 
@@ -204,6 +204,19 @@ class TestFrequencyOperator:
                 assert gap <= np.sqrt(1e-13 * s_norm)
             else:
                 assert gap <= 1e-13 * np.linalg.norm(omega, 2)
+
+    def test_omega_is_exactly_symmetric(self):
+        # X X^T with X = V diag(w^1/4) is one symmetric rank-k update
+        rng = np.random.default_rng(71)
+        hams = [lattice_system(spec)[1] for spec in LATTICE_SPECS]
+        hams += [seeded_hamiltonian(rng, n, n) for n in (1, 5, 12)]
+        for h in hams:
+            omega = frequency_operator(h)
+            assert np.array_equal(omega, omega.T)
+            dense = dense_frequency_operator(h)
+            assert np.linalg.norm(omega - dense, 2) <= 1e-12 * np.linalg.norm(dense, 2)
+        system, _ = TestOscillatorSystem().make(rng, 4, 2, 3)
+        assert np.array_equal(system.omega, system.omega.conj().T)
 
     def test_warns_exactly_when_the_stiffness_is_singular(self):
         # a zero eigenvalue of S is rounding of size eps ||S||; on Omega's
@@ -537,6 +550,34 @@ class TestLattice:
         with pytest.raises(ValidationError, match="finite"):
             LatticeSpec(1, 1, 2, args["m"], args["xi"], (np.array([1.0, args["gamma"]]),))
 
+    @pytest.mark.parametrize("gammas", ["1e-200,5e-201", "1e-170,1e-170", "1e-160,1e-160", "1e160,1", "1,0;1e-200,0"])
+    def test_spec_rejects_a_coupling_whose_square_leaves_the_float_range(self, gammas, capsys):
+        # G = sum_j gamma_j gamma_j^T holds each |gamma_j|^2, which must be a
+        # normal float: the vector is named, the exit is 1, nothing warns
+        index = gammas.count(";")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"coupling vector {index} (under|over)flows"):
+                LatticeSpec(1, 2, 2, 1.0, 1.0, tuple(np.array(g.split(","), dtype=float) for g in gammas.split(";")))
+            assert main(["lattice", "--d", "1", "--L", "2", "--N", "2", "--gammas", gammas]) == 1
+        assert capsys.readouterr().err.startswith(f"error: the squared norm of coupling vector {index}")
+
+    @pytest.mark.parametrize("sizes", [(1.5, 2, 1), (1, 2.5, 1), (1, 2, 1.0), (True, 2, 1), (1, "2", 1), (1, None, 1)])
+    def test_spec_takes_integer_sizes_only(self, sizes):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            LatticeSpec(*sizes, 1.0, 1.0, (np.array([1.0]),))
+
+    def test_spec_keeps_numpy_integer_sizes_as_ints(self):
+        spec = LatticeSpec(np.int64(2), np.int32(1), np.uint8(2), 1.0, 1.0, (np.array([1.0, 0.5]),))
+        assert (spec.d, spec.l_half_width, spec.n_components) == (2, 1, 2)
+        assert all(type(x) is int for x in (spec.d, spec.l_half_width, spec.n_components, spec.total_dim))
+
+    @pytest.mark.parametrize("l_values", [[2.7], ["3"], [1, 2.0], [False]])
+    def test_scan_takes_integer_half_widths_only(self, l_values):
+        spec = LatticeSpec(1, 1, 2, 1.0, 1.0, (np.array([0.0, 1.0]),))
+        with pytest.raises(ValidationError, match="l_half_width must be an integer"):
+            multiplicity_scan(spec, l_values)
+
 
 def per_site_dirichlet_form(spec):
     """The gradient form summed bond by bond over the sites: the reference
@@ -655,3 +696,81 @@ class TestFactoredSpectrum:
         sizes.clear()
         multiplicity_scan(spec, [0, 1, 2, 3])
         assert len(sizes) == 8 and max(sizes) <= max(2 * 3 + 1, spec.n_components)
+        sizes.clear()
+        frozen_report(spec)
+        assert len(sizes) == 2 and max(sizes) <= max(2 * spec.l_half_width + 1, spec.n_components)
+
+    @pytest.mark.parametrize("spec", FACTORED_SPECS)
+    def test_sorted_columns_are_bitwise_the_sorted_kronecker_product(self, spec):
+        chain = hamiltonian._chain_form(spec.l_half_width)
+        gamma_stack = np.stack(spec.gammas)
+        gram = gamma_stack.T @ gamma_stack
+        w, v = hamiltonian._factored_spectrum(spec, chain, gram, DEFAULT_TOLERANCES)
+        # the route the gather replaces: the unsorted Kronecker product, then its columns sorted
+        beta_t, q_t = eigh(chain)
+        g, u = eigh(gram)
+        beta, q_b = beta_t, q_t
+        for _ in range(spec.d - 1):
+            beta = np.add.outer(beta, beta_t).ravel()
+            q_b = np.kron(q_b, q_t)
+        ref_w = ((spec.xi + 2.0 * np.multiply.outer(beta, g)) / spec.m).ravel()
+        order = np.argsort(ref_w, kind="stable")
+        assert np.array_equal(w, ref_w[order])
+        assert np.array_equal(v, np.kron(q_b, u)[:, order])
+
+    def test_a_coupled_count_other_than_volume_times_rank_is_a_numeric_error(self, monkeypatch, capsys):
+        # an extra column (0, 1, 1, 1)/sqrt(3) in E_gamma leaves every null
+        # eigenvector e_2, e_3, e_4 of G = e_1 e_1^T with weight 2/3 on the
+        # frozen frame: 3 coupled eigenpairs against 3 sites x 2 columns
+        basis = hamiltonian.orthonormal_basis
+
+        def one_extra_column(columns, tol=DEFAULT_TOLERANCES):
+            frame = basis(columns, tol).frame
+            extra = np.array([0.0, 1.0, 1.0, 1.0]) / np.sqrt(3.0)
+            return Subspace(4, np.column_stack([frame, extra]))
+
+        monkeypatch.setattr(hamiltonian, "orthonormal_basis", one_extra_column)
+        with pytest.raises(NumericError, match="3 eigenvectors lie in the coupled frame, not 3 x 2"):
+            frozen_report(LatticeSpec(1, 1, 4, 1.0, 1.0, (np.array([1.0, 0.0, 0.0, 0.0]),)))
+        assert main(["lattice", "--d", "1", "--L", "1", "--N", "4", "--gammas", "1,0,0,0"]) == 2
+        assert "coupled frame" in capsys.readouterr().err
+
+
+def chain_eigenvalues(l_half_width, dtype=np.float64):
+    """Eigenvalues 2 - 2 cos((2k - 1) pi / (2M + 1)) = 4 sin^2((2k - 1) pi / (2(2M + 1))),
+    k = 1..M, of the chain form on M = 2L + 1 sites: one free end, one
+    clamped (Strang, SIAM Review 41, 1999)."""
+    size = 2 * l_half_width + 1
+    k = np.arange(1, size + 1, dtype=dtype)
+    return 4 * np.sin((2 * k - 1) * np.pi / (2 * (2 * size + 1))) ** 2
+
+
+# J = 1 lattices, d = 1..3, up to 882 DOF; the first one's gamma has norm 1
+_rng = np.random.default_rng(73)
+CLOSED_FORM_SPECS = [LatticeSpec(2, 10, 2, 1.0, 1.0, (np.array([0.6, 0.8]),))] + [
+    seeded_lattice(_rng, d, l_half_width, n, 1)
+    for d, l_half_width, n in [(1, 50, 1), (1, 100, 2), (2, 10, 2), (2, 7, 3), (3, 2, 4), (3, 3, 2)]
+]
+
+
+class TestClosedFormSpectrum:
+    def test_chain_form(self):
+        for l_half_width in range(31):
+            w = np.linalg.eigvalsh(hamiltonian._chain_form(l_half_width))
+            assert np.max(np.abs(w - chain_eigenvalues(l_half_width))) <= 1e-14
+
+    @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=lambda s: f"d{s.d}L{s.l_half_width}N{s.n_components}")
+    def test_coupled_clusters(self, spec):
+        # with one gamma the coupled spectrum is sqrt((xi + 2 |gamma|^2 sum_axes lambda) / m),
+        # evaluated here in extended precision, so the bound measures the report alone
+        lam = chain_eigenvalues(spec.l_half_width, np.longdouble)
+        beta = lam
+        for _ in range(spec.d - 1):
+            beta = np.add.outer(beta, lam).ravel()
+        g = spec.gammas[0].astype(np.longdouble)
+        freqs = np.sort(np.sqrt((np.longdouble(spec.xi) + 2 * (g @ g) * beta) / np.longdouble(spec.m)))
+        ref = [(np.mean(freqs[c.start : c.stop]), c.dim) for c in cluster_spectrum(freqs.astype(np.float64))]
+        rep = frozen_report(spec)
+        assert [m for _, m in rep.coupled_mult_per_cluster] == [m for _, m in ref]
+        err = max(abs(v - r) / r for (v, _), (r, _) in zip(rep.coupled_mult_per_cluster, ref))
+        assert err <= 3e-15
