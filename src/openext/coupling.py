@@ -35,7 +35,7 @@ from .numerics import (
     svd,
     zero_subspace,
 )
-from .decomposition import _cluster_orbit, orbit
+from .decomposition import _cluster_orbit
 
 __all__ = [
     "ChannelSet",
@@ -236,13 +236,13 @@ def canonical_decomposition(
         # close strengths leave eps/gap of one channel vector in the other, which the orbit's cut may keep
         leak = np.linalg.norm(np.delete(q[group], block, axis=1))
         seeds = [u[:, group] if leak <= tol.tau_rank else u @ q[:, block] for u in (cs.g, cs.g_prime)]
-        f1, f2 = (_cluster_orbit(v, cl, seed, tol).frame for (v, cl), seed in zip(sides, seeds))
+        f1, f2 = (_cluster_orbit(v, cl, seed, tol)[0].frame for (v, cl), seed in zip(sides, seeds))
         components.append((Subspace(n1, f1), Subspace(n2, f2)))
 
     # coupled_parts' seeds on the spectra above; no spectra when the coupling is zero
     gamma = system.coupling
     seeds = (gamma, gamma.conj().T)
-    coupled = [_cluster_orbit(v, cl, orthonormal_basis(s, tol).frame, tol) for (v, cl), s in zip(sides, seeds)]
+    coupled = [_cluster_orbit(v, cl, orthonormal_basis(s, tol).frame, tol)[0] for (v, cl), s in zip(sides, seeds)]
     h1d, h2d = map(complement, coupled or (zero_subspace(n1), zero_subspace(n2)))
     components += [(h1d, zero_subspace(n2))] * bool(h1d.dim) + [(zero_subspace(n1), h2d)] * bool(h2d.dim)
     return SInvariantDecomposition(tuple(components), assignment, cs)
@@ -275,7 +275,7 @@ def decoupling_report(
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> DecouplingReport:
     """Test whether h1_sub, a subspace of H1, decouples from the rest of the observable side."""
-    n1, n2 = system.n1, system.n2
+    n1 = system.n1
     if h1_sub.ambient_dim != n1:
         raise ValidationError("candidate subspace must live in H1")
 
@@ -294,7 +294,7 @@ def decoupling_report(
     decoupled = r_int <= tol.tau_residual * omega_scale and r_ker <= tol.tau_residual * kernel_scale
 
     splitting = None
-    if decoupled:
-        h2_part = orbit(system.omega2, system.coupling.conj().T @ frame, tol) if n2 else zero_subspace(0)
-        splitting = (h1_sub, h2_part)
+    if decoupled:  # the orbit of Gamma^H h1_sub, on the spectrum above
+        seed = orthonormal_basis(system.coupling.conj().T @ frame, tol).frame
+        splitting = (h1_sub, _cluster_orbit(v, clusters, seed, tol)[0])
     return DecouplingReport(decoupled, r_int, r_ker, splitting)

@@ -6,9 +6,9 @@ system are the orbits of the coupling range on each side; their
 complements are dynamically invisible.  Restricting to H1 + H2c gives
 the smallest extension with the same friction kernel, restricting to
 H1c + H2c gives the reconstructible core.  Strings slice the coupled
-hidden space into multiplicity-one invariant pieces, and the
-multiplicity of any coupled restriction is bounded by the coupling
-rank.
+hidden space into multiplicity-one invariant pieces (the orbit's own
+cluster pieces, by coupling strength), and the multiplicity of any
+coupled restriction is bounded by the coupling rank.
 
 Subspace conventions: `orbit` and `multiplicity` work in the ambient
 space of the operator they are given.  Every one-sided subspace lives in
@@ -77,13 +77,15 @@ def orbit(op, seed, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:
     if basis.dim == 0:
         return zero_subspace(n)
     _, v, clusters = eigen_clusters(a, tol)
-    return _cluster_orbit(v, clusters, basis.frame, tol)
+    return _cluster_orbit(v, clusters, basis.frame, tol)[0]
 
 
-def _cluster_orbit(v: np.ndarray, clusters, frame: np.ndarray, tol: ToleranceConfig) -> Subspace:
-    """`orbit` of an orthonormal seed frame, given the eigenvectors and clusters of the operator."""
+def _cluster_orbit(v: np.ndarray, clusters, frame: np.ndarray, tol: ToleranceConfig) -> tuple[Subspace, tuple]:
+    """`orbit` of an orthonormal seed frame, given the eigenvectors and clusters of the operator,
+    and the (value, dim) of each cluster's piece of it, in frame order."""
     coefficients = v.conj().T @ frame
     pieces = [np.zeros((v.shape[0], 0), dtype=np.complex128)]
+    kept = []
     for cl in clusters:
         c = coefficients[cl.start : cl.stop]
         if cl.dim == 1:  # a 1 x k row: its one singular value is its norm
@@ -93,7 +95,8 @@ def _cluster_orbit(v: np.ndarray, clusters, frame: np.ndarray, tol: ToleranceCon
         keep = int(np.count_nonzero(s > tol.tau_rank))
         if keep:
             pieces.append(v[:, cl.start : cl.stop] @ u[:, :keep])
-    return Subspace(v.shape[0], _phase_fix(np.hstack(pieces))[0])
+            kept.append((cl.value, keep))
+    return Subspace(v.shape[0], _phase_fix(np.hstack(pieces))[0]), tuple(kept)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,13 +107,15 @@ class CoupledParts:
     Ran(coupling^H) under omega2; h1d and h2d are the orthogonal
     complements within their blocks.  h1c and h1d are subspaces of H1,
     h2c and h2d of H2.  The decoupled parts never feel or feed the other
-    side.
+    side.  h2c_clusters is the (value, dim) of each omega2 eigen-cluster's
+    piece of h2c, in the order of its frame's columns.
     """
 
     h1c: Subspace
     h1d: Subspace
     h2c: Subspace
     h2d: Subspace
+    h2c_clusters: tuple[tuple[float, int], ...]
 
     def __post_init__(self):
         for a, b in ((self.h1c, self.h1d), (self.h2c, self.h2d)):
@@ -118,14 +123,17 @@ class CoupledParts:
                 raise ValidationError("coupled and decoupled parts must share one block")
             if a.dim and b.dim and max_abs(a.frame.conj().T @ b.frame) > STRUCTURE_TOL:
                 raise ValidationError("coupled and decoupled parts must be orthogonal")
+        if sum(dim for _, dim in self.h2c_clusters) != self.h2c.dim:
+            raise ValidationError("h2c cluster dims must sum to the dim of h2c")
 
 
 def coupled_parts(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> CoupledParts:
     """Split each side into its coupled orbit and the decoupled remainder."""
     gamma = system.coupling
     h1c = orbit(system.omega1, orthonormal_basis(gamma, tol), tol)
-    h2c = orbit(system.omega2, orthonormal_basis(gamma.conj().T, tol), tol) if system.n2 else zero_subspace(0)
-    return CoupledParts(h1c, complement(h1c), h2c, complement(h2c))
+    _, v, clusters = eigen_clusters(system.omega2, tol)
+    h2c, h2c_clusters = _cluster_orbit(v, clusters, orthonormal_basis(gamma.conj().T, tol).frame, tol)
+    return CoupledParts(h1c, complement(h1c), h2c, complement(h2c), h2c_clusters)
 
 
 def _block_basis(frame1: np.ndarray, frame2: np.ndarray) -> np.ndarray:
@@ -151,17 +159,9 @@ def four_block_residual(system: ConservativeSystem, parts: CoupledParts) -> floa
     basis = _block_basis(np.hstack([parts.h1d.frame, parts.h1c.frame]),
                          np.hstack([parts.h2c.frame, parts.h2d.frame]))
     t = basis.conj().T @ system.omega @ basis
-    edges = np.cumsum([0] + [p.dim for p in order])
-    allowed = {(0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1)}
-    worst = 0.0
-    for i in range(4):
-        for j in range(4):
-            if (i, j) in allowed:
-                continue
-            block = t[edges[i] : edges[i + 1], edges[j] : edges[j + 1]]
-            if block.size:
-                worst = max(worst, max_abs(block))
-    return worst
+    part = np.repeat(np.arange(4), [p.dim for p in order])  # the part of each basis column
+    coupled = (part == 1) | (part == 2)
+    return max_abs(t[(part[:, None] != part) & ~(coupled[:, None] & coupled)])
 
 
 def _compress(system: ConservativeSystem, frame1: np.ndarray, frame2: np.ndarray) -> ConservativeSystem:
@@ -321,12 +321,14 @@ def check_multiplicity_bounds(
 class StringDecomposition:
     """Multiplicity-one invariant slices of the coupled hidden space, subspaces of H2.
 
-    String j collects the j-th orthonormal eigenvector of every
-    eigen-cluster of omega2 restricted to h2c that is at least j+1
-    dimensional.  Each string is invariant with simple spectrum, the
-    strings are mutually orthogonal and sum to h2c, and their spectral
-    contents are nested: every frequency present in string j+1 is
-    present in string j.
+    String j collects column j of each omega2 eigen-cluster's piece P of
+    h2c with more than j columns, P turned onto the right singular vectors
+    of Gamma P: by coupling strength, strongest first.  Each string is
+    invariant with simple spectrum, the strings are mutually orthogonal
+    and sum to h2c, and their spectral contents are nested: every
+    frequency present in string j+1 is present in string j.  Where
+    strengths tie inside a cluster, only the span of the tied strings'
+    columns is canonical, as for `ChannelSet.degenerate_groups`.
     """
 
     strings: tuple[Subspace, ...]
@@ -341,18 +343,16 @@ def string_decomposition(
     system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> StringDecomposition:
     """Decompose h2c into strings (see StringDecomposition)."""
-    f2c = coupled_parts(system, tol).h2c.frame
-    if f2c.shape[1] == 0:
-        return StringDecomposition((), ())
-    _, u, clusters = eigen_clusters(compress(system.omega2, f2c), tol)
-    depth = max(cl.stop - cl.start for cl in clusters)
-    strings = []
-    measures = []
-    for j in range(depth):
-        cols = [f2c @ u[:, cl.start + j] for cl in clusters if cl.stop - cl.start > j]
-        content = tuple((cl.value, 1.0) for cl in clusters if cl.stop - cl.start > j)
-        strings.append(Subspace(system.n2, np.column_stack(cols)))
-        measures.append(content)
+    parts = coupled_parts(system, tol)
+    dims = [dim for _, dim in parts.h2c_clusters]
+    pieces = []
+    for piece in np.split(parts.h2c.frame, np.cumsum(dims[:-1], dtype=int), axis=1):
+        if piece.shape[1] > 1:  # the right singular vectors of Gamma P, strongest coupling first
+            piece = _phase_fix(piece @ np.linalg.svd(system.coupling @ piece, full_matrices=False)[2].conj().T)[0]
+        pieces.append(piece)
+    depth = range(max(dims, default=0))
+    strings = [Subspace(system.n2, np.column_stack([p[:, j] for p in pieces if p.shape[1] > j])) for j in depth]
+    measures = [tuple((value, 1.0) for value, dim in parts.h2c_clusters if dim > j) for j in depth]
     return StringDecomposition(tuple(strings), tuple(measures))
 
 

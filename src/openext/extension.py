@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, FitError, NumericError, ValidationError
+from .errors import BudgetError, FitError, NotPositiveSemidefiniteError, NumericError, ValidationError
 from .model import ConservativeSystem, PointMeasure
 from .numerics import (
     DEFAULT_TOLERANCES,
@@ -329,8 +329,8 @@ def check_dissipation(
         is never formed: Q(g p) = g^H H_p g, so its value is
         lambda_min(H_p) / ||p||_w^2 (`_profile_form_matrix`).
 
-    Sampled kernels are checked through their fitted measure
-    (`fit_point_measure`).
+    A gain in sampled data is refused by `fit_point_measure`, before the
+    PSD clip that would hide it from this check.
     """
     if not isinstance(measure, PointMeasure):
         raise ValidationError(
@@ -394,9 +394,12 @@ def fit_point_measure(
     Matrix pencil on the scalar trace sequence finds the frequencies
     (pencil length = half the sample count, singular-value cut at
     1e-8 * sigma_max, capped at max_atoms); masses follow from entrywise
-    least squares against the recovered exponentials, projected to the nearest
-    PSD matrix, and dropped at norm <= tau_rank * ||a(0)||_2, a(0) the sum of
-    the projected masses (the atom rule of `minimal_extension` and `measure_of`);
+    least squares against the recovered exponentials.  A least-squares mass
+    with an eigenvalue below -tau_residual * ||sum_k M_k||_2 (the fit's
+    a(0)) is a gain and raises NotPositiveSemidefiniteError; the others are
+    projected to the nearest PSD matrix, which clips only rounding, and
+    dropped at norm <= tau_rank * ||a(0)||_2, a(0) the sum of the projected
+    masses (the atom rule of `minimal_extension` and `measure_of`);
     the pencil cut acts first, so an atom it misses is lost even above that cut.
     The fit must reproduce every sampled entry within 1e-6 times the largest
     sampled |a_ij(t_j)| or raises FitError.
@@ -449,11 +452,16 @@ def fit_point_measure(
     if not np.isfinite(cond2) or cond2 > 1e10:
         raise FitError(f"frequency design matrix is ill-conditioned ({cond2:.2e})")
 
+    hermitian = [0.5 * (m + m.conj().T) for m in coeff.reshape(freqs.size, n, n)]
+    floor = -tol.tau_residual * float(np.linalg.norm(sum(hermitian), 2))  # the fit's a(0)
     masses = []
-    for k in range(freqs.size):
-        mass = coeff[k].reshape(n, n)
-        mass = 0.5 * (mass + mass.conj().T)
+    for f, mass in zip(freqs, hermitian):
         w, v = np.linalg.eigh(mass)
+        if w[0] < floor:  # a gain: the clip below is for rounding and would hide it
+            raise NotPositiveSemidefiniteError(
+                f"fitted mass at frequency {f:.6g} has min eigenvalue {w[0]:.6e}, "
+                f"below -tau_residual * ||a(0)||_2 = {floor:.3e}: the samples carry a gain"
+            )
         masses.append((v * np.clip(w, 0.0, None)) @ v.conj().T)
     cut = tol.tau_rank * float(np.linalg.norm(sum(masses), 2))
     atoms = [(float(f), m) for f, m in zip(freqs, masses) if float(np.linalg.norm(m, 2)) > cut]

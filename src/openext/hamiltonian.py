@@ -213,6 +213,10 @@ class LatticeSpec:
     the field clamped to zero outside the cube.  d, L and N are integers
     (not bools), and each |gamma_j|^2 must be a normal float, neither
     underflowing nor overflowing, since G = sum_j gamma_j gamma_j^T holds it.
+    With s = sum_j |gamma_j|^2, the entries of K are at most xi + 4 d s, and
+    twice that must be finite for the symmetrizing sum; the chain form's
+    eigenvalues are below 4, so S's spectrum is at most (xi + 8 d s) / m,
+    which must be finite too.
     """
 
     d: int
@@ -241,6 +245,7 @@ class LatticeSpec:
         gam = tuple(np.asarray(g, dtype=np.float64).reshape(-1) for g in self.gammas)
         if not gam:
             raise ValidationError("need at least one coupling vector")
+        squares = []
         for j, g in enumerate(gam):
             if g.size != self.n_components:
                 raise ValidationError("coupling vectors must have one entry per component")
@@ -253,7 +258,12 @@ class LatticeSpec:
             if not np.finfo(np.float64).tiny <= square < math.inf:
                 fate = "overflows" if square > 1.0 else "underflows"
                 raise ValidationError(f"the squared norm of coupling vector {j} {fate} ({square:.3g})")
+            squares.append(square)
             g.flags.writeable = False
+        k_bound, s_bound = (self.xi + 4 * self.d * sum(squares), (self.xi + 8 * self.d * sum(squares)) / self.m)
+        if not (2.0 * k_bound < math.inf and s_bound < math.inf):  # Python floats overflow to inf silently
+            raise ValidationError(f"the lattice leaves the float range: bounds {k_bound:.3g} on the entries "
+                                  f"of K and {s_bound:.3g} on the spectrum of S = K / m")
         object.__setattr__(self, "gammas", gam)
 
     @property

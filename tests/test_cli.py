@@ -375,6 +375,16 @@ class TestExtendAndFit:
         code, _ = run_cli(capsys, "fit", str(p))
         assert code == 2
 
+    def test_fit_refuses_a_gain_in_the_samples(self, capsys, tmp_path):
+        mu = PointMeasure(2, [0.5, 1.7], [np.eye(2), np.diag([1.0, -1e-7])])
+        times = np.linspace(0.0, 12.7, 129)
+        p = tmp_path / "gain.csv"
+        p.write_text(write_kernel_csv(times, kernel_of_measure(mu, times).values))
+        code = main(["fit", str(p), "--max-atoms", "5"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: fitted mass at frequency 1.7 has min eigenvalue") and "gain" in err
+
 
     def test_fit_of_a_kernel_sampled_where_it_nearly_vanishes(self, capsys, tmp_path):
         # atoms at 1 and 1.5 sampled from t0 = 2 pi, where |a(t0)| is about 1e-16

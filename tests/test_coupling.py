@@ -23,6 +23,7 @@ from openext.numerics import DEFAULT_TOLERANCES, complement
 
 from conftest import haar_unitary, joint_frame, random_conservative
 from test_acceptance import _planted_components
+from test_decomposition import count_eigensolves
 
 
 def planted_block_system(rng, sizes, conjugate=True):
@@ -492,6 +493,15 @@ class TestDecouplingReport:
         assert rep.decoupled
         h1_sub, h2_sub = rep.splitting
         assert h1_sub.dim == 1 and h2_sub.dim == 2
+
+    def test_one_eigensolve_of_omega2_gives_the_verdict_and_the_splitting(self, monkeypatch):
+        rng = np.random.default_rng(109)
+        sys_ = _planted_components(rng, 2)
+        h1 = next(h1 for h1, _ in canonical_decomposition(sys_).components if 0 < h1.dim < sys_.n1)
+        calls = count_eigensolves(monkeypatch)
+        rep = decoupling_report(sys_, h1)
+        assert rep.decoupled and rep.splitting[1].dim > 0
+        assert calls == ["eigh"]
 
     def test_oblique_line_fails_internal(self, worked_system):
         v = np.array([[1.0], [1.0]]) / np.sqrt(2.0)

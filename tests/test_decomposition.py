@@ -10,7 +10,9 @@ import pytest
 
 from openext import (
     ConservativeSystem,
+    CoupledParts,
     MultiplicityBoundReport,
+    PointMeasure,
     Subspace,
     ValidationError,
     check_multiplicity_bounds,
@@ -28,7 +30,25 @@ from openext import (
     subspaces_equal,
 )
 
-from conftest import haar_unitary, joint_frame, krylov_span, random_conservative, random_measure
+from conftest import haar_unitary, joint_frame, krylov_span, random_conservative, random_measure, random_psd
+from test_small_cuts import planted_system
+
+
+def count_eigensolves(monkeypatch) -> list:
+    """Record the name of every numpy eigensolver call from now on."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _s=solver, _n=name, **k: calls.append(_n) or _s(*a, **k))
+    return calls
+
+
+def rotate_h2(system, u):
+    """The system with H2 in the basis u: omega2 -> u omega2 u^H, Gamma -> Gamma u^H."""
+    w = np.eye(system.dim, dtype=complex)
+    w[system.n1 :, system.n1 :] = u
+    omega = w @ system.omega @ w.conj().T
+    return ConservativeSystem(system.n1, system.n2, 0.5 * (omega + omega.conj().T))
 
 
 class TestOrbit:
@@ -120,8 +140,50 @@ class TestCoupledParts:
             Subspace(2, e[:, :1]),
             Subspace(2, e),
             Subspace(2, e[:, :0]),
+            ((1.0, 1), (2.0, 1)),
         )
         assert four_block_residual(worked_system, wrong) > 0.5
+
+    def test_four_block_residual_equals_the_block_loop(self):
+        # seeded splits of each side into coupled and decoupled parts, empty parts included
+        rng = np.random.default_rng(35)
+        empty = 0
+        for _ in range(24):
+            n1, n2 = int(rng.integers(1, 5)), int(rng.integers(0, 5))
+            sys_ = random_conservative(rng, n1, n2)
+            k1, k2 = int(rng.integers(0, n1 + 1)), int(rng.integers(0, n2 + 1))
+            u1, u2 = haar_unitary(n1, rng), haar_unitary(n2, rng)
+            parts = CoupledParts(Subspace(n1, u1[:, :k1]), Subspace(n1, u1[:, k1:]),
+                                 Subspace(n2, u2[:, :k2]), Subspace(n2, u2[:, k2:]), ((0.0, k2),))
+            order = (parts.h1d, parts.h1c, parts.h2c, parts.h2d)
+            empty += any(p.dim == 0 for p in order)
+            basis = np.zeros((sys_.dim, sys_.dim), dtype=complex)
+            basis[:n1, :n1] = np.hstack([parts.h1d.frame, parts.h1c.frame])
+            basis[n1:, n1:] = np.hstack([parts.h2c.frame, parts.h2d.frame])
+            t = basis.conj().T @ sys_.omega @ basis
+            edges = np.cumsum([0] + [p.dim for p in order])
+            worst = 0.0
+            for i in range(4):
+                for j in range(4):
+                    block = t[edges[i] : edges[i + 1], edges[j] : edges[j + 1]]
+                    if i != j and {i, j} != {1, 2} and block.size:
+                        worst = max(worst, float(np.max(np.abs(block))))
+            assert four_block_residual(sys_, parts) == worst
+        assert empty >= 5
+
+    def test_h2c_clusters_are_the_cluster_pieces_of_h2c(self):
+        rng = np.random.default_rng(36)
+        for _ in range(6):
+            sys_ = planted_system(rng, 5, 8, 2)
+            parts = coupled_parts(sys_)
+            start = 0
+            for value, dim in parts.h2c_clusters:
+                piece = parts.h2c.frame[:, start : start + dim]
+                assert np.linalg.norm(sys_.omega2 @ piece - value * piece) <= 1e-12 * np.linalg.norm(sys_.omega, 2)
+                start += dim
+            assert start == parts.h2c.dim
+            with pytest.raises(ValidationError, match="cluster dims must sum"):
+                CoupledParts(parts.h1c, parts.h1d, parts.h2c, parts.h2d, parts.h2c_clusters[1:])
 
     def test_parts_partition_each_side(self):
         rng = np.random.default_rng(32)
@@ -347,6 +409,78 @@ class TestStrings:
                 continue
             total = orthonormal_basis(np.hstack([s.frame for s in dec.strings]))
             assert subspaces_equal(total, parts.h2c)
+
+
+    @pytest.mark.parametrize("case", ["planted", "rank_two_atoms"])
+    def test_strings_are_covariant_under_rotations_of_h2(self, case):
+        # degenerate hidden clusters: planted levels of multiplicity up to 3,
+        # and the minimal extension of rank-2 atoms with n1 >= n2, where every
+        # cluster's eigenspace lies inside Ran Gamma^H
+        rng = np.random.default_rng(42)
+        for _ in range(3):
+            if case == "planted":
+                sys_ = planted_system(rng, 6, 9, 3)
+            else:
+                sys_ = minimal_extension(PointMeasure.create(5, [(f, random_psd(rng, 5, 2)) for f in (-1.0, 0.5)]))
+                assert (sys_.n1, sys_.n2) == (5, 4)
+            dec = string_decomposition(sys_)
+            assert dec.count > 1  # some cluster piece has more than one column
+            for _ in range(3):
+                u = haar_unitary(sys_.n2, rng)
+                got = string_decomposition(rotate_h2(sys_, u))
+                assert [len(m) for m in got.measures] == [len(m) for m in dec.measures]
+                for (a, b), (c, d) in zip(sum(dec.measures, ()), sum(got.measures, ())):
+                    assert abs(a - c) <= 1e-12 * max(abs(a), 1.0) and b == d == 1.0
+                for s, r in zip(dec.strings, got.strings):
+                    back = u.conj().T @ r.frame
+                    assert np.max(np.abs(s.projector() - back @ back.conj().T)) <= 1e-12
+
+    def test_strings_span_h2c_one_cluster_piece_per_column(self):
+        rng = np.random.default_rng(43)
+        for _ in range(6):
+            sys_ = planted_system(rng, 5, 8, 2)
+            parts, dec = coupled_parts(sys_), string_decomposition(sys_)
+            total = orthonormal_basis(np.hstack([s.frame for s in dec.strings]))
+            assert subspaces_equal(total, parts.h2c)
+            for sub, measure in zip(dec.strings, dec.measures):
+                # column i of a string is an eigenvector of omega2 at its content value i
+                values = np.array([v for v, _ in measure])
+                residual = sys_.omega2 @ sub.frame - sub.frame * values
+                assert np.linalg.norm(residual, axis=0).max() <= 1e-12 * max(np.linalg.norm(sys_.omega2, 2), 1.0)
+            # nested contents, one column per kept cluster piece
+            assert all(set(b) <= set(a) for a, b in zip(dec.measures, dec.measures[1:]))
+            assert sorted(sum(([v] * d for v, d in parts.h2c_clusters), [])) == sorted(
+                v for m in dec.measures for v, _ in m)
+
+    def test_strengths_order_the_columns_of_each_piece(self):
+        # one hidden level of multiplicity 2 coupled with strengths 2 and 1:
+        # string 0 takes the strongly coupled direction
+        omega = np.zeros((4, 4), dtype=complex)
+        omega[2, 2] = omega[3, 3] = 1.0
+        omega[0, 3] = omega[3, 0] = 2.0
+        omega[1, 2] = omega[2, 1] = 1.0
+        dec = string_decomposition(ConservativeSystem(2, 2, omega))
+        assert [s.dim for s in dec.strings] == [1, 1]
+        assert np.abs(dec.strings[0].frame[:, 0]) == pytest.approx([0.0, 1.0], abs=1e-15)
+        assert np.abs(dec.strings[1].frame[:, 0]) == pytest.approx([1.0, 0.0], abs=1e-15)
+
+    def test_no_eigensolve_beyond_those_of_coupled_parts(self, monkeypatch):
+        sys_ = planted_system(np.random.default_rng(44), 6, 9, 3)
+        calls = count_eigensolves(monkeypatch)
+        coupled_parts(sys_)
+        assert calls == ["eigh", "eigh"]  # omega1 and omega2, once each
+        calls.clear()
+        string_decomposition(sys_)
+        assert calls == ["eigh", "eigh"]
+
+    @pytest.mark.parametrize("n1, n2", [(3, 0), (2, 3)])
+    def test_no_hidden_side_or_no_coupling_gives_no_strings(self, n1, n2):
+        omega = np.diag(np.arange(1.0, n1 + n2 + 1.0)).astype(complex)
+        sys_ = ConservativeSystem(n1, n2, omega)
+        parts = coupled_parts(sys_)
+        assert parts.h2c.dim == 0 and parts.h2c_clusters == ()
+        dec = string_decomposition(sys_)
+        assert dec.count == 0 and dec.measures == ()
 
 
 class TestReconstructible:

@@ -689,6 +689,31 @@ class TestFitPointMeasure:
         assert fitted.frequencies == pytest.approx([1.0, 1.5], abs=1e-12)
         assert fitted.masses[:, 0, 0].real == pytest.approx([1.0, 1.0], abs=1e-12)
 
+    @pytest.mark.parametrize("delta", [1e-5, 1e-7, 1e-8])
+    def test_a_gain_in_the_samples_is_refused_not_clipped(self, delta):
+        # (0.5, I2) + (1.7, diag(1, -delta)): clipped to PSD, the fit met the
+        # residual contract at delta <= 1e-6 and its dissipation verdict was true
+        mu = PointMeasure(2, [0.5, 1.7], [np.eye(2), np.diag([1.0, -delta])])
+        samples = kernel_of_measure(mu, np.linspace(0.0, 12.7, 129))
+        with pytest.raises(NotPositiveSemidefiniteError, match=rf"frequency 1\.7 has min eigenvalue -{delta:.6e}"):
+            fit_point_measure(samples, max_atoms=5)
+
+    def test_the_gain_floor_is_relative_to_the_fitted_a0(self):
+        # the floor is tau_residual * ||a(0)||_2 = 2e-9: delta = 1e-9 is rounding and is clipped
+        mu = PointMeasure(2, [0.5, 1.7], [np.eye(2), np.diag([1.0, -1e-9])])
+        fit = fit_point_measure(kernel_of_measure(mu, np.linspace(0.0, 12.7, 129)), max_atoms=5)
+        assert fit.frequencies == pytest.approx([0.5, 1.7], abs=1e-12)
+        assert check_dissipation(fit).verdict
+        # valid measures with one atom far below the others pass: the floor is the
+        # common a(0), not each atom's own norm
+        rng = np.random.default_rng(26)
+        times = np.arange(128) * 0.1
+        for _ in range(20):
+            masses = [random_psd(rng, 2, 1) for _ in range(3)]
+            masses[int(rng.integers(3))] *= 10.0 ** rng.uniform(-9.0, -4.0)
+            mu = PointMeasure.create(2, list(zip([-1.5, 0.3, 1.9], masses)))
+            fit_point_measure(kernel_of_measure(mu, times), max_atoms=5)
+
     def test_zero_samples_give_empty_measure(self):
         times = np.arange(32) * 0.1
         vals = np.zeros((32, 2, 2), dtype=complex)

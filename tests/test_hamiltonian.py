@@ -13,6 +13,7 @@ the assembled S and checks that its certificate refuses a wrong factor.
 """
 
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -561,6 +562,38 @@ class TestLattice:
                 LatticeSpec(1, 2, 2, 1.0, 1.0, tuple(np.array(g.split(","), dtype=float) for g in gammas.split(";")))
             assert main(["lattice", "--d", "1", "--L", "2", "--N", "2", "--gammas", gammas]) == 1
         assert capsys.readouterr().err.startswith(f"error: the squared norm of coupling vector {index}")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--gammas", "1.3e154,1"),  # |gamma|^2 = 1.69e308 is a float, 4 d |gamma|^2 in K is not
+            ("--gammas", "1,1", "--m", "1e-310"),  # S = K / m overflows
+            ("--gammas", "1,1", "--xi", "1e308", "--m", "0.5"),  # xi / m overflows
+            ("--gammas", "1e154,0;1e154,0"),  # each square a float, their sum past the range in K
+        ],
+        ids=["gamma", "mass", "xi", "sum"],
+    )
+    def test_spec_rejects_operators_past_the_float_range(self, flags, capsys):
+        # bounds on max|K| (with room for the symmetrizing sum) and on the
+        # spectrum of S refuse the spec before anything is formed: exit 1, nothing warns
+        argv = ["lattice", "--d", "1", "--L", "2", "--N", "2", *flags]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: the lattice leaves the float range")
+        values = dict(zip(flags[2::2], map(float, flags[3::2])))
+        gammas = tuple(np.array(g.split(","), dtype=float) for g in flags[1].split(";"))
+        with pytest.raises(ValidationError, match="leaves the float range"):
+            LatticeSpec(1, 2, 2, values.get("--m", 1.0), values.get("--xi", 1.0), gammas)
+
+    @pytest.mark.parametrize("flags", [("--gammas", "4e153,1"), ("--gammas", "1,1", "--m", "1e-307"),
+                                       ("--gammas", "1,1", "--xi", "1e307")])
+    def test_spec_near_the_float_range_reports_without_warnings(self, flags, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", UserWarning)  # a stiffness singular to rounding is reported as such
+            assert main(["lattice", "--d", "1", "--L", "2", "--N", "2", *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["satisfied"] is True
 
     @pytest.mark.parametrize("sizes", [(1.5, 2, 1), (1, 2.5, 1), (1, 2, 1.0), (True, 2, 1), (1, "2", 1), (1, None, 1)])
     def test_spec_takes_integer_sizes_only(self, sizes):
