@@ -35,7 +35,7 @@ from .numerics import (
     svd,
     zero_subspace,
 )
-from .decomposition import _cluster_orbit
+from .decomposition import _atom_orbit, _cluster_orbit
 
 __all__ = [
     "ChannelSet",
@@ -87,6 +87,7 @@ def channels(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERANC
             np.zeros((system.n1, 0), dtype=np.complex128),
             np.zeros((system.n2, 0), dtype=np.complex128),
         )
+    system._kernel_size()  # refuses a coupling whose weights gamma_q overflow
     left, sigma, right_h = svd(gamma, tol)
     rank = int(np.count_nonzero(sigma > tol.tau_rank * sigma[0]))
     gammas = tuple(float(s) ** 2 for s in sigma[:rank])
@@ -118,7 +119,7 @@ def coupling_matrix(
     if any(p.ambient_dim != system.n1 for p in parts1) or any(p.ambient_dim != system.n2 for p in parts2):
         raise ValidationError("part ambient dims do not match the system blocks")
     gamma = system.coupling
-    scale = float(np.linalg.norm(gamma, 2)) if gamma.size else 0.0
+    scale = system._coupling_norm
     out = np.zeros((len(parts1), len(parts2)), dtype=np.int64)
     for a, pa in enumerate(parts1):
         for b, pb in enumerate(parts2):
@@ -154,8 +155,10 @@ class SInvariantDecomposition:
     components[k] = (observable part, hidden part), a subspace of H1 and
     one of H2; their direct sums over k recover H1 and H2.  Channel q
     drives component assignment[q].  Components beyond the assigned ones
-    are the decoupled remainders (empty on one side).  channels is the
-    channel set, each degenerate group's vectors rotated onto the components.
+    are the decoupled remainders (empty on one side); a channel with
+    tau_rank < sigma_q / sigma_0 <= sqrt(tau_rank) may drive one that is
+    empty on H2 and fails `is_s_invariant`.  channels is the channel set,
+    each degenerate group's vectors rotated onto the components.
     """
 
     components: tuple[tuple[Subspace, Subspace], ...]
@@ -186,15 +189,16 @@ def canonical_decomposition(
     only where its vectors link to nothing (one-dimensional components,
     only their span canonical); any other repeat, from equivalent
     components of dimension two or more or bad luck of the seed, raises
-    NumericError.  A component is the orbit of its channels, or of its
-    block's g q_i where they leak into other blocks past tau_rank; they
-    are ordered by smallest channel, and the decoupled remainders h1d and
-    h2d follow with an empty other side.
+    NumericError.  A component is the pair of orbits of `coupled_parts` of
+    its channels g, or of its block's g q_i where they leak into other
+    blocks past tau_rank; they are ordered by smallest channel, and the
+    decoupled remainders h1d and h2d follow with an empty other side.
     """
     n1, n2 = system.n1, system.n2
     cs = channels(system, tol)
     r = cs.rank
-    sides = [eigen_clusters(op, tol)[1:] for op in (system.omega1, system.omega2)] if r else []
+    # (eigenvectors, clusters) of each side; none without a coupling, whose orbits are then empty
+    sides = [eigen_clusters(op, tol)[1:] if r else (op[:, :0], []) for op in (system.omega1, system.omega2)]
     # sigma_q from g_q^H Gamma g'_q, which has no square to underflow; scalar on each degenerate group
     strengths = np.sum(cs.g.conj() * (system.coupling @ cs.g_prime), axis=0).real
     for group in map(list, cs.degenerate_groups):
@@ -231,19 +235,13 @@ def canonical_decomposition(
     assignment = tuple(index.setdefault(k, len(index)) for k in block_of.tolist())
     groups = [[p for p in range(r) if assignment[p] == i] for i in range(len(index))]
 
-    components: list[tuple[Subspace, Subspace]] = []
-    for group, block in zip(groups, (list(x_blocks[k]) for k in index)):
-        # close strengths leave eps/gap of one channel vector in the other, which the orbit's cut may keep
-        leak = np.linalg.norm(np.delete(q[group], block, axis=1))
-        seeds = [u[:, group] if leak <= tol.tau_rank else u @ q[:, block] for u in (cs.g, cs.g_prime)]
-        f1, f2 = (_cluster_orbit(v, cl, seed, tol)[0].frame for (v, cl), seed in zip(sides, seeds))
-        components.append((Subspace(n1, f1), Subspace(n2, f2)))
-
-    # coupled_parts' seeds on the spectra above; no spectra when the coupling is zero
-    gamma = system.coupling
-    seeds = (gamma, gamma.conj().T)
-    coupled = [_cluster_orbit(v, cl, orthonormal_basis(s, tol).frame, tol)[0] for (v, cl), s in zip(sides, seeds)]
-    h1d, h2d = map(complement, coupled or (zero_subspace(n1), zero_subspace(n2)))
+    # close strengths leave eps/gap of one channel vector in the other, which the orbit's cut may keep
+    seeds = [cs.g[:, group] if np.linalg.norm(np.delete(q[group], block, axis=1)) <= tol.tau_rank
+             else cs.g @ q[:, block] for group, block in zip(groups, (list(x_blocks[k]) for k in index))]
+    # coupled_parts' orbits of its seed, a frame of Ran Gamma, come last: h1d and h2d are their complements
+    *components, coupled = [(_cluster_orbit(*sides[0], f, tol.tau_rank)[0], _atom_orbit(system, *sides[1], f, tol)[0])
+                            for f in (*seeds, orthonormal_basis(system.coupling, tol).frame)]
+    h1d, h2d = map(complement, coupled)
     components += [(h1d, zero_subspace(n2))] * bool(h1d.dim) + [(zero_subspace(n1), h2d)] * bool(h2d.dim)
     return SInvariantDecomposition(tuple(components), assignment, cs)
 
@@ -260,7 +258,7 @@ class DecouplingReport:
     sum_c ||(pi B_c)(pi^perp B_c)^H||, a bound on ||pi a(t) pi^perp|| at
     every t; omega1 and each N_c are Hermitian, so the swapped products
     have the same norms.  On success `splitting` carries the invariant
-    pair (h1_sub, orbit of Gamma^H h1_sub), a subspace of H1 and one of H2.
+    pair (h1_sub, `coupled_parts`' orbit of Gamma^H h1_sub), in H1 and H2.
     """
 
     decoupled: bool
@@ -290,11 +288,9 @@ def decoupling_report(
     r_ker = sum((float(np.linalg.norm((pi @ b) @ (pi_c @ b).conj().T, 2)) for b in blocks), 0.0)
 
     omega_scale = max(system._omega_norm, 1.0)
-    kernel_scale = max(float(np.linalg.norm(gv, 2)) ** 2 if gv.size else 0.0, 1.0)  # ||Gamma V|| = ||Gamma||
+    kernel_scale = max(system._kernel_size(), 1.0)
     decoupled = r_int <= tol.tau_residual * omega_scale and r_ker <= tol.tau_residual * kernel_scale
 
-    splitting = None
-    if decoupled:  # the orbit of Gamma^H h1_sub, on the spectrum above
-        seed = orthonormal_basis(system.coupling.conj().T @ frame, tol).frame
-        splitting = (h1_sub, _cluster_orbit(v, clusters, seed, tol)[0])
+    # the orbit of Gamma^H h1_sub, on the spectrum above
+    splitting = (h1_sub, _atom_orbit(system, v, clusters, frame, tol)[0]) if decoupled else None
     return DecouplingReport(decoupled, r_int, r_ker, splitting)

@@ -2,8 +2,8 @@
 
 Everything here is driven by orbits: the smallest invariant subspace of
 a Hermitian operator containing a seed set.  The coupled parts of a
-system are the orbits of the coupling range on each side; their
-complements are dynamically invisible.  Restricting to H1 + H2c gives
+system are the orbits of the coupling range on each side, the hidden one
+cut by the atom rule; their complements are invisible.  H1 + H2c gives
 the smallest extension with the same friction kernel, restricting to
 H1c + H2c gives the reconstructible core.  Strings slice the coupled
 hidden space into multiplicity-one invariant pieces (the orbit's own
@@ -36,6 +36,7 @@ from .numerics import (
     complement,
     compress,
     eigen_clusters,
+    eigh,
     matrix_rank,
     max_abs,
     orthonormal_basis,
@@ -77,13 +78,13 @@ def orbit(op, seed, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:
     if basis.dim == 0:
         return zero_subspace(n)
     _, v, clusters = eigen_clusters(a, tol)
-    return _cluster_orbit(v, clusters, basis.frame, tol)[0]
+    return _cluster_orbit(v, clusters, basis.frame, tol.tau_rank)[0]
 
 
-def _cluster_orbit(v: np.ndarray, clusters, frame: np.ndarray, tol: ToleranceConfig) -> tuple[Subspace, tuple]:
-    """`orbit` of an orthonormal seed frame, given the eigenvectors and clusters of the operator,
-    and the (value, dim) of each cluster's piece of it, in frame order."""
-    coefficients = v.conj().T @ frame
+def _cluster_orbit(v: np.ndarray, clusters, seed: np.ndarray, cut: float) -> tuple[Subspace, tuple]:
+    """Orbit of the seed, given the operator's eigenvectors and clusters, and each cluster's piece's
+    (value, dim): V_c on the left singular vectors of V_c^H seed above cut, strongest first."""
+    coefficients = v.conj().T @ seed
     pieces = [np.zeros((v.shape[0], 0), dtype=np.complex128)]
     kept = []
     for cl in clusters:
@@ -92,7 +93,7 @@ def _cluster_orbit(v: np.ndarray, clusters, frame: np.ndarray, tol: ToleranceCon
             u, s = np.ones((1, 1)), np.linalg.norm(c, axis=1)
         else:
             u, s, _ = np.linalg.svd(c, full_matrices=False)
-        keep = int(np.count_nonzero(s > tol.tau_rank))
+        keep = int(np.count_nonzero(s > cut))
         if keep:
             pieces.append(v[:, cl.start : cl.stop] @ u[:, :keep])
             kept.append((cl.value, keep))
@@ -103,12 +104,12 @@ def _cluster_orbit(v: np.ndarray, clusters, frame: np.ndarray, tol: ToleranceCon
 class CoupledParts:
     """Coupled/decoupled split of both sides, each part in its own block.
 
-    h1c is the orbit of Ran(coupling) under omega1, h2c the orbit of
-    Ran(coupling^H) under omega2; h1d and h2d are the orthogonal
-    complements within their blocks.  h1c and h1d are subspaces of H1,
-    h2c and h2d of H2.  The decoupled parts never feel or feed the other
-    side.  h2c_clusters is the (value, dim) of each omega2 eigen-cluster's
-    piece of h2c, in the order of its frame's columns.
+    h1c is the orbit of a frame F of Ran(coupling) under omega1, h2c that
+    of Gamma^H F under omega2 by the atom rule (`_atom_orbit`), each cluster's
+    piece on the right singular vectors of Gamma V_c, strongest first; h1d
+    and h2d are the complements in their blocks, H1 and H2.  The decoupled
+    parts never feel or feed the other side.  h2c_clusters is the (value,
+    dim) of each omega2 eigen-cluster's piece of h2c, in frame order.
     """
 
     h1c: Subspace
@@ -127,12 +128,20 @@ class CoupledParts:
             raise ValidationError("h2c cluster dims must sum to the dim of h2c")
 
 
+def _atom_orbit(system: ConservativeSystem, v, clusters, frame, tol: ToleranceConfig) -> tuple[Subspace, tuple]:
+    """`_cluster_orbit` under omega2 of Gamma^H F / ||Gamma||_2, F an orthonormal H1 frame, cut at
+    sqrt(tau_rank): the atom rule sigma^2 > tau_rank * ||a(0)||_2 on the singular values sigma of
+    F^H Gamma V_c.  Dividing first keeps couplings whose squares underflow."""
+    norm, images = system._coupling_norm, system.coupling.conj().T @ frame
+    return _cluster_orbit(v, clusters, images / norm if norm else images, np.sqrt(tol.tau_rank))
+
+
 def coupled_parts(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> CoupledParts:
     """Split each side into its coupled orbit and the decoupled remainder."""
-    gamma = system.coupling
-    h1c = orbit(system.omega1, orthonormal_basis(gamma, tol), tol)
+    basis = orthonormal_basis(system.coupling, tol)
+    h1c = orbit(system.omega1, basis, tol)
     _, v, clusters = eigen_clusters(system.omega2, tol)
-    h2c, h2c_clusters = _cluster_orbit(v, clusters, orthonormal_basis(gamma.conj().T, tol).frame, tol)
+    h2c, h2c_clusters = _atom_orbit(system, v, clusters, basis.frame, tol)
     return CoupledParts(h1c, complement(h1c), h2c, complement(h2c), h2c_clusters)
 
 
@@ -187,13 +196,14 @@ def multiplicity(
     op,
     invariant_subspace: Subspace | None = None,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
+    *, leak: float = 0.0,
 ) -> tuple[tuple[float, int], ...]:
     """(value, dim) of every eigen-cluster, ascending; the multiplicity is the largest dim.
 
     With a subspace the operator is first compressed to it; the subspace
-    must be invariant (leak checked against tau_residual times the
-    operator norm) because compressing a non-invariant subspace produces
-    spectra of nothing in particular.
+    must be invariant up to `leak`, a departure the caller allows, plus
+    tau_residual times the operator norm, because compressing a
+    non-invariant subspace produces spectra of nothing in particular.
     """
     a = as_matrix(op)
     if invariant_subspace is None:
@@ -206,11 +216,9 @@ def multiplicity(
         f = invariant_subspace.frame
         scale = float(np.linalg.norm(a, 2))
         residual = _invariance_leak(a, f)
-        if residual > tol.tau_residual * max(scale, 1.0):
-            raise ValidationError(
-                f"subspace is not invariant: leak {residual:.3e} exceeds "
-                f"{tol.tau_residual:.1e} * max(||op||, 1)"
-            )
+        if residual > leak + tol.tau_residual * max(scale, 1.0):
+            raise ValidationError(f"subspace is not invariant: leak {residual:.3e} exceeds "
+                                  f"{leak:.1e} + {tol.tau_residual:.1e} * max(||op||, 1)")
         restricted = compress(a, f)
     _, _, clusters = eigen_clusters(restricted, tol, vectors=False)
     return tuple((cl.value, cl.dim) for cl in clusters)
@@ -297,21 +305,25 @@ def check_multiplicity_bounds(
 
     The restriction of either internal operator to its coupled part has
     multiplicity at most rank(coupling); when the whole observable side
-    is coupled, the minimal extension obeys
+    is coupled, the minimal extension, omega compressed to H1 + h2c, obeys
     mult <= min(n1, 2 rank(coupling)).  Violations indicate tolerance
     trouble (clusters merged or split wrongly), not new mathematics, so
-    they are reported rather than raised.
+    they are reported rather than raised.  A coupled part that leaks more
+    than its cut drops is not invariant, and raises ValidationError.
     """
     n1, n2 = system.n1, system.n2
     rank = matrix_rank(system.coupling, tol)
 
     parts = coupled_parts(system, tol)
     min_frame = _block_basis(np.eye(n1, dtype=np.complex128), parts.h2c.frame)
+    # H1 + h2c leaks only the couplings the cuts drop: at most sqrt(tau_rank) ||Gamma||_2 from each
+    # of at most n2 omega2 clusters (orthogonal in H2, so their squares add), tau_rank ||Gamma||_2 off Ran Gamma
+    dropped = (np.sqrt(n2 * tol.tau_rank) + tol.tau_rank) * system._coupling_norm
     return MultiplicityBoundReport(
         coupling_rank=rank,
         per_cluster_h1c=multiplicity(system.omega1, parts.h1c, tol),
         per_cluster_h2c=multiplicity(system.omega2, parts.h2c, tol) if n2 else (),
-        per_cluster_minimal=multiplicity(system.omega, Subspace(n1 + n2, min_frame), tol),
+        per_cluster_minimal=multiplicity(system.omega, Subspace(n1 + n2, min_frame), tol, leak=dropped),
         h1_fully_coupled=parts.h1c.dim == n1,
         minimal_bound=min(n1, 2 * rank),
     )
@@ -322,13 +334,13 @@ class StringDecomposition:
     """Multiplicity-one invariant slices of the coupled hidden space, subspaces of H2.
 
     String j collects column j of each omega2 eigen-cluster's piece P of
-    h2c with more than j columns, P turned onto the right singular vectors
-    of Gamma P: by coupling strength, strongest first.  Each string is
-    invariant with simple spectrum, the strings are mutually orthogonal
-    and sum to h2c, and their spectral contents are nested: every
-    frequency present in string j+1 is present in string j.  Where
-    strengths tie inside a cluster, only the span of the tied strings'
-    columns is canonical, as for `ChannelSet.degenerate_groups`.
+    h2c with more than j columns, which `coupled_parts` orders by coupling
+    strength, strongest first.  Each string is invariant with simple
+    spectrum, the strings are mutually orthogonal and sum to h2c, and their
+    spectral contents are nested: every frequency present in string j+1 is
+    present in string j.  Where strengths tie inside a cluster, only the
+    span of the tied strings' columns is canonical, as for
+    `ChannelSet.degenerate_groups`.
     """
 
     strings: tuple[Subspace, ...]
@@ -345,11 +357,7 @@ def string_decomposition(
     """Decompose h2c into strings (see StringDecomposition)."""
     parts = coupled_parts(system, tol)
     dims = [dim for _, dim in parts.h2c_clusters]
-    pieces = []
-    for piece in np.split(parts.h2c.frame, np.cumsum(dims[:-1], dtype=int), axis=1):
-        if piece.shape[1] > 1:  # the right singular vectors of Gamma P, strongest coupling first
-            piece = _phase_fix(piece @ np.linalg.svd(system.coupling @ piece, full_matrices=False)[2].conj().T)[0]
-        pieces.append(piece)
+    pieces = np.split(parts.h2c.frame, np.cumsum(dims[:-1], dtype=int), axis=1)
     depth = range(max(dims, default=0))
     strings = [Subspace(system.n2, np.column_stack([p[:, j] for p in pieces if p.shape[1] > j])) for j in depth]
     measures = [tuple((value, 1.0) for value, dim in parts.h2c_clusters if dim > j) for j in depth]
@@ -361,24 +369,16 @@ def is_reconstructible(
 ) -> tuple[bool, tuple[float, np.ndarray] | None]:
     """Does every eigenmode of omega feel the coupling?
 
-    The off-diagonal coupling part of omega must not annihilate any
-    eigenvector: an annihilated mode evolves identically in the system
-    with the coupling removed, so no observation can pin it down.  The
-    verdict is equivalent to both decoupled parts being trivial.  The
-    coupling's image of each eigen-cluster is ranked by `matrix_rank` at
-    tau_rank * ||coupling||_2 (the compression rule).  On failure the
-    witness is (eigenvalue, unit vector in the kernel intersection); on
-    success it is None.
+    Yes iff both decoupled parts of `coupled_parts` are trivial: a mode in
+    h1d or h2d evolves identically in the system with the coupling
+    removed, so no observation can pin it down.  On failure the witness is
+    (eigenvalue, phase-fixed unit vector of the full space): the lowest
+    eigenpair of omega on h1d + h2d, where omega is block-diagonal, so that
+    of omega1 on h1d or of omega2 on h2d; on success it is None.
     """
-    c = system.coupling_part
-    c_scale = float(np.linalg.norm(system.coupling, 2))
-    _, v, clusters = eigen_clusters(system.omega, tol)
-    for cl in clusters:
-        frame = v[:, cl.start : cl.stop]
-        image = c @ frame
-        if matrix_rank(image, tol, scale=c_scale) < cl.dim:
-            null_combo = np.linalg.svd(image, full_matrices=False)[2][-1].conj()
-            witness = frame @ null_combo
-            witness = witness / np.linalg.norm(witness)
-            return False, (cl.value, witness)
-    return True, None
+    parts = coupled_parts(system, tol)
+    if parts.h1d.dim == parts.h2d.dim == 0:
+        return True, None
+    frame = _block_basis(parts.h1d.frame, parts.h2d.frame)
+    w, u = eigh(compress(system.omega, frame), tol)
+    return False, (float(w[0]), _phase_fix(frame @ u[:, :1])[0][:, 0])

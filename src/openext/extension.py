@@ -100,6 +100,7 @@ def _mode_kernel(basis_times_coupling: np.ndarray, frequencies: np.ndarray, time
 def kernel_eval(system: ConservativeSystem, times, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> KernelSamples:
     """Observable-side friction kernel a1 on the given times (ascending, >= 0)."""
     t = np.asarray(times, dtype=np.float64).reshape(-1)
+    system._kernel_size()  # refuses a coupling whose kernel overflows
     w, v = eigh(system.omega2, tol)
     b = system.coupling @ v
     return KernelSamples(t, _mode_kernel(b, w, t))
@@ -156,8 +157,9 @@ def measure_of(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERA
     gamma = system.coupling
     if system.n2 == 0:
         return PointMeasure(system.n1)
+    system._kernel_size()  # refuses a coupling whose masses overflow
     _, v, clusters = eigen_clusters(system.omega2, tol)
-    scale = float(np.linalg.norm(gamma, 2))
+    scale = system._coupling_norm
     blocks = [(c.value, gamma @ v[:, c.start : c.stop]) for c in clusters]
     kept = [(f, b) for f, b in blocks if scale and (float(np.linalg.norm(b, 2)) / scale) ** 2 > tol.tau_rank]
     masses = np.empty((len(kept), system.n1, system.n1), dtype=np.complex128)

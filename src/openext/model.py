@@ -84,6 +84,17 @@ class ConservativeSystem:
         system; omega is read-only, so its 2-norm SVD runs once."""
         return float(np.linalg.norm(self.omega, 2))
 
+    @cached_property
+    def _coupling_norm(self) -> float:
+        """||Gamma||_2, the scale of every hidden-side cut (0 without a hidden side)."""
+        return float(np.linalg.norm(self.coupling, 2)) if self.n2 else 0.0
+
+    def _kernel_size(self) -> float:
+        """||a(0)||_2 = ||Gamma||_2^2, the size of the kernel; ValidationError where it overflows."""
+        if (size := self._coupling_norm * self._coupling_norm) == np.inf:
+            raise ValidationError(f"coupling norm {self._coupling_norm:.3e}: its square, the kernel's size, overflows")
+        return size
+
     @property
     def omega1(self) -> np.ndarray:
         return self.omega[: self.n1, : self.n1]
@@ -101,8 +112,7 @@ class ConservativeSystem:
     def coupling_part(self) -> np.ndarray:
         """Off-diagonal part of omega (internal blocks zeroed)."""
         out = self.omega.copy()
-        out[: self.n1, : self.n1] = 0.0
-        out[self.n1 :, self.n1 :] = 0.0
+        out[: self.n1, : self.n1] = out[self.n1 :, self.n1 :] = 0.0
         return out
 
 

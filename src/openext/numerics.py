@@ -52,12 +52,12 @@ class ToleranceConfig:
 
     tau_herm         read by `hermitian_defect` alone, the Hermitian rule of `require_hermitian`
                      (every `eigh`, the stiffness), `validate` and `OpenSystem.from_mass_form`.
-    tau_rank         every rank cut, by one of three rules: the frame rule, tau_rank * sigma_max of the
-                     matrix cut (`matrix_rank`, `orthonormal_basis`, `channels`, and `orbit` on the
-                     coefficients of an orthonormal seed, so at tau_rank); the compression rule,
-                     tau_rank * ||Gamma||_2 (`coupling_matrix`, `is_reconstructible`); the atom rule,
-                     tau_rank * ||a(0)||_2 (`minimal_extension`, `measure_of`, `fit`, `propagate_open`).
-                     Also mass/stiffness definiteness.
+    tau_rank         every rank cut, by one of three rules: the frame rule, tau_rank * sigma_max of the matrix
+                     cut (`matrix_rank`, `orthonormal_basis`, `channels`, `orbit` on an orthonormal seed's
+                     coefficients); the compression rule, tau_rank * ||Gamma||_2, left in `coupling_matrix` alone;
+                     the atom rule, tau_rank * ||a(0)||_2, every hidden-side cut (`measure_of`, `minimal_extension`,
+                     `fit`, `propagate_open`, and sqrt(tau_rank) on the coupling's images in h2c, the canonical
+                     components and `decoupling_report`'s splitting).  Also mass/stiffness definiteness.
     tau_eig_cluster  read by `cluster_spectrum` alone, the merge rule of eigen-clusters, channel
                      groups, lattice multiplicities and atom frequencies (`PointMeasure.create`, `validate`).
     tau_residual     residual verdicts (invariance, the channel algebra's links, the decoupling masses,

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ from openext import (
     NumericError,
     OpenSystem,
     PointMeasure,
+    Subspace,
+    ValidationError,
+    canonical_decomposition,
+    channels,
+    decoupling_report,
     forcing_step,
+    kernel_eval,
     kernel_of_measure,
     measure_of,
 )
@@ -29,6 +36,7 @@ from openext.serialization import (
 )
 
 from test_coupling import equivalent_components_system, rotated
+from test_decomposition import epsilon_system
 from test_simulate import stepwise_open
 from test_small_cuts import planted_system
 
@@ -68,6 +76,13 @@ def tiny_coupling_file(tmp_path):
     p = tmp_path / "tiny.json"
     p.write_text(dumps(system_to_json(ConservativeSystem(2, 2, omega))))
     return str(p)
+
+
+def huge_coupling_system():
+    # Gamma = 1e160 I_2: ||Gamma||_2^2, the size of the friction kernel, is past the float range
+    omega = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
+    omega[:2, 2:] = omega[2:, :2] = 1e160 * np.eye(2)
+    return ConservativeSystem(2, 2, omega)
 
 
 @pytest.fixture
@@ -737,3 +752,68 @@ class TestAnalysisCommands:
         code = main(["lattice", "--d", "1", "--L", "1", "--N", "2", *flags])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestCouplingWhoseSquareOverflows:
+    """Every route that forms ||Gamma||_2^2 refuses Gamma = 1e160 I_2 with ValidationError, and no warning."""
+
+    @pytest.mark.parametrize("route", [
+        channels,
+        canonical_decomposition,
+        measure_of,
+        lambda system: kernel_eval(system, [0.0, 1.0]),
+        lambda system: decoupling_report(system, Subspace(2, np.eye(2)[:, :1])),
+    ])
+    def test_library_refuses(self, route):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="its square, the kernel's size, overflows"):
+                route(huge_coupling_system())
+
+    @pytest.mark.parametrize("argv", [
+        ["channels"], ["canonical"], ["check"], ["kernel"],
+        ["simulate", "--open", "--T", "0.1"], ["simulate", "--both", "--T", "0.1"],
+    ])
+    def test_cli_exits_one(self, capsys, tmp_path, argv):
+        p = tmp_path / "huge.json"
+        p.write_text(dumps(system_to_json(huge_coupling_system())))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([argv[0], str(p), *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: coupling norm 1.000e+160: its square")
+        assert "Traceback" not in captured.err
+
+    def test_decompose_forms_no_square(self, capsys, tmp_path):
+        p = tmp_path / "huge.json"
+        p.write_text(dumps(system_to_json(huge_coupling_system())))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(capsys, "decompose", str(p))
+        assert code == 0
+        assert {name: part["dim"] for name, part in json.loads(out)["parts"].items()} == {
+            "h1c": 2, "h1d": 0, "h2c": 2, "h2d": 0}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_epsilon_system_reads_one_hidden_dimension(tmp_path, threads):
+    # omega = [[0, 1, 1e-5], [1, 1, 0], [1e-5, 0, 2]]: the hidden mode at 2 has mass 1e-10, below tau_rank * ||a(0)||,
+    # so decompose, the measure and the reconstructibility verdict all drop it, and the residual shows the cut
+    p = tmp_path / "eps.json"
+    p.write_text(dumps(system_to_json(epsilon_system(1e-5))))
+    # a fresh interpreter per thread count: BLAS reads it at start-up
+    src = os.path.dirname(os.path.dirname(openext.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+    reports = {}
+    for command in ("decompose", "check"):
+        out = tmp_path / f"{command}.json"
+        subprocess.run([sys.executable, "-m", "openext.cli", command, str(p), "--out", str(out)],
+                       check=True, env=env, timeout=120)
+        reports[command] = json.loads(out.read_text())
+    decompose, check = reports["decompose"], reports["check"]
+    assert decompose["parts"]["h2c"]["dim"] == len(check["dissipation"]["atom_min_eigenvalues"]) == 1
+    assert decompose["four_block_residual"] == 1e-5
+    assert decompose["multiplicity_bounds"]["ok"] is True
+    assert check["reconstructible"]["verdict"] is False
+    assert check["reconstructible"]["witness"]["eigenvalue"] == 2.0

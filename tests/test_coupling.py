@@ -19,7 +19,7 @@ from openext import (
     subspaces_equal,
 )
 
-from openext.numerics import DEFAULT_TOLERANCES, complement
+from openext.numerics import DEFAULT_TOLERANCES, _phase_fix, complement, eigen_clusters
 
 from conftest import haar_unitary, joint_frame, random_conservative
 from test_acceptance import _planted_components
@@ -62,10 +62,13 @@ def reference_grouping(system, tol=DEFAULT_TOLERANCES):
 
     One orbit per channel and side, the overlap |F_p^H u_q| of the orbit
     of channel p with channel q, union-find over the linked pairs, then
-    the orbit of each group's channels.  The channel vectors are
-    orthonormal, so they are passed as `Subspace` seeds, as
-    `canonical_decomposition` hands them to its orbits.  Returns
-    (assignment, frames) with frames[k] = (H1 frame, H2 frame) of group k.
+    the orbit of each group's channels on H1 and of their images on H2.
+    The channel vectors are orthonormal, so they are passed as `Subspace`
+    seeds, as `canonical_decomposition` hands them to its orbits.  The H2
+    orbit of a group is written out: the images Gamma^H g over ||Gamma||_2,
+    each eigen-cluster's coefficients cut at sqrt(tau_rank), the atom rule.
+    Returns (assignment, frames) with frames[k] = (H1 frame, H2 frame) of
+    group k.
     """
     cs = channels(system, tol)
     r = cs.rank
@@ -94,13 +97,21 @@ def reference_grouping(system, tol=DEFAULT_TOLERANCES):
     for k, group in enumerate(groups):
         for q in group:
             assignment[q] = k
-    frames = [
-        (
-            orbit(system.omega1, Subspace(n1, cs.g[:, group]), tol).frame,
-            orbit(system.omega2, Subspace(n2, cs.g_prime[:, group]), tol).frame,
-        )
-        for group in groups
-    ]
+    _, v, clusters = eigen_clusters(system.omega2, tol)
+
+    def image_orbit(group):
+        coefficients = v.conj().T @ (system.coupling.conj().T @ cs.g[:, group] / np.linalg.norm(system.coupling, 2))
+        pieces = [np.zeros((n2, 0), dtype=complex)]
+        for cl in clusters:
+            c = coefficients[cl.start : cl.stop]
+            if cl.dim == 1:
+                u, s = np.ones((1, 1)), np.linalg.norm(c, axis=1)
+            else:
+                u, s, _ = np.linalg.svd(c, full_matrices=False)
+            pieces.append(v[:, cl.start : cl.stop] @ u[:, : np.count_nonzero(s > np.sqrt(tol.tau_rank))])
+        return _phase_fix(np.hstack(pieces))[0]
+
+    frames = [(orbit(system.omega1, Subspace(n1, cs.g[:, group]), tol).frame, image_orbit(group)) for group in groups]
     return tuple(assignment), frames
 
 

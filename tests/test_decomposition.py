@@ -12,23 +12,32 @@ from openext import (
     ConservativeSystem,
     CoupledParts,
     MultiplicityBoundReport,
+    OpenSystem,
     PointMeasure,
     Subspace,
     ValidationError,
+    canonical_decomposition,
     check_multiplicity_bounds,
     coupled_parts,
+    forcing_step,
     four_block_residual,
     is_reconstructible,
+    is_s_invariant,
     kernel_eval,
+    measure_of,
     minimal_extension,
     minimal_subsystem,
     multiplicity,
     orbit,
     orthonormal_basis,
+    propagate_open,
     reconstructible_core,
     string_decomposition,
     subspaces_equal,
 )
+
+from openext import decomposition
+from openext.numerics import DEFAULT_TOLERANCES, eigen_clusters, matrix_rank
 
 from conftest import haar_unitary, joint_frame, krylov_span, random_conservative, random_measure, random_psd
 from test_small_cuts import planted_system
@@ -41,6 +50,25 @@ def count_eigensolves(monkeypatch) -> list:
         solver = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda *a, _s=solver, _n=name, **k: calls.append(_n) or _s(*a, **k))
     return calls
+
+
+def full_omega_frozen_mode(system, tol=DEFAULT_TOLERANCES):
+    """Frozen mode found on omega itself, as a test-local oracle for `is_reconstructible`.
+
+    The lowest eigen-cluster of omega on which the coupling part has rank
+    below the cluster's dim, ranked at tau_rank * ||Gamma||_2, with a unit
+    vector of that rank gap; None when every mode feels the coupling.
+    """
+    c = system.coupling_part
+    scale = float(np.linalg.norm(system.coupling, 2))
+    _, v, clusters = eigen_clusters(system.omega, tol)
+    for cl in clusters:
+        frame = v[:, cl.start : cl.stop]
+        image = c @ frame
+        if matrix_rank(image, tol, scale=scale) < cl.dim:
+            vec = frame @ np.linalg.svd(image, full_matrices=False)[2][-1].conj()
+            return cl.value, vec / np.linalg.norm(vec)
+    return None
 
 
 def rotate_h2(system, u):
@@ -357,6 +385,28 @@ class TestMultiplicityBounds:
         assert minimal["ok"] is None and minimal["bound_applies"] is False
         assert minimal["max_multiplicity"] == 3
 
+    def test_minimal_extension_may_leak_only_what_the_atom_cut_drops(self, monkeypatch):
+        omega1, omega2 = np.diag([0.0, 3.0]), np.diag([1.0, 2.0])
+
+        def system(weak):
+            omega = np.zeros((4, 4), dtype=complex)
+            omega[:2, :2], omega[2:, 2:] = omega1, omega2
+            omega[:2, 2:] = omega[2:, :2] = np.diag([1.0, weak])
+            return ConservativeSystem(2, 2, omega)
+
+        # masses 1e-12 and 9e-10 fall under tau_rank * ||a(0)||_2: H1 + h2c leaks the dropped coupling
+        for weak in (1e-6, 3e-5):
+            assert coupled_parts(system(weak)).h2d.dim == 1
+            assert check_multiplicity_bounds(system(weak)).ok
+        # a cut that also drops a coupling of 0.1 leaves H1 + h2c far from invariant
+        def coarse_atom_orbit(s, v, clusters, frame, tol):
+            return decomposition._cluster_orbit(v, clusters, s.coupling.conj().T @ frame / s._coupling_norm, 0.5)
+
+        monkeypatch.setattr(decomposition, "_atom_orbit", coarse_atom_orbit)
+        assert coupled_parts(system(0.1)).h2d.dim == 1
+        with pytest.raises(ValidationError, match="not invariant"):
+            check_multiplicity_bounds(system(0.1))
+
     def test_report_dict_has_slack(self, worked_system):
         d = check_multiplicity_bounds(worked_system).as_dict()
         assert d["ok"] is True
@@ -503,21 +553,106 @@ class TestReconstructible:
 
     def test_agrees_with_frozen_part_triviality(self):
         rng = np.random.default_rng(40)
+        frozen = 0
         for _ in range(20):
             n1 = int(rng.integers(1, 5))
             n2 = int(rng.integers(0, 5))
             sys_ = random_conservative(rng, n1, n2)
             parts = coupled_parts(sys_)
             ok, witness = is_reconstructible(sys_)
-            assert ok == (parts.h1d.dim == 0 and parts.h2d.dim == 0)
+            want = full_omega_frozen_mode(sys_)
+            assert ok == (parts.h1d.dim == 0 and parts.h2d.dim == 0) == (want is None)
             if not ok:
+                frozen += 1
                 value, vec = witness
-                # the witness is a genuine eigenvector of omega
-                r = sys_.omega @ vec - value * vec
-                assert np.linalg.norm(r) < 1e-8 * max(
-                    np.linalg.norm(sys_.omega, 2), 1.0
-                )
-                # and it is frozen: killed by the coupling part
-                assert np.linalg.norm(sys_.coupling_part @ vec) < 1e-8 * max(
-                    np.linalg.norm(sys_.omega, 2), 1.0
-                )
+                scale = max(np.linalg.norm(sys_.omega, 2), 1.0)
+                assert abs(value - want[0]) <= 1e-12 * scale
+                # the same unit vector up to phase: a genuine eigenvector of omega that the coupling part kills
+                assert abs(abs(np.vdot(want[1], vec)) - 1.0) <= 1e-10
+                assert np.linalg.norm(sys_.omega @ vec - value * vec) < 1e-8 * scale
+                assert np.linalg.norm(sys_.coupling_part @ vec) < 1e-8 * scale
+        assert 0 < frozen < 20
+
+
+def weak_column_system(rng, n1, n2, scale):
+    """Random system whose coupling to one eigenmode of omega2 is scaled by `scale`.
+
+    It is not the extension of a measure, so nothing places its hidden modes
+    on either side of the atom rule's cut.
+    """
+    h = rng.standard_normal((n1 + n2, n1 + n2)) + 1j * rng.standard_normal((n1 + n2, n1 + n2))
+    omega = 0.5 * (h + h.conj().T)
+    column = np.linalg.eigh(omega[n1:, n1:])[1][:, [rng.integers(n2)]]
+    omega[:n1, n1:] -= (1.0 - scale) * (omega[:n1, n1:] @ column) @ column.conj().T
+    omega[n1:, :n1] = omega[:n1, n1:].conj().T
+    return ConservativeSystem(n1, n2, omega)
+
+
+def epsilon_system(eps):
+    """omega = [[0, 1, eps], [1, 1, 0], [eps, 0, 2]]: the hidden mode at 2 couples with amplitude eps."""
+    return ConservativeSystem(1, 2, np.array([[0.0, 1.0, eps], [1.0, 1.0, 0.0], [eps, 0.0, 2.0]], dtype=complex))
+
+
+def hidden_dims(system):
+    """Hidden dimension of h2c, `minimal_subsystem`, `minimal_extension(measure_of)` and `propagate_open`,
+    after checking the canonical H2 dims, the reconstructibility verdict, the multiplicity bounds and
+    the minimal subsystem's measure against the parts and the measure of the system."""
+    parts = coupled_parts(system)
+    mu = measure_of(system)
+    times = np.linspace(0.0, 0.5, 11)
+    traj = propagate_open(OpenSystem(system.n1, system.omega1, mu), forcing_step(np.eye(system.n1)[0]), times)
+    dec = canonical_decomposition(system)
+    assigned = dec.components[: len(set(dec.assignment))]
+    assert sum(h2.dim for _, h2 in assigned) + parts.h2d.dim == system.n2
+    assert is_reconstructible(system)[0] == (parts.h1d.dim == parts.h2d.dim == 0)
+    # the minimal extension is omega compressed to H1 + h2c, invariant only up to the dropped couplings
+    assert check_multiplicity_bounds(system).ok
+    # the minimal subsystem has the system's measure, up to the dropped directions' masses
+    small = minimal_subsystem(system)
+    back = measure_of(small)
+    size = np.linalg.norm(mu.total_mass(), 2)
+    assert back.frequencies.size == mu.frequencies.size
+    assert np.max(np.abs(back.frequencies - mu.frequencies), initial=0.0) <= 1e-12 * np.linalg.norm(system.omega, 2)
+    for got, want in zip(back.masses, mu.masses):
+        assert np.linalg.norm(got - want, 2) <= (DEFAULT_TOLERANCES.tau_rank + 1e-12) * size
+    return parts.h2c.dim, small.n2, minimal_extension(mu).n2, traj.meta["hidden_dim"]
+
+
+class TestOneHiddenDimension:
+    """h2c, the minimal subsystem, the extension of the measure and the open propagator read one
+    hidden dimension: every hidden-side cut is the atom rule sigma^2 > tau_rank * ||a(0)||_2."""
+
+    @pytest.mark.parametrize("exponent", np.linspace(-12.0, 0.0, 25))
+    def test_weak_hidden_column_on_a_log_grid(self, exponent):
+        rng = np.random.default_rng(int(1000 * -exponent))
+        for _ in range(4):
+            n1, n2 = int(rng.integers(1, 3)), int(rng.integers(1, 7))
+            dims = hidden_dims(weak_column_system(rng, n1, n2, 10.0**exponent))
+            assert len(set(dims)) == 1, dims
+
+    @pytest.mark.parametrize("eps, n2", [(1e-4, 2), (3.2e-5, 2), (3.0e-5, 1), (1e-5, 1), (1e-7, 1), (1e-9, 1)])
+    def test_epsilon_system(self, eps, n2):
+        # the amplitude eps has mass eps^2 against ||a(0)||_2 = 1 + eps^2: kept above sqrt(tau_rank)
+        assert hidden_dims(epsilon_system(eps)) == (n2,) * 4
+
+    @pytest.mark.parametrize("eps, n2", [(1e-6, 5), (1e-5, 5), (3e-5, 5), (1e-4, 6), (1.8e-4, 6), (1e-3, 6)])
+    def test_two_observables_and_six_hidden_modes(self, eps, n2):
+        assert hidden_dims(weak_column_system(np.random.default_rng(26), 2, 6, eps)) == (n2,) * 4
+
+    def test_weak_channel_shows_in_the_residuals(self):
+        # Gamma = diag(1, 1e-6): the frame rule keeps the weak channel on H1, the atom rule drops
+        # its hidden mode (mass 1e-12), so the coupling that the cut dropped shows as residuals
+        omega = np.diag([0.0, 3.0, 1.0, 2.0]).astype(complex)
+        omega[:2, 2:] = omega[2:, :2] = np.diag([1.0, 1e-6])
+        system = ConservativeSystem(2, 2, omega)
+        parts = coupled_parts(system)
+        assert (parts.h1c.dim, parts.h2c.dim, parts.h2d.dim) == (2, 1, 1)
+        assert four_block_residual(system, parts) == pytest.approx(1e-6, rel=1e-12)
+        assert hidden_dims(system) == (1,) * 4
+        dec = canonical_decomposition(system)
+        assert dec.assignment == (0, 1)
+        assert [(h1.dim, h2.dim) for h1, h2 in dec.components] == [(1, 1), (1, 0), (0, 1)]
+        verdicts = [is_s_invariant(system, Subspace(system.dim, joint_frame(system, h1, h2)))[0]
+                    for h1, h2 in dec.components]
+        assert verdicts == [True, False, False]
+        assert is_reconstructible(system)[0] is False
