@@ -29,7 +29,6 @@ from .numerics import (
     complement,
     eigen_clusters,
     eigh,
-    matrix_rank,
     max_abs,
     orthonormal_basis,
     svd,
@@ -113,17 +112,19 @@ def coupling_matrix(
     parts1 and parts2 are subspaces of H1 and H2, in block coordinates.
     Entry (a, b) is the numerical rank of the coupling block compressed to
     parts1[a] and parts2[b] (any two subspaces; no orthogonality needed),
-    measured against the largest singular value of the whole coupling.
-    A zero row or column marks a part that no channel reaches.
+    cut by the atom rule, the cut of h2c: the singular values sigma of
+    the compression of Gamma / ||Gamma||_2 with sigma > sqrt(tau_rank).
+    Dividing first keeps couplings whose squares underflow.  A zero row or
+    column marks a part that no channel reaches.
     """
     if any(p.ambient_dim != system.n1 for p in parts1) or any(p.ambient_dim != system.n2 for p in parts2):
         raise ValidationError("part ambient dims do not match the system blocks")
-    gamma = system.coupling
-    scale = system._coupling_norm
+    gamma, cut = system.coupling / (system._coupling_norm or 1.0), np.sqrt(tol.tau_rank)
     out = np.zeros((len(parts1), len(parts2)), dtype=np.int64)
     for a, pa in enumerate(parts1):
         for b, pb in enumerate(parts2):
-            out[a, b] = matrix_rank(pa.frame.conj().T @ gamma @ pb.frame, tol, scale=scale)
+            compressed = pa.frame.conj().T @ gamma @ pb.frame
+            out[a, b] = np.count_nonzero(np.linalg.svd(compressed, compute_uv=False) > cut)
     return out
 
 

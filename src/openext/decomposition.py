@@ -83,16 +83,23 @@ def orbit(op, seed, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:
 
 def _cluster_orbit(v: np.ndarray, clusters, seed: np.ndarray, cut: float) -> tuple[Subspace, tuple]:
     """Orbit of the seed, given the operator's eigenvectors and clusters, and each cluster's piece's
-    (value, dim): V_c on the left singular vectors of V_c^H seed above cut, strongest first."""
+    (value, dim): V_c on the left singular vectors of V_c^H seed above cut, strongest first.  The
+    one-member clusters take one row-norm pass over the coefficients, each other size one stacked SVD."""
     coefficients = v.conj().T @ seed
+    starts, dims = np.array([(cl.start, cl.dim) for cl in clusters], dtype=np.intp).reshape(-1, 2).T
+    factors = {}  # cluster index -> (u, s)
+    for size in np.unique(dims):
+        members = np.flatnonzero(dims == size)
+        blocks = coefficients[starts[members, None] + np.arange(size)]  # one size x k block per cluster
+        if size == 1:  # 1 x k rows: each one's singular value is its norm
+            u, s = np.ones((members.size, 1, 1)), np.linalg.norm(blocks, axis=2)
+        else:
+            u, s, _ = np.linalg.svd(blocks, full_matrices=False)
+        factors.update(zip(members.tolist(), zip(u, s)))
     pieces = [np.zeros((v.shape[0], 0), dtype=np.complex128)]
     kept = []
-    for cl in clusters:
-        c = coefficients[cl.start : cl.stop]
-        if cl.dim == 1:  # a 1 x k row: its one singular value is its norm
-            u, s = np.ones((1, 1)), np.linalg.norm(c, axis=1)
-        else:
-            u, s, _ = np.linalg.svd(c, full_matrices=False)
+    for i, cl in enumerate(clusters):
+        u, s = factors[i]
         keep = int(np.count_nonzero(s > cut))
         if keep:
             pieces.append(v[:, cl.start : cl.stop] @ u[:, :keep])

@@ -22,8 +22,9 @@ oscillator network and any hand-built K it is a dense solve of S.  A
 lattice stiffness is K = xi I + 2 B kron G, with B the Kronecker sum over
 the d axes of one chain form T and G = sum_j gamma_j gamma_j^T, so its
 spectrum is assembled from one solve of T and one of G and then
-certified against the assembled S (see `QuadraticHamiltonian`).  A
-lattice's frozen report reads its coupled clusters off that certified
+certified against the assembled S by a product over K's band, O(n^2 h)
+for n degrees of freedom and half-bandwidth h (see `QuadraticHamiltonian`).
+A lattice's frozen report reads its coupled clusters off that certified
 spectrum too; the formed Omega serves only its frozen-residual check.
 """
 
@@ -75,7 +76,10 @@ class QuadraticHamiltonian:
     the spectrum it builds from the Kronecker factors of K, V orthogonal by
     construction, certified here against the assembled S:
     max|S V - V diag(w)| <= tau_residual * max(max|w|, 1), else
-    NumericError (a NaN anywhere fails the test).
+    NumericError (a NaN anywhere fails the test).  The product
+    K (M^{-1/2} V) runs over K's band (`_band_product`), read off K's own
+    entries, so every nonzero of the assembled K enters it: O(n^2 h) for
+    half-bandwidth h in place of O(n^3).
 
     The spectrum is cut once, under `tol`.  Eigenvalues failing
     `below_psd_cut` raise NotPositiveSemidefiniteError (by Sylvester's law
@@ -112,7 +116,10 @@ class QuadraticHamiltonian:
             w, v = eigh(0.5 * (sym + sym.T), tol)
         else:
             w, v = _factored
-            resid = max_abs(r[:, None] * (k @ (r[:, None] * v)) - v * w)  # S V = R (K (R V))
+            defect = _band_product(k, r[:, None] * v)  # S V - V diag(w) = R (K (R V)) - V diag(w), in place
+            defect *= r[:, None]
+            defect -= v * w
+            resid = max_abs(defect)
             bound = tol.tau_residual * max(max_abs(w), 1.0)
             if not resid <= bound:  # so that a NaN fails too
                 raise NumericError(
@@ -135,6 +142,26 @@ class QuadraticHamiltonian:
     @property
     def dim(self) -> int:
         return self.mass.size
+
+
+def _band_product(k: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """k @ y over the band of k: each block of rows against its column window, one product each.
+
+    The half-bandwidth h is read off k's entries, each row's first and last nonzero, so every
+    nonzero enters and only exact zeros are skipped; an all-zero row reads as spanning the whole
+    row, so h can come out too wide, never too narrow.  O(n^2 h) in place of O(n^3); `k @ y`
+    itself when one window would cover k."""
+    n = k.shape[0]
+    nz, i = k != 0, np.arange(n)
+    h = int(max(np.max(i - nz.argmax(axis=1)), np.max(n - 1 - i - nz[:, ::-1].argmax(axis=1)))) if n else 0
+    block = max(h, 64)
+    if block + 2 * h >= n:
+        return k @ y
+    out = np.empty((n, y.shape[1]), dtype=np.result_type(k, y))
+    for a in range(0, n, block):
+        lo, hi = max(a - h, 0), min(a + block + h, n)
+        out[a : a + block] = k[a : a + block, lo:hi] @ y[lo:hi]
+    return out
 
 
 def frequency_operator(h: QuadraticHamiltonian) -> np.ndarray:
@@ -343,8 +370,10 @@ def _lattice_hamiltonian(spec: LatticeSpec, tol: ToleranceConfig) -> QuadraticHa
     chain = _chain_form(spec.l_half_width)
     b = _dirichlet_form(chain, spec.d)
     k = spec.xi * np.eye(spec.total_dim)
+    # k += 2 kron(B, g g^T) per gamma, added on B's nonzero site pairs alone: the other terms are zeros
+    pairs, blocks = np.nonzero(b), k.reshape(spec.volume, spec.n_components, spec.volume, spec.n_components)
     for g in spec.gammas:
-        k += 2.0 * np.kron(b, np.outer(g, g))
+        blocks[pairs[0], :, pairs[1], :] += 2.0 * (b[pairs][:, None, None] * np.outer(g, g))
     gamma_stack = np.stack(spec.gammas)
     spectrum = _factored_spectrum(spec, chain, gamma_stack.T @ gamma_stack, tol)
     return QuadraticHamiltonian(np.full(spec.total_dim, spec.m), k, tol, spectrum)
@@ -418,25 +447,38 @@ def frozen_report(spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) 
     The coupled clusters are `cluster_spectrum` of sqrt(w) over the
     certified eigenpairs (w, V) whose eigenvector has weight below 1/2 on
     the frozen frame kron(I_V, E_gamma^perp); there must be exactly
-    V * dim E_gamma of them, else NumericError.  Only the frozen-residual
+    V * dim E_gamma of them, else NumericError.  Each singular value s_j
+    of the stacked gammas that the rank cut keeps must exceed
+    sqrt(tau_rank) * s_0: G = Gamma^T Gamma holds s_j^2, so it cannot
+    resolve a smaller one from the frozen frame, and the report is refused
+    (NumericError, naming the ratio and the worst frozen-weight margin,
+    min(weight, 1 - weight) over the eigenvectors).  Only the frozen-residual
     check reads Omega, applied to that frame by `_apply_site_frame`, with
     ||Omega||_2 = sqrt(w_max).  The report carries E_gamma^perp as a plain
     real array: the component frames come from an SVD and a QR of the real
     gammas, which keep real data real (imaginary parts exactly zero).
     """
     omega, h = lattice_system(spec, tol)
-    n = spec.n_components
-    e_gamma = orthonormal_basis(np.stack(spec.gammas).T.astype(np.complex128), tol)
+    n, gamma_stack = spec.n_components, np.stack(spec.gammas)
+    e_gamma = orthonormal_basis(gamma_stack.T.astype(np.complex128), tol)
     j_eff = e_gamma.dim
     g_perp = complement(e_gamma).frame.real  # a read-only view of the frame
     volume, f = spec.volume, g_perp.shape[1]
     frozen_dim = volume * f
     w, v = h._spectrum
-    coupled = np.square(np.matmul(g_perp.T, v.reshape(volume, n, -1))).sum(axis=(0, 1)) < 0.5
+    weights = np.square(np.matmul(g_perp.T, v.reshape(volume, n, -1))).sum(axis=(0, 1))
+    coupled = weights < 0.5
     del h, v  # K and V: the frozen residual below reads only Omega
     count = int(np.count_nonzero(coupled))
     if count != volume * j_eff:
         raise NumericError(f"{count} eigenvectors lie in the coupled frame, not {volume} x {j_eff}")
+    sigma = np.linalg.norm(gamma_stack @ e_gamma.frame, axis=0)  # the singular values the rank cut kept
+    if j_eff and sigma[-1] <= math.sqrt(tol.tau_rank) * sigma[0]:
+        raise NumericError(
+            f"the coupling vectors keep a direction that G = Gamma^T Gamma cannot resolve: singular value ratio "
+            f"{sigma[-1] / sigma[0]:.3e} <= sqrt(tau_rank) = {math.sqrt(tol.tau_rank):.3e} (worst frozen-weight "
+            f"margin {np.max(np.minimum(weights, 1.0 - weights)):.3e})"
+        )
     per = tuple((cl.value, cl.dim) for cl in cluster_spectrum(np.sqrt(w[coupled]), tol))
 
     freq = math.sqrt(spec.xi / spec.m)

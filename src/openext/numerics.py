@@ -52,12 +52,13 @@ class ToleranceConfig:
 
     tau_herm         read by `hermitian_defect` alone, the Hermitian rule of `require_hermitian`
                      (every `eigh`, the stiffness), `validate` and `OpenSystem.from_mass_form`.
-    tau_rank         every rank cut, by one of three rules: the frame rule, tau_rank * sigma_max of the matrix
+    tau_rank         every rank cut, by one of two rules: the frame rule, tau_rank * sigma_max of the matrix
                      cut (`matrix_rank`, `orthonormal_basis`, `channels`, `orbit` on an orthonormal seed's
-                     coefficients); the compression rule, tau_rank * ||Gamma||_2, left in `coupling_matrix` alone;
-                     the atom rule, tau_rank * ||a(0)||_2, every hidden-side cut (`measure_of`, `minimal_extension`,
-                     `fit`, `propagate_open`, and sqrt(tau_rank) on the coupling's images in h2c, the canonical
-                     components and `decoupling_report`'s splitting).  Also mass/stiffness definiteness.
+                     coefficients); the atom rule, tau_rank * ||a(0)||_2, every hidden-side cut (`measure_of`,
+                     `minimal_extension`, `fit`, `propagate_open`, and sqrt(tau_rank) on the coupling's images in
+                     h2c, the canonical components and `decoupling_report`'s splitting, and on the compressed
+                     blocks of `coupling_matrix`).  Also mass/stiffness definiteness, and the refusal in
+                     `frozen_report` of a kept singular value of the coupling vectors at most sqrt(tau_rank) s_0.
     tau_eig_cluster  read by `cluster_spectrum` alone, the merge rule of eigen-clusters, channel
                      groups, lattice multiplicities and atom frequencies (`PointMeasure.create`, `validate`).
     tau_residual     residual verdicts (invariance, the channel algebra's links, the decoupling masses,
@@ -209,15 +210,13 @@ def svd(matrix, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, 
     return u, s.astype(np.float64), vh * phases[:, None]
 
 
-def matrix_rank(matrix, tol: ToleranceConfig = DEFAULT_TOLERANCES, *, scale: float | None = None) -> int:
-    """Numerical rank with the cut tau_rank * scale (scale defaults to sigma_max)."""
+def matrix_rank(matrix, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
+    """Numerical rank with the cut tau_rank * sigma_max (the frame rule)."""
     m = as_matrix(matrix)
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
-    if scale is None:
-        scale = float(s[0]) if s.size else 0.0
-    return int(np.count_nonzero(s > tol.tau_rank * scale))
+    return int(np.count_nonzero(s > tol.tau_rank * s[0]))
 
 
 @dataclass(frozen=True)

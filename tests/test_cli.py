@@ -78,6 +78,17 @@ def tiny_coupling_file(tmp_path):
     return str(p)
 
 
+@pytest.fixture
+def weak_channel_file(tmp_path):
+    # Gamma = diag(1, 1e-6) on omega1 = diag(0, 3), omega2 = diag(1, 2): the weak channel's
+    # singular value is above tau_rank but its square below tau_rank * ||Gamma||_2^2
+    omega = np.diag([0.0, 3.0, 1.0, 2.0]).astype(complex)
+    omega[:2, 2:] = omega[2:, :2] = np.diag([1.0, 1e-6])
+    p = tmp_path / "weak.json"
+    p.write_text(dumps(system_to_json(ConservativeSystem(2, 2, omega))))
+    return str(p)
+
+
 def huge_coupling_system():
     # Gamma = 1e160 I_2: ||Gamma||_2^2, the size of the friction kernel, is past the float range
     omega = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
@@ -460,6 +471,19 @@ class TestAnalysisCommands:
         assert payload["rank"] == 2
         assert payload["degenerate_groups"] == []
         assert payload["coupling_matrix"]["entries"] == [[1, 0], [0, 1]]
+
+    def test_channels_cuts_the_coupling_matrix_by_the_atom_rule(self, capsys, weak_channel_file):
+        code, out = run_cli(capsys, "channels", weak_channel_file)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["rank"] == 2  # the channels keep the frame rule
+        # the weak channel's component is empty on H2 (canonical), and the h2d remainder is uncoupled
+        assert payload["coupling_matrix"]["entries"] == [[1, 0], [0, 0]]
+        assert payload["coupling_matrix"]["zero_rows"] == [1]
+        assert payload["coupling_matrix"]["zero_columns"] == [1]
+        code, out = run_cli(capsys, "canonical", weak_channel_file)
+        assert code == 0
+        assert [c["h2_dim"] for c in json.loads(out)["components"]] == [1, 0, 1]
 
     def test_canonical_of_couplings_whose_squares_underflow(self, capsys, tiny_coupling_file):
         code, out = run_cli(capsys, "canonical", tiny_coupling_file)

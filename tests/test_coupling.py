@@ -283,6 +283,24 @@ class TestCouplingMatrix:
         assert m.shape == (1, 1)
         assert m[0, 0] == np.linalg.matrix_rank(sys_.coupling)
 
+    def test_a_channel_below_the_atom_cut_reaches_no_hidden_part(self):
+        # Gamma = diag(1, 1e-6): the frame rule keeps both channels, the atom rule only the strong one
+        omega = np.diag([0.0, 3.0, 1.0, 2.0]).astype(complex)
+        omega[:2, 2:] = omega[2:, :2] = np.diag([1.0, 1e-6])
+        system = ConservativeSystem(2, 2, omega)
+        dec = canonical_decomposition(system)
+        parts1 = [h1 for h1, _ in dec.components if h1.dim]
+        parts2 = [h2 for _, h2 in dec.components if h2.dim]
+        assert channels(system).rank == 2 and coupled_parts(system).h2c.dim == 1
+        assert coupling_matrix(system, parts1, parts2).tolist() == [[1, 0], [0, 0]]
+        # the cut sits at sqrt(tau_rank) = 3.16e-5 of ||Gamma||_2, also where Gamma's square underflows
+        lines = [Subspace(2, np.eye(2)[:, :1]), Subspace(2, np.eye(2)[:, 1:])]
+        for scale in (1e-170, 1.0):
+            for weak, entry in ((3e-5, 0), (4e-5, 1)):
+                omega = np.diag([0.0, 3.0, 1.0, 2.0]).astype(complex)
+                omega[:2, 2:] = omega[2:, :2] = scale * np.diag([1.0, weak])
+                assert coupling_matrix(ConservativeSystem(2, 2, omega), lines, lines).tolist() == [[1, 0], [0, entry]]
+
     def test_mismatched_ambient_rejected(self, worked_system):
         p1 = [Subspace(3, np.eye(3)[:, :1])]
         p2 = [Subspace(3, np.eye(3)[:, 1:2])]

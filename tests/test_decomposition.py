@@ -37,7 +37,7 @@ from openext import (
 )
 
 from openext import decomposition
-from openext.numerics import DEFAULT_TOLERANCES, eigen_clusters, matrix_rank
+from openext.numerics import DEFAULT_TOLERANCES, _phase_fix, eigen_clusters
 
 from conftest import haar_unitary, joint_frame, krylov_span, random_conservative, random_measure, random_psd
 from test_small_cuts import planted_system
@@ -65,7 +65,7 @@ def full_omega_frozen_mode(system, tol=DEFAULT_TOLERANCES):
     for cl in clusters:
         frame = v[:, cl.start : cl.stop]
         image = c @ frame
-        if matrix_rank(image, tol, scale=scale) < cl.dim:
+        if np.count_nonzero(np.linalg.svd(image, compute_uv=False) > tol.tau_rank * scale) < cl.dim:
             vec = frame @ np.linalg.svd(image, full_matrices=False)[2][-1].conj()
             return cl.value, vec / np.linalg.norm(vec)
     return None
@@ -145,6 +145,74 @@ class TestOrbit:
     def test_non_finite_seed_raises(self):
         with pytest.raises(ValidationError):
             orbit(np.diag([1.0, 2.0, 3.0]), np.array([np.nan, 0.0, 0.0]))
+
+
+def per_cluster_orbit(v, clusters, seed, cut):
+    """The per-cluster loop that `_cluster_orbit` batches: one norm or one SVD per cluster.  The oracle
+    it must equal bitwise."""
+    coefficients = v.conj().T @ seed
+    pieces = [np.zeros((v.shape[0], 0), dtype=np.complex128)]
+    kept = []
+    for cl in clusters:
+        c = coefficients[cl.start : cl.stop]
+        if cl.dim == 1:
+            u, s = np.ones((1, 1)), np.linalg.norm(c, axis=1)
+        else:
+            u, s, _ = np.linalg.svd(c, full_matrices=False)
+        keep = int(np.count_nonzero(s > cut))
+        if keep:
+            pieces.append(v[:, cl.start : cl.stop] @ u[:, :keep])
+            kept.append((cl.value, keep))
+    return _phase_fix(np.hstack(pieces))[0], tuple(kept)
+
+
+def mixed_cluster_operator(rng, levels):
+    """Hermitian operator with each level repeated its given number of times, in a Haar basis, with
+    exact zeros in its eigenvectors: the basis mixes only within blocks of four."""
+    values = np.repeat(np.arange(len(levels), dtype=float), levels)
+    n = values.size
+    basis = np.zeros((n, n), dtype=complex)
+    for start in range(0, n, 4):
+        size = min(4, n - start)
+        basis[start : start + size, start : start + size] = haar_unitary(size, rng)
+    return basis @ np.diag(values) @ basis.conj().T
+
+
+class TestBatchedClusterOrbit:
+    @pytest.mark.parametrize("levels", [(1, 2, 1, 3, 1, 2, 2, 1), (3, 3, 1), (1,) * 9, (2, 4, 2)])
+    @pytest.mark.parametrize("columns", [0, 1, 2, 5])
+    def test_matches_the_per_cluster_loop_bitwise(self, levels, columns):
+        rng = np.random.default_rng(sum(levels) * 10 + columns)
+        op = mixed_cluster_operator(rng, levels)
+        seed = rng.standard_normal((op.shape[0], columns)) + 1j * rng.standard_normal((op.shape[0], columns))
+        seed[: op.shape[0] // 3] = 0.0  # whole clusters the seed misses
+        _, v, clusters = eigen_clusters(op, DEFAULT_TOLERANCES)
+        for cut in (DEFAULT_TOLERANCES.tau_rank, np.sqrt(DEFAULT_TOLERANCES.tau_rank), 0.5):
+            got, kept = decomposition._cluster_orbit(v, clusters, seed, cut)
+            frame, ref_kept = per_cluster_orbit(v, clusters, seed, cut)
+            assert kept == ref_kept
+            assert got.frame.tobytes() == frame.tobytes()
+
+    @pytest.mark.parametrize("coupling", ["planted", "zero"])
+    def test_coupled_parts_match_the_per_cluster_loop_bitwise(self, coupling):
+        rng = np.random.default_rng(97)
+        n1, n2 = 4, 12
+        omega = np.zeros((n1 + n2, n1 + n2), dtype=complex)
+        omega[:n1, :n1] = np.diag(rng.uniform(0.0, 4.0, n1))
+        omega[n1:, n1:] = mixed_cluster_operator(rng, (1, 3, 2, 1, 3, 2))
+        if coupling == "planted":
+            omega[:n1, n1:] = rng.standard_normal((n1, 2)) @ rng.standard_normal((2, n2))
+            omega[n1:, :n1] = omega[:n1, n1:].conj().T
+        system = ConservativeSystem(n1, n2, omega)
+        tol = DEFAULT_TOLERANCES
+        basis = orthonormal_basis(system.coupling, tol)
+        _, v, clusters = eigen_clusters(system.omega2, tol)
+        norm, images = system._coupling_norm, system.coupling.conj().T @ basis.frame
+        frame, kept = per_cluster_orbit(v, clusters, images / norm if norm else images, np.sqrt(tol.tau_rank))
+        parts = coupled_parts(system, tol)
+        assert parts.h2c.frame.tobytes() == frame.tobytes()
+        assert parts.h2c_clusters == kept
+        assert bool(kept) == (coupling == "planted")
 
 
 class TestCoupledParts:

@@ -9,11 +9,14 @@ diagonal matrix and a principal square root of S as a complex Hermitian
 matrix), and `frozen_report` to the same route with dense Kronecker
 frames.  A lattice's spectrum is assembled from the Kronecker factors of
 its stiffness; `TestFactoredSpectrum` holds it to a dense real solve of
-the assembled S and checks that its certificate refuses a wrong factor.
+the assembled S, checks that its certificate refuses a wrong factor and
+an entry off the band, and holds the certificate's banded product to the
+dense `k @ y`.
 """
 
 import itertools
 import json
+import re
 import warnings
 
 import numpy as np
@@ -127,6 +130,18 @@ REPORT_SPECS = LATTICE_SPECS + [
     LatticeSpec(1, 1, 2, 1.0, 1.0, (np.array([0.0, 1.0]),)),
     LatticeSpec(1, 1, 1, 1.0, 1.0, (np.array([1.0]),)),
 ]
+
+
+# gamma_1 = Q e_1, gamma_2 = Q (e_1 + delta e_2) at d = 1, L = 2, N = 3: singular values ~ sqrt(2) and delta / sqrt(2)
+NEAR_NULL_ROTATIONS = [np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))[0] for seed in (89, 97, 101)]
+
+
+def near_null_lattice(delta, q):
+    return LatticeSpec(1, 2, 3, 1.0, 1.0, (q @ np.array([1.0, 0.0, 0.0]), q @ np.array([1.0, delta, 0.0])))
+
+
+def near_null_argument(spec):
+    return ";".join(",".join(repr(float(x)) for x in g) for g in spec.gammas)
 
 
 class TestFrequencyOperator:
@@ -543,6 +558,30 @@ class TestLattice:
             assert r.max_multiplicity >= r.volume  # frozen part grows with volume
             assert r.ratio <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("delta", [1e-6, 1e-7, 1e-8, 3e-9])
+    @pytest.mark.parametrize("rotation", range(len(NEAR_NULL_ROTATIONS)))
+    def test_a_direction_g_cannot_resolve_is_a_numeric_error(self, delta, rotation, tmp_path, capsys):
+        # the rank cut keeps gamma_2's component delta / sqrt(2) of the stack's singular values, G holds its square
+        spec = near_null_lattice(delta, NEAR_NULL_ROTATIONS[rotation])
+        message = r"G = Gamma\^T Gamma cannot resolve: singular value ratio (\S+) <= sqrt\(tau_rank\) = 3.162e-05 "
+        with pytest.raises(NumericError, match=message + r"\(worst frozen-weight margin \S+\)") as caught:
+            frozen_report(spec)
+        assert float(re.search(message, str(caught.value)).group(1)) == pytest.approx(delta / 2, rel=1e-6)
+        argv = ["lattice", "--d", "1", "--L", "2", "--N", "3", "--gammas=" + near_null_argument(spec),
+                "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 2
+        assert "cannot resolve" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("delta,j_eff", [(1e-4, 2), (1e-9, 1)])
+    def test_a_direction_g_resolves_or_the_cut_drops_gives_a_report(self, delta, j_eff, capsys):
+        for q in NEAR_NULL_ROTATIONS:
+            spec = near_null_lattice(delta, q)
+            rep = frozen_report(spec)
+            assert rep.frozen_dim_complex == (3 - j_eff) * 5 and rep.satisfied
+            assert main(["lattice", "--d", "1", "--L", "2", "--N", "3", "--gammas=" + near_null_argument(spec)]) == 0
+            assert json.loads(capsys.readouterr().out)["frozen_dim_complex"] == (3 - j_eff) * 5
+
     @pytest.mark.parametrize("name", ["m", "xi", "gamma"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_spec_rejects_non_finite_entries(self, name, bad):
@@ -644,6 +683,38 @@ FACTORED_SPECS = [
 ]
 
 
+# one lattice per d whose stiffness is narrower than the certificate's dense fallback
+OFF_BAND_SPECS = [
+    LatticeSpec(1, 50, 2, 1.2, 0.8, (np.array([0.6, -1.1]),)),
+    LatticeSpec(2, 7, 2, 0.9, 1.4, (np.array([1.3, 0.4]),)),
+    LatticeSpec(3, 3, 1, 1.1, 0.7, (np.array([0.9]),)),
+]
+
+# the lattice shapes of the benchmark (d, L, N, J), each scan at its largest L
+_rng = np.random.default_rng(79)
+BENCHMARK_SHAPES = [
+    seeded_lattice(_rng, d, l_half_width, n, j)
+    for d, l_half_width, n, j in [(1, 50, 1, 1), (2, 5, 3, 1), (1, 100, 2, 1), (1, 150, 1, 1), (3, 2, 4, 2),
+                                  (2, 7, 3, 2), (2, 10, 2, 1), (1, 30, 3, 1), (1, 40, 2, 1), (2, 6, 2, 1),
+                                  (3, 4, 1, 1)]
+]
+
+
+SPECIAL_BANDS = ["diagonal", "full", "one_by_one", "banded", "zero_row"]
+
+
+def special_band_matrix(name):
+    """A diagonal, a full, a 1 x 1 and a 4-band 300 x 300 matrix, and that band with an all-zero row."""
+    rng = np.random.default_rng(83)
+    if name in ("banded", "zero_row"):
+        k = np.triu(np.tril(rng.standard_normal((300, 300)), 4), -4)
+        if name == "zero_row":
+            k[150] = 0.0
+        return k
+    return {"diagonal": np.diag(rng.standard_normal(300)), "full": rng.standard_normal((300, 300)),
+            "one_by_one": np.array([[2.5]])}[name]
+
+
 class TestFactoredSpectrum:
     @pytest.mark.parametrize("d,l_half_width", [(1, 0), (1, 1), (1, 6), (2, 0), (2, 1), (2, 3), (3, 1), (3, 2)])
     def test_dirichlet_form_is_bitwise_the_per_site_sum(self, d, l_half_width):
@@ -710,6 +781,26 @@ class TestFactoredSpectrum:
             multiplicity_scan(spec, [1], tight)
         with pytest.raises(NumericError, match="certificate"):
             frozen_report(spec, tight)
+
+    @pytest.mark.parametrize("spec", OFF_BAND_SPECS, ids=lambda s: f"d{s.d}")
+    def test_an_entry_off_the_band_fails_the_certificate(self, spec):
+        h = lattice_system(spec)[1]
+        k = np.array(h.stiffness)
+        rows, cols = np.nonzero(k)
+        assert 64 + 2 * np.max(np.abs(rows - cols)) < k.shape[0]  # the certificate takes the banded route
+        QuadraticHamiltonian(h.mass, k.copy(), h.tol, h._spectrum)  # construction freezes the array it is given
+        k[0, -1] = k[-1, 0] = 1e-3
+        with pytest.raises(NumericError, match="certificate"):
+            QuadraticHamiltonian(h.mass, k, h.tol, h._spectrum)
+
+    @pytest.mark.parametrize("case", FACTORED_SPECS + BENCHMARK_SHAPES + SPECIAL_BANDS,
+                             ids=lambda c: c if isinstance(c, str) else f"d{c.d}L{c.l_half_width}N{c.n_components}")
+    def test_the_band_product_is_the_dense_product(self, case):
+        k = special_band_matrix(case) if isinstance(case, str) else lattice_system(case)[1].stiffness
+        y = np.random.default_rng(k.shape[0]).standard_normal((k.shape[0], 7))
+        got, ref = hamiltonian._band_product(k, y), k @ y
+        # each entry sums the same nonzero products as the dense one, in another order
+        assert np.all(np.abs(got - ref) <= 2 * k.shape[0] * np.finfo(float).eps * (np.abs(k) @ np.abs(y)))
 
     @pytest.mark.parametrize("spec", FACTORED_SPECS)
     def test_no_solve_is_larger_than_a_factor(self, spec, monkeypatch):

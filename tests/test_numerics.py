@@ -267,7 +267,7 @@ def test_matrix_rank_uses_relative_cut():
     base = np.diag([1.0, 1e-12, 0.0])
     assert matrix_rank(base) == 1
     assert matrix_rank(np.zeros((3, 3))) == 0
-    assert matrix_rank(np.eye(3) * 1e-14, scale=1.0) == 0
+    assert matrix_rank(np.eye(3) * 1e-14) == 3
 
 
 def loop_clusters(w, scale, tol=DEFAULT_TOLERANCES):
