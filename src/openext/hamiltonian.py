@@ -17,15 +17,14 @@ the volume while the coupled spectrum stays bounded by (number of
 coupling vectors) x (number of sites).
 
 Every frequency decision reads one real eigendecomposition (w, V) of
-S = M^{-1/2} K M^{-1/2}, made when the Hamiltonian is built.  For the
-oscillator network and any hand-built K it is a dense solve of S.  A
-lattice stiffness is K = xi I + 2 B kron G, with B the Kronecker sum over
-the d axes of one chain form T and G = sum_j gamma_j gamma_j^T, so its
-spectrum is assembled from one solve of T and one of G and then
-certified against the assembled S by a product over K's band, O(n^2 h)
-for n degrees of freedom and half-bandwidth h (see `QuadraticHamiltonian`).
-A lattice's frozen report reads its coupled clusters off that certified
-spectrum too; the formed Omega serves only its frozen-residual check.
+S = M^{-1/2} K M^{-1/2}, made when the Hamiltonian is built: a dense
+solve of S, except for a lattice, whose K = xi I + 2 B kron G has B the
+Kronecker sum over the d axes of one chain form T, so its spectrum comes
+from T's closed form and one solve of G = sum_j gamma_j gamma_j^T, and is
+certified over K's band, O(n^2 h) for n degrees of freedom and
+half-bandwidth h (`QuadraticHamiltonian`).  A lattice's frozen report
+reads its coupled clusters off that spectrum too; the formed Omega
+serves only its frozen-residual check.
 """
 
 from __future__ import annotations
@@ -69,17 +68,17 @@ LATTICE_DIM_BUDGET = 2000
 class QuadraticHamiltonian:
     """Kinetic-plus-quadratic-potential system: sum p_i^2/2m_i + q^T K q / 2.
 
-    `mass` is the vector of the m_i, each finite and positive.
-    Construction makes the one real eigendecomposition (w, V) of
-    S = M^{-1/2} K M^{-1/2} that every frequency decision reads: a dense
-    solve of S, except for a lattice, whose `_lattice_hamiltonian` hands in
-    the spectrum it builds from the Kronecker factors of K, V orthogonal by
-    construction, certified here against the assembled S:
-    max|S V - V diag(w)| <= tau_residual * max(max|w|, 1), else
-    NumericError (a NaN anywhere fails the test).  The product
-    K (M^{-1/2} V) runs over K's band (`_band_product`), read off K's own
-    entries, so every nonzero of the assembled K enters it: O(n^2 h) for
-    half-bandwidth h in place of O(n^3).
+    `mass` is the vector of the m_i, each finite and positive; it and
+    `stiffness` are stored as read-only copies, the caller's left as is.
+    Construction makes the one real eigendecomposition (w, V) of S that
+    every frequency decision reads: a dense solve of S, except for a
+    lattice, whose `_lattice_hamiltonian` hands over K, not copied, and
+    the spectrum it builds from K's Kronecker factors, V orthogonal by
+    construction.  The Hermitian rule then reads K's band (`_band_windows`),
+    K is symmetrized only when not exactly symmetric, and the spectrum is
+    certified, max|S V - V diag(w)| <= tau_residual * max(max|w|, 1), else
+    NumericError (a NaN fails too), block by block over the band with S
+    formed on each window: O(n^2 h) in place of O(n^3).
 
     The spectrum is cut once, under `tol`.  Eigenvalues failing
     `below_psd_cut` raise NotPositiveSemidefiniteError (by Sylvester's law
@@ -99,7 +98,7 @@ class QuadraticHamiltonian:
     _spectrum: tuple = field(init=False, repr=False)
 
     def __post_init__(self, _factored):
-        mass = np.asarray(self.mass, dtype=np.float64)
+        mass = np.array(self.mass, dtype=np.float64)
         k = np.asarray(self.stiffness, dtype=np.float64)
         if mass.ndim != 1:
             raise ValidationError("mass must be a vector of per-coordinate masses")
@@ -108,18 +107,20 @@ class QuadraticHamiltonian:
         if not (np.all(np.isfinite(mass)) and np.all(mass > 0)):
             raise ValidationError("masses must be finite and positive")
         tol = self.tol
-        k = require_hermitian(k, tol, name="stiffness", dtype=np.float64)
-        k = 0.5 * (k + k.T)
         r = 1.0 / np.sqrt(mass)
         if _factored is None:
+            k = require_hermitian(k, tol, name="stiffness", dtype=np.float64)
+            k = 0.5 * (k + k.T)  # a new array, so the caller's is not the one stored
             sym = (r[:, None] * k) * r[None, :]
             w, v = eigh(0.5 * (sym + sym.T), tol)
         else:
-            w, v = _factored
-            defect = _band_product(k, r[:, None] * v)  # S V - V diag(w) = R (K (R V)) - V diag(w), in place
-            defect *= r[:, None]
-            defect -= v * w
-            resid = max_abs(defect)
+            (w, v), band = _factored, _band_windows(k)
+            k = require_hermitian(k, tol, name="stiffness", dtype=np.float64, windows=band)
+            if any(np.any(k[rows, cols] != k[cols, rows].T) for rows, cols in band):
+                k = 0.5 * (k + k.T)
+            # S V - V diag(w) block by block, with S = M^{-1/2} K M^{-1/2} formed on each band window
+            resid = max_abs(np.array([max_abs((r[rows, None] * k[rows, cols] * r[cols]) @ v[cols] - v[rows] * w)
+                                      for rows, cols in band]))  # an array, so that a NaN is kept
             bound = tol.tau_residual * max(max_abs(w), 1.0)
             if not resid <= bound:  # so that a NaN fails too
                 raise NumericError(
@@ -144,24 +145,18 @@ class QuadraticHamiltonian:
         return self.mass.size
 
 
-def _band_product(k: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """k @ y over the band of k: each block of rows against its column window, one product each.
-
-    The half-bandwidth h is read off k's entries, each row's first and last nonzero, so every
-    nonzero enters and only exact zeros are skipped; an all-zero row reads as spanning the whole
-    row, so h can come out too wide, never too narrow.  O(n^2 h) in place of O(n^3); `k @ y`
-    itself when one window would cover k."""
+def _band_windows(k: np.ndarray) -> list[tuple[slice, slice]]:
+    """k's band as (rows, columns) blocks: each max(h, 64) rows with their window of width block + 2h,
+    or k whole where one window would cover it.  The half-bandwidth h is read off k's entries, each
+    row's first and last nonzero (a NaN is nonzero), so the blocks leave out only exact zeros; an
+    all-zero row reads as spanning the whole row, so h can come out too wide, never too narrow."""
     n = k.shape[0]
     nz, i = k != 0, np.arange(n)
     h = int(max(np.max(i - nz.argmax(axis=1)), np.max(n - 1 - i - nz[:, ::-1].argmax(axis=1)))) if n else 0
     block = max(h, 64)
     if block + 2 * h >= n:
-        return k @ y
-    out = np.empty((n, y.shape[1]), dtype=np.result_type(k, y))
-    for a in range(0, n, block):
-        lo, hi = max(a - h, 0), min(a + block + h, n)
-        out[a : a + block] = k[a : a + block, lo:hi] @ y[lo:hi]
-    return out
+        return [(slice(0, n), slice(0, n))]
+    return [(slice(a, a + block), slice(max(a - h, 0), min(a + block + h, n))) for a in range(0, n, block)]
 
 
 def frequency_operator(h: QuadraticHamiltonian) -> np.ndarray:
@@ -302,40 +297,44 @@ class LatticeSpec:
         return self.n_components * self.volume
 
 
-def _chain_form(l_half_width: int) -> np.ndarray:
-    """Form T of the squared forward differences along one axis of 2L+1
-    sites, the neighbor past the last counting as zero.
-
-    Tridiagonal, -1 off the diagonal, diagonal [1, 2, ..., 2]: every
-    site keeps the weight of its outgoing bond, and all but the first
-    gain one from the bond coming in.
-    """
-    size = 2 * l_half_width + 1
-    t = 2.0 * np.eye(size) - np.eye(size, k=1) - np.eye(size, k=-1)
-    t[0, 0] = 1.0
-    return t
-
-
-def _dirichlet_form(chain: np.ndarray, d: int) -> np.ndarray:
-    """Quadratic form B of sum over sites of |forward gradient|^2 on the
-    cube, zero outside: the Kronecker sum of the chain form over d axes,
-    sites in lexicographic order of their coordinates, the first axis
-    slowest."""
-    b = chain
-    for _ in range(d - 1):
-        b = np.kron(b, np.eye(chain.shape[0])) + np.kron(np.eye(b.shape[0]), chain)
-    return b
+def _chain_spectrum(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs, ascending, of the chain form T of the squared forward
+    differences along one axis of M = `size` sites, the neighbor past the
+    last counting as zero (tridiagonal, -1 off the diagonal, diagonal
+    [1, 2, ..., 2]), in closed form (Strang, SIAM Review 41, 1999):
+    eigenvalues 4 sin^2((2k - 1) pi / (2 (2M + 1))), vector entries
+    cos((2k - 1)(2j + 1) pi / (2 (2M + 1))), j < M, k = 1..M, each column
+    normalized.  The integer product is reduced modulo 4 (2M + 1), the
+    cosine's period, so the argument stays below 2 pi."""
+    odd, period = np.arange(1, 2 * size, 2), 4 * (2 * size + 1)
+    angle = 2 * np.pi / period
+    q = np.cos(np.outer(odd, odd) % period * angle)
+    return 4.0 * np.sin(odd * angle) ** 2, q / np.linalg.norm(q, axis=0)
 
 
-def _factored_spectrum(spec: LatticeSpec, chain: np.ndarray, gram: np.ndarray, tol: ToleranceConfig) -> tuple:
-    """Eigenpairs of S = (xi I + 2 B kron G) / m from one solve of the chain
-    form T and one of G, ascending by a stable sort.
+def _dirichlet_pairs(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries (rows, columns, values) of the form B of sum over
+    sites of |forward gradient|^2 on the cube, zero outside: the Kronecker
+    sum of the chain form over the d axes, sites in lexicographic order of
+    their coordinates, the first axis slowest.  Each site's diagonal sums
+    T's over the axes, 1 at coordinate 0 and 2 elsewhere, and -1 joins it
+    to its forward neighbor along each axis, both ways."""
+    size = 2 * spec.l_half_width + 1
+    coords, sites = np.indices((size,) * spec.d).reshape(spec.d, -1), np.arange(spec.volume)
+    back = [sites[coords[axis] < size - 1] for axis in range(spec.d)]
+    ahead = [s + size ** (spec.d - 1 - axis) for axis, s in enumerate(back)]
+    values = [2.0 * spec.d - np.count_nonzero(coords == 0, axis=0), np.full(2 * sum(s.size for s in back), -1.0)]
+    return np.concatenate([sites, *back, *ahead]), np.concatenate([sites, *ahead, *back]), np.concatenate(values)
 
-    B = T (+) ... (+) T has eigenvalues beta = sum over axes of those of T
-    and vectors Q_B = Q_T kron ... kron Q_T; with G = U diag(g) U^T the
-    pairs are (xi + 2 beta_a g_b) / m and Q_B[:, a] kron U[:, b].
-    """
-    beta_t, q_t = eigh(chain, tol)
+
+def _factored_spectrum(spec: LatticeSpec, gram: np.ndarray, tol: ToleranceConfig) -> tuple:
+    """Eigenpairs of S = (xi I + 2 B kron G) / m from the closed-form
+    eigenpairs of the chain form T (`_chain_spectrum`) and one solve of G,
+    ascending by a stable sort.  B = T (+) ... (+) T has eigenvalues beta,
+    the sums over axes of those of T, and vectors Q_B = Q_T kron ... kron
+    Q_T; with G = U diag(g) U^T the pairs are (xi + 2 beta_a g_b) / m and
+    Q_B[:, a] kron U[:, b]."""
+    beta_t, q_t = _chain_spectrum(2 * spec.l_half_width + 1)
     g, u = eigh(gram, tol)
     beta, q_b = beta_t, q_t
     for _ in range(spec.d - 1):
@@ -344,7 +343,7 @@ def _factored_spectrum(spec: LatticeSpec, chain: np.ndarray, gram: np.ndarray, t
     w = ((spec.xi + 2.0 * np.multiply.outer(beta, g)) / spec.m).ravel()
     order = np.argsort(w, kind="stable")
     a, c = np.divmod(order, g.size)  # sorted column k is Q_B[:, a_k] kron U[:, c_k]
-    return w[order], (q_b[:, None, a] * u[None, :, c]).reshape(-1, order.size)
+    return w[order], np.einsum("sk,ak->sak", q_b[:, a], u[:, c]).reshape(-1, order.size)
 
 
 def lattice_system(
@@ -356,9 +355,9 @@ def lattice_system(
     gradient form on the cube; the factor 2 converts the interaction
     terms, which enter the energy without 1/2, to the q^T K q / 2
     convention.  DOF ordering is site-major, (site, component), with the
-    sites in the order of `_dirichlet_form`.  The spectrum of S comes from
-    the Kronecker factors of K, certified against the assembled S at tol
-    (`QuadraticHamiltonian`).
+    sites in the order of `_dirichlet_pairs`.  The spectrum of S comes from
+    K's Kronecker factors, T's in closed form and one solve of G, and is
+    certified over K's band at tol (`QuadraticHamiltonian`).
     """
     ham = _lattice_hamiltonian(spec, tol)
     return frequency_operator(ham), ham
@@ -367,15 +366,14 @@ def lattice_system(
 def _lattice_hamiltonian(spec: LatticeSpec, tol: ToleranceConfig) -> QuadraticHamiltonian:
     if spec.total_dim > LATTICE_DIM_BUDGET:
         raise BudgetError(f"lattice has {spec.total_dim} degrees of freedom; budget is {LATTICE_DIM_BUDGET}")
-    chain = _chain_form(spec.l_half_width)
-    b = _dirichlet_form(chain, spec.d)
+    rows, cols, b = _dirichlet_pairs(spec)
     k = spec.xi * np.eye(spec.total_dim)
     # k += 2 kron(B, g g^T) per gamma, added on B's nonzero site pairs alone: the other terms are zeros
-    pairs, blocks = np.nonzero(b), k.reshape(spec.volume, spec.n_components, spec.volume, spec.n_components)
+    blocks = k.reshape(spec.volume, spec.n_components, spec.volume, spec.n_components)
     for g in spec.gammas:
-        blocks[pairs[0], :, pairs[1], :] += 2.0 * (b[pairs][:, None, None] * np.outer(g, g))
+        blocks[rows, :, cols, :] += 2.0 * (b[:, None, None] * np.outer(g, g))
     gamma_stack = np.stack(spec.gammas)
-    spectrum = _factored_spectrum(spec, chain, gamma_stack.T @ gamma_stack, tol)
+    spectrum = _factored_spectrum(spec, gamma_stack.T @ gamma_stack, tol)
     return QuadraticHamiltonian(np.full(spec.total_dim, spec.m), k, tol, spectrum)
 
 
@@ -435,12 +433,6 @@ class FrozenReport:
         }
 
 
-def _apply_site_frame(op: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """op @ kron(I_V, frame) for op whose columns are site-major (site,
-    component) pairs, by one reshape: no dense Kronecker frame is formed."""
-    return (op.reshape(-1, frame.shape[0]) @ frame).reshape(op.shape[0], -1)
-
-
 def frozen_report(spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> FrozenReport:
     """Locate the frozen subspace of a lattice and check both volume bounds.
 
@@ -453,11 +445,11 @@ def frozen_report(spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) 
     resolve a smaller one from the frozen frame, and the report is refused
     (NumericError, naming the ratio and the worst frozen-weight margin,
     min(weight, 1 - weight) over the eigenvectors).  Only the frozen-residual
-    check reads Omega, applied to that frame by `_apply_site_frame`, with
-    ||Omega||_2 = sqrt(w_max).  The report carries E_gamma^perp as a plain
-    real array: the component frames come from an SVD and a QR of the real
-    gammas, which keep real data real (imaginary parts exactly zero).
-    """
+    check reads Omega, applied to that frame by one reshape, with no dense
+    Kronecker frame, and ||Omega||_2 = sqrt(w_max).  The report carries
+    E_gamma^perp as a plain real array: the component frames come from an
+    SVD and a QR of the real gammas, which keep real data real (imaginary
+    parts exactly zero)."""
     omega, h = lattice_system(spec, tol)
     n, gamma_stack = spec.n_components, np.stack(spec.gammas)
     e_gamma = orthonormal_basis(gamma_stack.T.astype(np.complex128), tol)
@@ -485,7 +477,7 @@ def frozen_report(spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) 
     omega_norm = math.sqrt(w[-1])  # Omega is PSD
     if frozen_dim:
         # Omega kron(I_V, E^perp) - freq kron(I_V, E^perp): the frame term sits on the site diagonal
-        resid = _apply_site_frame(omega, g_perp).reshape(volume, n, volume, f)
+        resid = (omega.reshape(-1, n) @ g_perp).reshape(volume, n, volume, f)
         i = np.arange(volume)
         resid[i, :, i, :] -= freq * g_perp
         max_resid = float(np.max(np.linalg.norm(resid.reshape(volume * n, frozen_dim), axis=0)))
@@ -525,9 +517,8 @@ def multiplicity_scan(spec: LatticeSpec, l_values, tol: ToleranceConfig = DEFAUL
     the volume scaling of the multiplicity is a bulk statement with
     boundary corrections at any finite size.  Each row clusters sqrt of
     the eigenvalues of S = M^{-1/2} K M^{-1/2} that its Hamiltonian is
-    built with, cut and clipped there, not a formed Omega: assembled from
-    one solve of the chain form and one of G, and certified against the
-    row's assembled S like every lattice Hamiltonian (`QuadraticHamiltonian`).
+    built with, cut and clipped there, not a formed Omega, and certified
+    over its assembled K like every lattice Hamiltonian's (`lattice_system`).
     """
     rows = []
     for l_val in l_values:

@@ -67,7 +67,7 @@ class ConservativeSystem:
             raise ValidationError("n1 must be at least 1")
         if self.n2 < 0:
             raise ValidationError("n2 must be nonnegative")
-        m = as_matrix(self.omega, square=True, name="omega")
+        m = as_matrix(self.omega, square=True, name="omega", own=True)
         if m.shape[0] != self.n1 + self.n2:
             raise ValidationError(
                 f"omega has size {m.shape[0]}, expected n1 + n2 = {self.n1 + self.n2}"
@@ -207,7 +207,7 @@ class OpenSystem:
     kernel: PointMeasure = field(default=None)
 
     def __post_init__(self):
-        m = as_matrix(self.omega1, square=True, name="omega1")
+        m = as_matrix(self.omega1, square=True, name="omega1", own=True)
         if m.shape[0] != self.dim:
             raise ValidationError(f"omega1 has size {m.shape[0]}, expected {self.dim}")
         if self.kernel is None:

@@ -112,9 +112,13 @@ STRUCTURE_TOL = 1e-9
 # form from their input; past it, BudgetError.
 SIZE_BUDGET = 10_000_000
 
+WHOLE = ((slice(None), slice(None)),)  # the (rows, columns) window of a whole matrix
 
-def as_matrix(values, *, square: bool = False, name: str = "matrix", dtype=np.complex128) -> np.ndarray:
-    """Coerce to a read-only 2-D array (complex128 unless told), validating shape."""
+
+def as_matrix(values, *, square: bool = False, name: str = "matrix", dtype=np.complex128, own=False) -> np.ndarray:
+    """Coerce to a read-only contiguous 2-D array (complex128 unless told), validating shape.  Where it
+    would share the caller's memory it is a view, or with own=True, for a holder, a copy: the caller's
+    array stays writeable."""
     m = np.asarray(values, dtype=dtype)
     if m.ndim != 2:
         raise ValidationError(f"{name} must be 2-D, got shape {m.shape}")
@@ -123,6 +127,8 @@ def as_matrix(values, *, square: bool = False, name: str = "matrix", dtype=np.co
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{name} has non-finite entries")
     m = np.ascontiguousarray(m)
+    if isinstance(values, np.ndarray) and np.may_share_memory(m, values):
+        m = m.copy() if own else m.view()
     m.flags.writeable = False
     return m
 
@@ -137,17 +143,20 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def hermitian_defect(m: np.ndarray, tol: ToleranceConfig) -> float | None:
-    """The Hermitian rule: max|m - m^H| when it exceeds tau_herm * (1 + max|m|), else None."""
-    defect = max_abs(m - m.conj().T)
-    return defect if defect > tol.tau_herm * (1.0 + max_abs(m)) else None
+def hermitian_defect(m: np.ndarray, tol: ToleranceConfig, windows=WHOLE) -> float | None:
+    """The Hermitian rule: max|m - m^H| when it exceeds tau_herm * (1 + max|m|), else None.  Both maxima run
+    over `windows`, (rows, columns) slice pairs, m whole by default: where their blocks hold every nonzero
+    of m, they leave out only exact zeros, and the defect and the verdict are m's."""
+    defect = max((max_abs(m[r, c] - m[c, r].conj().T) for r, c in windows), default=0.0)
+    size = max((max_abs(m[r, c]) for r, c in windows), default=0.0)
+    return defect if defect > tol.tau_herm * (1.0 + size) else None
 
 
 def require_hermitian(
-    m, tol: ToleranceConfig = DEFAULT_TOLERANCES, *, name: str = "matrix", dtype=np.complex128
+    m, tol: ToleranceConfig = DEFAULT_TOLERANCES, *, name: str = "matrix", dtype=np.complex128, windows=WHOLE
 ) -> np.ndarray:
     m = as_matrix(m, square=True, name=name, dtype=dtype)
-    defect = hermitian_defect(m, tol)
+    defect = hermitian_defect(m, tol, windows)
     if defect is not None:
         raise ValidationError(f"{name} is not Hermitian: max asymmetry {defect:.3e}")
     return m

@@ -11,7 +11,9 @@ frames.  A lattice's spectrum is assembled from the Kronecker factors of
 its stiffness; `TestFactoredSpectrum` holds it to a dense real solve of
 the assembled S, checks that its certificate refuses a wrong factor and
 an entry off the band, and holds the certificate's banded product to the
-dense `k @ y`.
+dense `k @ y`; `TestBandHermitianRule` holds the Hermitian rule read over
+the band to the dense rule, and `TestClosedFormSpectrum` holds the chain
+form's closed-form eigenpairs to the assembled chain form.
 """
 
 import itertools
@@ -45,7 +47,14 @@ from openext import (
     propagate_conservative,
 )
 from openext.cli import main
-from openext.numerics import DEFAULT_TOLERANCES, Subspace, complement, zero_subspace
+from openext.numerics import (
+    DEFAULT_TOLERANCES,
+    Subspace,
+    complement,
+    hermitian_defect,
+    require_hermitian,
+    zero_subspace,
+)
 
 from conftest import joint_frame
 
@@ -284,6 +293,18 @@ def decode_state(omega, mass, z):
     """Invert encode_state; requires Omega nonsingular."""
     m_sqrt = np.sqrt(mass)
     return np.linalg.solve(omega, -z.imag) / m_sqrt, z.real / m_sqrt
+
+
+class TestCallersArrays:
+    def test_the_hamiltonian_stores_copies_of_mass_and_stiffness(self):
+        mass, k = np.array([1.0, 2.0]), np.array([[2.0, -1.0], [-1.0, 2.0]])
+        h = QuadraticHamiltonian(mass, k)
+        assert mass.flags.writeable and k.flags.writeable
+        assert not h.mass.flags.writeable and not h.stiffness.flags.writeable
+        mass[0], k[0, 0] = 5.0, 9.0
+        assert h.mass[0] == 1.0 and h.stiffness[0, 0] == 2.0
+        fresh = QuadraticHamiltonian([1.0, 2.0], [[2.0, -1.0], [-1.0, 2.0]])
+        assert frequency_operator(h).tobytes() == frequency_operator(fresh).tobytes()
 
 
 class TestEncoding:
@@ -720,7 +741,11 @@ class TestFactoredSpectrum:
     def test_dirichlet_form_is_bitwise_the_per_site_sum(self, d, l_half_width):
         spec = LatticeSpec(d, l_half_width, 2, 1.3, 0.9, (np.array([0.7, -1.3]), np.array([0.2, 0.9])))
         b = per_site_dirichlet_form(spec)
-        assert np.array_equal(hamiltonian._dirichlet_form(hamiltonian._chain_form(l_half_width), d), b)
+        rows, cols, values = hamiltonian._dirichlet_pairs(spec)
+        assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size == np.count_nonzero(b)
+        paired = np.zeros_like(b)
+        paired[rows, cols] = values
+        assert paired.tobytes() == b.tobytes()
         k = spec.xi * np.eye(spec.total_dim)
         for g in spec.gammas:
             k += 2.0 * np.kron(b, np.outer(g, g))
@@ -741,16 +766,14 @@ class TestFactoredSpectrum:
 
     def test_a_corrupted_factor_fails_the_certificate(self, monkeypatch, tmp_path, capsys):
         spec = LatticeSpec(1, 2, 3, 1.3, 0.8, (np.array([1.0, 0.5, -0.2]),))
-        chain = hamiltonian._chain_form(2)
-        solve = hamiltonian.eigh
 
-        def corrupting(matrix, tol=DEFAULT_TOLERANCES):
-            if np.array_equal(matrix, chain):
-                matrix = matrix.copy()
-                matrix[0, 0] = 2.0
-            return solve(matrix, tol)
+        def corrupting(size):
+            # the eigenpairs of the chain form with its first site clamped too: exact, but of another T
+            chain = chain_form(size)
+            chain[0, 0] = 2.0
+            return eigh(chain)
 
-        monkeypatch.setattr(hamiltonian, "eigh", corrupting)
+        monkeypatch.setattr(hamiltonian, "_chain_spectrum", corrupting)
         with pytest.raises(NumericError, match="certificate"):
             lattice_system(spec)
         with pytest.raises(NumericError, match="certificate"):
@@ -788,7 +811,7 @@ class TestFactoredSpectrum:
         k = np.array(h.stiffness)
         rows, cols = np.nonzero(k)
         assert 64 + 2 * np.max(np.abs(rows - cols)) < k.shape[0]  # the certificate takes the banded route
-        QuadraticHamiltonian(h.mass, k.copy(), h.tol, h._spectrum)  # construction freezes the array it is given
+        QuadraticHamiltonian(h.mass, k, h.tol, h._spectrum)  # stores a read-only view, leaving k writeable
         k[0, -1] = k[-1, 0] = 1e-3
         with pytest.raises(NumericError, match="certificate"):
             QuadraticHamiltonian(h.mass, k, h.tol, h._spectrum)
@@ -798,8 +821,14 @@ class TestFactoredSpectrum:
     def test_the_band_product_is_the_dense_product(self, case):
         k = special_band_matrix(case) if isinstance(case, str) else lattice_system(case)[1].stiffness
         y = np.random.default_rng(k.shape[0]).standard_normal((k.shape[0], 7))
-        got, ref = hamiltonian._band_product(k, y), k @ y
+        band, held = hamiltonian._band_windows(k), np.zeros(k.shape, dtype=bool)
+        got = np.empty_like(y)
+        for rows, cols in band:  # the certificate's product, block by block
+            held[rows, cols] = True
+            got[rows] = k[rows, cols] @ y[cols]
+        assert not np.any(k[~held])  # the blocks hold every nonzero
         # each entry sums the same nonzero products as the dense one, in another order
+        ref = k @ y
         assert np.all(np.abs(got - ref) <= 2 * k.shape[0] * np.finfo(float).eps * (np.abs(k) @ np.abs(y)))
 
     @pytest.mark.parametrize("spec", FACTORED_SPECS)
@@ -815,23 +844,23 @@ class TestFactoredSpectrum:
 
         monkeypatch.setattr(np.linalg, "eigh", recording)
         monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        # one solve per Hamiltonian, of the N x N matrix G: the chain form's eigenpairs are in closed form
         lattice_system(spec)
-        assert len(sizes) == 2 and max(sizes) <= max(2 * spec.l_half_width + 1, spec.n_components)
+        assert sizes == [spec.n_components]
         sizes.clear()
         multiplicity_scan(spec, [0, 1, 2, 3])
-        assert len(sizes) == 8 and max(sizes) <= max(2 * 3 + 1, spec.n_components)
+        assert sizes == [spec.n_components] * 4
         sizes.clear()
         frozen_report(spec)
-        assert len(sizes) == 2 and max(sizes) <= max(2 * spec.l_half_width + 1, spec.n_components)
+        assert sizes == [spec.n_components]
 
     @pytest.mark.parametrize("spec", FACTORED_SPECS)
     def test_sorted_columns_are_bitwise_the_sorted_kronecker_product(self, spec):
-        chain = hamiltonian._chain_form(spec.l_half_width)
         gamma_stack = np.stack(spec.gammas)
         gram = gamma_stack.T @ gamma_stack
-        w, v = hamiltonian._factored_spectrum(spec, chain, gram, DEFAULT_TOLERANCES)
+        w, v = hamiltonian._factored_spectrum(spec, gram, DEFAULT_TOLERANCES)
         # the route the gather replaces: the unsorted Kronecker product, then its columns sorted
-        beta_t, q_t = eigh(chain)
+        beta_t, q_t = hamiltonian._chain_spectrum(2 * spec.l_half_width + 1)
         g, u = eigh(gram)
         beta, q_b = beta_t, q_t
         for _ in range(spec.d - 1):
@@ -860,6 +889,58 @@ class TestFactoredSpectrum:
         assert "coupled frame" in capsys.readouterr().err
 
 
+class TestBandHermitianRule:
+    """The Hermitian rule read over K's band: the dense rule's verdict, exception and asymmetry."""
+
+    @pytest.mark.parametrize("where", ["in_band", "corner", "nan"])
+    @pytest.mark.parametrize("spec", OFF_BAND_SPECS, ids=lambda s: f"d{s.d}")
+    def test_a_planted_asymmetry_is_refused_as_the_dense_rule_refuses_it(self, spec, where):
+        h = lattice_system(spec)[1]
+        k, n = np.array(h.stiffness), spec.total_dim
+        assert len(hamiltonian._band_windows(k)) > 1  # the rule reads band windows, not K whole
+        i = n // 2
+        if where == "in_band":
+            k[i, i + 1] += 1e-3
+        elif where == "corner":
+            k[0, n - 1] = 1e-3
+            assert hamiltonian._band_windows(k) == [(slice(0, n), slice(0, n))]  # the band reads full width
+        else:
+            k[i, i + 1] = np.nan
+        with pytest.raises(ValidationError) as dense:
+            require_hermitian(k, name="stiffness", dtype=np.float64)
+        with pytest.raises(ValidationError) as banded:
+            QuadraticHamiltonian(h.mass, k, h.tol, h._spectrum)
+        assert str(banded.value) == str(dense.value)
+        if where != "nan":
+            defect = hermitian_defect(k, DEFAULT_TOLERANCES)
+            assert hermitian_defect(k, DEFAULT_TOLERANCES, hamiltonian._band_windows(k)) == defect
+            assert str(banded.value) == f"stiffness is not Hermitian: max asymmetry {defect:.3e}"
+
+    @pytest.mark.parametrize("spec", OFF_BAND_SPECS, ids=lambda s: f"d{s.d}")
+    def test_symmetrizes_only_a_stiffness_that_is_not_exactly_symmetric(self, spec):
+        h = lattice_system(spec)[1]
+        k = np.array(h.stiffness)
+        exact = QuadraticHamiltonian(h.mass, k, h.tol, h._spectrum)
+        # handed over, not copied: a read-only view of the given K, which stays writeable
+        assert np.shares_memory(exact.stiffness, k) and exact.stiffness.tobytes() == k.tobytes()
+        assert k.flags.writeable and not exact.stiffness.flags.writeable
+        near, i = k.copy(), spec.total_dim // 2
+        near[i, i + 1] += 1e-14  # inside the rule's cut
+        band = hamiltonian._band_windows(near)
+        assert hermitian_defect(near, DEFAULT_TOLERANCES) is None
+        strict = DEFAULT_TOLERANCES.replace(tau_herm=1e-20)
+        assert hermitian_defect(near, strict, band) == hermitian_defect(near, strict) == near[i, i + 1] - near[i + 1, i]
+        stored = QuadraticHamiltonian(h.mass, near, h.tol, h._spectrum).stiffness
+        assert stored.tobytes() == (0.5 * (near + near.T)).tobytes() and not np.shares_memory(stored, near)
+
+
+def chain_form(size):
+    """The chain form T on `size` sites: tridiagonal, -1 off the diagonal, diagonal [1, 2, ..., 2]."""
+    t = 2.0 * np.eye(size) - np.eye(size, k=1) - np.eye(size, k=-1)
+    t[0, 0] = 1.0
+    return t
+
+
 def chain_eigenvalues(l_half_width, dtype=np.float64):
     """Eigenvalues 2 - 2 cos((2k - 1) pi / (2M + 1)) = 4 sin^2((2k - 1) pi / (2(2M + 1))),
     k = 1..M, of the chain form on M = 2L + 1 sites: one free end, one
@@ -880,8 +961,20 @@ CLOSED_FORM_SPECS = [LatticeSpec(2, 10, 2, 1.0, 1.0, (np.array([0.6, 0.8]),))] +
 class TestClosedFormSpectrum:
     def test_chain_form(self):
         for l_half_width in range(31):
-            w = np.linalg.eigvalsh(hamiltonian._chain_form(l_half_width))
-            assert np.max(np.abs(w - chain_eigenvalues(l_half_width))) <= 1e-14
+            w, _ = hamiltonian._chain_spectrum(2 * l_half_width + 1)
+            assert np.max(np.abs(np.linalg.eigvalsh(chain_form(2 * l_half_width + 1)) - w)) <= 1e-14
+            exact = chain_eigenvalues(l_half_width, np.longdouble)
+            assert np.max(np.abs(w - exact) / exact) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("l_half_width", [0, 1, 2, 5, 30, 150, 500, 999])
+    def test_chain_eigenpairs(self, l_half_width):
+        # eigenpairs of the assembled T to rounding, up to the longest chain the budget admits (1,999 sites)
+        size = 2 * l_half_width + 1
+        beta, q = hamiltonian._chain_spectrum(size)
+        bound = 2 * size * np.finfo(float).eps
+        assert np.all(np.diff(beta) > 0) and np.all(q[0] > 0)
+        assert np.max(np.abs(chain_form(size) @ q - q * beta)) <= bound
+        assert np.max(np.abs(q.T @ q - np.eye(size))) <= bound
 
     @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=lambda s: f"d{s.d}L{s.l_half_width}N{s.n_components}")
     def test_coupled_clusters(self, spec):
@@ -897,4 +990,4 @@ class TestClosedFormSpectrum:
         rep = frozen_report(spec)
         assert [m for _, m in rep.coupled_mult_per_cluster] == [m for _, m in ref]
         err = max(abs(v - r) / r for (v, _), (r, _) in zip(rep.coupled_mult_per_cluster, ref))
-        assert err <= 3e-15
+        assert err <= 1e-15

@@ -178,6 +178,31 @@ class TestOpenSystem:
             OpenSystem.from_mass_form([1.0, 0.0], np.eye(2), kernel)
 
 
+class TestCallersArrays:
+    """A holder stores its own read-only array and leaves the caller's writeable and unwatched."""
+
+    def test_conservative_system(self):
+        omega = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
+        system = ConservativeSystem(1, 1, omega)
+        assert omega.flags.writeable and not system.omega.flags.writeable
+        omega[0, 1] = 7.0
+        assert system.omega[0, 1] == 0.5 and system.coupling[0, 0] == 0.5
+
+    def test_open_system(self):
+        omega1 = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
+        system = OpenSystem(2, omega1)
+        assert omega1.flags.writeable and not system.omega1.flags.writeable
+        omega1[0, 0] = 7.0
+        assert system.omega1[0, 0] == 1.0
+
+    def test_point_measure_create(self):
+        masses = [np.eye(2, dtype=complex), np.array([[2.0, 1j], [-1j, 1.0]])]
+        mu = PointMeasure.create(2, [(0.5, masses[0]), (1.5, masses[1])])
+        assert all(m.flags.writeable for m in masses) and not mu.masses.flags.writeable
+        masses[1][0, 0] = 7.0
+        assert mu.masses[1, 0, 0] == 2.0
+
+
 class TestValidate:
     def test_valid_system_report(self, worked_system):
         rep = validate(worked_system)

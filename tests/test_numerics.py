@@ -24,6 +24,7 @@ from openext import (
 from openext.numerics import (
     DEFAULT_TOLERANCES,
     _phase_fix,
+    as_matrix,
     complement,
     eigen_clusters,
     require_hermitian,
@@ -261,6 +262,26 @@ def test_require_hermitian_tolerates_roundoff_but_rejects_skew():
     assert out.shape == (2, 2)
     with pytest.raises(ValidationError):
         require_hermitian(np.array([[1.0, 0.5 + 1e-3], [0.5, 2.0]]))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("read", [eigh, svd, matrix_rank, require_hermitian, as_matrix],
+                         ids=["eigh", "svd", "matrix_rank", "require_hermitian", "as_matrix"])
+def test_a_transient_read_leaves_the_callers_array_writeable(read, dtype):
+    a = np.array([[2.0, 0.5], [0.5, 3.0]], dtype=dtype)
+    before = a.copy()
+    read(a)
+    assert a.flags.writeable and a.tobytes() == before.tobytes()
+    a[0, 0] = 7.0  # and still the caller's to write
+
+
+def test_as_matrix_owns_a_copy_only_when_asked():
+    a = np.eye(2, dtype=np.complex128)
+    view, own = as_matrix(a), as_matrix(a, own=True)
+    assert np.shares_memory(view, a) and not np.shares_memory(own, a)
+    assert not view.flags.writeable and not own.flags.writeable and a.flags.writeable
+    fresh = as_matrix([[1.0, 2.0], [3.0, 4.0]], own=True)  # converted input is already the holder's own
+    assert fresh.base is None and not fresh.flags.writeable
 
 
 def test_matrix_rank_uses_relative_cut():
