@@ -72,19 +72,11 @@ _TOL_FLAGS = tuple(f.name for f in fields(ToleranceConfig))
 
 
 def _resolve_tolerances(args: argparse.Namespace) -> ToleranceConfig:
-    tol = DEFAULT_TOLERANCES
-    env_path = os.environ.get("OPENEXT_TOLERANCES")
-    path = getattr(args, "tolerances", None) or env_path
-    if path:
-        tol = ToleranceConfig.from_file(path)
-    overrides = {}
-    for name in _TOL_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            if not 0 < value < math.inf:
-                raise ValidationError(f"--{name.replace('_', '-')} must be positive and finite")
-            overrides[name] = value
-    return tol.replace(**overrides) if overrides else tol
+    """The --tolerances file (or OPENEXT_TOLERANCES) over the defaults, the --tau-* flags over both: one rule."""
+    path = getattr(args, "tolerances", None) or os.environ.get("OPENEXT_TOLERANCES")
+    tol = ToleranceConfig.from_file(path) if path else DEFAULT_TOLERANCES
+    flags = {name: value for name in _TOL_FLAGS if (value := getattr(args, name, None)) is not None}
+    return ToleranceConfig.from_mapping({**tol.as_dict(), **flags}) if flags else tol
 
 
 def _digest(data: bytes) -> str:

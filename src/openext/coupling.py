@@ -14,7 +14,7 @@ spectral masses of the friction kernel, one per hidden eigen-cluster.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,12 +25,12 @@ from .numerics import (
     Subspace,
     ToleranceConfig,
     _invariance_leak,
+    as_matrix,
     cluster_spectrum,
     complement,
     eigen_clusters,
     eigh,
     max_abs,
-    orthonormal_basis,
     svd,
     zero_subspace,
 )
@@ -69,8 +69,11 @@ class ChannelSet:
     degenerate_groups: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        if self.g.shape[1] != self.rank or self.g_prime.shape[1] != self.rank:
-            raise ValidationError("channel vector count must equal the rank")
+        for name in ("g", "g_prime"):
+            m = as_matrix(getattr(self, name), name=name)
+            if m.shape[1] != self.rank:
+                raise ValidationError("channel vector count must equal the rank")
+            object.__setattr__(self, name, m)
 
     @property
     def rank(self) -> int:
@@ -93,12 +96,7 @@ def channels(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERANC
     # cluster ascending (sigma/sigma_0)^2, which cannot underflow; reversed i is channel rank - 1 - i
     clusters = cluster_spectrum((sigma[:rank][::-1] / sigma[0]) ** 2, tol)
     groups = [tuple(range(rank - cl.stop, rank - cl.start)) for cl in reversed(clusters) if cl.dim > 1]
-    return ChannelSet(
-        gammas,
-        np.ascontiguousarray(left[:, :rank]),
-        np.ascontiguousarray(right_h[:rank].conj().T),
-        tuple(groups),
-    )
+    return ChannelSet(gammas, left[:, :rank], right_h[:rank].conj().T, tuple(groups))
 
 
 def coupling_matrix(
@@ -226,10 +224,11 @@ def canonical_decomposition(
     # sum_k k Q_k Q_k^H over the blocks k: a channel outside a degenerate group is its eigenvector
     block_index = (q * np.array([x_blocks.index(m) for m in members], dtype=np.float64)) @ q.conj().T
     block_of = np.rint(block_index.diagonal().real).astype(np.int64)
+    g, g_prime = np.array(cs.g), np.array(cs.g_prime)
     for group in map(list, cs.degenerate_groups):
-        # Sigma is scalar on the group: rotate its channels (arrays this call's cs owns) and q's rows
+        # Sigma is scalar on the group: rotate its channels, in copies of cs's, and q's rows
         found, w = eigh(block_index[np.ix_(group, group)], tol)
-        cs.g[:, group], cs.g_prime[:, group] = cs.g[:, group] @ w, cs.g_prime[:, group] @ w
+        g[:, group], g_prime[:, group] = g[:, group] @ w, g_prime[:, group] @ w
         q[group] = w.conj().T @ q[group]
         block_of[group] = np.rint(found)
     index: dict[int, int] = {}
@@ -237,14 +236,14 @@ def canonical_decomposition(
     groups = [[p for p in range(r) if assignment[p] == i] for i in range(len(index))]
 
     # close strengths leave eps/gap of one channel vector in the other, which the orbit's cut may keep
-    seeds = [cs.g[:, group] if np.linalg.norm(np.delete(q[group], block, axis=1)) <= tol.tau_rank
-             else cs.g @ q[:, block] for group, block in zip(groups, (list(x_blocks[k]) for k in index))]
-    # coupled_parts' orbits of its seed, a frame of Ran Gamma, come last: h1d and h2d are their complements
+    seeds = [g[:, group] if np.linalg.norm(np.delete(q[group], block, axis=1)) <= tol.tau_rank
+             else g @ q[:, block] for group, block in zip(groups, (list(x_blocks[k]) for k in index))]
+    # cs.g's orbits (coupled_parts' seed, a frame of Ran Gamma) come last: h1d and h2d are their complements
     *components, coupled = [(_cluster_orbit(*sides[0], f, tol.tau_rank)[0], _atom_orbit(system, *sides[1], f, tol)[0])
-                            for f in (*seeds, orthonormal_basis(system.coupling, tol).frame)]
+                            for f in (*seeds, cs.g)]
     h1d, h2d = map(complement, coupled)
     components += [(h1d, zero_subspace(n2))] * bool(h1d.dim) + [(zero_subspace(n1), h2d)] * bool(h2d.dim)
-    return SInvariantDecomposition(tuple(components), assignment, cs)
+    return SInvariantDecomposition(tuple(components), assignment, replace(cs, g=g, g_prime=g_prime))
 
 
 @dataclass(frozen=True, eq=False)

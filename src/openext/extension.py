@@ -40,6 +40,7 @@ from .numerics import (
     DEFAULT_TOLERANCES,
     SIZE_BUDGET,
     ToleranceConfig,
+    as_matrix,
     below_psd_cut,
     eigen_clusters,
     eigh,
@@ -68,21 +69,16 @@ class KernelSamples:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64).reshape(-1)
-        v = np.asarray(self.values, dtype=np.complex128)
+        t = as_matrix(np.reshape(self.times, -1), name="kernel sample times", dtype=np.float64, ndim=1)
+        v = as_matrix(self.values, square=True, name="kernel sample values", ndim=3)
         if t.size == 0:
             raise ValidationError("kernel samples need at least one time")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise ValidationError("kernel sample times and values must be finite")
         if t[0] < 0:
             raise ValidationError("kernel is only defined for t >= 0 (rest condition)")
         if np.any(np.diff(t) <= 0):
             raise ValidationError("sample times must be strictly ascending")
-        if v.ndim != 3 or v.shape[0] != t.size or v.shape[1] != v.shape[2]:
+        if v.shape[0] != t.size:
             raise ValidationError(f"values must have shape (len(times), n, n), got {v.shape}")
-        t.flags.writeable = False
-        v = np.ascontiguousarray(v)
-        v.flags.writeable = False
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 

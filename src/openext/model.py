@@ -122,9 +122,10 @@ class PointMeasure:
 
     Atom k sits at frequencies[k] (a read-only float64 vector, strictly
     increasing) with mass masses[k] (a read-only complex128 stack of shape
-    (K, dim, dim)).  The stack holds each mass's Hermitian part, which is
-    the mass itself, bits and buffer, when it is exactly Hermitian; a mass
-    further than STRUCTURE_TOL from Hermitian is rejected.
+    (K, dim, dim)).  The stack holds each mass's Hermitian part; when every
+    mass is exactly Hermitian, it is a read-only view of the caller's
+    contiguous complex128 stack, bits and buffer, and the caller's stays
+    writeable.  A mass further than STRUCTURE_TOL from Hermitian is rejected.
     """
 
     dim: int
@@ -134,31 +135,26 @@ class PointMeasure:
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError("measure dimension must be at least 1")
-        freqs = np.asarray(self.frequencies, dtype=np.float64)
-        if freqs.ndim != 1 or not np.all(np.isfinite(freqs)):
-            raise ValidationError("atom frequencies must be one finite 1-D vector")
+        freqs = as_matrix(self.frequencies, name="atom frequencies", dtype=np.float64, ndim=1)
         if np.any(np.diff(freqs) <= 0):
             raise ValidationError("atom frequencies must be strictly increasing")
-        masses = np.ascontiguousarray(self.masses, dtype=np.complex128)
-        if masses.size == 0:
-            masses = masses.reshape(0, self.dim, self.dim)
+        masses = self.masses if np.size(self.masses) else np.zeros((0, self.dim, self.dim))
+        masses = as_matrix(masses, name="atom masses", ndim=3)
         if masses.shape != (freqs.size, self.dim, self.dim):
             raise ValidationError(f"masses have shape {masses.shape}, expected {(freqs.size, self.dim, self.dim)}")
         # atom by atom, so that checking makes no temporary of the stack's size
+        inexact = []
         for k, mass in enumerate(masses):
-            size = max_abs(mass)
-            if not np.isfinite(size):
-                raise ValidationError(f"atom {k} mass has non-finite entries")
             defect = max_abs(mass - mass.conj().T)
-            if defect == 0.0:
-                continue
-            if defect > STRUCTURE_TOL * (1.0 + size):
+            if defect > STRUCTURE_TOL * (1.0 + max_abs(mass)):
                 raise ValidationError(f"atom mass is not Hermitian: defect {defect:.3e}")
-            if masses is self.masses:  # the caller's buffer: copy before writing
-                masses = masses.copy()
-            masses[k] = 0.5 * (mass + mass.conj().T)
-        freqs.flags.writeable = False
-        masses.flags.writeable = False
+            if defect:
+                inexact.append(k)
+        if inexact:  # their Hermitian parts go into a copy, never into the caller's stack
+            parts = masses.copy()
+            for k in inexact:
+                parts[k] = 0.5 * (masses[k] + masses[k].conj().T)
+            masses = as_matrix(parts, name="atom masses", ndim=3)
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "masses", masses)
 

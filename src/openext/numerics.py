@@ -115,14 +115,15 @@ SIZE_BUDGET = 10_000_000
 WHOLE = ((slice(None), slice(None)),)  # the (rows, columns) window of a whole matrix
 
 
-def as_matrix(values, *, square: bool = False, name: str = "matrix", dtype=np.complex128, own=False) -> np.ndarray:
-    """Coerce to a read-only contiguous 2-D array (complex128 unless told), validating shape.  Where it
-    would share the caller's memory it is a view, or with own=True, for a holder, a copy: the caller's
-    array stays writeable."""
+def as_matrix(values, *, square=False, name="matrix", dtype=np.complex128, own=False, ndim=2) -> np.ndarray:
+    """The intake rule of every held array: coerce to dtype (complex128 unless told) with `ndim` axes (square:
+    the last two equal), refuse non-finite entries, and store it contiguous and read-only.  Where it would
+    share the caller's memory it is a view, or with own=True, for a holder that caches what it derives from
+    the array, a copy: the caller's array stays writeable."""
     m = np.asarray(values, dtype=dtype)
-    if m.ndim != 2:
-        raise ValidationError(f"{name} must be 2-D, got shape {m.shape}")
-    if square and m.shape[0] != m.shape[1]:
+    if m.ndim != ndim:
+        raise ValidationError(f"{name} must be {ndim}-D, got shape {m.shape}")
+    if square and m.shape[-2] != m.shape[-1]:
         raise ValidationError(f"{name} must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{name} has non-finite entries")
@@ -309,18 +310,14 @@ class Subspace:
     frame: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        f = np.asarray(self.frame, dtype=np.complex128)
-        if f.ndim != 2 or f.shape[0] != self.ambient_dim:
-            raise ValidationError(
-                f"frame shape {f.shape} inconsistent with ambient dim {self.ambient_dim}"
-            )
+        f = as_matrix(self.frame, name="frame")
+        if f.shape[0] != self.ambient_dim:
+            raise ValidationError(f"frame shape {f.shape} inconsistent with ambient dim {self.ambient_dim}")
         if f.shape[1] > self.ambient_dim:
             raise ValidationError("frame has more columns than the ambient dimension")
         gram_defect = max_abs(f.conj().T @ f - np.eye(f.shape[1]))
         if gram_defect > STRUCTURE_TOL:
             raise ValidationError(f"frame columns are not orthonormal: defect {gram_defect:.3e}")
-        f = np.ascontiguousarray(f)
-        f.flags.writeable = False
         object.__setattr__(self, "frame", f)
 
     @property
@@ -343,14 +340,9 @@ def orthonormal_basis(columns, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Sub
     zero subspace.
     """
     m = np.asarray(columns, dtype=np.complex128)
-    if m.ndim == 1:
-        m = m[:, None]
-    if m.ndim != 2:
-        raise ValidationError("columns must form a 2-D array")
+    m = as_matrix(m[:, None] if m.ndim == 1 else m, name="columns")
     if m.size == 0:
         return zero_subspace(m.shape[0])
-    if not np.all(np.isfinite(m)):
-        raise ValidationError("columns have non-finite entries")
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     keep = int(np.count_nonzero(s > tol.tau_rank * s[0]))
     return Subspace(m.shape[0], _phase_fix(u[:, :keep])[0])

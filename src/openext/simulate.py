@@ -44,7 +44,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .extension import measure_of
 from .model import ConservativeSystem, OpenSystem
-from .numerics import DEFAULT_TOLERANCES, ToleranceConfig, eigh, uniform_step
+from .numerics import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, eigh, uniform_step
 
 __all__ = [
     "Trajectory",
@@ -73,18 +73,14 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64).reshape(-1)
-        s = np.asarray(self.states, dtype=np.complex128)
-        if s.ndim != 2 or s.shape[0] != t.size:
+        t = as_matrix(np.reshape(self.times, -1), name="trajectory times", dtype=np.float64, ndim=1)
+        if not np.all(np.isfinite(self.states)):  # a diverged integration: NumericError, not the rule's refusal
+            raise NumericError("trajectory has non-finite states: the integration diverged (decrease the time step)")
+        s = as_matrix(self.states, name="trajectory states")
+        if s.shape[0] != t.size:
             raise ValidationError("states must be one row per time")
         if t.size > 1 and np.any(np.diff(t) <= 0):
             raise ValidationError("times must be strictly ascending")
-        if not np.all(np.isfinite(s)):
-            raise NumericError(
-                "trajectory has non-finite states: the integration diverged (decrease the time step)"
-            )
-        t.flags.writeable = False
-        s.flags.writeable = False
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", s)
 

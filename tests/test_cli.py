@@ -276,8 +276,9 @@ class TestToleranceFlags:
         assert json.loads(out)["tolerances"]["tau_rank"] == 1e-7
 
     def test_nonpositive_rejected(self, capsys, worked_file):
-        code, _ = run_cli(capsys, "decompose", worked_file, "--tau-rank", "-1")
-        assert code == 1
+        for value in ("-1", "0"):
+            code, _ = run_cli(capsys, "decompose", worked_file, "--tau-rank", value)
+            assert code == 1
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_rejected(self, capsys, worked_file, value):

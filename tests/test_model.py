@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from openext import (
+    ChannelSet,
     ConservativeSystem,
+    KernelSamples,
     NotPositiveSemidefiniteError,
     OpenSystem,
     PointMeasure,
     QuadraticHamiltonian,
     Subspace,
+    Trajectory,
     UnboundedCouplingError,
     ValidationError,
     check_dissipation,
@@ -109,7 +112,7 @@ class TestPointMeasure:
     def test_exactly_hermitian_stack_is_stored_without_copy(self):
         stack = np.stack([np.eye(2), np.array([[2.0, 1j], [-1j, 1.0]])]).astype(complex)
         mu = PointMeasure(2, np.array([0.5, 1.5]), stack)
-        assert mu.masses is stack
+        assert np.shares_memory(mu.masses, stack) and stack.flags.writeable
         assert not mu.masses.flags.writeable and not mu.frequencies.flags.writeable
         assert mu.frequencies.dtype == np.float64 and mu.masses.dtype == np.complex128
 
@@ -179,7 +182,8 @@ class TestOpenSystem:
 
 
 class TestCallersArrays:
-    """A holder stores its own read-only array and leaves the caller's writeable and unwatched."""
+    """A holder stores a read-only array and leaves the caller's writeable: a copy where the holder caches
+    what it derives from it (ConservativeSystem, OpenSystem), else a view where it can share memory."""
 
     def test_conservative_system(self):
         omega = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
@@ -201,6 +205,41 @@ class TestCallersArrays:
         assert all(m.flags.writeable for m in masses) and not mu.masses.flags.writeable
         masses[1][0, 0] = 7.0
         assert mu.masses[1, 0, 0] == 2.0
+
+    def test_point_measure(self):
+        freqs = np.array([0.5, 1.5])
+        stack = np.stack([np.eye(2), np.array([[2.0, 1j], [-1j, 1.0]])]).astype(complex)
+        mu = PointMeasure(2, freqs, stack)
+        assert freqs.flags.writeable and stack.flags.writeable
+        assert not mu.frequencies.flags.writeable and not mu.masses.flags.writeable
+
+    def test_subspace(self):
+        f = np.linalg.qr(np.arange(6.0).reshape(3, 2) + 1j * np.eye(3, 2))[0]
+        sub = Subspace(3, f)
+        assert f.flags.writeable and not sub.frame.flags.writeable and np.shares_memory(sub.frame, f)
+
+    def test_kernel_samples(self):
+        times, values = np.array([0.0, 0.5]), np.ones((2, 2, 2), dtype=complex)
+        samples = KernelSamples(times, values)
+        assert times.flags.writeable and values.flags.writeable
+        assert not samples.times.flags.writeable and not samples.values.flags.writeable
+
+    def test_trajectory(self):
+        times, states = np.array([0.0, 0.5]), np.ones((2, 3), dtype=complex)
+        traj = Trajectory(times, states)
+        assert times.flags.writeable and states.flags.writeable
+        assert not traj.times.flags.writeable and not traj.states.flags.writeable
+
+    def test_channel_set(self):
+        g, g_prime = np.eye(2, 1, dtype=complex), np.eye(3, 1, dtype=complex)
+        cs = ChannelSet((1.0,), g, g_prime)
+        assert g.flags.writeable and g_prime.flags.writeable
+        assert not cs.g.flags.writeable and not cs.g_prime.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_subspace_frame_is_refused(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            Subspace(2, [[bad], [0.0]])
 
 
 class TestValidate:
