@@ -70,7 +70,7 @@ class ChannelSet:
 
     def __post_init__(self):
         for name in ("g", "g_prime"):
-            m = as_matrix(getattr(self, name), name=name)
+            m = as_matrix(getattr(self, name), name=name, own=True)
             if m.shape[1] != self.rank:
                 raise ValidationError("channel vector count must equal the rank")
             object.__setattr__(self, name, m)

@@ -69,8 +69,8 @@ class KernelSamples:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        t = as_matrix(np.reshape(self.times, -1), name="kernel sample times", dtype=np.float64, ndim=1)
-        v = as_matrix(self.values, square=True, name="kernel sample values", ndim=3)
+        t = as_matrix(np.reshape(self.times, -1), name="kernel sample times", dtype=np.float64, own=True, ndim=1)
+        v = as_matrix(self.values, square=True, name="kernel sample values", own=True, ndim=3)
         if t.size == 0:
             raise ValidationError("kernel samples need at least one time")
         if t[0] < 0:
@@ -98,16 +98,18 @@ def kernel_eval(system: ConservativeSystem, times, tol: ToleranceConfig = DEFAUL
     t = np.asarray(times, dtype=np.float64).reshape(-1)
     system._kernel_size()  # refuses a coupling whose kernel overflows
     w, v = eigh(system.omega2, tol)
-    b = system.coupling @ v
-    return KernelSamples(t, _mode_kernel(b, w, t))
+    values = _mode_kernel(system.coupling @ v, w, t)
+    values.flags.writeable = False  # handed to the samples, which keep it
+    return KernelSamples(t, values)
 
 
 def kernel_of_measure(measure: PointMeasure, times) -> KernelSamples:
     """Direct kernel of a point measure: sum_k e^{-i w_k t} N_k."""
     t = np.asarray(times, dtype=np.float64).reshape(-1)
     n = measure.dim
-    phases = np.exp(-1j * np.outer(t, measure.frequencies))
-    return KernelSamples(t, (phases @ measure.masses.reshape(-1, n * n)).reshape(t.size, n, n))
+    values = np.exp(-1j * np.outer(t, measure.frequencies)) @ measure.masses.reshape(-1, n * n)
+    values.flags.writeable = False  # handed to the samples, which keep it
+    return KernelSamples(t, values.reshape(t.size, n, n))
 
 
 def minimal_extension(measure: PointMeasure, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> ConservativeSystem:
@@ -164,6 +166,7 @@ def measure_of(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERA
         if not mass.any():
             raise NumericError(f"the mass of the atom at {freq} is below the float range")
         masses[k] = 0.5 * (mass + mass.conj().T)
+    masses.flags.writeable = False  # handed to the measure, which keeps it
     return PointMeasure(system.n1, [f for f, _ in kept], masses)
 
 

@@ -40,6 +40,7 @@ from .model import ConservativeSystem
 from .numerics import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
+    as_matrix,
     cluster_spectrum,
     complement,
     eigh,
@@ -264,15 +265,14 @@ class LatticeSpec:
             raise ValidationError("mass and stiffness must be finite")
         if self.m <= 0 or self.xi <= 0:
             raise ValidationError("mass and stiffness must be positive")
-        gam = tuple(np.asarray(g, dtype=np.float64).reshape(-1) for g in self.gammas)
+        gam = tuple(as_matrix(np.reshape(g, -1), name="coupling vector", dtype=np.float64, own=True, ndim=1)
+                    for g in self.gammas)
         if not gam:
             raise ValidationError("need at least one coupling vector")
         squares = []
         for j, g in enumerate(gam):
             if g.size != self.n_components:
                 raise ValidationError("coupling vectors must have one entry per component")
-            if not np.all(np.isfinite(g)):
-                raise ValidationError("coupling vectors must be finite")
             if not np.any(g):
                 raise ValidationError("coupling vectors must be nonzero")
             with np.errstate(over="ignore", under="ignore"):
@@ -281,7 +281,6 @@ class LatticeSpec:
                 fate = "overflows" if square > 1.0 else "underflows"
                 raise ValidationError(f"the squared norm of coupling vector {j} {fate} ({square:.3g})")
             squares.append(square)
-            g.flags.writeable = False
         k_bound, s_bound = (self.xi + 4 * self.d * sum(squares), (self.xi + 8 * self.d * sum(squares)) / self.m)
         if not (2.0 * k_bound < math.inf and s_bound < math.inf):  # Python floats overflow to inf silently
             raise ValidationError(f"the lattice leaves the float range: bounds {k_bound:.3g} on the entries "

@@ -122,10 +122,11 @@ class PointMeasure:
 
     Atom k sits at frequencies[k] (a read-only float64 vector, strictly
     increasing) with mass masses[k] (a read-only complex128 stack of shape
-    (K, dim, dim)).  The stack holds each mass's Hermitian part; when every
-    mass is exactly Hermitian, it is a read-only view of the caller's
-    contiguous complex128 stack, bits and buffer, and the caller's stays
-    writeable.  A mass further than STRUCTURE_TOL from Hermitian is rejected.
+    (K, dim, dim)).  The stack holds each mass's Hermitian part, stored by
+    as_matrix's rule: a copy of the caller's writeable stack, while a
+    complex128 stack already read-only down to its owner, every mass
+    exactly Hermitian, is kept, bits and buffer.  A mass further than
+    STRUCTURE_TOL from Hermitian is rejected.
     """
 
     dim: int
@@ -135,14 +136,14 @@ class PointMeasure:
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError("measure dimension must be at least 1")
-        freqs = as_matrix(self.frequencies, name="atom frequencies", dtype=np.float64, ndim=1)
+        freqs = as_matrix(self.frequencies, name="atom frequencies", dtype=np.float64, own=True, ndim=1)
         if np.any(np.diff(freqs) <= 0):
             raise ValidationError("atom frequencies must be strictly increasing")
         masses = self.masses if np.size(self.masses) else np.zeros((0, self.dim, self.dim))
-        masses = as_matrix(masses, name="atom masses", ndim=3)
+        masses = as_matrix(masses, name="atom masses", own=True, ndim=3)
         if masses.shape != (freqs.size, self.dim, self.dim):
             raise ValidationError(f"masses have shape {masses.shape}, expected {(freqs.size, self.dim, self.dim)}")
-        # atom by atom, so that checking makes no temporary of the stack's size
+        # the Hermitian check goes atom by atom, so that it makes no temporary of the stack's size
         inexact = []
         for k, mass in enumerate(masses):
             defect = max_abs(mass - mass.conj().T)
@@ -150,11 +151,15 @@ class PointMeasure:
                 raise ValidationError(f"atom mass is not Hermitian: defect {defect:.3e}")
             if defect:
                 inexact.append(k)
-        if inexact:  # their Hermitian parts go into a copy, never into the caller's stack
-            parts = masses.copy()
+        if inexact:  # their Hermitian parts go into the stack as_matrix made, or a copy of the one it kept
+            if isinstance(self.masses, np.ndarray) and np.may_share_memory(masses, self.masses):
+                masses = masses.copy()
+            masses.flags.writeable = True
             for k in inexact:
-                parts[k] = 0.5 * (masses[k] + masses[k].conj().T)
-            masses = as_matrix(parts, name="atom masses", ndim=3)
+                masses[k] = 0.5 * (masses[k] + masses[k].conj().T)
+            masses.flags.writeable = False
+            if not np.all(np.isfinite(masses[inexact])):
+                raise ValidationError("the Hermitian part of an atom mass overflows")
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "masses", masses)
 

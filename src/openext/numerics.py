@@ -117,9 +117,10 @@ WHOLE = ((slice(None), slice(None)),)  # the (rows, columns) window of a whole m
 
 def as_matrix(values, *, square=False, name="matrix", dtype=np.complex128, own=False, ndim=2) -> np.ndarray:
     """The intake rule of every held array: coerce to dtype (complex128 unless told) with `ndim` axes (square:
-    the last two equal), refuse non-finite entries, and store it contiguous and read-only.  Where it would
-    share the caller's memory it is a view, or with own=True, for a holder that caches what it derives from
-    the array, a copy: the caller's array stays writeable."""
+    the last two equal), refuse non-finite entries, and return it contiguous and read-only, the caller's array
+    left writeable.  Where it would share the caller's memory, a reader (own=False) gets a view, and a holder
+    (own=True) a copy, unless the array is read-only down to the array that owns its memory: its owner has
+    handed it over, and the holder keeps it."""
     m = np.asarray(values, dtype=dtype)
     if m.ndim != ndim:
         raise ValidationError(f"{name} must be {ndim}-D, got shape {m.shape}")
@@ -129,9 +130,19 @@ def as_matrix(values, *, square=False, name="matrix", dtype=np.complex128, own=F
         raise ValidationError(f"{name} has non-finite entries")
     m = np.ascontiguousarray(m)
     if isinstance(values, np.ndarray) and np.may_share_memory(m, values):
-        m = m.copy() if own else m.view()
+        if not own:
+            m = m.view()
+        elif not _handed_over(m):
+            m = m.copy()
     m.flags.writeable = False
     return m
+
+
+def _handed_over(a: np.ndarray) -> bool:
+    """Read-only down to the array that owns its memory, which its owner has frozen."""
+    while not a.flags.writeable and isinstance(a.base, np.ndarray):
+        a = a.base
+    return not a.flags.writeable and a.base is None
 
 
 def uniform_step(times: np.ndarray) -> float | None:
@@ -310,7 +321,7 @@ class Subspace:
     frame: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        f = as_matrix(self.frame, name="frame")
+        f = as_matrix(self.frame, name="frame", own=True)
         if f.shape[0] != self.ambient_dim:
             raise ValidationError(f"frame shape {f.shape} inconsistent with ambient dim {self.ambient_dim}")
         if f.shape[1] > self.ambient_dim:

@@ -73,10 +73,14 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        t = as_matrix(np.reshape(self.times, -1), name="trajectory times", dtype=np.float64, ndim=1)
-        if not np.all(np.isfinite(self.states)):  # a diverged integration: NumericError, not the rule's refusal
-            raise NumericError("trajectory has non-finite states: the integration diverged (decrease the time step)")
-        s = as_matrix(self.states, name="trajectory states")
+        t = as_matrix(np.reshape(self.times, -1), name="trajectory times", dtype=np.float64, own=True, ndim=1)
+        try:
+            s = as_matrix(self.states, name="trajectory states", own=True)
+        except ValidationError:  # non-finite states are a diverged integration, not bad input
+            if np.all(np.isfinite(self.states)):
+                raise
+            raise NumericError("trajectory has non-finite states: the integration diverged "
+                               "(decrease the time step)") from None
         if s.shape[0] != t.size:
             raise ValidationError("states must be one row per time")
         if t.size > 1 and np.any(np.diff(t) <= 0):
@@ -212,6 +216,7 @@ def propagate_conservative(
         norms = np.linalg.norm(states, axis=1)
         ref = max(float(norms[0]), 1e-300)
         drift = float(np.max(np.abs(norms - norms[0])) / ref)
+    states.flags.writeable = False  # handed to the trajectory, which keeps it
     return Trajectory(
         times,
         states,
@@ -354,7 +359,7 @@ def propagate_open(
             f"open integration diverged by t = {float(times[np.argmin(finite)]):.6g}: the state "
             "overflowed (decrease the time step)"
         )
-
+    states.flags.writeable = False  # handed to the trajectory, which keeps its first steps + 1 rows
     return Trajectory(
         times,
         states[: steps + 1],

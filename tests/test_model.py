@@ -9,6 +9,7 @@ from openext import (
     ChannelSet,
     ConservativeSystem,
     KernelSamples,
+    LatticeSpec,
     NotPositiveSemidefiniteError,
     OpenSystem,
     PointMeasure,
@@ -110,11 +111,26 @@ class TestPointMeasure:
             PointMeasure(2, [1.0], [np.array([[0.0, 1.0], [0.0, 0.0]])])
 
     def test_exactly_hermitian_stack_is_stored_without_copy(self):
+        """A stack its owner has frozen, as measure_of does, is kept as it is."""
         stack = np.stack([np.eye(2), np.array([[2.0, 1j], [-1j, 1.0]])]).astype(complex)
+        stack.flags.writeable = False
         mu = PointMeasure(2, np.array([0.5, 1.5]), stack)
-        assert np.shares_memory(mu.masses, stack) and stack.flags.writeable
+        assert mu.masses is stack
         assert not mu.masses.flags.writeable and not mu.frequencies.flags.writeable
         assert mu.frequencies.dtype == np.float64 and mu.masses.dtype == np.complex128
+
+    def test_frozen_stack_with_inexact_mass_is_copied(self):
+        near = np.array([[1.0, 0.5 + 1e-12], [0.5, 2.0]], dtype=complex)
+        stack = np.stack([np.eye(2, dtype=complex), near])
+        stack.flags.writeable = False
+        mu = PointMeasure(2, [0.0, 1.0], stack)
+        assert not np.shares_memory(mu.masses, stack) and stack[1, 0, 1] == near[0, 1]
+        assert np.array_equal(mu.masses[1], mu.masses[1].conj().T) and not mu.masses.flags.writeable
+
+    def test_overflowing_hermitian_part_is_refused(self):
+        mass = np.array([[np.finfo(np.float64).max, 0.5], [0.5 + 1e-12, 1.0]], dtype=complex)
+        with pytest.raises(ValidationError, match="overflows"), np.errstate(over="ignore", invalid="ignore"):
+            PointMeasure(2, [1.0], [mass])
 
     def test_stores_hermitian_parts_and_leaves_the_input(self):
         near = np.array([[1.0, 0.5 + 1e-12], [0.5, 2.0]], dtype=complex)
@@ -182,8 +198,8 @@ class TestOpenSystem:
 
 
 class TestCallersArrays:
-    """A holder stores a read-only array and leaves the caller's writeable: a copy where the holder caches
-    what it derives from it (ConservativeSystem, OpenSystem), else a view where it can share memory."""
+    """A holder stores its own read-only array and leaves the caller's writeable and unwatched: writing
+    the caller's array afterwards leaves the holder's as it was built."""
 
     def test_conservative_system(self):
         omega = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
@@ -212,29 +228,56 @@ class TestCallersArrays:
         mu = PointMeasure(2, freqs, stack)
         assert freqs.flags.writeable and stack.flags.writeable
         assert not mu.frequencies.flags.writeable and not mu.masses.flags.writeable
+        freqs[0], stack[1, 0, 1] = 9.0, 5.0
+        assert mu.frequencies[0] == 0.5 and mu.masses[1, 0, 1] == 1j
 
     def test_subspace(self):
         f = np.linalg.qr(np.arange(6.0).reshape(3, 2) + 1j * np.eye(3, 2))[0]
+        built = f.copy()
         sub = Subspace(3, f)
-        assert f.flags.writeable and not sub.frame.flags.writeable and np.shares_memory(sub.frame, f)
+        assert f.flags.writeable and not sub.frame.flags.writeable
+        f[0, 0] = 5.0
+        assert np.array_equal(sub.frame, built)
 
     def test_kernel_samples(self):
         times, values = np.array([0.0, 0.5]), np.ones((2, 2, 2), dtype=complex)
         samples = KernelSamples(times, values)
         assert times.flags.writeable and values.flags.writeable
         assert not samples.times.flags.writeable and not samples.values.flags.writeable
+        times[1], values[0, 0, 0] = 3.0, 5.0
+        assert samples.times[1] == 0.5 and samples.values[0, 0, 0] == 1.0
 
     def test_trajectory(self):
         times, states = np.array([0.0, 0.5]), np.ones((2, 3), dtype=complex)
         traj = Trajectory(times, states)
         assert times.flags.writeable and states.flags.writeable
         assert not traj.times.flags.writeable and not traj.states.flags.writeable
+        times[1], states[0, 0] = 3.0, 5.0
+        assert traj.times[1] == 0.5 and traj.states[0, 0] == 1.0
 
     def test_channel_set(self):
         g, g_prime = np.eye(2, 1, dtype=complex), np.eye(3, 1, dtype=complex)
         cs = ChannelSet((1.0,), g, g_prime)
         assert g.flags.writeable and g_prime.flags.writeable
         assert not cs.g.flags.writeable and not cs.g_prime.flags.writeable
+        g[0, 0], g_prime[0, 0] = 5.0, 5.0
+        assert cs.g[0, 0] == 1.0 and cs.g_prime[0, 0] == 1.0
+
+    def test_lattice_spec(self):
+        gamma = np.array([0.6, 0.8])
+        spec = LatticeSpec(1, 2, 2, 1.0, 1.0, (gamma,))
+        assert gamma.flags.writeable and not spec.gammas[0].flags.writeable
+        gamma[0] = 5.0
+        assert spec.gammas[0][0] == 0.6
+
+    def test_writeable_view_of_a_frozen_array_is_copied(self):
+        """Read-only is not enough to be kept: a frozen view whose owner is writeable is copied."""
+        f = np.eye(3, dtype=complex)
+        view = f[:]
+        view.flags.writeable = False
+        sub = Subspace(3, view)
+        f[0, 0] = 5.0
+        assert sub.frame[0, 0] == 1.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_subspace_frame_is_refused(self, bad):
