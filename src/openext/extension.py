@@ -25,7 +25,10 @@ times its coarse node values, and a frequency-modulated trial p along
 its worst direction is read as lambda_min(H_p) / ||p||_w^2 from the
 form Q(g p) = g^H H_p g, with no eigenvector formed.  `fit_point_measure`
 recovers a measure from noise-free uniform kernel samples by a
-matrix-pencil frequency search plus per-frequency least squares.
+matrix-pencil frequency search plus per-frequency least squares.  The
+frame rule cuts its pencil, the PSD cut on the fitted kernel's block
+Toeplitz form (PSD exactly when the measure carries no gain) tells a
+gain from close atoms, and a residual contract checks every fit.
 """
 
 from __future__ import annotations
@@ -381,7 +384,6 @@ def check_dissipation(
     )
 
 
-PENCIL_SV_CUT = 1e-8
 FIT_RESIDUAL_CONTRACT = 1e-6
 
 
@@ -392,19 +394,18 @@ def fit_point_measure(
 ) -> PointMeasure:
     """Recover a point measure from noise-free uniform kernel samples.
 
-    Matrix pencil on the scalar trace sequence finds the frequencies
-    (pencil length = half the sample count, singular-value cut at
-    1e-8 * sigma_max, capped at max_atoms); masses follow from entrywise
-    least squares against the recovered exponentials.  A least-squares mass
-    with an eigenvalue below -tau_residual * ||sum_k M_k||_2 (the fit's
-    a(0)) is a gain and raises NotPositiveSemidefiniteError; the others are
-    projected to the nearest PSD matrix, which clips only rounding, and
-    dropped at norm <= tau_rank * ||a(0)||_2, a(0) the sum of the projected
-    masses (the atom rule of `minimal_extension` and `measure_of`);
-    the pencil cut acts first, so an atom it misses is lost even above that cut.
-    The fit must reproduce every sampled entry within 1e-6 times the largest
-    sampled |a_ij(t_j)| or raises FitError.
-    A Hankel matrix past SIZE_BUDGET entries raises BudgetError before it is formed.
+    A matrix pencil on the scalar trace sequence (pencil length = half the sample count, its
+    Hankel cut by the frame rule, capped at max_atoms) finds the frequencies, and entrywise
+    least squares against the recovered exponentials the masses N_k.  Three rules of `tol`
+    decide.  The PSD cut on the fitted kernel's block Toeplitz form over the sample grid,
+    (R x I) blockdiag(N_k) (R x I)^H with R the QR factor of the design matrix, tells a gain
+    (NotPositiveSemidefiniteError, naming the atom with the most negative term in the witness
+    eigenvector) from close atoms; it is formed only when some N_k fails that cut on its own.
+    The masses are then clipped to PSD, which clips only rounding, and cut by the atom rule,
+    a(0) the sum of the clipped masses.  Every fit must reproduce each sampled entry within
+    FIT_RESIDUAL_CONTRACT times the largest sampled |a_ij(t_j)| or raises FitError.
+    A design matrix conditioned past 1e10 raises FitError, a pencil root at the Nyquist limit
+    ValidationError, and a Hankel or Toeplitz form past SIZE_BUDGET entries BudgetError.
     """
     if max_atoms < 0:
         raise ValidationError("max_atoms must be nonnegative")
@@ -426,20 +427,8 @@ def fit_point_measure(
         raise BudgetError(f"{g} samples exceed the budget of {SIZE_BUDGET} matrix-pencil Hankel entries")
     hankel = np.array([trace_seq[i : i + pencil + 1] for i in range(g - pencil)])
     _, s, vh = np.linalg.svd(hankel, full_matrices=False)
-    rank = int(np.count_nonzero(s > PENCIL_SV_CUT * s[0]))
-    rank = min(rank, max_atoms)
-    if rank == 0:
-        return PointMeasure(n)
-    basis = vh[:rank].T
-    lower, upper = basis[:-1, :], basis[1:, :]
-    sv = np.linalg.svd(lower, compute_uv=False)
-    condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    if not np.isfinite(condition) or condition > 1e10:
-        raise FitError(f"pencil subspace is ill-conditioned ({condition:.2e})")
-    z = np.linalg.eigvals(np.linalg.pinv(lower) @ upper)
-    if np.any(np.abs(np.abs(z) - 1.0) > 1e-2):
-        raise FitError("recovered modes are not purely oscillatory; samples do not match an undamped kernel")
-    angles = np.angle(z)
+    basis = vh[: min(int(np.count_nonzero(s > tol.tau_rank * s[0])), max_atoms)].T
+    angles = np.angle(np.linalg.eigvals(np.linalg.pinv(basis[:-1, :]) @ basis[1:, :]))
     if np.any(np.abs(angles) > np.pi * (1.0 - 1e-6)):
         raise ValidationError(
             "frequency at the Nyquist limit of the sampling grid; decrease the time step"
@@ -447,24 +436,29 @@ def fit_point_measure(
     freqs = np.sort(-angles / step)
 
     vander = np.exp(-1j * np.outer(times, freqs))
-    flat = samples.values.reshape(g, n * n)
-    coeff, _, _, sv2 = np.linalg.lstsq(vander, flat, rcond=None)
-    cond2 = float(sv2[0] / sv2[-1]) if sv2[-1] > 0 else np.inf
-    if not np.isfinite(cond2) or cond2 > 1e10:
+    coeff, _, _, sv2 = np.linalg.lstsq(vander, samples.values.reshape(g, n * n), rcond=None)
+    cond2 = float(sv2[0] / sv2[-1]) if sv2.size and sv2[-1] > 0 else np.inf
+    if sv2.size and not cond2 <= 1e10:
         raise FitError(f"frequency design matrix is ill-conditioned ({cond2:.2e})")
 
-    hermitian = [0.5 * (m + m.conj().T) for m in coeff.reshape(freqs.size, n, n)]
-    floor = -tol.tau_residual * float(np.linalg.norm(sum(hermitian), 2))  # the fit's a(0)
-    masses = []
-    for f, mass in zip(freqs, hermitian):
-        w, v = np.linalg.eigh(mass)
-        if w[0] < floor:  # a gain: the clip below is for rounding and would hide it
+    coeff = coeff.reshape(freqs.size, n, n)
+    hermitian = 0.5 * (coeff + coeff.conj().transpose(0, 2, 1))
+    w, v = np.linalg.eigh(hermitian)
+    if any(below_psd_cut(wk, tol) for wk in w):  # rounding or a gain, which the clip below would hide
+        dim = freqs.size * n
+        if dim * dim > SIZE_BUDGET:
+            raise BudgetError(f"a Toeplitz form of dimension {dim} exceeds the budget of {SIZE_BUDGET} entries")
+        r = np.linalg.qr(vander, mode="r")
+        lam, x = np.linalg.eigh(np.einsum("ik,kab,jk->iajb", r, hermitian, r.conj(), optimize=True).reshape(dim, dim))
+        if below_psd_cut(lam, tol):
+            y = np.einsum("ik,ia->ka", r.conj(), x[:, 0].reshape(freqs.size, n))  # the witness on each atom
+            k = int(np.argmin(np.einsum("ka,kab,kb->k", y.conj(), hermitian, y).real))
             raise NotPositiveSemidefiniteError(
-                f"fitted mass at frequency {f:.6g} has min eigenvalue {w[0]:.6e}, "
-                f"below -tau_residual * ||a(0)||_2 = {floor:.3e}: the samples carry a gain"
+                f"the fitted kernel's block Toeplitz form has min eigenvalue {lam[0]:.6e} against max {lam[-1]:.6e}, "
+                f"most negative on the atom at frequency {freqs[k]:.6g}: the samples carry a gain"
             )
-        masses.append((v * np.clip(w, 0.0, None)) @ v.conj().T)
-    cut = tol.tau_rank * float(np.linalg.norm(sum(masses), 2))
+    masses = (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    cut = tol.tau_rank * float(np.linalg.norm(masses.sum(axis=0), 2))
     atoms = [(float(f), m) for f, m in zip(freqs, masses) if float(np.linalg.norm(m, 2)) > cut]
     fitted = PointMeasure.create(n, atoms, tol)
 

@@ -143,7 +143,8 @@ class PointMeasure:
         masses = as_matrix(masses, name="atom masses", own=True, ndim=3)
         if masses.shape != (freqs.size, self.dim, self.dim):
             raise ValidationError(f"masses have shape {masses.shape}, expected {(freqs.size, self.dim, self.dim)}")
-        # the Hermitian check goes atom by atom, so that it makes no temporary of the stack's size
+        # the Hermitian check goes atom by atom, so that it makes no complex temporary of the
+        # stack's size (as_matrix's finiteness test makes a boolean one)
         inexact = []
         for k, mass in enumerate(masses):
             defect = max_abs(mass - mass.conj().T)

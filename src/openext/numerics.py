@@ -54,15 +54,17 @@ class ToleranceConfig:
                      (every `eigh`, the stiffness), `validate` and `OpenSystem.from_mass_form`.
     tau_rank         every rank cut, by one of two rules: the frame rule, tau_rank * sigma_max of the matrix
                      cut (`matrix_rank`, `orthonormal_basis`, `channels`, `orbit` on an orthonormal seed's
-                     coefficients); the atom rule, tau_rank * ||a(0)||_2, every hidden-side cut (`measure_of`,
-                     `minimal_extension`, `fit`, `propagate_open`, and sqrt(tau_rank) on the coupling's images in
-                     h2c, the canonical components and `decoupling_report`'s splitting, and on the compressed
-                     blocks of `coupling_matrix`).  Also mass/stiffness definiteness, and the refusal in
-                     `frozen_report` of a kept singular value of the coupling vectors at most sqrt(tau_rank) s_0.
+                     coefficients, `fit`'s pencil); the atom rule, tau_rank * ||a(0)||_2, every hidden-side
+                     cut (`measure_of`, `minimal_extension`, `fit`'s masses, `propagate_open`, and sqrt(tau_rank)
+                     on the coupling's images in h2c, the canonical components and `decoupling_report`'s
+                     splitting, and on the compressed blocks of `coupling_matrix`).  Also mass/stiffness
+                     definiteness, and the refusal in `frozen_report` of a kept singular value of the
+                     coupling vectors at most sqrt(tau_rank) s_0.
     tau_eig_cluster  read by `cluster_spectrum` alone, the merge rule of eigen-clusters, channel
                      groups, lattice multiplicities and atom frequencies (`PointMeasure.create`, `validate`).
     tau_residual     residual verdicts (invariance, the channel algebra's links, the decoupling masses,
-                     `subspaces_equal`), PSD/MC cuts, certificates.
+                     `subspaces_equal`), PSD/MC cuts (among them `fit`'s gain verdict on the fitted
+                     kernel's block Toeplitz form), certificates.
     """
 
     tau_herm: float = 1e-10
@@ -108,8 +110,8 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 STRUCTURE_TOL = 1e-9
 
 # Largest array, in complex entries, that `kernel` (steps x max(n1^2, n2): its samples and
-# its phase table), `simulate` (grid points x dimension) and `fit` (its matrix-pencil Hankel)
-# form from their input; past it, BudgetError.
+# its phase table), `simulate` (grid points x dimension) and `fit` (its matrix-pencil Hankel
+# and its Toeplitz form) form from their input; past it, BudgetError.
 SIZE_BUDGET = 10_000_000
 
 WHOLE = ((slice(None), slice(None)),)  # the (rows, columns) window of a whole matrix

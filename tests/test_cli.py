@@ -410,7 +410,44 @@ class TestExtendAndFit:
         code = main(["fit", str(p), "--max-atoms", "5"])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: fitted mass at frequency 1.7 has min eigenvalue") and "gain" in err
+        assert err.startswith("error: the fitted kernel's block Toeplitz form has min eigenvalue")
+        assert "at frequency 1.7: the samples carry a gain" in err
+
+    def test_fit_of_close_atoms(self, capsys, tmp_path):
+        # orthogonal rank-one atoms 1e-3 apart: each least-squares mass fails the PSD
+        # cut on its own, the fitted kernel's Toeplitz form passes it
+        mu = PointMeasure(2, [1.0, 1.001], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        times = np.linspace(0.0, 12.7, 129)
+        p = tmp_path / "close.csv"
+        p.write_text(write_kernel_csv(times, kernel_of_measure(mu, times).values))
+        code, out = run_cli(capsys, "fit", str(p), "--max-atoms", "5")
+        assert code == 0
+        assert [a["omega"] for a in json.loads(out)["atoms"]] == pytest.approx([1.0, 1.001], abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "mass, flags", [(np.diag([1.0, -1.0]), ()), (np.eye(2), ("--max-atoms", "0"))], ids=["traceless", "no-atoms"]
+    )
+    def test_fit_with_an_empty_pencil_is_exit_two(self, capsys, tmp_path, mass, flags):
+        times = np.linspace(0.0, 12.7, 129)
+        p = tmp_path / "kernel.csv"
+        p.write_text(write_kernel_csv(times, kernel_of_measure(PointMeasure(2, [1.0], [mass]), times).values))
+        code = main(["fit", str(p), *flags])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: fitted measure misses the samples by 1.000e+00 (contract 1e-06")
+
+    def test_extend_kernel_fit_keeps_an_atom_above_the_atom_cut(self, capsys, tmp_path):
+        # mass 2e-9 against a(0) = 1: above tau_rank = 1e-9, which now also cuts the pencil
+        measure = tmp_path / "measure.json"
+        measure.write_text(dumps(measure_to_json(PointMeasure(1, [1.0, 2.0], [[[1.0]], [[2e-9]]]))))
+        ext, csv = str(tmp_path / "ext.json"), str(tmp_path / "kernel.csv")
+        assert main(["extend", str(measure), "--out", ext]) == 0
+        assert main(["kernel", ext, "--t1", "12.7", "--steps", "128", "--out", csv]) == 0
+        code, out = run_cli(capsys, "fit", csv)
+        assert code == 0
+        atoms = json.loads(out)["atoms"]
+        assert [a["omega"] for a in atoms] == pytest.approx([1.0, 2.0], abs=1e-6)
+        assert [a["mass"][0][0][0] for a in atoms] == pytest.approx([1.0, 2e-9], rel=1e-4)
 
 
     def test_fit_of_a_kernel_sampled_where_it_nearly_vanishes(self, capsys, tmp_path):

@@ -5,10 +5,13 @@ style sums over atoms, dense matrix exponentials, and Krylov spans.  The
 package must agree with those, not with itself.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from openext import (
+    BudgetError,
     ConservativeSystem,
     DissipationReport,
     FitError,
@@ -18,6 +21,7 @@ from openext import (
     PointMeasure,
     ValidationError,
     check_dissipation,
+    extension,
     fit_point_measure,
     kernel_eval,
     kernel_of_measure,
@@ -668,7 +672,7 @@ class TestFitPointMeasure:
         svd, lstsq, shapes = np.linalg.svd, np.linalg.lstsq, []
         monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or svd(a, *args, **kw))
         fit_point_measure(samples, max_atoms=4)
-        assert shapes == [(32, 33), (32, 2)]  # the Hankel and the pencil's lower block only
+        assert shapes == [(32, 33)]  # the Hankel only
 
         def flattened(a, b, rcond=None):
             x, res, rank, sv = lstsq(a, b, rcond=rcond)
@@ -695,7 +699,8 @@ class TestFitPointMeasure:
         # residual contract at delta <= 1e-6 and its dissipation verdict was true
         mu = PointMeasure(2, [0.5, 1.7], [np.eye(2), np.diag([1.0, -delta])])
         samples = kernel_of_measure(mu, np.linspace(0.0, 12.7, 129))
-        with pytest.raises(NotPositiveSemidefiniteError, match=rf"frequency 1\.7 has min eigenvalue -{delta:.6e}"):
+        gain = r"Toeplitz form .* frequency 1\.7: the samples carry a gain"
+        with pytest.raises(NotPositiveSemidefiniteError, match=gain):
             fit_point_measure(samples, max_atoms=5)
 
     def test_the_gain_floor_is_relative_to_the_fitted_a0(self):
@@ -713,6 +718,97 @@ class TestFitPointMeasure:
             masses[int(rng.integers(3))] *= 10.0 ** rng.uniform(-9.0, -4.0)
             mu = PointMeasure.create(2, list(zip([-1.5, 0.3, 1.9], masses)))
             fit_point_measure(kernel_of_measure(mu, times), max_atoms=5)
+
+    def test_close_atoms_are_not_a_gain(self):
+        # two orthogonal rank-one atoms `gap` apart: their least-squares masses take up
+        # the pencil's frequency error with opposite signs, at small gaps failing the PSD
+        # cut each on its own, while the fitted kernel's Toeplitz form stays PSD
+        times = np.linspace(0.0, 12.7, 129)
+        for gap in (0.1, 3e-3, 2e-3, 1e-3, 5e-4, 3e-4):
+            mu = PointMeasure(2, [1.0, 1.0 + gap], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+            fit = fit_point_measure(kernel_of_measure(mu, times), max_atoms=5)
+            assert fit.frequencies.size == 2
+            assert np.max(np.abs(fit.frequencies - mu.frequencies)) <= 1e-9, gap
+            if gap == 1e-3:
+                ext = kernel_eval(minimal_extension(fit), times).values
+                assert np.max(np.abs(ext - kernel_of_measure(mu, times).values)) <= 1e-6
+
+    @staticmethod
+    def dense_toeplitz(mu, times):
+        """[a(t_i - t_j)] over the grid, a(-t) = a(t)^H, as one Hermitian matrix."""
+        lags = times[:, None] - times[None, :]
+        blocks = np.einsum("ijk,kab->iajb", np.exp(-1j * lags[..., None] * mu.frequencies), mu.masses)
+        return blocks.reshape(times.size * mu.dim, -1)
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-7, 1e-8, 3e-9])
+    @pytest.mark.parametrize("t0", [0.0, 2 * np.pi])
+    def test_the_gain_verdict_is_the_fitted_toeplitz_form(self, delta, t0):
+        # the refusal's eigenvalues are those of the dense block Toeplitz form of the
+        # planted measure over the grid, whose ratio is about -0.87 delta; a grid from
+        # t0 = 2 pi has no sample at lag 0 and gives the same form
+        mu = PointMeasure(2, [0.5, 1.7], [np.eye(2), np.diag([1.0, -delta])])
+        times = np.linspace(0.0, 12.7, 129)
+        with pytest.raises(NotPositiveSemidefiniteError, match=r"frequency 1\.7: the samples carry a gain") as info:
+            fit_point_measure(kernel_of_measure(mu, t0 + times), max_atoms=5)
+        low, high = (float(x) for x in re.search(r"min eigenvalue (\S+) against max (\S+),", str(info.value)).groups())
+        dense = np.linalg.eigvalsh(self.dense_toeplitz(mu, times))
+        assert low == pytest.approx(dense[0], rel=1e-5) and high == pytest.approx(dense[-1], rel=1e-5)
+        assert below_psd_cut(np.array([low, high]), DEFAULT_TOLERANCES)
+
+    def test_the_gain_verdict_names_the_atom_and_clips_rounding(self):
+        mu = PointMeasure(2, [0.5, 1.7], [np.diag([1.0, -1e-7]), np.eye(2)])
+        with pytest.raises(NotPositiveSemidefiniteError, match=r"at frequency 0\.5: the samples carry a gain"):
+            fit_point_measure(kernel_of_measure(mu, np.linspace(0.0, 12.7, 129)), max_atoms=5)
+        # delta = 1e-9 puts the form's ratio at about -8.7e-10, inside tau_residual: rounding, clipped
+        mu = PointMeasure(2, [0.5, 1.7], [np.eye(2), np.diag([1.0, -1e-9])])
+        fit = fit_point_measure(kernel_of_measure(mu, np.linspace(0.0, 12.7, 129)), max_atoms=5)
+        assert fit.frequencies == pytest.approx([0.5, 1.7], abs=1e-12)
+        assert np.linalg.eigvalsh(fit.masses)[:, 0].min() >= 0.0
+
+    def test_a_valid_fit_builds_no_toeplitz_form(self, monkeypatch):
+        # the roundtrip shape, 8 rank-2 atoms at n1 = 16 sampled from their extension,
+        # passes the per-atom PSD cut, so no QR factor of the design matrix is taken;
+        # close atoms take it
+        qr, calls = np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(a[0].shape) or qr(*a, **kw))
+        rng = np.random.default_rng(501)
+        freqs = -3.5 + np.arange(8) + rng.uniform(-0.2, 0.2, 8)
+        factors = [(rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))) / 8 for _ in freqs]
+        mu = PointMeasure.create(16, [(f, c @ c.conj().T) for f, c in zip(freqs, factors)])
+        times = np.linspace(0.0, 12.7, 129)
+        fit = fit_point_measure(kernel_eval(minimal_extension(mu), times), max_atoms=8)
+        assert fit.frequencies.size == 8 and calls == []
+        close = PointMeasure(2, [1.0, 1.001], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        fit_point_measure(kernel_of_measure(close, times), max_atoms=5)
+        assert calls == [(129, 2)]
+
+    def test_the_toeplitz_form_is_budgeted(self, monkeypatch):
+        # 4 samples: a 2 x 3 Hankel within a budget of 10 entries, a 4 x 4 form past it
+        monkeypatch.setattr(extension, "SIZE_BUDGET", 10)
+        mu = PointMeasure(2, [0.5, 1.7], [np.eye(2), np.diag([1.0, -0.5])])
+        with pytest.raises(BudgetError, match="Toeplitz form of dimension 4 exceeds the budget of 10 entries"):
+            fit_point_measure(kernel_of_measure(mu, np.arange(4) * 0.5), max_atoms=5)
+
+    @pytest.mark.parametrize(
+        "mass, max_atoms", [(np.diag([1.0, -1.0]), 5), (np.eye(2), 0)], ids=["traceless", "no-atoms"]
+    )
+    def test_nonzero_samples_never_fit_an_empty_measure(self, mass, max_atoms):
+        # a traceless kernel leaves the trace's pencil empty, as does max_atoms = 0:
+        # the residual contract judges the empty fit
+        samples = kernel_of_measure(PointMeasure(2, [1.0], [mass]), np.linspace(0.0, 12.7, 129))
+        with pytest.raises(FitError, match=r"misses the samples by 1\.000e\+00 \(contract 1e-06"):
+            fit_point_measure(samples, max_atoms=max_atoms)
+
+    def test_the_pencil_cuts_by_the_frame_rule(self):
+        # an atom of mass 2e-9 against 1 lies between tau_rank and the old 1e-8 pencil cut
+        mu = PointMeasure(1, [1.0, 2.0], [[[1.0]], [[2e-9]]])
+        samples = kernel_eval(minimal_extension(mu), np.linspace(0.0, 12.7, 129))
+        fit = fit_point_measure(samples, max_atoms=5)
+        assert fit.frequencies == pytest.approx([1.0, 2.0], abs=1e-6)
+        assert fit.masses[:, 0, 0].real == pytest.approx([1.0, 2e-9], rel=1e-4)
+        # at tau_rank = 1e-8 the pencil drops it, and one atom meets the residual contract
+        coarse = fit_point_measure(samples, max_atoms=5, tol=DEFAULT_TOLERANCES.replace(tau_rank=1e-8))
+        assert coarse.frequencies == pytest.approx([1.0], abs=1e-6)
 
     def test_zero_samples_give_empty_measure(self):
         times = np.arange(32) * 0.1
