@@ -17,21 +17,27 @@ the volume while the coupled spectrum stays bounded by (number of
 coupling vectors) x (number of sites).
 
 Every frequency decision reads one real eigendecomposition (w, V) of
-S = M^{-1/2} K M^{-1/2}, made when the Hamiltonian is built: a dense
-solve of S, except for a lattice, whose K = xi I + 2 B kron G has B the
-Kronecker sum over the d axes of one chain form T, so its spectrum comes
-from T's closed form and one solve of G = sum_j gamma_j gamma_j^T, and is
-certified over K's band, O(n^2 h) for n degrees of freedom and
-half-bandwidth h (`QuadraticHamiltonian`).  A lattice's frozen report
-reads its coupled clusters off that spectrum too; the formed Omega
-serves only its frozen-residual check.
+S = M^{-1/2} K M^{-1/2}, made when the Hamiltonian is built.  A
+`QuadraticHamiltonian` solves S densely and keeps K and V.  A lattice's
+K = xi I + 2 B kron G has B the Kronecker sum over the d axes of one chain
+form T, so its `LatticeHamiltonian` keeps w and the Kronecker factors of
+V, T's in closed form and those of one solve of G = sum_j gamma_j
+gamma_j^T, and no n x n array: V is formed a block of columns at a time
+to certify the spectrum over K's band, O(n^2 h) for n degrees of freedom
+and half-bandwidth h, and K is dropped once certified.  So a scan row
+holds K alone at its peak, and a frozen report holds Omega, formed from
+V x V Kronecker blocks, with a few V x V and window-sized temporaries;
+the report reads its coupled clusters off the factors, and Omega serves
+only its frozen-residual check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -53,6 +59,7 @@ from .numerics import (
 __all__ = [
     "QuadraticHamiltonian",
     "LatticeSpec",
+    "LatticeHamiltonian",
     "FrozenReport",
     "frequency_operator",
     "oscillator_system",
@@ -63,6 +70,7 @@ __all__ = [
 ]
 
 LATTICE_DIM_BUDGET = 2000
+_BLOCK = 64  # rows of a band window, and of the pieces the lattice's n x n work is cut into
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,33 +80,16 @@ class QuadraticHamiltonian:
     `mass` is the vector of the m_i, each finite and positive; it and
     `stiffness` are stored as read-only copies, the caller's left as is.
     Construction makes the one real eigendecomposition (w, V) of S that
-    every frequency decision reads: a dense solve of S, except for a
-    lattice, whose `_lattice_hamiltonian` hands over K, not copied, and
-    the spectrum it builds from K's Kronecker factors, V orthogonal by
-    construction.  The Hermitian rule then reads K's band (`_band_windows`),
-    K is symmetrized only when not exactly symmetric, and the spectrum is
-    certified, max|S V - V diag(w)| <= tau_residual * max(max|w|, 1), else
-    NumericError (a NaN fails too), block by block over the band with S
-    formed on each window: O(n^2 h) in place of O(n^3).
-
-    The spectrum is cut once, under `tol`.  Eigenvalues failing
-    `below_psd_cut` raise NotPositiveSemidefiniteError (by Sylvester's law
-    of inertia S and K have the same inertia); the rest are clipped at zero
-    and stored.  Construction warns when K is singular, decided as
-    w_min <= tau_rank * w_max on w, not on sqrt(w): a zero eigenvalue of S
-    comes out as rounding of size eps ||S||, which is sqrt(eps) ||Omega||,
-    above the cut on Omega's scale.  The complex encoding
-    z = Qdot~ - i Omega Q~ then loses the position component of the zero
-    modes, though spectra and multiplicities stay correct.
+    every frequency decision reads, a dense solve of the symmetrized S,
+    and cuts its spectrum once (`_cut_spectrum`).
     """
 
     mass: np.ndarray = field(repr=False)
     stiffness: np.ndarray = field(repr=False)
     tol: ToleranceConfig = DEFAULT_TOLERANCES
-    _factored: InitVar[tuple | None] = None
     _spectrum: tuple = field(init=False, repr=False)
 
-    def __post_init__(self, _factored):
+    def __post_init__(self):
         mass = np.array(self.mass, dtype=np.float64)
         k = np.asarray(self.stiffness, dtype=np.float64)
         if mass.ndim != 1:
@@ -109,63 +100,64 @@ class QuadraticHamiltonian:
             raise ValidationError("masses must be finite and positive")
         tol = self.tol
         r = 1.0 / np.sqrt(mass)
-        if _factored is None:
-            k = require_hermitian(k, tol, name="stiffness", dtype=np.float64)
-            k = 0.5 * (k + k.T)  # a new array, so the caller's is not the one stored
-            sym = (r[:, None] * k) * r[None, :]
-            w, v = eigh(0.5 * (sym + sym.T), tol)
-        else:
-            (w, v), band = _factored, _band_windows(k)
-            k = require_hermitian(k, tol, name="stiffness", dtype=np.float64, windows=band)
-            if any(np.any(k[rows, cols] != k[cols, rows].T) for rows, cols in band):
-                k = 0.5 * (k + k.T)
-            # S V - V diag(w) block by block, with S = M^{-1/2} K M^{-1/2} formed on each band window
-            resid = max_abs(np.array([max_abs((r[rows, None] * k[rows, cols] * r[cols]) @ v[cols] - v[rows] * w)
-                                      for rows, cols in band]))  # an array, so that a NaN is kept
-            bound = tol.tau_residual * max(max_abs(w), 1.0)
-            if not resid <= bound:  # so that a NaN fails too
-                raise NumericError(
-                    f"factored stiffness spectrum fails its residual certificate ({resid:.3e} > {bound:.3e})"
-                )
-        require_psd(w, tol, "stiffness is not positive semidefinite")
-        w = np.clip(w, 0.0, None)
-        if w.size and w[0] <= tol.tau_rank * w[-1]:
-            warnings.warn(
-                "stiffness is singular: zero-frequency modes make the complex state encoding "
-                "non-injective on positions",
-                stacklevel=3,
-            )
-        for arr in (mass, k, w, v):
+        k = require_hermitian(k, tol, name="stiffness", dtype=np.float64)
+        k = 0.5 * (k + k.T)  # a new array, so the caller's is not the one stored
+        sym = (r[:, None] * k) * r[None, :]
+        w, v = eigh(0.5 * (sym + sym.T), tol)
+        for arr in (mass, k, v):
             arr.flags.writeable = False
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "stiffness", k)
-        object.__setattr__(self, "_spectrum", (w, v))
+        object.__setattr__(self, "_spectrum", (_cut_spectrum(w, tol), v))
 
     @property
     def dim(self) -> int:
         return self.mass.size
 
 
+def _cut_spectrum(w: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """S's eigenvalues cut once under `tol`, read-only.  Eigenvalues failing `below_psd_cut` raise
+    NotPositiveSemidefiniteError (by Sylvester's law of inertia S and K have the same inertia); the rest
+    are clipped at zero.  K is singular, with a warning, when w_min <= tau_rank * w_max, decided on w, not
+    on sqrt(w): a zero eigenvalue of S comes out as rounding of size eps ||S||, which is sqrt(eps) ||Omega||,
+    above the cut on Omega's scale.  The complex encoding z = Qdot~ - i Omega Q~ then loses the position
+    component of the zero modes, though spectra and multiplicities stay correct."""
+    require_psd(w, tol, "stiffness is not positive semidefinite")
+    w = np.clip(w, 0.0, None)
+    if w.size and w[0] <= tol.tau_rank * w[-1]:
+        warnings.warn(
+            "stiffness is singular: zero-frequency modes make the complex state encoding "
+            "non-injective on positions",
+            stacklevel=4,
+        )
+    w.flags.writeable = False
+    return w
+
+
 def _band_windows(k: np.ndarray) -> list[tuple[slice, slice]]:
-    """k's band as (rows, columns) blocks: each max(h, 64) rows with their window of width block + 2h,
+    """k's band as (rows, columns) blocks: each max(h, _BLOCK) rows with their window of width block + 2h,
     or k whole where one window would cover it.  The half-bandwidth h is read off k's entries, each
     row's first and last nonzero (a NaN is nonzero), so the blocks leave out only exact zeros; an
     all-zero row reads as spanning the whole row, so h can come out too wide, never too narrow."""
     n = k.shape[0]
     nz, i = k != 0, np.arange(n)
     h = int(max(np.max(i - nz.argmax(axis=1)), np.max(n - 1 - i - nz[:, ::-1].argmax(axis=1)))) if n else 0
-    block = max(h, 64)
+    block = max(h, _BLOCK)
     if block + 2 * h >= n:
         return [(slice(0, n), slice(0, n))]
     return [(slice(a, a + block), slice(max(a - h, 0), min(a + block + h, n))) for a in range(0, n, block)]
 
 
-def frequency_operator(h: QuadraticHamiltonian) -> np.ndarray:
-    """Real symmetric PSD Omega = S^{1/2}, S = M^{-1/2} K M^{-1/2}, as
-    X X^T with X = V diag(w^{1/4}) from the spectrum (w, V) that h was
-    built with, cut and clipped there (see `QuadraticHamiltonian`); a
-    float64 array.  numpy forms X X^T by a symmetric rank-k update, so
-    Omega is exactly symmetric."""
+def frequency_operator(h: QuadraticHamiltonian | LatticeHamiltonian) -> np.ndarray:
+    """Real symmetric PSD Omega = S^{1/2}, S = M^{-1/2} K M^{-1/2}, from the
+    spectrum that h was built with, cut and clipped there; a float64 array,
+    exactly symmetric.  For a `QuadraticHamiltonian` it is X X^T with
+    X = V diag(w^{1/4}), one symmetric rank-k update; for a
+    `LatticeHamiltonian` it is sum_b (Q_B diag(w_{.b}^{1/2}) Q_B^T) kron
+    u_b u_b^T, N symmetric rank-k updates of size V x V added into Omega's
+    blocks in place (see there)."""
+    if isinstance(h, LatticeHamiltonian):
+        return h._frequency_operator()
     w, v = h._spectrum
     x = v * np.sqrt(np.sqrt(w))
     return x @ x.T
@@ -326,54 +318,153 @@ def _dirichlet_pairs(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray, np.ndar
     return np.concatenate([sites, *back, *ahead]), np.concatenate([sites, *ahead, *back]), np.concatenate(values)
 
 
-def _factored_spectrum(spec: LatticeSpec, gram: np.ndarray, tol: ToleranceConfig) -> tuple:
-    """Eigenpairs of S = (xi I + 2 B kron G) / m from the closed-form
-    eigenpairs of the chain form T (`_chain_spectrum`) and one solve of G,
-    ascending by a stable sort.  B = T (+) ... (+) T has eigenvalues beta,
-    the sums over axes of those of T, and vectors Q_B = Q_T kron ... kron
-    Q_T; with G = U diag(g) U^T the pairs are (xi + 2 beta_a g_b) / m and
-    Q_B[:, a] kron U[:, b]."""
-    beta_t, q_t = _chain_spectrum(2 * spec.l_half_width + 1)
-    g, u = eigh(gram, tol)
-    beta, q_b = beta_t, q_t
-    for _ in range(spec.d - 1):
-        beta = np.add.outer(beta, beta_t).ravel()
-        q_b = np.kron(q_b, q_t)
-    w = ((spec.xi + 2.0 * np.multiply.outer(beta, g)) / spec.m).ravel()
-    order = np.argsort(w, kind="stable")
-    a, c = np.divmod(order, g.size)  # sorted column k is Q_B[:, a_k] kron U[:, c_k]
-    return w[order], np.einsum("sk,ak->sak", q_b[:, a], u[:, c]).reshape(-1, order.size)
+def _lattice_stiffness(spec: LatticeSpec) -> np.ndarray:
+    """K = xi I + 2 sum_j B kron gamma_j gamma_j^T, each term added on B's
+    nonzero site pairs alone (`_dirichlet_pairs`): the other terms are zeros."""
+    n = spec.total_dim
+    k = np.zeros((n, n))
+    k.flat[:: n + 1] = spec.xi
+    rows, cols, b = _dirichlet_pairs(spec)
+    blocks = k.reshape(spec.volume, spec.n_components, spec.volume, spec.n_components)
+    for g in spec.gammas:
+        blocks[rows, :, cols, :] += 2.0 * (b[:, None, None] * np.outer(g, g))
+    return k
+
+
+def _checked_stiffness(spec: LatticeSpec, tol: ToleranceConfig) -> tuple[np.ndarray, list[tuple[slice, slice]]]:
+    """The assembled K, read-only, and its band (`_band_windows`), over which
+    the Hermitian rule is read; K is symmetrized only when not exactly symmetric."""
+    k = _lattice_stiffness(spec)
+    band = _band_windows(k)
+    k = require_hermitian(k, tol, name="stiffness", dtype=np.float64, windows=band)
+    if any(np.any(k[rows, cols] != k[cols, rows].T) for rows, cols in band):
+        k = 0.5 * (k + k.T)
+        k.flags.writeable = False
+    return k, band
+
+
+@dataclass(frozen=True, eq=False)
+class LatticeHamiltonian:
+    """A lattice's Hamiltonian, held as the Kronecker factors of its spectrum, no n x n array.
+
+    K = xi I + 2 B kron G with B = T (+) ... (+) T, the Kronecker sum over the
+    d axes of the chain form T, and G = sum_j gamma_j gamma_j^T, so S = K / m
+    has the eigenpairs ((xi + 2 beta_a g_b) / m, Q_B[:, a] kron U[:, b]), with
+    beta and Q_B = Q_T kron ... kron Q_T from T's closed form
+    (`_chain_spectrum`) and (g, U) from one solve of G.  The holder keeps the
+    `eigenvalues`, ascending by a stable sort, their order, Q_T and U.
+
+    Construction assembles K and reads the Hermitian rule over its band
+    (`_checked_stiffness`), then certifies the spectrum against it,
+    max|S V - V diag(w)| <= tau_residual * max(max|w|, 1), else NumericError
+    (a NaN fails too), window by window over the band with S formed on each
+    window, V formed from the factors a block of columns at a time: O(n^2 h)
+    for half-bandwidth h.  K is then dropped; `stiffness` assembles it
+    again, bitwise the K that was checked.  The spectrum is cut as a
+    `QuadraticHamiltonian`'s is (`_cut_spectrum`).
+    """
+
+    spec: LatticeSpec
+    tol: ToleranceConfig = DEFAULT_TOLERANCES
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+    _order: np.ndarray = field(init=False, repr=False)
+    _chain: np.ndarray = field(init=False, repr=False)
+    _gram: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        spec, tol = self.spec, self.tol
+        if spec.total_dim > LATTICE_DIM_BUDGET:
+            raise BudgetError(f"lattice has {spec.total_dim} degrees of freedom; budget is {LATTICE_DIM_BUDGET}")
+        gamma_stack = np.stack(spec.gammas)
+        beta_t, q_t = _chain_spectrum(2 * spec.l_half_width + 1)
+        g, u = eigh(gamma_stack.T @ gamma_stack, tol)
+        beta = beta_t
+        for _ in range(spec.d - 1):
+            beta = np.add.outer(beta, beta_t).ravel()
+        w = ((spec.xi + 2.0 * np.multiply.outer(beta, g)) / spec.m).ravel()
+        order = np.argsort(w, kind="stable")
+        w = w[order]
+        for name, arr in (("_order", order), ("_chain", q_t), ("_gram", u)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        # S V - V diag(w), V formed from the factors a few columns at a time, S = K / m on each band window
+        k, band = _checked_stiffness(spec, tol)
+        r, resid = 1.0 / math.sqrt(spec.m), []
+        for part in (slice(a, a + 2 * _BLOCK) for a in range(0, w.size, 2 * _BLOCK)):
+            v = self._eigenvector_columns(part)
+            resid += [max_abs(((r * k[rows, cols]) * r) @ v[cols] - v[rows] * w[part]) for rows, cols in band]
+            del v  # before the next columns are formed
+        resid = max_abs(np.array(resid))  # an array, so that a NaN is kept
+        bound = tol.tau_residual * max(max_abs(w), 1.0)
+        if not resid <= bound:  # so that a NaN fails too
+            raise NumericError(
+                f"factored stiffness spectrum fails its residual certificate ({resid:.3e} > {bound:.3e})"
+            )
+        object.__setattr__(self, "eigenvalues", _cut_spectrum(w, tol))
+
+    @property
+    def dim(self) -> int:
+        return self.spec.total_dim
+
+    @property
+    def mass(self) -> np.ndarray:
+        return np.full(self.dim, self.spec.m)
+
+    @property
+    def stiffness(self) -> np.ndarray:
+        """K, assembled and checked again: bitwise the K that the certificate checked."""
+        return _checked_stiffness(self.spec, self.tol)[0]
+
+    def _eigenvector_columns(self, columns: slice) -> np.ndarray:
+        """V[:, columns] from the factors: column k of V is Q_B[:, a] kron U[:, b], (a, b) = divmod(order_k, N),
+        and Q_B[:, a] the Kronecker product over the axes of Q_T's columns at the coordinates of a, multiplied
+        in the order of `np.kron`."""
+        n, shape = self.spec.n_components, (2 * self.spec.l_half_width + 1,) * self.spec.d
+        a, b = np.divmod(self._order[columns], n)
+        q = reduce(lambda acc, t: (acc[:, None, :] * self._chain[:, t]).reshape(-1, t.size),
+                   np.unravel_index(a, shape), np.ones((1, a.size)))
+        return (q[:, None, :] * self._gram[:, b]).reshape(-1, a.size)
+
+    def _frequency_operator(self) -> np.ndarray:
+        """Omega = sum_b (Q_B diag(w_{.b}^{1/2}) Q_B^T) kron u_b u_b^T, w_{.b} the
+        cut eigenvalues (xi + 2 beta_a g_b) / m over a.  For each b, one
+        symmetric rank-k update P = X X^T, X = Q_B diag(w_{.b}^{1/4}), is added
+        into each N x N block (i, j) of Omega as (u_ib u_jb) P, in place; the
+        last X overwrites Q_B.  Each block's term is the transpose of its
+        mirror's, added in the same order, so Omega is exactly symmetric.
+        Held at once: Omega and three V x V arrays, Q_B, X and P."""
+        n, volume = self.spec.n_components, self.spec.volume
+        root = np.empty(self.dim)
+        root[self._order] = np.sqrt(np.sqrt(self.eigenvalues))
+        root = root.reshape(volume, n)
+        q_b, u = reduce(np.kron, [self._chain] * self.spec.d, np.ones((1, 1))), self._gram  # a new Q_B at every d
+        omega = np.zeros((self.dim, self.dim))
+        blocks = omega.reshape(volume, n, volume, n)
+        for b in range(n):
+            x = np.multiply(q_b, root[:, b], out=q_b if b == n - 1 else None)
+            p = x @ x.T
+            for i, j in itertools.product(range(n), repeat=2):
+                block = blocks[:, i, :, j]
+                np.add(block, np.multiply(p, u[i, b] * u[j, b], out=x), out=block)
+        return omega
 
 
 def lattice_system(
     spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, QuadraticHamiltonian]:
-    """Frequency operator of the lattice plus the assembled Hamiltonian.
+) -> tuple[np.ndarray, LatticeHamiltonian]:
+    """Frequency operator of the lattice plus its Hamiltonian.
 
     K = xi I + 2 sum_j (B kron gamma_j gamma_j^T) with B the Dirichlet
     gradient form on the cube; the factor 2 converts the interaction
     terms, which enter the energy without 1/2, to the q^T K q / 2
     convention.  DOF ordering is site-major, (site, component), with the
-    sites in the order of `_dirichlet_pairs`.  The spectrum of S comes from
-    K's Kronecker factors, T's in closed form and one solve of G, and is
-    certified over K's band at tol (`QuadraticHamiltonian`).
+    sites in the order of `_dirichlet_pairs`.  The Hamiltonian holds the
+    spectrum of S as K's Kronecker factors, T's in closed form and one
+    solve of G, certified over K's band at tol (`LatticeHamiltonian`), and
+    Omega is formed from them (`frequency_operator`).
     """
-    ham = _lattice_hamiltonian(spec, tol)
+    ham = LatticeHamiltonian(spec, tol)
     return frequency_operator(ham), ham
-
-
-def _lattice_hamiltonian(spec: LatticeSpec, tol: ToleranceConfig) -> QuadraticHamiltonian:
-    if spec.total_dim > LATTICE_DIM_BUDGET:
-        raise BudgetError(f"lattice has {spec.total_dim} degrees of freedom; budget is {LATTICE_DIM_BUDGET}")
-    rows, cols, b = _dirichlet_pairs(spec)
-    k = spec.xi * np.eye(spec.total_dim)
-    # k += 2 kron(B, g g^T) per gamma, added on B's nonzero site pairs alone: the other terms are zeros
-    blocks = k.reshape(spec.volume, spec.n_components, spec.volume, spec.n_components)
-    for g in spec.gammas:
-        blocks[rows, :, cols, :] += 2.0 * (b[:, None, None] * np.outer(g, g))
-    gamma_stack = np.stack(spec.gammas)
-    spectrum = _factored_spectrum(spec, gamma_stack.T @ gamma_stack, tol)
-    return QuadraticHamiltonian(np.full(spec.total_dim, spec.m), k, tol, spectrum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,17 +526,19 @@ class FrozenReport:
 def frozen_report(spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> FrozenReport:
     """Locate the frozen subspace of a lattice and check both volume bounds.
 
-    The coupled clusters are `cluster_spectrum` of sqrt(w) over the
-    certified eigenpairs (w, V) whose eigenvector has weight below 1/2 on
-    the frozen frame kron(I_V, E_gamma^perp); there must be exactly
-    V * dim E_gamma of them, else NumericError.  Each singular value s_j
-    of the stacked gammas that the rank cut keeps must exceed
-    sqrt(tau_rank) * s_0: G = Gamma^T Gamma holds s_j^2, so it cannot
-    resolve a smaller one from the frozen frame, and the report is refused
-    (NumericError, naming the ratio and the worst frozen-weight margin,
-    min(weight, 1 - weight) over the eigenvectors).  Only the frozen-residual
-    check reads Omega, applied to that frame by one reshape, with no dense
-    Kronecker frame, and ||Omega||_2 = sqrt(w_max).  The report carries
+    The certified eigenvector Q_B[:, a] kron U[:, b] has weight
+    ||E_gamma^perp^T U[:, b]||^2 on the frozen frame kron(I_V, E_gamma^perp),
+    whatever a is, since Q_B is orthogonal; the coupled clusters are
+    `cluster_spectrum` of sqrt(w) over the eigenpairs whose U[:, b] has
+    weight below 1/2, which must be exactly V * dim E_gamma of them, else
+    NumericError.  Each singular value s_j of the stacked gammas that the
+    rank cut keeps must exceed sqrt(tau_rank) * s_0: G = Gamma^T Gamma holds
+    s_j^2, so it cannot resolve a smaller one from the frozen frame, and the
+    report is refused (NumericError, naming the ratio and the worst
+    frozen-weight margin, min(weight, 1 - weight) over the columns of U).
+    Only the frozen-residual check reads Omega, applied to that frame by
+    blocks of sites, and ||Omega||_2 = sqrt(w_max); the report holds Omega
+    and the factors, no other n x n array.  The report carries
     E_gamma^perp as a plain real array: the component frames come from an
     SVD and a QR of the real gammas, which keep real data real (imaginary
     parts exactly zero)."""
@@ -456,11 +549,9 @@ def frozen_report(spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) 
     g_perp = complement(e_gamma).frame.real  # a read-only view of the frame
     volume, f = spec.volume, g_perp.shape[1]
     frozen_dim = volume * f
-    w, v = h._spectrum
-    weights = np.square(np.matmul(g_perp.T, v.reshape(volume, n, -1))).sum(axis=(0, 1))
+    weights = np.square(g_perp.T @ h._gram).sum(axis=0)
     coupled = weights < 0.5
-    del h, v  # K and V: the frozen residual below reads only Omega
-    count = int(np.count_nonzero(coupled))
+    count = volume * int(np.count_nonzero(coupled))
     if count != volume * j_eff:
         raise NumericError(f"{count} eigenvectors lie in the coupled frame, not {volume} x {j_eff}")
     sigma = np.linalg.norm(gamma_stack @ e_gamma.frame, axis=0)  # the singular values the rank cut kept
@@ -470,19 +561,21 @@ def frozen_report(spec: LatticeSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) 
             f"{sigma[-1] / sigma[0]:.3e} <= sqrt(tau_rank) = {math.sqrt(tol.tau_rank):.3e} (worst frozen-weight "
             f"margin {np.max(np.minimum(weights, 1.0 - weights)):.3e})"
         )
-    per = tuple((cl.value, cl.dim) for cl in cluster_spectrum(np.sqrt(w[coupled]), tol))
+    w = h.eigenvalues
+    per = tuple((cl.value, cl.dim) for cl in cluster_spectrum(np.sqrt(w[coupled[h._order % n]]), tol))
 
     freq = math.sqrt(spec.xi / spec.m)
     omega_norm = math.sqrt(w[-1])  # Omega is PSD
-    if frozen_dim:
-        # Omega kron(I_V, E^perp) - freq kron(I_V, E^perp): the frame term sits on the site diagonal
-        resid = (omega.reshape(-1, n) @ g_perp).reshape(volume, n, volume, f)
-        i = np.arange(volume)
-        resid[i, :, i, :] -= freq * g_perp
-        max_resid = float(np.max(np.linalg.norm(resid.reshape(volume * n, frozen_dim), axis=0)))
-    else:
-        max_resid = 0.0
-    if max_resid > tol.tau_residual * max(omega_norm, 1.0):
+    squares = np.zeros((volume, f))
+    step = max(_BLOCK // n, 1)
+    for first in range(0, volume if f else 0, step):
+        # rows of Omega kron(I_V, E^perp) - freq kron(I_V, E^perp) at `step` sites; the frame term sits on their diagonal
+        sites = np.arange(first, min(first + step, volume))
+        resid = (omega[first * n : (sites[-1] + 1) * n].reshape(-1, n) @ g_perp).reshape(sites.size, n, volume, f)
+        resid[np.arange(sites.size), :, sites, :] -= freq * g_perp
+        squares += np.square(resid).sum(axis=(0, 1))
+    max_resid = math.sqrt(np.max(squares)) if frozen_dim else 0.0
+    if not max_resid <= tol.tau_residual * max(omega_norm, 1.0):  # so that a NaN fails too
         raise NumericError(
             f"frozen directions fail the eigenvector check (residual {max_resid:.3e})"
         )
@@ -515,14 +608,14 @@ def multiplicity_scan(spec: LatticeSpec, l_values, tol: ToleranceConfig = DEFAUL
     Empirical only: the ratio column is reported, never asserted, since
     the volume scaling of the multiplicity is a bulk statement with
     boundary corrections at any finite size.  Each row clusters sqrt of
-    the eigenvalues of S = M^{-1/2} K M^{-1/2} that its Hamiltonian is
-    built with, cut and clipped there, not a formed Omega, and certified
-    over its assembled K like every lattice Hamiltonian's (`lattice_system`).
+    the eigenvalues of S = K / m that its `LatticeHamiltonian` is built
+    with, cut and clipped there and certified over its assembled K, and
+    forms no Omega: K is the one n x n array a row holds.
     """
     rows = []
     for l_val in l_values:
         current = LatticeSpec(spec.d, l_val, spec.n_components, spec.m, spec.xi, spec.gammas)
-        freqs = np.sqrt(_lattice_hamiltonian(current, tol)._spectrum[0])
+        freqs = np.sqrt(LatticeHamiltonian(current, tol).eigenvalues)
         mult = max(cl.dim for cl in cluster_spectrum(freqs, tol))
         rows.append(ScanRow(current.l_half_width, current.volume, mult))
     return rows

@@ -7,18 +7,21 @@ dense brute-force eigendecomposition of the assembled stiffness.
 it is held to a complex dense route (products with M^{-1/2} as a
 diagonal matrix and a principal square root of S as a complex Hermitian
 matrix), and `frozen_report` to the same route with dense Kronecker
-frames.  A lattice's spectrum is assembled from the Kronecker factors of
-its stiffness; `TestFactoredSpectrum` holds it to a dense real solve of
+frames.  A lattice's spectrum is held as the Kronecker factors of its
+stiffness; `TestFactoredSpectrum` holds it to a dense real solve of
 the assembled S, checks that its certificate refuses a wrong factor and
 an entry off the band, and holds the certificate's banded product to the
-dense `k @ y`; `TestBandHermitianRule` holds the Hermitian rule read over
-the band to the dense rule, and `TestClosedFormSpectrum` holds the chain
-form's closed-form eigenpairs to the assembled chain form.
+dense `k @ y`; `TestLatticeHolder` bounds a report's memory and holds the
+Omega formed from the factors to the dense route; `TestBandHermitianRule`
+holds the Hermitian rule read over the band to the dense rule, and
+`TestClosedFormSpectrum` holds the chain form's closed-form eigenpairs to
+the assembled chain form.
 """
 
 import itertools
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -755,7 +758,7 @@ class TestFactoredSpectrum:
     def test_matches_the_dense_solve(self, spec):
         assert spec.m != 1.0
         omega, h = lattice_system(spec)
-        w = h._spectrum[0]
+        w = h.eigenvalues
         ref_w, ref_v = np.linalg.eigh(h.stiffness / spec.m)
         assert np.all(np.abs(w - ref_w) <= 1e-12 * np.abs(ref_w))
         freqs, ref_freqs = np.sqrt(w), np.sqrt(ref_w)
@@ -784,15 +787,18 @@ class TestFactoredSpectrum:
         assert "certificate" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
-    def test_a_nan_fails_the_certificate(self):
-        h = lattice_system(FACTORED_SPECS[0])[1]
-        w, v = h._spectrum
-        nan_w, nan_v = w.copy(), v.copy()
-        nan_w[3] = np.nan
-        nan_v[3, 3] = np.nan
-        for spectrum in [(nan_w, v), (w, nan_v)]:
+    def test_a_nan_fails_the_certificate(self, monkeypatch):
+        chain = hamiltonian._chain_spectrum
+        for factor in (0, 1):  # a NaN eigenvalue, then a NaN eigenvector entry, of the chain form
+
+            def with_a_nan(size, factor=factor):
+                pair = [np.array(x) for x in chain(size)]
+                pair[factor][(3,) * pair[factor].ndim] = np.nan
+                return tuple(pair)
+
+            monkeypatch.setattr(hamiltonian, "_chain_spectrum", with_a_nan)
             with pytest.raises(NumericError, match="certificate"):
-                QuadraticHamiltonian(h.mass, h.stiffness, h.tol, spectrum)
+                lattice_system(FACTORED_SPECS[0])
 
     def test_the_certificate_reads_the_given_tolerances(self):
         spec = LatticeSpec(2, 3, 2, 1.0, 1.0, (np.array([1.0, 0.5]),))
@@ -806,15 +812,14 @@ class TestFactoredSpectrum:
             frozen_report(spec, tight)
 
     @pytest.mark.parametrize("spec", OFF_BAND_SPECS, ids=lambda s: f"d{s.d}")
-    def test_an_entry_off_the_band_fails_the_certificate(self, spec):
-        h = lattice_system(spec)[1]
-        k = np.array(h.stiffness)
-        rows, cols = np.nonzero(k)
-        assert 64 + 2 * np.max(np.abs(rows - cols)) < k.shape[0]  # the certificate takes the banded route
-        QuadraticHamiltonian(h.mass, k, h.tol, h._spectrum)  # stores a read-only view, leaving k writeable
+    def test_an_entry_off_the_band_fails_the_certificate(self, spec, monkeypatch):
+        rows, cols = np.nonzero(lattice_system(spec)[1].stiffness)
+        assert 64 + 2 * np.max(np.abs(rows - cols)) < spec.total_dim  # the certificate takes the banded route
+        k = hamiltonian._lattice_stiffness(spec)
         k[0, -1] = k[-1, 0] = 1e-3
+        monkeypatch.setattr(hamiltonian, "_lattice_stiffness", lambda spec: k.copy())
         with pytest.raises(NumericError, match="certificate"):
-            QuadraticHamiltonian(h.mass, k, h.tol, h._spectrum)
+            lattice_system(spec)
 
     @pytest.mark.parametrize("case", FACTORED_SPECS + BENCHMARK_SHAPES + SPECIAL_BANDS,
                              ids=lambda c: c if isinstance(c, str) else f"d{c.d}L{c.l_half_width}N{c.n_components}")
@@ -858,7 +863,11 @@ class TestFactoredSpectrum:
     def test_sorted_columns_are_bitwise_the_sorted_kronecker_product(self, spec):
         gamma_stack = np.stack(spec.gammas)
         gram = gamma_stack.T @ gamma_stack
-        w, v = hamiltonian._factored_spectrum(spec, gram, DEFAULT_TOLERANCES)
+        h = lattice_system(spec)[1]
+        w, v = h.eigenvalues, h._eigenvector_columns(slice(None))
+        # formed a block of columns at a time, as the certificate forms them, V is the same
+        parts = [slice(0, 5), slice(5, spec.total_dim // 2), slice(spec.total_dim // 2, None)]
+        assert np.hstack([h._eigenvector_columns(part) for part in parts]).tobytes() == v.tobytes()
         # the route the gather replaces: the unsorted Kronecker product, then its columns sorted
         beta_t, q_t = hamiltonian._chain_spectrum(2 * spec.l_half_width + 1)
         g, u = eigh(gram)
@@ -889,16 +898,62 @@ class TestFactoredSpectrum:
         assert "coupled frame" in capsys.readouterr().err
 
 
+class TestLatticeHolder:
+    """A lattice report holds one n x n array: V is formed a block of columns at a time, K is not kept,
+    and Omega is summed from V x V Kronecker blocks."""
+
+    @staticmethod
+    def peak_bytes(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_a_frozen_report_peaks_below_two_n_by_n_arrays(self):
+        spec = LatticeSpec(2, 10, 2, 1.3, 0.9, (np.array([0.6, 0.8]),))
+        n = spec.total_dim
+        assert n == 882
+        rep = frozen_report(spec)  # warm, so that first-call allocations are not counted
+        assert rep.frozen_dim_complex == spec.volume and rep.satisfied
+        assert self.peak_bytes(lambda: frozen_report(spec)) < 2 * n * n * 8
+
+    def test_a_scan_peaks_below_one_and_a_half_n_by_n_arrays(self):
+        spec = LatticeSpec(3, 1, 1, 1.3, 0.9, (np.array([0.7]),))
+        n = LatticeSpec(3, 4, 1, 1.3, 0.9, spec.gammas).total_dim
+        assert n == 729
+        multiplicity_scan(spec, [1])
+        assert self.peak_bytes(lambda: multiplicity_scan(spec, [1, 2, 3, 4])) < 1.5 * n * n * 8
+
+    @pytest.mark.parametrize("spec", LATTICE_SPECS + BENCHMARK_SHAPES,
+                             ids=lambda s: f"d{s.d}L{s.l_half_width}N{s.n_components}J{len(s.gammas)}")
+    def test_omega_from_kronecker_blocks_is_the_dense_route(self, spec):
+        omega, h = lattice_system(spec)
+        assert np.array_equal(omega, omega.T)
+        # X X^T with X = V diag(w^1/4) from a dense eigh of the assembled S, clipped as the holder clips
+        w, v = np.linalg.eigh(h.stiffness / spec.m)
+        x = v * np.sqrt(np.sqrt(np.clip(w, 0.0, None)))
+        norm = np.linalg.norm(omega, 2)
+        assert np.linalg.norm(omega - x @ x.T, 2) <= DEFAULT_TOLERANCES.tau_residual * norm
+
+    def test_no_factor_is_n_by_n_past_one_axis(self):
+        # held at d = 2, N = 2: the order, the N x N solve and the M x M chain factor, no n x n array
+        h = lattice_system(LatticeSpec(2, 10, 2, 1.3, 0.9, (np.array([0.6, 0.8]),)))[1]
+        held = [h.eigenvalues, h._order, h._chain, h._gram]
+        assert [a.shape for a in held] == [(882,), (882,), (21, 21), (2, 2)]
+        assert not any(a.flags.writeable for a in held)
+
+
 class TestBandHermitianRule:
     """The Hermitian rule read over K's band: the dense rule's verdict, exception and asymmetry."""
 
     @pytest.mark.parametrize("where", ["in_band", "corner", "nan"])
     @pytest.mark.parametrize("spec", OFF_BAND_SPECS, ids=lambda s: f"d{s.d}")
-    def test_a_planted_asymmetry_is_refused_as_the_dense_rule_refuses_it(self, spec, where):
-        h = lattice_system(spec)[1]
-        k, n = np.array(h.stiffness), spec.total_dim
-        assert len(hamiltonian._band_windows(k)) > 1  # the rule reads band windows, not K whole
-        i = n // 2
+    def test_a_planted_asymmetry_is_refused_as_the_dense_rule_refuses_it(self, spec, where, monkeypatch):
+        n = spec.total_dim
+        assert len(hamiltonian._band_windows(lattice_system(spec)[1].stiffness)) > 1  # the rule reads band windows
+        k, i = hamiltonian._lattice_stiffness(spec), n // 2
         if where == "in_band":
             k[i, i + 1] += 1e-3
         elif where == "corner":
@@ -906,10 +961,11 @@ class TestBandHermitianRule:
             assert hamiltonian._band_windows(k) == [(slice(0, n), slice(0, n))]  # the band reads full width
         else:
             k[i, i + 1] = np.nan
+        monkeypatch.setattr(hamiltonian, "_lattice_stiffness", lambda spec: k.copy())
         with pytest.raises(ValidationError) as dense:
             require_hermitian(k, name="stiffness", dtype=np.float64)
         with pytest.raises(ValidationError) as banded:
-            QuadraticHamiltonian(h.mass, k, h.tol, h._spectrum)
+            hamiltonian.LatticeHamiltonian(spec)
         assert str(banded.value) == str(dense.value)
         if where != "nan":
             defect = hermitian_defect(k, DEFAULT_TOLERANCES)
@@ -917,21 +973,43 @@ class TestBandHermitianRule:
             assert str(banded.value) == f"stiffness is not Hermitian: max asymmetry {defect:.3e}"
 
     @pytest.mark.parametrize("spec", OFF_BAND_SPECS, ids=lambda s: f"d{s.d}")
-    def test_symmetrizes_only_a_stiffness_that_is_not_exactly_symmetric(self, spec):
-        h = lattice_system(spec)[1]
-        k = np.array(h.stiffness)
-        exact = QuadraticHamiltonian(h.mass, k, h.tol, h._spectrum)
-        # handed over, not copied: a read-only view of the given K, which stays writeable
-        assert np.shares_memory(exact.stiffness, k) and exact.stiffness.tobytes() == k.tobytes()
-        assert k.flags.writeable and not exact.stiffness.flags.writeable
+    def test_symmetrizes_only_a_stiffness_that_is_not_exactly_symmetric(self, spec, monkeypatch):
+        k = hamiltonian._lattice_stiffness(spec)
+        assert np.array_equal(k, k.T)
+        exact = lattice_system(spec)[1].stiffness
+        assert exact.tobytes() == k.tobytes() and not exact.flags.writeable
         near, i = k.copy(), spec.total_dim // 2
         near[i, i + 1] += 1e-14  # inside the rule's cut
         band = hamiltonian._band_windows(near)
         assert hermitian_defect(near, DEFAULT_TOLERANCES) is None
         strict = DEFAULT_TOLERANCES.replace(tau_herm=1e-20)
         assert hermitian_defect(near, strict, band) == hermitian_defect(near, strict) == near[i, i + 1] - near[i + 1, i]
-        stored = QuadraticHamiltonian(h.mass, near, h.tol, h._spectrum).stiffness
-        assert stored.tobytes() == (0.5 * (near + near.T)).tobytes() and not np.shares_memory(stored, near)
+        monkeypatch.setattr(hamiltonian, "_lattice_stiffness", lambda spec: near.copy())
+        stored = lattice_system(spec)[1].stiffness
+        assert stored.tobytes() == (0.5 * (near + near.T)).tobytes() and not stored.flags.writeable
+
+    @pytest.mark.parametrize("spec", OFF_BAND_SPECS + FACTORED_SPECS, ids=lambda s: f"d{s.d}L{s.l_half_width}")
+    @pytest.mark.parametrize("near", [False, True], ids=["exact", "near"])
+    def test_stiffness_read_on_demand_is_the_k_the_certificate_checked(self, spec, near, monkeypatch):
+        # K is not kept: `stiffness` assembles and checks it again, bitwise the K that construction certified
+        checked, check, assemble = [], hamiltonian._checked_stiffness, hamiltonian._lattice_stiffness
+
+        def recording(spec, tol):
+            k, band = check(spec, tol)
+            checked.append(k.copy())
+            return k, band
+
+        def nearly_symmetric(spec):
+            k = assemble(spec)
+            k[0, 1] += 1e-14 * near
+            return k
+
+        monkeypatch.setattr(hamiltonian, "_checked_stiffness", recording)
+        monkeypatch.setattr(hamiltonian, "_lattice_stiffness", nearly_symmetric)
+        h = lattice_system(spec)[1]
+        assert len(checked) == 1
+        assert h.stiffness.tobytes() == checked[0].tobytes()
+        assert np.array_equal(checked[0], checked[0].T)
 
 
 def chain_form(size):

@@ -40,6 +40,7 @@ def _array_holders():
         "DecouplingReport": coupling.decoupling_report(system, parts.h1c),
         "QuadraticHamiltonian": hamiltonian.QuadraticHamiltonian(np.ones(2), np.eye(2)),
         "LatticeSpec": spec,
+        "LatticeHamiltonian": hamiltonian.lattice_system(spec)[1],
         "FrozenReport": hamiltonian.frozen_report(spec),
         "Trajectory": simulate.Trajectory([0.0, 1.0], np.zeros((2, 2))),
     }
