@@ -277,15 +277,17 @@ def decoupling_report(
     if h1_sub.ambient_dim != n1:
         raise ValidationError("candidate subspace must live in H1")
 
+    # ||pi omega1 pi^perp||_2 and sum_c ||pi B_c (pi^perp B_c)^H||_2 for pi = F F^H, read off the frame F:
+    # with P = F^H B_c, pi B_c = F P and pi^perp B_c = B_c - F P, and F's orthonormal columns keep the norm
     frame = h1_sub.frame
-    pi = frame @ frame.conj().T
-    pi_c = np.eye(n1, dtype=np.complex128) - pi
-    r_int = float(np.linalg.norm(pi @ system.omega1 @ pi_c, 2))
+    r_int = _invariance_leak(system.omega1, frame)
 
     _, v, clusters = eigen_clusters(system.omega2, tol)
     gv = system.coupling @ v
-    blocks = (gv[:, cl.start : cl.stop] for cl in clusters)
-    r_ker = sum((float(np.linalg.norm((pi @ b) @ (pi_c @ b).conj().T, 2)) for b in blocks), 0.0)
+    r_ker = 0.0
+    for b in (gv[:, cl.start : cl.stop] for cl in clusters):
+        p = frame.conj().T @ b
+        r_ker += float(np.linalg.norm(p @ (b - frame @ p).conj().T, 2))
 
     omega_scale = max(system._omega_norm, 1.0)
     kernel_scale = max(system._kernel_size(), 1.0)

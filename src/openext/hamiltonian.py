@@ -23,10 +23,10 @@ K = xi I + 2 B kron G has B the Kronecker sum over the d axes of one chain
 form T, so its `LatticeHamiltonian` keeps w and the Kronecker factors of
 V, T's in closed form and those of one solve of G = sum_j gamma_j
 gamma_j^T, and no n x n array: V is formed a block of columns at a time
-to certify the spectrum over K's band, O(n^2 h) for n degrees of freedom
-and half-bandwidth h, and K is dropped once certified.  So a scan row
-holds K alone at its peak, and a frozen report holds Omega, formed from
-V x V Kronecker blocks, with a few V x V and window-sized temporaries;
+and certified against K's stencil, which applies K as its definition
+reads and forms no K, O(n^2 J d) for n degrees of freedom and J coupling
+vectors.  So a scan row holds no n x n array, and a frozen report holds
+Omega, formed from V x V Kronecker blocks, with a few V x V temporaries;
 the report reads its coupled clusters off the factors, and Omega serves
 only its frozen-residual check.
 """
@@ -70,7 +70,7 @@ __all__ = [
 ]
 
 LATTICE_DIM_BUDGET = 2000
-_BLOCK = 64  # rows of a band window, and of the pieces the lattice's n x n work is cut into
+_BLOCK = 64  # the lattice's n x n work is cut into pieces of 2 _BLOCK columns of V or _BLOCK rows of Omega
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,20 +132,6 @@ def _cut_spectrum(w: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
         )
     w.flags.writeable = False
     return w
-
-
-def _band_windows(k: np.ndarray) -> list[tuple[slice, slice]]:
-    """k's band as (rows, columns) blocks: each max(h, _BLOCK) rows with their window of width block + 2h,
-    or k whole where one window would cover it.  The half-bandwidth h is read off k's entries, each
-    row's first and last nonzero (a NaN is nonzero), so the blocks leave out only exact zeros; an
-    all-zero row reads as spanning the whole row, so h can come out too wide, never too narrow."""
-    n = k.shape[0]
-    nz, i = k != 0, np.arange(n)
-    h = int(max(np.max(i - nz.argmax(axis=1)), np.max(n - 1 - i - nz[:, ::-1].argmax(axis=1)))) if n else 0
-    block = max(h, _BLOCK)
-    if block + 2 * h >= n:
-        return [(slice(0, n), slice(0, n))]
-    return [(slice(a, a + block), slice(max(a - h, 0), min(a + block + h, n))) for a in range(0, n, block)]
 
 
 def frequency_operator(h: QuadraticHamiltonian | LatticeHamiltonian) -> np.ndarray:
@@ -228,10 +214,9 @@ class LatticeSpec:
     the field clamped to zero outside the cube.  d, L and N are integers
     (not bools), and each |gamma_j|^2 must be a normal float, neither
     underflowing nor overflowing, since G = sum_j gamma_j gamma_j^T holds it.
-    With s = sum_j |gamma_j|^2, the entries of K are at most xi + 4 d s, and
-    twice that must be finite for the symmetrizing sum; the chain form's
-    eigenvalues are below 4, so S's spectrum is at most (xi + 8 d s) / m,
-    which must be finite too.
+    With s = sum_j |gamma_j|^2, the chain form's eigenvalues are below 4, so
+    S's spectrum is at most (xi + 8 d s) / m, which must be finite; its
+    numerator bounds every entry of K and of K applied to a unit vector.
     """
 
     d: int
@@ -273,10 +258,9 @@ class LatticeSpec:
                 fate = "overflows" if square > 1.0 else "underflows"
                 raise ValidationError(f"the squared norm of coupling vector {j} {fate} ({square:.3g})")
             squares.append(square)
-        k_bound, s_bound = (self.xi + 4 * self.d * sum(squares), (self.xi + 8 * self.d * sum(squares)) / self.m)
-        if not (2.0 * k_bound < math.inf and s_bound < math.inf):  # Python floats overflow to inf silently
-            raise ValidationError(f"the lattice leaves the float range: bounds {k_bound:.3g} on the entries "
-                                  f"of K and {s_bound:.3g} on the spectrum of S = K / m")
+        s_bound = (self.xi + 8 * self.d * sum(squares)) / self.m
+        if not s_bound < math.inf:  # Python floats overflow to inf silently
+            raise ValidationError(f"the lattice leaves the float range: bound {s_bound:.3g} on the spectrum of S")
         object.__setattr__(self, "gammas", gam)
 
     @property
@@ -303,44 +287,19 @@ def _chain_spectrum(size: int) -> tuple[np.ndarray, np.ndarray]:
     return 4.0 * np.sin(odd * angle) ** 2, q / np.linalg.norm(q, axis=0)
 
 
-def _dirichlet_pairs(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero entries (rows, columns, values) of the form B of sum over
-    sites of |forward gradient|^2 on the cube, zero outside: the Kronecker
-    sum of the chain form over the d axes, sites in lexicographic order of
-    their coordinates, the first axis slowest.  Each site's diagonal sums
-    T's over the axes, 1 at coordinate 0 and 2 elsewhere, and -1 joins it
-    to its forward neighbor along each axis, both ways."""
-    size = 2 * spec.l_half_width + 1
-    coords, sites = np.indices((size,) * spec.d).reshape(spec.d, -1), np.arange(spec.volume)
-    back = [sites[coords[axis] < size - 1] for axis in range(spec.d)]
-    ahead = [s + size ** (spec.d - 1 - axis) for axis, s in enumerate(back)]
-    values = [2.0 * spec.d - np.count_nonzero(coords == 0, axis=0), np.full(2 * sum(s.size for s in back), -1.0)]
-    return np.concatenate([sites, *back, *ahead]), np.concatenate([sites, *ahead, *back]), np.concatenate(values)
-
-
-def _lattice_stiffness(spec: LatticeSpec) -> np.ndarray:
-    """K = xi I + 2 sum_j B kron gamma_j gamma_j^T, each term added on B's
-    nonzero site pairs alone (`_dirichlet_pairs`): the other terms are zeros."""
-    n = spec.total_dim
-    k = np.zeros((n, n))
-    k.flat[:: n + 1] = spec.xi
-    rows, cols, b = _dirichlet_pairs(spec)
-    blocks = k.reshape(spec.volume, spec.n_components, spec.volume, spec.n_components)
-    for g in spec.gammas:
-        blocks[rows, :, cols, :] += 2.0 * (b[:, None, None] * np.outer(g, g))
-    return k
-
-
-def _checked_stiffness(spec: LatticeSpec, tol: ToleranceConfig) -> tuple[np.ndarray, list[tuple[slice, slice]]]:
-    """The assembled K, read-only, and its band (`_band_windows`), over which
-    the Hermitian rule is read; K is symmetrized only when not exactly symmetric."""
-    k = _lattice_stiffness(spec)
-    band = _band_windows(k)
-    k = require_hermitian(k, tol, name="stiffness", dtype=np.float64, windows=band)
-    if any(np.any(k[rows, cols] != k[cols, rows].T) for rows, cols in band):
-        k = 0.5 * (k + k.T)
-        k.flags.writeable = False
-    return k, band
+def _apply_stiffness(spec: LatticeSpec, x: np.ndarray) -> np.ndarray:
+    """K x = xi x + 2 sum_j gamma_j kron B (gamma_j^T x) for x of n rows, with no K formed: the J fields
+    gamma_j^T x, stacked on the (2L + 1)^d site grid, take B along each axis by shifted slices with the chain
+    form's entries, diagonal [1, 2, ..., 2] and -1 off it."""
+    gamma, j, grid = np.stack(spec.gammas), len(spec.gammas), (2 * spec.l_half_width + 1,) * spec.d
+    fields = (gamma @ x.reshape(spec.volume, spec.n_components, -1)).reshape(grid + (j, -1))
+    out = np.multiply(fields, 2.0 * spec.d)
+    for axis in range(spec.d):
+        first, ahead, behind = ((slice(None),) * axis + (part,) for part in (0, slice(1, None), slice(None, -1)))
+        out[first] -= fields[first]
+        out[behind] -= fields[ahead]
+        out[ahead] -= fields[behind]
+    return spec.xi * x + ((2.0 * gamma.T) @ out.reshape(spec.volume, j, -1)).reshape(x.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,13 +313,12 @@ class LatticeHamiltonian:
     (`_chain_spectrum`) and (g, U) from one solve of G.  The holder keeps the
     `eigenvalues`, ascending by a stable sort, their order, Q_T and U.
 
-    Construction assembles K and reads the Hermitian rule over its band
-    (`_checked_stiffness`), then certifies the spectrum against it,
-    max|S V - V diag(w)| <= tau_residual * max(max|w|, 1), else NumericError
-    (a NaN fails too), window by window over the band with S formed on each
-    window, V formed from the factors a block of columns at a time: O(n^2 h)
-    for half-bandwidth h.  K is then dropped; `stiffness` assembles it
-    again, bitwise the K that was checked.  The spectrum is cut as a
+    Construction certifies the spectrum against K's definition,
+    max|K V / m - V diag(w)| <= tau_residual * max(max|w|, 1), else
+    NumericError (a NaN fails too), with V formed from the factors a block
+    of columns at a time and K applied to it by its stencil
+    (`_apply_stiffness`), so no K is formed.  `stiffness` is that stencil
+    applied to the identity, symmetrized once.  The spectrum is cut as a
     `QuadraticHamiltonian`'s is (`_cut_spectrum`).
     """
 
@@ -387,12 +345,11 @@ class LatticeHamiltonian:
         for name, arr in (("_order", order), ("_chain", q_t), ("_gram", u)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        # S V - V diag(w), V formed from the factors a few columns at a time, S = K / m on each band window
-        k, band = _checked_stiffness(spec, tol)
-        r, resid = 1.0 / math.sqrt(spec.m), []
+        # K V / m - V diag(w), V formed from the factors a few columns at a time
+        resid = []
         for part in (slice(a, a + 2 * _BLOCK) for a in range(0, w.size, 2 * _BLOCK)):
             v = self._eigenvector_columns(part)
-            resid += [max_abs(((r * k[rows, cols]) * r) @ v[cols] - v[rows] * w[part]) for rows, cols in band]
+            resid.append(max_abs(_apply_stiffness(spec, v) / spec.m - v * w[part]))
             del v  # before the next columns are formed
         resid = max_abs(np.array(resid))  # an array, so that a NaN is kept
         bound = tol.tau_residual * max(max_abs(w), 1.0)
@@ -412,8 +369,12 @@ class LatticeHamiltonian:
 
     @property
     def stiffness(self) -> np.ndarray:
-        """K, assembled and checked again: bitwise the K that the certificate checked."""
-        return _checked_stiffness(self.spec, self.tol)[0]
+        """K, the stencil applied to the identity, read-only; halved before the symmetrizing sum, so it
+        cannot overflow."""
+        half = 0.5 * _apply_stiffness(self.spec, np.eye(self.dim))
+        k = half + half.T
+        k.flags.writeable = False
+        return k
 
     def _eigenvector_columns(self, columns: slice) -> np.ndarray:
         """V[:, columns] from the factors: column k of V is Q_B[:, a] kron U[:, b], (a, b) = divmod(order_k, N),
@@ -458,10 +419,11 @@ def lattice_system(
     gradient form on the cube; the factor 2 converts the interaction
     terms, which enter the energy without 1/2, to the q^T K q / 2
     convention.  DOF ordering is site-major, (site, component), with the
-    sites in the order of `_dirichlet_pairs`.  The Hamiltonian holds the
-    spectrum of S as K's Kronecker factors, T's in closed form and one
-    solve of G, certified over K's band at tol (`LatticeHamiltonian`), and
-    Omega is formed from them (`frequency_operator`).
+    sites in lexicographic order of their coordinates, the first axis
+    slowest.  The Hamiltonian holds the spectrum of S as K's Kronecker
+    factors, T's in closed form and one solve of G, certified against K's
+    stencil at tol (`LatticeHamiltonian`), and Omega is formed from them
+    (`frequency_operator`).
     """
     ham = LatticeHamiltonian(spec, tol)
     return frequency_operator(ham), ham
@@ -609,8 +571,8 @@ def multiplicity_scan(spec: LatticeSpec, l_values, tol: ToleranceConfig = DEFAUL
     the volume scaling of the multiplicity is a bulk statement with
     boundary corrections at any finite size.  Each row clusters sqrt of
     the eigenvalues of S = K / m that its `LatticeHamiltonian` is built
-    with, cut and clipped there and certified over its assembled K, and
-    forms no Omega: K is the one n x n array a row holds.
+    with, cut and clipped there and certified against K's stencil, and
+    forms no Omega, so a row holds no n x n array.
     """
     rows = []
     for l_val in l_values:

@@ -51,7 +51,7 @@ class ToleranceConfig:
     """Relative tolerances, one per kind of verdict; each line names what reads it.
 
     tau_herm         read by `hermitian_defect` alone, the Hermitian rule of `require_hermitian`
-                     (every `eigh`, the stiffness), `validate` and `OpenSystem.from_mass_form`.
+                     (every `eigh`, a `QuadraticHamiltonian`'s stiffness), `validate` and `OpenSystem.from_mass_form`.
     tau_rank         every rank cut, by one of two rules: the frame rule, tau_rank * sigma_max of the matrix
                      cut (`matrix_rank`, `orthonormal_basis`, `channels`, `orbit` on an orthonormal seed's
                      coefficients, `fit`'s pencil); the atom rule, tau_rank * ||a(0)||_2, every hidden-side
@@ -114,8 +114,6 @@ STRUCTURE_TOL = 1e-9
 # and its Toeplitz form) form from their input; past it, BudgetError.
 SIZE_BUDGET = 10_000_000
 
-WHOLE = ((slice(None), slice(None)),)  # the (rows, columns) window of a whole matrix
-
 
 def as_matrix(values, *, square=False, name="matrix", dtype=np.complex128, own=False, ndim=2) -> np.ndarray:
     """The intake rule of every held array: coerce to dtype (complex128 unless told) with `ndim` axes (square:
@@ -157,20 +155,17 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def hermitian_defect(m: np.ndarray, tol: ToleranceConfig, windows=WHOLE) -> float | None:
-    """The Hermitian rule: max|m - m^H| when it exceeds tau_herm * (1 + max|m|), else None.  Both maxima run
-    over `windows`, (rows, columns) slice pairs, m whole by default: where their blocks hold every nonzero
-    of m, they leave out only exact zeros, and the defect and the verdict are m's."""
-    defect = max((max_abs(m[r, c] - m[c, r].conj().T) for r, c in windows), default=0.0)
-    size = max((max_abs(m[r, c]) for r, c in windows), default=0.0)
-    return defect if defect > tol.tau_herm * (1.0 + size) else None
+def hermitian_defect(m: np.ndarray, tol: ToleranceConfig) -> float | None:
+    """The Hermitian rule: max|m - m^H| when it exceeds tau_herm * (1 + max|m|), else None."""
+    defect = max_abs(m - m.conj().T)
+    return defect if defect > tol.tau_herm * (1.0 + max_abs(m)) else None
 
 
 def require_hermitian(
-    m, tol: ToleranceConfig = DEFAULT_TOLERANCES, *, name: str = "matrix", dtype=np.complex128, windows=WHOLE
+    m, tol: ToleranceConfig = DEFAULT_TOLERANCES, *, name: str = "matrix", dtype=np.complex128
 ) -> np.ndarray:
     m = as_matrix(m, square=True, name=name, dtype=dtype)
-    defect = hermitian_defect(m, tol, windows)
+    defect = hermitian_defect(m, tol)
     if defect is not None:
         raise ValidationError(f"{name} is not Hermitian: max asymmetry {defect:.3e}")
     return m

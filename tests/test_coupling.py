@@ -598,6 +598,28 @@ class TestDecouplingReport:
                 # the residual is a sum of norms: the sampled value stays below it, up to rounding
                 assert sampled <= rep.residual_kernel + 1e-13 * scale
 
+    def test_residuals_read_off_the_frame_are_the_projector_forms(self):
+        # pi = F F^H and pi^perp = I - pi formed as n1 x n1 arrays, on planted and generic systems,
+        # with empty, full, component and random candidates
+        rng = np.random.default_rng(113)
+        systems = [_planted_components(rng, 2 + trial % 2) for trial in range(10)]
+        systems += [random_conservative(rng, n1, n2) for n1, n2 in [(3, 4), (5, 2), (6, 6)]]
+        for sys_ in systems:
+            n1 = sys_.n1
+            frames = [np.zeros((n1, 0), dtype=complex), np.eye(n1, dtype=complex)]
+            frames += [h1.frame for h1, _ in canonical_decomposition(sys_).components]
+            frames += [haar_unitary(n1, rng)[:, :k] for k in (1, 2)]
+            _, v, clusters = eigen_clusters(sys_.omega2, DEFAULT_TOLERANCES)
+            blocks = [(sys_.coupling @ v)[:, cl.start : cl.stop] for cl in clusters]
+            for frame in frames:
+                rep = decoupling_report(sys_, Subspace(n1, frame))
+                pi = frame @ frame.conj().T
+                pi_c = np.eye(n1) - pi
+                r_int = np.linalg.norm(pi @ sys_.omega1 @ pi_c, 2)
+                r_ker = sum(np.linalg.norm((pi @ b) @ (pi_c @ b).conj().T, 2) for b in blocks)
+                assert abs(rep.residual_internal - r_int) <= 1e-12 * r_int + 1e-14
+                assert abs(rep.residual_kernel - r_ker) <= 1e-12 * r_ker + 1e-14
+
 
 class TestCovariance:
     """canonical_decomposition under Haar rotations of each side: the same system."""

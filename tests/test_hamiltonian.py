@@ -9,13 +9,12 @@ diagonal matrix and a principal square root of S as a complex Hermitian
 matrix), and `frozen_report` to the same route with dense Kronecker
 frames.  A lattice's spectrum is held as the Kronecker factors of its
 stiffness; `TestFactoredSpectrum` holds it to a dense real solve of
-the assembled S, checks that its certificate refuses a wrong factor and
-an entry off the band, and holds the certificate's banded product to the
-dense `k @ y`; `TestLatticeHolder` bounds a report's memory and holds the
-Omega formed from the factors to the dense route; `TestBandHermitianRule`
-holds the Hermitian rule read over the band to the dense rule, and
-`TestClosedFormSpectrum` holds the chain form's closed-form eigenpairs to
-the assembled chain form.
+S = K / m, holds K's stencil and `stiffness` to K summed bond by bond,
+and checks that the certificate refuses a wrong factor and a coupling
+the stencil should not have; `TestLatticeHolder` bounds a report's
+memory and holds the Omega formed from the factors to the dense route,
+and `TestClosedFormSpectrum` holds the chain form's closed-form
+eigenpairs to the assembled chain form.
 """
 
 import itertools
@@ -54,8 +53,6 @@ from openext.numerics import (
     DEFAULT_TOLERANCES,
     Subspace,
     complement,
-    hermitian_defect,
-    require_hermitian,
     zero_subspace,
 )
 
@@ -629,16 +626,16 @@ class TestLattice:
     @pytest.mark.parametrize(
         "flags",
         [
-            ("--gammas", "1.3e154,1"),  # |gamma|^2 = 1.69e308 is a float, 4 d |gamma|^2 in K is not
+            ("--gammas", "1.3e154,1"),  # |gamma|^2 = 1.69e308 is a float, 8 d |gamma|^2 in S's bound is not
             ("--gammas", "1,1", "--m", "1e-310"),  # S = K / m overflows
             ("--gammas", "1,1", "--xi", "1e308", "--m", "0.5"),  # xi / m overflows
-            ("--gammas", "1e154,0;1e154,0"),  # each square a float, their sum past the range in K
+            ("--gammas", "1e154,0;1e154,0"),  # each square a float, their sum past the range
         ],
         ids=["gamma", "mass", "xi", "sum"],
     )
     def test_spec_rejects_operators_past_the_float_range(self, flags, capsys):
-        # bounds on max|K| (with room for the symmetrizing sum) and on the
-        # spectrum of S refuse the spec before anything is formed: exit 1, nothing warns
+        # the bound on the spectrum of S, whose numerator bounds K too, refuses
+        # the spec before anything is formed: exit 1, nothing warns
         argv = ["lattice", "--d", "1", "--L", "2", "--N", "2", *flags]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -650,7 +647,8 @@ class TestLattice:
             LatticeSpec(1, 2, 2, values.get("--m", 1.0), values.get("--xi", 1.0), gammas)
 
     @pytest.mark.parametrize("flags", [("--gammas", "4e153,1"), ("--gammas", "1,1", "--m", "1e-307"),
-                                       ("--gammas", "1,1", "--xi", "1e307")])
+                                       ("--gammas", "1,1", "--xi", "1e307"),
+                                       ("--gammas", "1,1", "--xi", "1.5e308", "--m", "2")])
     def test_spec_near_the_float_range_reports_without_warnings(self, flags, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -676,8 +674,8 @@ class TestLattice:
 
 
 def per_site_dirichlet_form(spec):
-    """The gradient form summed bond by bond over the sites: the reference
-    that the Kronecker sum of the chain form must equal bitwise."""
+    """The gradient form summed bond by bond over the sites: B of the
+    reference K that the stencil is held to."""
     sites = lattice_sites(spec)
     index = {s: i for i, s in enumerate(sites)}
     b = np.zeros((len(sites), len(sites)))
@@ -694,6 +692,14 @@ def per_site_dirichlet_form(spec):
     return b
 
 
+def reference_stiffness(spec):
+    """K = xi I + 2 sum_j B kron gamma_j gamma_j^T, assembled densely from the per-site form."""
+    b, k = per_site_dirichlet_form(spec), spec.xi * np.eye(spec.total_dim)
+    for g in spec.gammas:
+        k += 2.0 * np.kron(b, np.outer(g, g))
+    return k
+
+
 def seeded_lattice(rng, d, l_half_width, n, j):
     gammas = tuple(rng.standard_normal(n) for _ in range(j))
     return LatticeSpec(d, l_half_width, n, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)), gammas)
@@ -707,8 +713,8 @@ FACTORED_SPECS = [
 ]
 
 
-# one lattice per d whose stiffness is narrower than the certificate's dense fallback
-OFF_BAND_SPECS = [
+# one lattice per d, its first and last sites far from neighbors
+FAR_CORNER_SPECS = [
     LatticeSpec(1, 50, 2, 1.2, 0.8, (np.array([0.6, -1.1]),)),
     LatticeSpec(2, 7, 2, 0.9, 1.4, (np.array([1.3, 0.4]),)),
     LatticeSpec(3, 3, 1, 1.1, 0.7, (np.array([0.9]),)),
@@ -724,35 +730,13 @@ BENCHMARK_SHAPES = [
 ]
 
 
-SPECIAL_BANDS = ["diagonal", "full", "one_by_one", "banded", "zero_row"]
-
-
-def special_band_matrix(name):
-    """A diagonal, a full, a 1 x 1 and a 4-band 300 x 300 matrix, and that band with an all-zero row."""
-    rng = np.random.default_rng(83)
-    if name in ("banded", "zero_row"):
-        k = np.triu(np.tril(rng.standard_normal((300, 300)), 4), -4)
-        if name == "zero_row":
-            k[150] = 0.0
-        return k
-    return {"diagonal": np.diag(rng.standard_normal(300)), "full": rng.standard_normal((300, 300)),
-            "one_by_one": np.array([[2.5]])}[name]
-
-
 class TestFactoredSpectrum:
     @pytest.mark.parametrize("d,l_half_width", [(1, 0), (1, 1), (1, 6), (2, 0), (2, 1), (2, 3), (3, 1), (3, 2)])
-    def test_dirichlet_form_is_bitwise_the_per_site_sum(self, d, l_half_width):
+    def test_stiffness_is_the_per_site_sum(self, d, l_half_width):
         spec = LatticeSpec(d, l_half_width, 2, 1.3, 0.9, (np.array([0.7, -1.3]), np.array([0.2, 0.9])))
-        b = per_site_dirichlet_form(spec)
-        rows, cols, values = hamiltonian._dirichlet_pairs(spec)
-        assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size == np.count_nonzero(b)
-        paired = np.zeros_like(b)
-        paired[rows, cols] = values
-        assert paired.tobytes() == b.tobytes()
-        k = spec.xi * np.eye(spec.total_dim)
-        for g in spec.gammas:
-            k += 2.0 * np.kron(b, np.outer(g, g))
-        assert lattice_system(spec)[1].stiffness.tobytes() == (0.5 * (k + k.T)).tobytes()
+        k, ref = lattice_system(spec)[1].stiffness, reference_stiffness(spec)
+        assert np.array_equal(k, k.T) and not k.flags.writeable
+        assert np.max(np.abs(k - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("spec", FACTORED_SPECS)
     def test_matches_the_dense_solve(self, spec):
@@ -811,30 +795,32 @@ class TestFactoredSpectrum:
         with pytest.raises(NumericError, match="certificate"):
             frozen_report(spec, tight)
 
-    @pytest.mark.parametrize("spec", OFF_BAND_SPECS, ids=lambda s: f"d{s.d}")
-    def test_an_entry_off_the_band_fails_the_certificate(self, spec, monkeypatch):
-        rows, cols = np.nonzero(lattice_system(spec)[1].stiffness)
-        assert 64 + 2 * np.max(np.abs(rows - cols)) < spec.total_dim  # the certificate takes the banded route
-        k = hamiltonian._lattice_stiffness(spec)
-        k[0, -1] = k[-1, 0] = 1e-3
-        monkeypatch.setattr(hamiltonian, "_lattice_stiffness", lambda spec: k.copy())
+    @pytest.mark.parametrize("spec", FAR_CORNER_SPECS, ids=lambda s: f"d{s.d}")
+    def test_a_coupling_of_the_first_and_last_site_fails_the_certificate(self, spec, monkeypatch, capsys):
+        stencil, n = hamiltonian._apply_stiffness, spec.n_components
+
+        def coupled(spec, x):
+            kx = stencil(spec, x)
+            kx[:n] += 1e-3 * x[-n:]
+            kx[-n:] += 1e-3 * x[:n]
+            return kx
+
+        monkeypatch.setattr(hamiltonian, "_apply_stiffness", coupled)
         with pytest.raises(NumericError, match="certificate"):
             lattice_system(spec)
+        argv = ["lattice", "--d", str(spec.d), "--L", str(spec.l_half_width), "--N", str(n), "--m", repr(spec.m),
+                "--xi", repr(spec.xi), "--gammas=" + ",".join(map(repr, spec.gammas[0].tolist()))]
+        assert main(argv) == 2
+        assert "certificate" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", FACTORED_SPECS + BENCHMARK_SHAPES + SPECIAL_BANDS,
-                             ids=lambda c: c if isinstance(c, str) else f"d{c.d}L{c.l_half_width}N{c.n_components}")
-    def test_the_band_product_is_the_dense_product(self, case):
-        k = special_band_matrix(case) if isinstance(case, str) else lattice_system(case)[1].stiffness
+    @pytest.mark.parametrize("spec", FACTORED_SPECS + BENCHMARK_SHAPES,
+                             ids=lambda s: f"d{s.d}L{s.l_half_width}N{s.n_components}")
+    def test_the_stencil_is_the_dense_product(self, spec):
+        k = reference_stiffness(spec)
         y = np.random.default_rng(k.shape[0]).standard_normal((k.shape[0], 7))
-        band, held = hamiltonian._band_windows(k), np.zeros(k.shape, dtype=bool)
-        got = np.empty_like(y)
-        for rows, cols in band:  # the certificate's product, block by block
-            held[rows, cols] = True
-            got[rows] = k[rows, cols] @ y[cols]
-        assert not np.any(k[~held])  # the blocks hold every nonzero
-        # each entry sums the same nonzero products as the dense one, in another order
-        ref = k @ y
-        assert np.all(np.abs(got - ref) <= 2 * k.shape[0] * np.finfo(float).eps * (np.abs(k) @ np.abs(y)))
+        got = hamiltonian._apply_stiffness(spec, y)
+        # each entry sums the same terms as the dense one, factored through the fields gamma_j^T y
+        assert np.all(np.abs(got - k @ y) <= 2 * k.shape[0] * np.finfo(float).eps * (np.abs(k) @ np.abs(y)))
 
     @pytest.mark.parametrize("spec", FACTORED_SPECS)
     def test_no_solve_is_larger_than_a_factor(self, spec, monkeypatch):
@@ -899,8 +885,8 @@ class TestFactoredSpectrum:
 
 
 class TestLatticeHolder:
-    """A lattice report holds one n x n array: V is formed a block of columns at a time, K is not kept,
-    and Omega is summed from V x V Kronecker blocks."""
+    """A frozen report holds one n x n array and a scan row none: V is formed a block of columns at a time,
+    K is applied by its stencil and never formed, and Omega is summed from V x V Kronecker blocks."""
 
     @staticmethod
     def peak_bytes(run):
@@ -926,6 +912,13 @@ class TestLatticeHolder:
         multiplicity_scan(spec, [1])
         assert self.peak_bytes(lambda: multiplicity_scan(spec, [1, 2, 3, 4])) < 1.5 * n * n * 8
 
+    def test_a_scan_near_the_budget_peaks_below_half_an_n_by_n_array(self):
+        spec = LatticeSpec(2, 1, 2, 1.3, 0.9, (np.array([0.6, 0.8]),))
+        n = LatticeSpec(2, 15, 2, 1.3, 0.9, spec.gammas).total_dim
+        assert n == 1922
+        multiplicity_scan(spec, [1])
+        assert self.peak_bytes(lambda: multiplicity_scan(spec, [5, 10, 15])) < 0.5 * n * n * 8
+
     @pytest.mark.parametrize("spec", LATTICE_SPECS + BENCHMARK_SHAPES,
                              ids=lambda s: f"d{s.d}L{s.l_half_width}N{s.n_components}J{len(s.gammas)}")
     def test_omega_from_kronecker_blocks_is_the_dense_route(self, spec):
@@ -943,73 +936,6 @@ class TestLatticeHolder:
         held = [h.eigenvalues, h._order, h._chain, h._gram]
         assert [a.shape for a in held] == [(882,), (882,), (21, 21), (2, 2)]
         assert not any(a.flags.writeable for a in held)
-
-
-class TestBandHermitianRule:
-    """The Hermitian rule read over K's band: the dense rule's verdict, exception and asymmetry."""
-
-    @pytest.mark.parametrize("where", ["in_band", "corner", "nan"])
-    @pytest.mark.parametrize("spec", OFF_BAND_SPECS, ids=lambda s: f"d{s.d}")
-    def test_a_planted_asymmetry_is_refused_as_the_dense_rule_refuses_it(self, spec, where, monkeypatch):
-        n = spec.total_dim
-        assert len(hamiltonian._band_windows(lattice_system(spec)[1].stiffness)) > 1  # the rule reads band windows
-        k, i = hamiltonian._lattice_stiffness(spec), n // 2
-        if where == "in_band":
-            k[i, i + 1] += 1e-3
-        elif where == "corner":
-            k[0, n - 1] = 1e-3
-            assert hamiltonian._band_windows(k) == [(slice(0, n), slice(0, n))]  # the band reads full width
-        else:
-            k[i, i + 1] = np.nan
-        monkeypatch.setattr(hamiltonian, "_lattice_stiffness", lambda spec: k.copy())
-        with pytest.raises(ValidationError) as dense:
-            require_hermitian(k, name="stiffness", dtype=np.float64)
-        with pytest.raises(ValidationError) as banded:
-            hamiltonian.LatticeHamiltonian(spec)
-        assert str(banded.value) == str(dense.value)
-        if where != "nan":
-            defect = hermitian_defect(k, DEFAULT_TOLERANCES)
-            assert hermitian_defect(k, DEFAULT_TOLERANCES, hamiltonian._band_windows(k)) == defect
-            assert str(banded.value) == f"stiffness is not Hermitian: max asymmetry {defect:.3e}"
-
-    @pytest.mark.parametrize("spec", OFF_BAND_SPECS, ids=lambda s: f"d{s.d}")
-    def test_symmetrizes_only_a_stiffness_that_is_not_exactly_symmetric(self, spec, monkeypatch):
-        k = hamiltonian._lattice_stiffness(spec)
-        assert np.array_equal(k, k.T)
-        exact = lattice_system(spec)[1].stiffness
-        assert exact.tobytes() == k.tobytes() and not exact.flags.writeable
-        near, i = k.copy(), spec.total_dim // 2
-        near[i, i + 1] += 1e-14  # inside the rule's cut
-        band = hamiltonian._band_windows(near)
-        assert hermitian_defect(near, DEFAULT_TOLERANCES) is None
-        strict = DEFAULT_TOLERANCES.replace(tau_herm=1e-20)
-        assert hermitian_defect(near, strict, band) == hermitian_defect(near, strict) == near[i, i + 1] - near[i + 1, i]
-        monkeypatch.setattr(hamiltonian, "_lattice_stiffness", lambda spec: near.copy())
-        stored = lattice_system(spec)[1].stiffness
-        assert stored.tobytes() == (0.5 * (near + near.T)).tobytes() and not stored.flags.writeable
-
-    @pytest.mark.parametrize("spec", OFF_BAND_SPECS + FACTORED_SPECS, ids=lambda s: f"d{s.d}L{s.l_half_width}")
-    @pytest.mark.parametrize("near", [False, True], ids=["exact", "near"])
-    def test_stiffness_read_on_demand_is_the_k_the_certificate_checked(self, spec, near, monkeypatch):
-        # K is not kept: `stiffness` assembles and checks it again, bitwise the K that construction certified
-        checked, check, assemble = [], hamiltonian._checked_stiffness, hamiltonian._lattice_stiffness
-
-        def recording(spec, tol):
-            k, band = check(spec, tol)
-            checked.append(k.copy())
-            return k, band
-
-        def nearly_symmetric(spec):
-            k = assemble(spec)
-            k[0, 1] += 1e-14 * near
-            return k
-
-        monkeypatch.setattr(hamiltonian, "_checked_stiffness", recording)
-        monkeypatch.setattr(hamiltonian, "_lattice_stiffness", nearly_symmetric)
-        h = lattice_system(spec)[1]
-        assert len(checked) == 1
-        assert h.stiffness.tobytes() == checked[0].tobytes()
-        assert np.array_equal(checked[0], checked[0].T)
 
 
 def chain_form(size):
