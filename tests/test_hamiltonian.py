@@ -10,11 +10,12 @@ matrix), and `frozen_report` to the same route with dense Kronecker
 frames.  A lattice's spectrum is held as the Kronecker factors of its
 stiffness; `TestFactoredSpectrum` holds it to a dense real solve of
 S = K / m, holds K's stencil and `stiffness` to K summed bond by bond,
-and checks that the certificate refuses a wrong factor and a coupling
-the stencil should not have; `TestLatticeHolder` bounds a report's
-memory and holds the Omega formed from the factors to the dense route,
-and `TestClosedFormSpectrum` holds the chain form's closed-form
-eigenpairs to the assembled chain form.
+checks that the certificate applies the stencil to every column of V
+once and refuses a wrong factor, a coupling the stencil should not have
+and a one-way coupling, and that `stiffness` is the K it checked;
+`TestLatticeHolder` bounds a report's memory and holds the Omega formed
+from the factors to the dense route, and `TestClosedFormSpectrum` holds
+the chain form's closed-form eigenpairs to the assembled chain form.
 """
 
 import itertools
@@ -729,6 +730,17 @@ BENCHMARK_SHAPES = [
                                   (3, 4, 1, 1)]
 ]
 
+# fields the seeded specs do not reach: a zero entry, parallel fields, more fields than components,
+# one site, and a single column to apply the stencil to
+SPECIAL_FIELDS = [
+    ("zero_entry", LatticeSpec(2, 3, 3, 1.1, 0.9, (np.array([0.8, 0.0, -1.2]),)), 7),
+    ("parallel", LatticeSpec(2, 2, 2, 0.7, 1.3, (np.array([0.5, -0.9]), np.array([-1.0, 1.8]))), 7),
+    ("j_above_n", LatticeSpec(1, 6, 2, 1.2, 0.6, (np.array([1.0, 0.3]), np.array([-0.4, 0.7]),
+                                                  np.array([0.9, 0.9]))), 7),
+    ("one_site", LatticeSpec(3, 0, 3, 0.8, 1.1, (np.array([0.6, 1.4, -0.2]),)), 7),
+    ("one_column", LatticeSpec(3, 2, 2, 1.4, 0.8, (np.array([1.1, -0.5]),)), 1),
+]
+
 
 class TestFactoredSpectrum:
     @pytest.mark.parametrize("d,l_half_width", [(1, 0), (1, 1), (1, 6), (2, 0), (2, 1), (2, 3), (3, 1), (3, 2)])
@@ -821,6 +833,69 @@ class TestFactoredSpectrum:
         got = hamiltonian._apply_stiffness(spec, y)
         # each entry sums the same terms as the dense one, factored through the fields gamma_j^T y
         assert np.all(np.abs(got - k @ y) <= 2 * k.shape[0] * np.finfo(float).eps * (np.abs(k) @ np.abs(y)))
+
+    @pytest.mark.parametrize("case", SPECIAL_FIELDS, ids=lambda c: c[0])
+    def test_the_stencil_on_special_fields_is_the_dense_product(self, case):
+        _, spec, width = case
+        k = reference_stiffness(spec)
+        y = np.random.default_rng(k.shape[0]).standard_normal((k.shape[0], width))
+        got = hamiltonian._apply_stiffness(spec, y)
+        assert got.shape == y.shape
+        assert np.all(np.abs(got - k @ y) <= 2 * k.shape[0] * np.finfo(float).eps * (np.abs(k) @ np.abs(y)))
+
+    @pytest.mark.parametrize("where", ["in_band", "corner", "nan"])
+    @pytest.mark.parametrize("spec", FAR_CORNER_SPECS, ids=lambda s: f"d{s.d}")
+    def test_a_planted_asymmetry_fails_the_certificate(self, spec, where, monkeypatch):
+        # no Hermitian rule reads K any more: a stencil that is not symmetric is refused by the certificate
+        stencil, i = hamiltonian._apply_stiffness, spec.total_dim // 2
+        row, col, value = {"in_band": (i, i + 1, 1e-3), "corner": (0, -1, 1e-3), "nan": (i, i + 1, np.nan)}[where]
+
+        def one_way(spec, x):
+            kx = stencil(spec, x)
+            kx[row] += value * x[col]
+            return kx
+
+        monkeypatch.setattr(hamiltonian, "_apply_stiffness", one_way)
+        with pytest.raises(NumericError, match="certificate"):
+            lattice_system(spec)
+
+    @pytest.mark.parametrize("shape", [(1, 2, 1), (1, 0, 128), (1, 64, 1), (2, 5, 2), (1, 64, 3)],
+                             ids=lambda s: f"d{s[0]}L{s[1]}N{s[2]}")
+    def test_the_certificate_applies_the_stencil_to_every_column_once(self, shape, monkeypatch):
+        spec = seeded_lattice(np.random.default_rng(sum(shape)), *shape, 1)
+        n, stencil, applied = spec.total_dim, hamiltonian._apply_stiffness, []
+
+        def recording(spec, x):
+            applied.append(x.copy())
+            return stencil(spec, x)
+
+        monkeypatch.setattr(hamiltonian, "_apply_stiffness", recording)
+        lattice_system(spec)
+        step = 2 * hamiltonian._BLOCK
+        assert [x.shape for x in applied] == [(n, min(step, n - a)) for a in range(0, n, step)]
+        v = np.hstack(applied)  # the eigenvectors, each one once
+        assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
+
+    @pytest.mark.parametrize("spec", FAR_CORNER_SPECS + FACTORED_SPECS + BENCHMARK_SHAPES,
+                             ids=lambda s: f"d{s.d}L{s.l_half_width}N{s.n_components}J{len(s.gammas)}")
+    def test_stiffness_read_on_demand_is_the_k_the_certificate_checked(self, spec, monkeypatch):
+        # K is not kept: `stiffness` applies the stencil again, and its product is the certificate's K V
+        stencil, applied = hamiltonian._apply_stiffness, []
+
+        def recording(spec, x):
+            kx = stencil(spec, x)
+            applied.append((x.copy(), kx.copy()))
+            return kx
+
+        monkeypatch.setattr(hamiltonian, "_apply_stiffness", recording)
+        h = lattice_system(spec)[1]
+        checked = len(applied)
+        k = h.stiffness
+        assert len(applied) == checked + 1  # one more application, to the identity
+        assert np.array_equal(k, k.T) and not k.flags.writeable
+        eps = np.finfo(float).eps
+        for x, kx in applied[:checked]:
+            assert np.all(np.abs(k @ x - kx) <= 4 * k.shape[0] * eps * (np.abs(k) @ np.abs(x)))
 
     @pytest.mark.parametrize("spec", FACTORED_SPECS)
     def test_no_solve_is_larger_than_a_factor(self, spec, monkeypatch):
