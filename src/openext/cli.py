@@ -49,7 +49,6 @@ from .serialization import (
     complex_to_json,
     dumps,
     load_object,
-    matrix_to_json,
     measure_to_json,
     read_kernel_csv,
     system_to_json,
@@ -192,7 +191,7 @@ def _cmd_decompose(args, tol: ToleranceConfig) -> int:
         digest,
         tol,
         parts={
-            name: {"dim": sub.dim, "frame": matrix_to_json(_full_frame(system, sub, side))}
+            name: {"dim": sub.dim, "frame": _full_frame(system, sub, side)}
             for name, sub, side in (("h1c", parts.h1c, 1), ("h1d", parts.h1d, 1),
                                     ("h2c", parts.h2c, 2), ("h2d", parts.h2d, 2))
         },
@@ -202,7 +201,7 @@ def _cmd_decompose(args, tol: ToleranceConfig) -> int:
             "items": [
                 {
                     "dim": sub.dim,
-                    "frame": matrix_to_json(_full_frame(system, sub, 2)),
+                    "frame": _full_frame(system, sub, 2),
                     "content": [{"value": v, "weight": w} for v, w in measure],
                 }
                 for sub, measure in zip(strings.strings, strings.measures)
@@ -227,8 +226,8 @@ def _cmd_channels(args, tol: ToleranceConfig) -> int:
         tol,
         rank=cs.rank,
         gammas=list(cs.gammas),
-        g=matrix_to_json(cs.g),
-        g_prime=matrix_to_json(cs.g_prime),
+        g=cs.g,
+        g_prime=cs.g_prime,
         degenerate_groups=[list(g) for g in cs.degenerate_groups],
         coupling_matrix={
             "partition": "canonical components (nonempty sides)",
@@ -254,8 +253,8 @@ def _cmd_canonical(args, tol: ToleranceConfig) -> int:
             {
                 "h1_dim": h1_part.dim,
                 "h2_dim": h2_part.dim,
-                "h1_frame": matrix_to_json(f1),
-                "h2_frame": matrix_to_json(f2),
+                "h1_frame": f1,
+                "h2_frame": f2,
                 "s_invariant": verdict,
                 "residual_omega": residuals[0],
                 "residual_p1": residuals[1],

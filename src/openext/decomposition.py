@@ -144,12 +144,15 @@ def _atom_orbit(system: ConservativeSystem, v, clusters, frame, tol: ToleranceCo
 
 
 def coupled_parts(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> CoupledParts:
-    """Split each side into its coupled orbit and the decoupled remainder."""
-    basis = orthonormal_basis(system.coupling, tol)
-    h1c = orbit(system.omega1, basis, tol)
-    _, v, clusters = eigen_clusters(system.omega2, tol)
-    h2c, h2c_clusters = _atom_orbit(system, v, clusters, basis.frame, tol)
-    return CoupledParts(h1c, complement(h1c), h2c, complement(h2c), h2c_clusters)
+    """Split each side into its coupled orbit and the decoupled remainder, once per (system, tol):
+    the split is kept on the system, and every later call with an equal tol returns that object."""
+    if (parts := system._coupled_parts.get(tol)) is None:
+        basis = orthonormal_basis(system.coupling, tol)
+        h1c = orbit(system.omega1, basis, tol)
+        _, v, clusters = eigen_clusters(system.omega2, tol)
+        h2c, h2c_clusters = _atom_orbit(system, v, clusters, basis.frame, tol)
+        parts = system._coupled_parts[tol] = CoupledParts(h1c, complement(h1c), h2c, complement(h2c), h2c_clusters)
+    return parts
 
 
 def _block_basis(frame1: np.ndarray, frame2: np.ndarray) -> np.ndarray:

@@ -23,7 +23,11 @@ fixed order of the seeded stream, then evaluates them in batched
 products.  A rough trial stays factored as its interpolation matrix
 times its coarse node values, and a frequency-modulated trial p along
 its worst direction is read as lambda_min(H_p) / ||p||_w^2 from the
-form Q(g p) = g^H H_p g, with no eigenvector formed.  `fit_point_measure`
+form Q(g p) = g^H H_p g, with no eigenvector formed.  Where the masses
+span less than C^n, both checks read them compressed to a frame of the
+range of A, whose complement carries the form's exact 0, and Weyl's
+bound on each mass's leak off that frame certifies the result; a measure
+it does not certify is checked on its full masses.  `fit_point_measure`
 recovers a measure from noise-free uniform kernel samples by a
 matrix-pencil frequency search plus per-frequency least squares.  The
 frame rule cuts its pencil, the PSD cut on the fitted kernel's block
@@ -146,6 +150,23 @@ def minimal_extension(measure: PointMeasure, tol: ToleranceConfig = DEFAULT_TOLE
     return ConservativeSystem(n1, n2, omega)
 
 
+def _block_norms(blocks: list[np.ndarray], scale: float) -> list[float]:
+    """||B||_2 / scale of each block, B divided first so that squares that underflow still count:
+    one row-norm pass over the one-column blocks, one stacked SVD per wider width."""
+    ratios = [0.0] * len(blocks)
+    widths = [b.shape[1] for b in blocks]
+    for width in set(widths):
+        members = [i for i, w in enumerate(widths) if w == width]
+        stack = np.stack([blocks[i] for i in members]) / scale
+        if width == 1:
+            s = np.linalg.norm(stack[:, :, 0], axis=1)
+        else:
+            s = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        for i, ratio in zip(members, s.tolist()):
+            ratios[i] = ratio
+    return ratios
+
+
 def measure_of(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> PointMeasure:
     """Point measure of the system's friction kernel.
 
@@ -162,7 +183,8 @@ def measure_of(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERA
     _, v, clusters = eigen_clusters(system.omega2, tol)
     scale = system._coupling_norm
     blocks = [(c.value, gamma @ v[:, c.start : c.stop]) for c in clusters]
-    kept = [(f, b) for f, b in blocks if scale and (float(np.linalg.norm(b, 2)) / scale) ** 2 > tol.tau_rank]
+    ratios = _block_norms([b for _, b in blocks], scale) if scale else []
+    kept = [(f, b) for (f, b), ratio in zip(blocks, ratios) if ratio * ratio > tol.tau_rank]
     masses = np.empty((len(kept), system.n1, system.n1), dtype=np.complex128)
     for k, (freq, block) in enumerate(kept):
         mass = block @ block.conj().T
@@ -288,23 +310,89 @@ def _draw_trials(rng, count: int, times: np.ndarray, taper: np.ndarray, n: int, 
 
 
 def _rough_form_values(
-    phases: np.ndarray, masses: np.ndarray, total_mass: np.ndarray, weights: np.ndarray, interp, coarse
+    phases: np.ndarray, masses: np.ndarray, total_mass: np.ndarray, weights: np.ndarray, interp, coarse, frame=None
 ) -> np.ndarray:
     """Q(v_t) / ||v_t||_w^2 for the rough trials v_t = P_t C_t
     (P = interp, C = coarse), never forming v_t: the squared norm and the
     local term are the small Gram matrices P^T W P and P^T W^2 P against
     C C^H and C A^T C^H, and the phase sums S_t = (P_t^T E)^T C_t meet the
-    mass stack in one batched product.  Zero-norm trials are dropped."""
+    mass stack in one batched product.  With a frame Q, whose compressions
+    the masses and A then are, the form reads the coordinates C conj(Q)
+    and the norm C itself.  Zero-norm trials are dropped."""
     pt = interp.transpose(0, 2, 1)
     pw = pt * weights
     ch = coarse.conj().transpose(0, 2, 1)
     norm2 = np.einsum("tij,tij->t", pw @ interp, (coarse @ ch).real)
+    if frame is not None:
+        coarse = coarse @ frame.conj()
+        ch = coarse.conj().transpose(0, 2, 1)
     local = np.einsum("tij,tij->t", (pw * weights) @ interp, (coarse @ total_mass.T @ ch).real)
     s = (pt @ phases.view(np.float64)).view(np.complex128).transpose(0, 2, 1) @ coarse
     ns = s.transpose(1, 0, 2) @ masses.transpose(0, 2, 1)  # (N_k S_tk)^T, stacked (K, T, n)
     cross = np.einsum("tku,ktu->t", s.view(np.float64), ns.view(np.float64))  # Re S^H N S
     keep = norm2 > 0
     return 0.5 * (cross[keep] + local[keep]) / norm2[keep]
+
+
+def _scan_min(seed, trials: int, n: int, freqs, times, weights, phases, masses, total_mass, frame) -> float:
+    """Least Monte-Carlo value over the seeded trials, MC_CHUNK at a time (0.0 when none has one).
+    With a frame, the masses are compressed to it and its complement adds the form's exact 0."""
+    rng = np.random.default_rng(seed)
+    taper = np.sin(np.pi * times / MC_TIME_SPAN) ** 2
+    mc_min = np.inf
+    for start in range(0, trials, MC_CHUNK):
+        interp, coarse, profiles = _draw_trials(
+            rng, min(MC_CHUNK, trials - start), times, taper, n, freqs if freqs.size else None
+        )
+        values = _rough_form_values(phases, masses, total_mass, weights, interp, coarse, frame)
+        if profiles is not None:
+            lowest = np.linalg.eigvalsh(_profile_form_matrix(phases, masses, weights, profiles))[:, 0]
+            if frame is not None:
+                lowest = np.minimum(lowest, 0.0)
+            values = np.concatenate([values, lowest / (np.abs(profiles) ** 2 @ weights)])
+        if values.size:
+            mc_min = min(mc_min, float(values.min()))
+    return float(mc_min) if np.isfinite(mc_min) else 0.0
+
+
+def _range_route(masses: np.ndarray, total: np.ndarray, tol: ToleranceConfig):
+    """The masses on a frame Q of the range of their total a(0): the
+    eigenvectors of a(0) past the atom rule, |w| > tau_rank * ||a(0)||_2, from
+    one `eigh`.  Returns (Q, C, leaks), C the Hermitian parts C_k of
+    Q^H N_k Q and the leak l_k = ||N_k - Q C_k Q^H||_F, which bounds its
+    2-norm, taken one atom at a time; None where Q would be all of C^n or
+    nothing."""
+    if not np.all(np.isfinite(total)):
+        return None
+    w, u = np.linalg.eigh(total)
+    keep = np.abs(w) > tol.tau_rank * np.max(np.abs(w), initial=0.0)
+    if keep.all() or not keep.any():
+        return None
+    q = u[:, keep]
+    qh = q.conj().T
+    compressed, leaks = np.empty((masses.shape[0], q.shape[1], q.shape[1]), dtype=np.complex128), []
+    for k, mass in enumerate(masses):
+        c = qh @ mass @ q
+        compressed[k] = c = 0.5 * (c + c.conj().T)
+        leaks.append(float(np.linalg.norm(mass - q @ c @ qh)))
+    return q, compressed, np.array(leaks)
+
+
+def _range_minima(masses: np.ndarray, compressed: np.ndarray, leaks: np.ndarray, tol: ToleranceConfig):
+    """Least eigenvalue of each atom and the witnesses, read off Q C_k Q^H, whose spectrum (that of
+    C_k and n - r zeros) lies within l_k of the atom's (Weyl).  An atom whose least one lies within
+    2 l_k of its PSD cut is decided on its full mass."""
+    lam = np.linalg.eigvalsh(compressed)
+    ends = np.stack([np.minimum(lam[:, 0], 0.0), np.maximum(lam[:, -1], 0.0)], axis=1)
+    min_eigs, witness = [], []
+    for k, (w, leak) in enumerate(zip(ends, leaks.tolist())):
+        cut = -tol.tau_residual * max(abs(w[0]), abs(w[1]))  # `below_psd_cut`'s
+        if abs(w[0] - cut) <= 2.0 * leak:
+            w = np.linalg.eigvalsh(masses[k])
+        min_eigs.append(float(w[0]))
+        if below_psd_cut(w, tol):
+            witness.append((k, float(w[0])))
+    return min_eigs, witness
 
 
 def check_dissipation(
@@ -333,6 +421,15 @@ def check_dissipation(
         is never formed: Q(g p) = g^H H_p g, so its value is
         lambda_min(H_p) / ||p||_w^2 (`_profile_form_matrix`).
 
+    Both checks run on the range of a(0) where it is smaller than C^n
+    (`_range_route`): each mass N_k is replaced by Q C_k Q^H, whose
+    complement carries an exact 0, and so moves by its leak l_k.  Since
+    sum_j w_j = T and max_j w_j = h, every Monte-Carlo value then moves by
+    at most (T + h)/2 * sum_k l_k, the certificate.  A measure whose
+    certificate exceeds the scan's tolerance |threshold|, or could move
+    the least value across the threshold, is checked on its full masses,
+    and so is one whose frame is all of C^n, exactly as without a frame.
+
     A gain in sampled data is refused by `fit_point_measure`, before the
     PSD clip that would hide it from this check.
     """
@@ -348,40 +445,35 @@ def check_dissipation(
     times = np.linspace(0.0, MC_TIME_SPAN, MC_GRID_POINTS)
     weights = np.full(MC_GRID_POINTS, MC_TIME_SPAN / (MC_GRID_POINTS - 1))
     weights[[0, -1]] *= 0.5
+    phases = weights[:, None] * np.exp(1j * np.outer(times, freqs))
+    total = measure.total_mass()
+    scale = float(np.linalg.norm(total, 2))
+    threshold = -tol.tau_residual * scale * MC_TIME_SPAN ** 2
+    scan = (seed, trials, n, freqs, times, weights, phases)
+
+    def report(min_eigs, witness, mc_min) -> DissipationReport:
+        return DissipationReport(
+            witness_atoms=tuple(witness),
+            atom_min_eigenvalues=tuple(min_eigs),
+            mc_min_value=mc_min,
+            trials=int(trials),
+            seed=int(seed),
+            threshold=float(threshold),
+        )
+
+    route = _range_route(masses, total, tol)
+    if route is not None:
+        frame, compressed, leaks = route
+        bound = 0.5 * (MC_TIME_SPAN + float(weights.max())) * float(leaks.sum())
+        if bound <= -threshold:
+            mc_min = _scan_min(*scan, compressed, compressed.sum(axis=0), frame)
+            if (mc_min - bound >= threshold) == (mc_min + bound >= threshold):
+                return report(*_range_minima(masses, compressed, leaks, tol), mc_min)
 
     eigs = np.linalg.eigvalsh(masses)
     min_eigs = eigs[:, 0].tolist()
     witness = [(k, min_eigs[k]) for k, w in enumerate(eigs) if below_psd_cut(w, tol)]
-    phases = weights[:, None] * np.exp(1j * np.outer(times, freqs))
-    total_mass = masses.sum(axis=0)
-
-    scale = float(np.linalg.norm(measure.total_mass(), 2))
-    threshold = -tol.tau_residual * scale * MC_TIME_SPAN ** 2
-    rng = np.random.default_rng(seed)
-    taper = np.sin(np.pi * times / MC_TIME_SPAN) ** 2
-
-    mc_min = np.inf
-    for start in range(0, trials, MC_CHUNK):
-        interp, coarse, profiles = _draw_trials(
-            rng, min(MC_CHUNK, trials - start), times, taper, n, freqs if freqs.size else None
-        )
-        values = _rough_form_values(phases, masses, total_mass, weights, interp, coarse)
-        if profiles is not None:
-            lowest = np.linalg.eigvalsh(_profile_form_matrix(phases, masses, weights, profiles))[:, 0]
-            values = np.concatenate([values, lowest / (np.abs(profiles) ** 2 @ weights)])
-        if values.size:
-            mc_min = min(mc_min, float(values.min()))
-
-    if not np.isfinite(mc_min):
-        mc_min = 0.0
-    return DissipationReport(
-        witness_atoms=tuple(witness),
-        atom_min_eigenvalues=tuple(min_eigs),
-        mc_min_value=float(mc_min),
-        trials=int(trials),
-        seed=int(seed),
-        threshold=float(threshold),
-    )
+    return report(min_eigs, witness, _scan_min(*scan, masses, masses.sum(axis=0), None))
 
 
 FIT_RESIDUAL_CONTRACT = 1e-6

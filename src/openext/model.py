@@ -89,6 +89,12 @@ class ConservativeSystem:
         """||Gamma||_2, the scale of every hidden-side cut (0 without a hidden side)."""
         return float(np.linalg.norm(self.coupling, 2)) if self.n2 else 0.0
 
+    @cached_property
+    def _coupled_parts(self) -> dict:
+        """`decomposition.coupled_parts` of this system per ToleranceConfig, filled there:
+        omega is read-only, so each split is computed once and its callers share it."""
+        return {}
+
     def _kernel_size(self) -> float:
         """||a(0)||_2 = ||Gamma||_2^2, the size of the kernel; ValidationError where it overflows."""
         if (size := self._coupling_norm * self._coupling_norm) == np.inf:

@@ -6,16 +6,22 @@ float.  Dictionaries keep a fixed insertion order, which makes reports
 byte-identical across runs for identical inputs.
 
 Rendering contract: `dumps(payload)` is byte-for-byte
-`json.dumps(payload, indent=2, allow_nan=False) + "\n"`, and every float
-is written with Python's shortest round-trip `repr`, in JSON and CSV
-alike.  The stdlib encoder falls back to pure Python under `indent`, so
-the hot part is done by one private renderer: a matrix node (a non-empty
-list of equal-length rows of [float, float] pairs, which is what
-`matrix_to_json` produces) is recognised by one type-set check over its
-flattened leaves and written row by row through a cached `%r` template.
-The CSV writers use the same row renderer.  Anything else takes a small
-generic path, and what that path does not know is handed to `json.dumps`
-itself.  Non-finite floats raise `ValueError` on every path.
+`json.dumps(payload, indent=2, allow_nan=False, default=pairs) + "\n"`,
+where `pairs` turns a 2-D complex128 array a into
+`np.stack([a.real, a.imag], -1).tolist()`, and every float is written
+with Python's shortest round-trip `repr`, in JSON and CSV alike.  The
+payload builders hold complex128 arrays (`system_to_json`,
+`measure_to_json`, `open_system_to_json` and the CLI reports), never
+nested lists of floats.  The stdlib encoder falls back to pure Python
+under `indent`, so the hot part is done by one private renderer: an array
+node is written row by row, each row's floats read off its float64 view
+through a cached `%r` template, and a row of +0.0 only (a report's frame
+padding) is one cached string per (width, depth); any other array is the
+stdlib's TypeError.  The CSV writers use the same row template.
+Anything else takes a small generic path, and what that path does not
+know is handed to `json.dumps` itself.  Non-finite floats raise
+`ValueError` on every path.  Decoding reads the nested lists that
+`json.loads` gives (`matrix_from_json`).
 
 CSV formats:
   kernel samples   t, re_1_1, im_1_1, re_1_2, ...   (row-major; names not read)
@@ -42,7 +48,6 @@ SCHEMA = "openext/v1"
 __all__ = [
     "SCHEMA",
     "complex_to_json",
-    "matrix_to_json",
     "matrix_from_json",
     "system_to_json",
     "system_from_json",
@@ -63,11 +68,6 @@ __all__ = [
 def complex_to_json(z: complex) -> list[float]:
     z = complex(z)
     return [float(z.real), float(z.imag)]
-
-
-def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    m = np.asarray(m, dtype=np.complex128)
-    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def _pair_leaves(rows: list) -> tuple[list, str | None]:
@@ -111,7 +111,7 @@ def system_to_json(system: ConservativeSystem) -> dict:
         "kind": "conservative_system",
         "n1": system.n1,
         "n2": system.n2,
-        "omega": matrix_to_json(system.omega),
+        "omega": system.omega,
     }
 
 
@@ -133,7 +133,7 @@ def measure_to_json(measure: PointMeasure) -> dict:
         "schema": SCHEMA,
         "kind": "point_measure",
         "dim": measure.dim,
-        "atoms": [{"omega": f, "mass": matrix_to_json(m)} for f, m in zip(freqs, measure.masses)],
+        "atoms": [{"omega": f, "mass": m} for f, m in zip(freqs, measure.masses)],
     }
 
 
@@ -171,7 +171,7 @@ def open_system_to_json(system: OpenSystem) -> dict:
         "schema": SCHEMA,
         "kind": "open_system",
         "dim": system.dim,
-        "omega1": matrix_to_json(system.omega1),
+        "omega1": system.omega1,
         "kernel": measure_to_json(system.kernel),
     }
 
@@ -231,13 +231,32 @@ def _row_template(width: int, depth: int) -> str:
     return f"[{inner}" + f",{inner}".join([pair] * width) + "\n" + _INDENT * depth + "]"
 
 
+@functools.lru_cache(maxsize=256)
+def _zero_row(width: int, depth: int) -> str:
+    """A row of `width` +0.0 pairs, as `_row_template` writes it."""
+    return _row_template(width, depth) % ((0.0,) * (2 * width))
+
+
 def _render_rows(template: str, rows, sep: str) -> str:
     """Each row (a sequence of floats) through one %r template, joined by sep."""
     return sep.join([template % tuple(row) for row in rows])
 
 
+def _array_rows(a: np.ndarray, depth: int) -> list[str]:
+    """The rows of a 2-D complex128 array, each a list of [re, im] pairs opened at indent level depth:
+    its floats come from the row's float64 view, and a row of +0.0 is one cached string."""
+    if not a.shape[1]:
+        return ["[]"] * a.shape[0]
+    flat = np.ascontiguousarray(a).view(np.float64)
+    zero = ~flat.view(np.uint64).any(axis=1)  # +0.0 only: -0.0 has its sign bit set
+    template, cached = _row_template(a.shape[1], depth), _zero_row(a.shape[1], depth)
+    values = iter(flat[~zero].tolist())
+    return [cached if z else template % tuple(next(values)) for z in zero.tolist()]
+
+
 def _render(obj, depth: int) -> str:
-    """JSON text of obj as json.dumps(indent=2, allow_nan=False) writes it at indent level depth."""
+    """JSON text of obj as json.dumps(indent=2, allow_nan=False) writes it at indent level depth,
+    a 2-D complex128 array as the nested [re, im] rows of its values."""
     kind = type(obj)
     if kind is str:
         return encode_basestring_ascii(obj)
@@ -247,21 +266,18 @@ def _render(obj, depth: int) -> str:
         return int.__repr__(obj)
     if obj is None or kind is bool:
         return "null" if obj is None else "true" if obj else "false"
-    if kind in (list, dict) and not obj:
-        return "[]" if kind is list else "{}"
     inner = "\n" + _INDENT * (depth + 1)
     close = "\n" + _INDENT * depth
+    if kind is np.ndarray and obj.ndim == 2 and obj.dtype == np.complex128:
+        if not np.all(np.isfinite(obj)):
+            raise ValueError("Out of range float values are not JSON compliant")
+        if not len(obj):
+            return "[]"
+        return f"[{inner}" + f",{inner}".join(_array_rows(obj, depth + 1)) + f"{close}]"
+    if kind in (list, dict) and not obj:
+        return "[]" if kind is list else "{}"
     if kind is list:
-        # a matrix node: exactly-float, finite leaves (an int or a bool
-        # prints differently from %r of a float, and a non-finite float
-        # must raise, so both take the generic path)
-        leaves, problem = _pair_leaves(obj)
-        if not problem and set(map(type, leaves)) == {float} and all(map(math.isfinite, leaves)):
-            step = 2 * len(obj[0])
-            rows = (leaves[i : i + step] for i in range(0, len(leaves), step))
-            body = _render_rows(_row_template(len(obj[0]), depth + 1), rows, f",{inner}")
-        else:
-            body = f",{inner}".join([_render(item, depth + 1) for item in obj])
+        body = f",{inner}".join([_render(item, depth + 1) for item in obj])
         return f"[{inner}{body}{close}]"
     if kind is dict and set(map(type, obj)) == {str}:
         body = f",{inner}".join(

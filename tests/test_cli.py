@@ -173,13 +173,13 @@ class TestExitCodes:
             data = system_to_json(worked_system)
         data.update(sizes)
         p = tmp_path / "input.json"
-        p.write_text(json.dumps(data))
+        p.write_text(dumps(data))
         code = main([command, str(p)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
     def test_extend_rejects_a_frequency_beyond_the_float_range(self, capsys, tmp_path):
-        text = json.dumps(measure_to_json(PointMeasure.create(1, [(1.0, np.eye(1))])))
+        text = dumps(measure_to_json(PointMeasure.create(1, [(1.0, np.eye(1))])))
         p = tmp_path / "measure.json"
         p.write_text(text.replace('"omega": 1.0', '"omega": 1' + "0" * 400))
         code = main(["extend", str(p)])
@@ -222,7 +222,7 @@ class TestExitCodes:
         ids=["ragged", "triple", "scalar", "bool", "string", "null", "nested", "overflow"],
     )
     def test_malformed_matrix_is_exit_one(self, capsys, tmp_path, worked_system, entry):
-        data = system_to_json(worked_system)
+        data = json.loads(dumps(system_to_json(worked_system)))
         data["omega"][0][-1] = "ENTRY"
         text = json.dumps(data)
         # None drops the entry, which leaves row 0 one entry short

@@ -315,6 +315,50 @@ class TestCoupledParts:
         assert parts.h2d.dim == 0
 
 
+class TestCoupledPartsOncePerSystem:
+    """The split is kept on the system, one per ToleranceConfig: `decompose`'s three
+    callers (the CLI, `check_multiplicity_bounds`, `string_decomposition`) share it."""
+
+    @staticmethod
+    def same_split(a: CoupledParts, b: CoupledParts) -> bool:
+        names = ("h1c", "h1d", "h2c", "h2d")
+        return a.h2c_clusters == b.h2c_clusters and all(
+            getattr(a, name).frame.tobytes() == getattr(b, name).frame.tobytes() for name in names
+        )
+
+    def test_the_decompose_callers_get_one_object(self, monkeypatch, tmp_path):
+        from openext import cli
+        from openext.serialization import dumps, system_to_json
+
+        original, seen = decomposition.coupled_parts, []
+
+        def spy(system, tol=DEFAULT_TOLERANCES):
+            seen.append((system, original(system, tol)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(decomposition, "coupled_parts", spy)
+        monkeypatch.setattr(cli, "coupled_parts", spy)
+        path = tmp_path / "system.json"
+        path.write_text(dumps(system_to_json(planted_system(np.random.default_rng(45), 6, 9, 3))))
+        assert cli.main(["decompose", str(path), "--out", str(tmp_path / "out.json")]) == 0
+        assert len(seen) == 3
+        assert all(system is seen[0][0] and parts is seen[0][1] for system, parts in seen)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_tolerance_gets_its_own_split_equal_to_a_fresh_one(self, seed):
+        rng = np.random.default_rng(46 + seed)
+        sys_ = planted_system(rng, int(rng.integers(2, 8)), int(rng.integers(1, 9)), int(rng.integers(1, 3)))
+        loose = DEFAULT_TOLERANCES.replace(tau_rank=1e-6, tau_eig_cluster=1e-5)
+        first = coupled_parts(sys_)
+        assert coupled_parts(sys_) is first
+        assert coupled_parts(sys_, DEFAULT_TOLERANCES.replace()) is first  # an equal config
+        other = coupled_parts(sys_, loose)
+        assert other is not first and coupled_parts(sys_, loose) is other
+        for tol, parts in ((DEFAULT_TOLERANCES, first), (loose, other)):
+            fresh = coupled_parts(ConservativeSystem(sys_.n1, sys_.n2, sys_.omega.copy()), tol)
+            assert fresh is not parts and self.same_split(fresh, parts)
+
+
 class TestMinimalSubsystem:
     def test_preserves_kernel(self, worked_system):
         small = minimal_subsystem(worked_system)
@@ -589,6 +633,8 @@ class TestStrings:
         assert calls == ["eigh", "eigh"]  # omega1 and omega2, once each
         calls.clear()
         string_decomposition(sys_)
+        assert calls == []  # the split kept on the system
+        string_decomposition(ConservativeSystem(sys_.n1, sys_.n2, sys_.omega.copy()))
         assert calls == ["eigh", "eigh"]
 
     @pytest.mark.parametrize("n1, n2", [(3, 0), (2, 3)])

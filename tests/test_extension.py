@@ -348,6 +348,14 @@ class TestMeasureOf:
             for ma, mb in zip(mu.masses, back.masses):
                 assert np.max(np.abs(u @ ma @ u.conj().T - mb)) < 1e-9 * max(np.abs(ma).max(), 1.0)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e150])
+    def test_block_norms_are_the_spectral_norms(self, scale):
+        # one-column blocks take a row norm, wider ones one stacked SVD per width
+        rng = np.random.default_rng(47)
+        blocks = [complex_normal(rng, 4, width) * scale for width in (1, 2, 1, 3, 2, 1)]
+        want = [float(np.linalg.norm(b / scale, 2)) for b in blocks]
+        assert extension._block_norms(blocks, scale) == pytest.approx(want, rel=1e-14)
+
     def test_uncoupled_hidden_modes_dropped(self):
         omega = np.diag([1.0, 2.0, 3.0]).astype(complex)
         sys_ = ConservativeSystem(1, 2, omega)
@@ -636,6 +644,190 @@ class TestCheckDissipation:
         d = rep.as_dict()
         assert d["verdict"] is True
         assert isinstance(d["mc_min_value"], float)
+
+
+def complex_normal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def range_measures(rng, count):
+    """Seeded measures whose masses all lie in the span of one n x r frame, r < n (dim 2-8,
+    1-8 atoms); every other one carries an indefinite atom inside that span, a gain."""
+    for i in range(count):
+        dim = int(rng.integers(2, 9))
+        c = complex_normal(rng, dim, int(rng.integers(1, dim)))
+        freqs = np.sort(rng.uniform(-3.0, 3.0, int(rng.integers(1, 9))))
+        freqs = freqs + 0.05 * np.arange(freqs.size)
+        masses = []
+        for _ in freqs:
+            f = c @ complex_normal(rng, c.shape[1], int(rng.integers(1, c.shape[1] + 1)))
+            masses.append(f @ f.conj().T)
+        if i % 2:
+            u = haar_unitary(c.shape[1], rng)
+            spectrum = rng.uniform(0.1, 1.0, c.shape[1])
+            spectrum[0] = -rng.uniform(0.01, 1.0)
+            masses[int(rng.integers(len(masses)))] = c @ (u * spectrum) @ u.conj().T @ c.conj().T
+        yield PointMeasure(dim, freqs, masses)
+
+
+def low_rank_systems(rng, count):
+    """Seeded systems whose coupling has rank below n1 (n1 3-8, n2 2-10): every mass of their
+    measure lies in Ran Gamma."""
+    for _ in range(count):
+        n1, n2 = int(rng.integers(3, 9)), int(rng.integers(2, 11))
+        h = complex_normal(rng, n1 + n2, n1 + n2)
+        omega = h + h.conj().T
+        rank = int(rng.integers(1, n1))
+        omega[:n1, n1:] = complex_normal(rng, n1, rank) @ complex_normal(rng, rank, n2)
+        omega[n1:, :n1] = omega[:n1, n1:].conj().T
+        yield ConservativeSystem(n1, n2, omega)
+
+
+def certificate(mu, tol=DEFAULT_TOLERANCES):
+    """The range route's frame width, per-atom leaks and Monte-Carlo bound (T + h)/2 * sum l_k."""
+    frame, _, leaks = extension._range_route(mu.masses, mu.total_mass(), tol)
+    _, weights = trapezoid_grid()
+    return frame.shape[1], leaks, 0.5 * (MC_TIME_SPAN + weights.max()) * leaks.sum()
+
+
+def record_eigvalsh(monkeypatch):
+    """Shapes of every np.linalg.eigvalsh input while the test runs."""
+    shapes, original = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: shapes.append(np.shape(a)) or original(a, *args, **kw))
+    return shapes
+
+
+class TestRangeRoute:
+    @pytest.mark.parametrize("source", ["measures", "systems"])
+    def test_verdicts_match_the_full_oracle_within_the_certificate(self, source, monkeypatch):
+        rng = np.random.default_rng(41 if source == "measures" else 42)
+        if source == "measures":
+            measures = list(range_measures(rng, 24))
+        else:
+            measures = [measure_of(system) for system in low_rank_systems(rng, 24)]
+        gains = 0
+        for mu in measures:
+            width, leaks, bound = certificate(mu)
+            assert width < mu.dim
+            shapes = record_eigvalsh(monkeypatch)
+            got = check_dissipation(mu).as_dict()
+            monkeypatch.undo()
+            assert (mu.masses.shape[0], mu.dim, mu.dim) not in shapes  # never the full stack
+            ref = reference_check_dissipation(mu, 32)
+            gains += not ref["verdict"]
+            for key in ("verdict", "mc_pass", "mc_negative_found", "threshold"):
+                assert got[key] == ref[key], key
+            assert [w["atom"] for w in got["witness_atoms"]] == [k for k, _ in ref["witness_atoms"]]
+            assert [w["min_eigenvalue"] for w in got["witness_atoms"]] == [
+                got["atom_min_eigenvalues"][w["atom"]] for w in got["witness_atoms"]
+            ]
+            # Weyl: each atom's least eigenvalue moves by at most its leak, plus both solvers' rounding
+            rounding = 16 * mu.dim * np.finfo(float).eps * np.linalg.norm(mu.masses, 2, axis=(1, 2))
+            moves = np.abs(np.subtract(got["atom_min_eigenvalues"], ref["atom_min_eigenvalues"]))
+            assert np.all(moves <= leaks + rounding)
+            assert abs(got["mc_min_value"] - ref["mc_min_value"]) <= bound + 1e-6 * abs(ref["threshold"])
+        assert gains == (12 if source == "measures" else 0)
+
+    def test_a_frame_of_all_of_c_n_is_no_change_of_basis(self):
+        rng = np.random.default_rng(43)
+        for dim in range(1, 6):
+            mu = PointMeasure(dim, [0.0, 1.0], [random_psd(rng, dim, rank=dim), random_psd(rng, dim, rank=1)])
+            assert extension._range_route(mu.masses, mu.total_mass(), DEFAULT_TOLERANCES) is None
+        empty = PointMeasure(3)
+        assert extension._range_route(empty.masses, empty.total_mass(), DEFAULT_TOLERANCES) is None
+        assert check_dissipation(empty).as_dict() == reference_check_dissipation(empty, 32) | {
+            "witness_atoms": [], "atom_min_eigenvalues": [], "algebraic_available": True, "algebraic_pass": True,
+            "trials": 32, "seed": DEFAULT_MC_SEED,
+        }
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seen_gain", [0.0, 30.0])
+    def test_a_direction_hidden_from_the_total_mass_takes_the_full_route(self, seed, seen_gain, monkeypatch):
+        # two atoms cancel on a subspace H that a(0) does not see, and one of them has a gain
+        # there; a third atom's gain on a seen direction makes the scan fail whatever H holds,
+        # but the leak would move its least value by more than the scan's tolerance
+        rng = np.random.default_rng(60 + seed)
+        dim, hidden = int(rng.integers(3, 7)), int(rng.integers(1, 3))
+        u = haar_unitary(dim, rng)
+        seen, gain = rng.uniform(0.5, 1.0, (2, dim)), rng.uniform(0.1, 1.0, dim)
+        seen[:, :hidden] = [gain[:hidden], -gain[:hidden]]
+        masses = [u @ np.diag(w) @ u.conj().T for w in seen]
+        if seen_gain:
+            masses.append(-seen_gain * np.outer(u[:, -1], u[:, -1].conj()))
+        mu = PointMeasure(dim, [-0.5, 1.0, 2.0][: len(masses)], masses)
+        width, _, bound = certificate(mu)
+        assert width == dim - hidden and bound > 1e-3
+        shapes = record_eigvalsh(monkeypatch)
+        rep = check_dissipation(mu)
+        monkeypatch.undo()
+        assert (len(masses), dim, dim) in shapes  # the full masses decide
+        assert [k for k, _ in rep.witness_atoms] == ([1, 2] if seen_gain else [1])
+        assert rep.witness_atoms[0][1] == pytest.approx(-gain[:hidden].max(), rel=1e-12)
+        ref = reference_check_dissipation(mu, 32)
+        assert rep.atom_min_eigenvalues == ref["atom_min_eigenvalues"]
+        assert not rep.verdict and rep.mc_negative_found == ref["mc_negative_found"]
+
+    @pytest.mark.parametrize("offset", [-0.5, 0.0, 0.5])
+    def test_a_least_value_within_the_certificate_of_the_threshold_is_read_on_the_full_masses(self, offset, monkeypatch):
+        # the range scan is made to land offset * bound from the threshold, where its verdict
+        # could go either way on the full masses
+        mu = next(range_measures(np.random.default_rng(72), 1))
+        _, _, bound = certificate(mu)
+        threshold = -DEFAULT_TOLERANCES.tau_residual * float(np.linalg.norm(mu.total_mass(), 2)) * MC_TIME_SPAN**2
+        scan, frames = extension._scan_min, []
+
+        def near_threshold(*args):
+            frames.append(args[-1] is not None)
+            return threshold + offset * bound if frames[-1] else scan(*args)
+
+        monkeypatch.setattr(extension, "_scan_min", near_threshold)
+        rep = check_dissipation(mu)
+        monkeypatch.undo()
+        assert frames == [True, False]
+        ref = reference_check_dissipation(mu, 32)
+        assert rep.atom_min_eigenvalues == ref["atom_min_eigenvalues"]
+        assert abs(rep.mc_min_value - ref["mc_min_value"]) <= 1e-6 * abs(threshold)
+
+    @pytest.mark.parametrize("margin", [1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+    def test_an_atom_at_its_psd_cut_is_decided_on_its_full_mass(self, margin, monkeypatch):
+        # least eigenvalue -tau_residual * max|w| * margin: inside any leak's window of the cut
+        rng = np.random.default_rng(70)
+        u = haar_unitary(5, rng)
+        spectrum = np.array([-DEFAULT_TOLERANCES.tau_residual * 2.0 * margin, 1.0, 2.0, 0.0, 0.0])
+        bad = u @ np.diag(spectrum) @ u.conj().T
+        good = u[:, :3] @ u[:, :3].conj().T  # keeps the negative direction in the frame
+        mu = PointMeasure(5, [0.0, 1.0], [good, bad])
+        width, leaks, _ = certificate(mu)
+        assert width == 3
+        shapes = record_eigvalsh(monkeypatch)
+        rep = check_dissipation(mu)
+        monkeypatch.undo()
+        assert (5, 5) in shapes and (2, 5, 5) not in shapes  # that atom alone, on its full mass
+        full = np.linalg.eigvalsh(mu.masses[1])
+        assert rep.atom_min_eigenvalues[1] == full[0]
+        assert [k for k, _ in rep.witness_atoms] == ([1] if below_psd_cut(full, DEFAULT_TOLERANCES) else [])
+
+    def test_no_stack_sized_temporary(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(71)
+        n, k = 128, 64
+        c = complex_normal(rng, n, 20)
+        masses = np.empty((k, n, n), dtype=complex)
+        for i in range(k):
+            f = c @ complex_normal(rng, 20, 2)
+            masses[i] = f @ f.conj().T
+        mu = PointMeasure(n, np.arange(k) * 0.1, masses)
+        del masses
+        stack_bytes = k * n * n * 16
+        tracemalloc.start()
+        try:
+            rep = check_dissipation(mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict and rep.mc_pass
+        assert peak < stack_bytes / 4
 
 
 class TestFitPointMeasure:

@@ -27,9 +27,9 @@ from openext import (
 from openext.serialization import (
     SCHEMA,
     detect_kind,
+    dumps,
     load_object,
     matrix_from_json,
-    matrix_to_json,
     measure_from_json,
     measure_to_json,
     open_system_from_json,
@@ -354,13 +354,14 @@ class TestValidate:
 
 
 class TestJsonRoundTrips:
+    # payloads hold arrays, which only their text form turns into the lists the decoders read
     def test_matrix(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
+        assert np.array_equal(matrix_from_json(json.loads(dumps({"m": m}))["m"]), m)
 
     def test_system(self, worked_system):
-        data = system_to_json(worked_system)
+        data = json.loads(dumps(system_to_json(worked_system)))
         assert data["schema"] == SCHEMA
         back = system_from_json(data)
         assert back.n1 == worked_system.n1
@@ -369,7 +370,7 @@ class TestJsonRoundTrips:
     def test_measure(self):
         rng = np.random.default_rng(4)
         mu = random_measure(rng, 3, 5)
-        back = measure_from_json(measure_to_json(mu))
+        back = measure_from_json(json.loads(dumps(measure_to_json(mu))))
         assert np.array_equal(back.frequencies, mu.frequencies)
         assert np.array_equal(back.masses, mu.masses)
 
@@ -377,7 +378,7 @@ class TestJsonRoundTrips:
         rng = np.random.default_rng(5)
         mu = random_measure(rng, 2, 2)
         sys_ = OpenSystem(2, np.diag([1.0, 4.0]).astype(complex), mu)
-        back = open_system_from_json(open_system_to_json(sys_))
+        back = open_system_from_json(json.loads(dumps(open_system_to_json(sys_))))
         assert np.array_equal(back.omega1, sys_.omega1)
         assert back.kernel.frequencies.size == 2
 
@@ -390,6 +391,7 @@ class TestJsonRoundTrips:
             (open_system_to_json(OpenSystem(2, np.eye(2, dtype=complex), mu)), "open_system", OpenSystem),
         ]
         for payload, kind, cls in cases:
+            payload = json.loads(dumps(payload))
             assert detect_kind(payload) == kind
             assert isinstance(load_object(payload), cls)
 
