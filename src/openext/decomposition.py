@@ -33,6 +33,8 @@ from .numerics import (
     _invariance_leak,
     _phase_fix,
     as_matrix,
+    cluster_spectrum,
+    cluster_svd,
     complement,
     compress,
     eigen_clusters,
@@ -83,23 +85,9 @@ def orbit(op, seed, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:
 
 def _cluster_orbit(v: np.ndarray, clusters, seed: np.ndarray, cut: float) -> tuple[Subspace, tuple]:
     """Orbit of the seed, given the operator's eigenvectors and clusters, and each cluster's piece's
-    (value, dim): V_c on the left singular vectors of V_c^H seed above cut, strongest first.  The
-    one-member clusters take one row-norm pass over the coefficients, each other size one stacked SVD."""
-    coefficients = v.conj().T @ seed
-    starts, dims = np.array([(cl.start, cl.dim) for cl in clusters], dtype=np.intp).reshape(-1, 2).T
-    factors = {}  # cluster index -> (u, s)
-    for size in np.unique(dims):
-        members = np.flatnonzero(dims == size)
-        blocks = coefficients[starts[members, None] + np.arange(size)]  # one size x k block per cluster
-        if size == 1:  # 1 x k rows: each one's singular value is its norm
-            u, s = np.ones((members.size, 1, 1)), np.linalg.norm(blocks, axis=2)
-        else:
-            u, s, _ = np.linalg.svd(blocks, full_matrices=False)
-        factors.update(zip(members.tolist(), zip(u, s)))
-    pieces = [np.zeros((v.shape[0], 0), dtype=np.complex128)]
-    kept = []
-    for i, cl in enumerate(clusters):
-        u, s = factors[i]
+    (value, dim): V_c on the left singular vectors of V_c^H seed above cut (`cluster_svd`), strongest first."""
+    pieces, kept = [np.zeros((v.shape[0], 0), dtype=np.complex128)], []
+    for cl, (u, s) in zip(clusters, cluster_svd(v.conj().T @ seed, clusters)):
         keep = int(np.count_nonzero(s > cut))
         if keep:
             pieces.append(v[:, cl.start : cl.stop] @ u[:, :keep])
@@ -230,8 +218,7 @@ def multiplicity(
             raise ValidationError(f"subspace is not invariant: leak {residual:.3e} exceeds "
                                   f"{leak:.1e} + {tol.tau_residual:.1e} * max(||op||, 1)")
         restricted = compress(a, f)
-    _, _, clusters = eigen_clusters(restricted, tol, vectors=False)
-    return tuple((cl.value, cl.dim) for cl in clusters)
+    return tuple((cl.value, cl.dim) for cl in cluster_spectrum(np.linalg.eigvalsh(restricted), tol))
 
 
 def _max_multiplicity(per_cluster: tuple[tuple[float, int], ...]) -> int:

@@ -42,13 +42,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, FitError, NotPositiveSemidefiniteError, NumericError, ValidationError
-from .model import ConservativeSystem, PointMeasure
+from .model import ConservativeSystem, PointMeasure, _total_and_size
 from .numerics import (
     DEFAULT_TOLERANCES,
     SIZE_BUDGET,
     ToleranceConfig,
     as_matrix,
     below_psd_cut,
+    cluster_svd,
+    compress,
     eigen_clusters,
     eigh,
     max_abs,
@@ -127,10 +129,11 @@ def minimal_extension(measure: PointMeasure, tol: ToleranceConfig = DEFAULT_TOLE
     scale of `measure_of`'s atom cut) are cut, so the kernel matches the
     measure up to that cut.  The hidden block is blockdiag(w_k I) and the
     coupling is [C_1 ... C_K].  The observable block is zero: the kernel
-    does not constrain it.  Raises for non-PSD atoms.
+    does not constrain it.  Raises for non-PSD atoms, and ValidationError
+    where a(0) overflows.
     """
     n1 = measure.dim
-    cut = tol.tau_rank * float(np.linalg.norm(measure.total_mass(), 2))
+    cut = tol.tau_rank * measure._kernel_size()
     columns: list[np.ndarray] = []
     hidden_freqs: list[float] = []
     for k, (freq, mass) in enumerate(zip(measure.frequencies.tolist(), measure.masses)):
@@ -150,41 +153,22 @@ def minimal_extension(measure: PointMeasure, tol: ToleranceConfig = DEFAULT_TOLE
     return ConservativeSystem(n1, n2, omega)
 
 
-def _block_norms(blocks: list[np.ndarray], scale: float) -> list[float]:
-    """||B||_2 / scale of each block, B divided first so that squares that underflow still count:
-    one row-norm pass over the one-column blocks, one stacked SVD per wider width."""
-    ratios = [0.0] * len(blocks)
-    widths = [b.shape[1] for b in blocks]
-    for width in set(widths):
-        members = [i for i, w in enumerate(widths) if w == width]
-        stack = np.stack([blocks[i] for i in members]) / scale
-        if width == 1:
-            s = np.linalg.norm(stack[:, :, 0], axis=1)
-        else:
-            s = np.linalg.svd(stack, compute_uv=False)[:, 0]
-        for i, ratio in zip(members, s.tolist()):
-            ratios[i] = ratio
-    return ratios
-
-
 def measure_of(system: ConservativeSystem, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> PointMeasure:
     """Point measure of the system's friction kernel.
 
-    Eigen-clusters of the hidden block give the frequencies; the mass at
-    each is B B^H with the thin block B = coupling @ E_cluster.  Atoms
-    with (||B||_2 / ||coupling||_2)^2 <= tau_rank are dropped (every atom of
-    a zero coupling); a kept mass that underflows to zero raises NumericError.
-    The masses fill one exactly Hermitian stack, which the measure keeps.
+    Eigen-clusters of the hidden block give the frequencies, the mass at each is B B^H with the thin
+    block B = coupling @ E_cluster, and the atom rule of h2c keeps it: B / ||coupling||_2, divided first
+    so that squares that underflow still count, has a singular value above sqrt(tau_rank) (one
+    `cluster_svd` pass; a zero coupling keeps none).  A kept mass that underflows to zero raises
+    NumericError.  The masses fill one exactly Hermitian stack, which the measure keeps.
     """
-    gamma = system.coupling
     if system.n2 == 0:
         return PointMeasure(system.n1)
     system._kernel_size()  # refuses a coupling whose masses overflow
     _, v, clusters = eigen_clusters(system.omega2, tol)
-    scale = system._coupling_norm
-    blocks = [(c.value, gamma @ v[:, c.start : c.stop]) for c in clusters]
-    ratios = _block_norms([b for _, b in blocks], scale) if scale else []
-    kept = [(f, b) for (f, b), ratio in zip(blocks, ratios) if ratio * ratio > tol.tau_rank]
+    blocks, scale = [system.coupling @ v[:, c.start : c.stop] for c in clusters], system._coupling_norm
+    factors = cluster_svd(np.hstack(blocks).conj().T / scale, clusters) if scale else []
+    kept = [(c.value, b) for c, b, (_, s) in zip(clusters, blocks, factors) if s[0] > np.sqrt(tol.tau_rank)]
     masses = np.empty((len(kept), system.n1, system.n1), dtype=np.complex128)
     for k, (freq, block) in enumerate(kept):
         mass = block @ block.conj().T
@@ -362,19 +346,15 @@ def _range_route(masses: np.ndarray, total: np.ndarray, tol: ToleranceConfig):
     Q^H N_k Q and the leak l_k = ||N_k - Q C_k Q^H||_F, which bounds its
     2-norm, taken one atom at a time; None where Q would be all of C^n or
     nothing."""
-    if not np.all(np.isfinite(total)):
-        return None
     w, u = np.linalg.eigh(total)
     keep = np.abs(w) > tol.tau_rank * np.max(np.abs(w), initial=0.0)
     if keep.all() or not keep.any():
         return None
     q = u[:, keep]
-    qh = q.conj().T
     compressed, leaks = np.empty((masses.shape[0], q.shape[1], q.shape[1]), dtype=np.complex128), []
     for k, mass in enumerate(masses):
-        c = qh @ mass @ q
-        compressed[k] = c = 0.5 * (c + c.conj().T)
-        leaks.append(float(np.linalg.norm(mass - q @ c @ qh)))
+        compressed[k] = c = compress(mass, q)
+        leaks.append(float(np.linalg.norm(mass - q @ c @ q.conj().T)))
     return q, compressed, np.array(leaks)
 
 
@@ -446,9 +426,7 @@ def check_dissipation(
     weights = np.full(MC_GRID_POINTS, MC_TIME_SPAN / (MC_GRID_POINTS - 1))
     weights[[0, -1]] *= 0.5
     phases = weights[:, None] * np.exp(1j * np.outer(times, freqs))
-    total = measure.total_mass()
-    scale = float(np.linalg.norm(total, 2))
-    threshold = -tol.tau_residual * scale * MC_TIME_SPAN ** 2
+    threshold = -tol.tau_residual * measure._kernel_size() * MC_TIME_SPAN ** 2
     scan = (seed, trials, n, freqs, times, weights, phases)
 
     def report(min_eigs, witness, mc_min) -> DissipationReport:
@@ -461,7 +439,7 @@ def check_dissipation(
             threshold=float(threshold),
         )
 
-    route = _range_route(masses, total, tol)
+    route = _range_route(masses, measure.total_mass(), tol)
     if route is not None:
         frame, compressed, leaks = route
         bound = 0.5 * (MC_TIME_SPAN + float(weights.max())) * float(leaks.sum())
@@ -549,9 +527,10 @@ def fit_point_measure(
                 f"the fitted kernel's block Toeplitz form has min eigenvalue {lam[0]:.6e} against max {lam[-1]:.6e}, "
                 f"most negative on the atom at frequency {freqs[k]:.6g}: the samples carry a gain"
             )
-    masses = (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    cut = tol.tau_rank * float(np.linalg.norm(masses.sum(axis=0), 2))
-    atoms = [(float(f), m) for f, m in zip(freqs, masses) if float(np.linalg.norm(m, 2)) > cut]
+    w = np.clip(w, 0.0, None)
+    masses = (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    cut = tol.tau_rank * _total_and_size(masses, n)[1]
+    atoms = [(float(f), m) for f, m, top in zip(freqs, masses, w[:, -1].tolist()) if top > cut]  # ||m||_2, m PSD
     fitted = PointMeasure.create(n, atoms, tol)
 
     reconstructed = kernel_of_measure(fitted, times)

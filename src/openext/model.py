@@ -132,7 +132,10 @@ class PointMeasure:
     as_matrix's rule: a copy of the caller's writeable stack, while a
     complex128 stack already read-only down to its owner, every mass
     exactly Hermitian, is kept, bits and buffer.  A mass further than
-    STRUCTURE_TOL from Hermitian is rejected.
+    STRUCTURE_TOL from Hermitian is rejected.  a(0) = sum_k N_k and its
+    2-norm, the scale of every atom cut on the measure, have one home,
+    `_kernel`: summed once and kept, and refused with ValidationError
+    where they overflow, as an atom each within the float range can.
     """
 
     dim: int
@@ -201,9 +204,27 @@ class PointMeasure:
         )
 
     def total_mass(self) -> np.ndarray:
-        """Sum of the atom masses, the kernel value at t = 0, accumulated in atom order:
-        numpy's reductions may pair terms differently (they do for 1 x 1 masses)."""
-        return sum(self.masses, np.zeros((self.dim, self.dim), dtype=np.complex128))
+        """a(0), the kernel at t = 0, read-only; in atom order (numpy's reductions pair 1 x 1 masses otherwise)."""
+        return self._kernel[0]
+
+    def _kernel_size(self) -> float:
+        """||a(0)||_2, the scale of every atom cut on this measure."""
+        return self._kernel[1]
+
+    @cached_property
+    def _kernel(self) -> tuple[np.ndarray, float]:
+        return _total_and_size(self.masses, self.dim)  # the masses are read-only: summed once
+
+
+def _total_and_size(masses, dim: int) -> tuple[np.ndarray, float]:
+    """(the read-only sum of the masses in order, its 2-norm); ValidationError where either overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(masses, np.zeros((dim, dim), dtype=np.complex128))
+        size = float(np.linalg.norm(total, 2)) if np.all(np.isfinite(total)) else np.inf
+    if size == np.inf:
+        raise ValidationError("the total mass a(0) of the measure overflows")
+    total.flags.writeable = False
+    return total, size
 
 
 @dataclass(frozen=True, eq=False)

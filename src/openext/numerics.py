@@ -55,11 +55,14 @@ class ToleranceConfig:
     tau_rank         every rank cut, by one of two rules: the frame rule, tau_rank * sigma_max of the matrix
                      cut (`matrix_rank`, `orthonormal_basis`, `channels`, `orbit` on an orthonormal seed's
                      coefficients, `fit`'s pencil); the atom rule, tau_rank * ||a(0)||_2, every hidden-side
-                     cut (`measure_of`, `minimal_extension`, `fit`'s masses, `propagate_open`, and sqrt(tau_rank)
-                     on the coupling's images in h2c, the canonical components and `decoupling_report`'s
-                     splitting, and on the compressed blocks of `coupling_matrix`).  Also mass/stiffness
-                     definiteness, and the refusal in `frozen_report` of a kept singular value of the
-                     coupling vectors at most sqrt(tau_rank) s_0.
+                     cut.  ||a(0)||_2 has two homes, each refusing overflow.  On a system it is ||Gamma||_2^2
+                     (`_kernel_size`): sqrt(tau_rank) on the singular values of Gamma / ||Gamma||_2 per omega2
+                     cluster, one `cluster_svd` pass, cuts `measure_of`, h2c, the canonical components and
+                     `decoupling_report`'s splitting, and the compressed blocks of `coupling_matrix`.  On a
+                     measure it is `PointMeasure._kernel_size`, read by `minimal_extension`, `propagate_open`
+                     and `fit`'s masses (through the same sum), and `check_dissipation`'s range cut reads it
+                     as max |w| of its `eigh` of a(0).  Also mass/stiffness definiteness, and the refusal in
+                     `frozen_report` of a kept singular value of the coupling vectors at most sqrt(tau_rank) s_0.
     tau_eig_cluster  read by `cluster_spectrum` alone, the merge rule of eigen-clusters, channel
                      groups, lattice multiplicities and atom frequencies (`PointMeasure.create`, `validate`).
     tau_residual     residual verdicts (invariance, the channel algebra's links, the decoupling masses,
@@ -273,21 +276,28 @@ def cluster_spectrum(values, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> list[
     return [SpectralCluster(*c) for c in zip(starts, stops, means)]
 
 
-def eigen_clusters(
-    matrix, tol: ToleranceConfig, *, vectors: bool = True
-) -> tuple[np.ndarray, np.ndarray | None, list[SpectralCluster]]:
-    """Spectrum of a Hermitian matrix grouped into eigen-clusters.
-
-    Returns (eigenvalues, eigenvectors or None, clusters), merged by
-    `cluster_spectrum`, so at tau_eig_cluster times the spectral radius.
-    With vectors=False only eigenvalues are computed and the input is
-    not checked for Hermitian symmetry.
-    """
-    if vectors:
-        w, v = eigh(matrix, tol)
-    else:
-        w, v = np.linalg.eigvalsh(matrix), None
+def eigen_clusters(matrix, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, list[SpectralCluster]]:
+    """(eigenvalues, eigenvectors, clusters) of a Hermitian matrix, `eigh` merged by `cluster_spectrum`,
+    so at tau_eig_cluster times the spectral radius."""
+    w, v = eigh(matrix, tol)
     return w, v, cluster_spectrum(w, tol)
+
+
+def cluster_svd(rows: np.ndarray, clusters) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(u, s) of each cluster's block rows[c.start : c.stop] = u diag(s) w^H, s descending: one row-norm pass
+    over the one-member clusters (u = 1), one stacked SVD per other size (grouped without `np.unique`)."""
+    groups: dict[int, list[int]] = {}  # size -> starts
+    for cl in clusters:
+        groups.setdefault(cl.dim, []).append(cl.start)
+    factors = {}  # start -> (u, s)
+    for size, starts in groups.items():
+        blocks = rows[np.array(starts, dtype=np.intp)[:, None] + np.arange(size)]
+        if size == 1:  # 1 x k rows: each one's singular value is its norm
+            u, s = np.ones((len(starts), 1, 1)), np.linalg.norm(blocks, axis=2)
+        else:
+            u, s, _ = np.linalg.svd(blocks, full_matrices=False)
+        factors.update(zip(starts, zip(u, s)))
+    return [factors[cl.start] for cl in clusters]
 
 
 def compress(op: np.ndarray, frame: np.ndarray) -> np.ndarray:

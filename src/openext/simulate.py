@@ -288,7 +288,7 @@ def propagate_open(
     # keeping |lam| > tau_rank * max(||a(0)||_2, max |lam|); the columns of
     # left = W diag(lam) and right = W are the kept pairs of every atom
     lam, vecs = np.linalg.eigh(open_system.kernel.masses)
-    scale = max(float(np.linalg.norm(open_system.kernel.total_mass(), 2)), float(np.abs(lam).max(initial=0.0)))
+    scale = max(open_system.kernel._kernel_size(), float(np.abs(lam).max(initial=0.0)))
     atom, pair = np.nonzero(np.abs(lam) > tol.tau_rank * scale)
     right = vecs[atom, :, pair].T
     left = right * lam[atom, pair]

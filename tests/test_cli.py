@@ -20,11 +20,14 @@ from openext import (
     ValidationError,
     canonical_decomposition,
     channels,
+    check_dissipation,
     decoupling_report,
     forcing_step,
     kernel_eval,
     kernel_of_measure,
     measure_of,
+    minimal_extension,
+    propagate_open,
 )
 from openext.cli import main
 from openext.serialization import (
@@ -856,6 +859,38 @@ class TestCouplingWhoseSquareOverflows:
         assert code == 0
         assert {name: part["dim"] for name, part in json.loads(out)["parts"].items()} == {
             "h1c": 2, "h1d": 0, "h2c": 2, "h2d": 0}
+
+
+def huge_total_measure():
+    # two valid atoms of mass 1e308: their sum a(0), the kernel at t = 0, is past the float range
+    return PointMeasure(1, [1.0, 2.0], [[[1e308]], [[1e308]]])
+
+
+class TestTotalMassThatOverflows:
+    """Every route that reads ||a(0)||_2 refuses a(0) = 2e308 with ValidationError, and no warning."""
+
+    @pytest.mark.parametrize("route", [
+        minimal_extension,
+        check_dissipation,
+        lambda mu: propagate_open(OpenSystem(1, [[0.0]], mu), forcing_step([1.0]), np.linspace(0.0, 0.1, 11)),
+    ])
+    def test_library_refuses(self, route):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"the total mass a\(0\) of the measure overflows"):
+                route(huge_total_measure())
+
+    def test_extend_exits_one(self, capsys, tmp_path):
+        p, out = tmp_path / "huge.json", tmp_path / "ext.json"
+        p.write_text(dumps(measure_to_json(huge_total_measure())))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["extend", str(p), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == "error: the total mass a(0) of the measure overflows"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -214,6 +214,21 @@ class TestBatchedClusterOrbit:
         assert parts.h2c_clusters == kept
         assert bool(kept) == (coupling == "planted")
 
+    def test_measure_of_keeps_the_clusters_of_h2c(self):
+        # one atom rule, one batched pass: on planted systems with repeated omega2 eigenvalues and
+        # decoupled modes, the measure's atoms sit exactly at the values of h2c's cluster pieces
+        rng = np.random.default_rng(4101)
+        dropped = repeated = False
+        for _ in range(40):
+            n1, n2 = int(rng.integers(2, 8)), int(rng.integers(1, 12))
+            system = planted_system(rng, n1, n2, int(rng.integers(1, min(n1, n2, 3) + 1)))
+            values = [value for value, _ in coupled_parts(system).h2c_clusters]
+            assert measure_of(system).frequencies.tolist() == values
+            clusters = eigen_clusters(system.omega2, DEFAULT_TOLERANCES)[2]
+            dropped |= len(values) < len(clusters)
+            repeated |= any(cl.dim > 1 and cl.value in values for cl in clusters)
+        assert dropped and repeated
+
 
 class TestCoupledParts:
     def test_worked_example_blocks(self, worked_system):

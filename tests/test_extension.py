@@ -37,7 +37,7 @@ from openext.extension import (
     MC_TIME_SPAN,
     _profile_form_matrix,
 )
-from openext.numerics import DEFAULT_TOLERANCES, below_psd_cut
+from openext.numerics import DEFAULT_TOLERANCES, below_psd_cut, cluster_spectrum
 
 from conftest import haar_unitary, krylov_span, random_measure, random_psd
 
@@ -348,13 +348,34 @@ class TestMeasureOf:
             for ma, mb in zip(mu.masses, back.masses):
                 assert np.max(np.abs(u @ ma @ u.conj().T - mb)) < 1e-9 * max(np.abs(ma).max(), 1.0)
 
-    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e150])
-    def test_block_norms_are_the_spectral_norms(self, scale):
-        # one-column blocks take a row norm, wider ones one stacked SVD per width
-        rng = np.random.default_rng(47)
-        blocks = [complex_normal(rng, 4, width) * scale for width in (1, 2, 1, 3, 2, 1)]
-        want = [float(np.linalg.norm(b / scale, 2)) for b in blocks]
-        assert extension._block_norms(blocks, scale) == pytest.approx(want, rel=1e-14)
+    @pytest.mark.parametrize("scale", [1.0, 1e150])
+    def test_cut_and_masses_match_a_dense_oracle(self, scale):
+        # hidden clusters of width 1, 2 and 3 in a Haar basis, coupled with amplitudes 1, 1e-4 (a squared
+        # ratio near 1e-8 > tau_rank, kept), 1e-6 (near 1e-12, dropped) and 0; the oracle keeps a cluster c when
+        # ||Gamma V_c||_2^2 > tau_rank * ||Gamma||_2^2 and gives it the mass Gamma V_c V_c^H Gamma^H
+        rng = np.random.default_rng(48)
+        levels = [(-1.0, 1, 1.0), (0.5, 2, 1.0), (2.0, 3, 1.0), (3.0, 2, 0.0), (4.0, 1, 1e-6), (5.0, 3, 1e-4), (6.0, 2, 1e-6)]
+        n1, n2 = 4, sum(width for _, width, _ in levels)
+        basis = haar_unitary(n2, rng)
+        columns = np.split(basis, np.cumsum([width for _, width, _ in levels])[:-1], axis=1)
+        gamma = sum(amp * complex_normal(rng, n1, e.shape[1]) @ e.conj().T for (_, _, amp), e in zip(levels, columns))
+        omega = np.zeros((n1 + n2, n1 + n2), dtype=complex)
+        omega[n1:, n1:] = (basis * np.repeat([f for f, _, _ in levels], [w for _, w, _ in levels])) @ basis.conj().T
+        omega[:n1, n1:] = scale * gamma
+        omega[n1:, :n1] = scale * gamma.conj().T
+        system = ConservativeSystem(n1, n2, 0.5 * (omega + omega.conj().T))
+        w, v = np.linalg.eigh(system.omega2)
+        norm, want = np.linalg.norm(system.coupling, 2), []
+        for cl in cluster_spectrum(w):
+            block = system.coupling @ v[:, cl.start : cl.stop]
+            assert cl.dim in (1, 2, 3)
+            if np.linalg.norm(block / norm, 2) ** 2 > DEFAULT_TOLERANCES.tau_rank:
+                want.append((cl.value, block @ block.conj().T))
+        mu = measure_of(system)
+        assert mu.frequencies.tolist() == [f for f, _ in want]
+        assert mu.frequencies == pytest.approx([-1.0, 0.5, 2.0, 5.0], abs=1e-12)
+        for got, (_, mass) in zip(mu.masses, want):
+            assert np.linalg.norm(got - mass, 2) <= 1e-12 * np.linalg.norm(mass, 2)
 
     def test_uncoupled_hidden_modes_dropped(self):
         omega = np.diag([1.0, 2.0, 3.0]).astype(complex)

@@ -372,12 +372,6 @@ class TestEigenClusters:
         w, v, clusters = eigen_clusters(np.zeros((0, 0)), DEFAULT_TOLERANCES)
         assert w.size == 0 and v.shape == (0, 0) and clusters == []
 
-    def test_values_only(self):
-        w, v, clusters = eigen_clusters(np.diag([1.0, 1.0, 2.0]), DEFAULT_TOLERANCES, vectors=False)
-        assert v is None
-        assert np.array_equal(w, [1.0, 1.0, 2.0])
-        assert [c.dim for c in clusters] == [2, 1]
-
     def test_merges_relative_to_the_spectral_radius(self):
         # a gap of 5e-8 merges against radius 10 (threshold 1e-7) but
         # splits against radius 1 (threshold 1e-8)

@@ -36,6 +36,7 @@ from openext import (
 from openext.numerics import (
     DEFAULT_TOLERANCES,
     _phase_fix,
+    cluster_spectrum,
     complement,
     compress,
     eigen_clusters,
@@ -116,7 +117,7 @@ def dense_frozen(spec):
     e_gamma = orthonormal_basis(np.stack(spec.gammas).T.astype(complex))
     frozen = np.kron(np.eye(spec.volume), svd_complement(e_gamma.frame))
     coupled = svd_complement(frozen)
-    _, _, clusters = eigen_clusters(compress(omega, coupled), TOL, vectors=False)
+    clusters = cluster_spectrum(np.linalg.eigvalsh(compress(omega, coupled)), TOL)
     freq = math.sqrt(spec.xi / spec.m)
     resid = omega @ frozen - freq * frozen
     max_resid = float(np.max(np.linalg.norm(resid, axis=0))) if frozen.size else 0.0
