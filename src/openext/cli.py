@@ -342,6 +342,8 @@ def _cmd_simulate(args, tol: ToleranceConfig) -> int:
             f"the budget of {SIZE_BUDGET} state entries (grid points x dimension)"
         )
     steps = round(ratio)
+    if steps < 1:
+        raise ValidationError(f"--T {args.total_time} / --dt {args.dt} rounds to no step: the grid needs two points")
     times = np.linspace(0.0, steps * args.dt, steps + 1)
     f1 = _build_forcing(args, system.n1)
 

@@ -23,11 +23,11 @@ fixed order of the seeded stream, then evaluates them in batched
 products.  A rough trial stays factored as its interpolation matrix
 times its coarse node values, and a frequency-modulated trial p along
 its worst direction is read as lambda_min(H_p) / ||p||_w^2 from the
-form Q(g p) = g^H H_p g, with no eigenvector formed.  Where the masses
-span less than C^n, both checks read them compressed to a frame of the
-range of A, whose complement carries the form's exact 0, and Weyl's
-bound on each mass's leak off that frame certifies the result; a measure
-it does not certify is checked on its full masses.  `fit_point_measure`
+form Q(g p) = g^H H_p g, with no eigenvector formed.  Both checks take
+one path on a frame: the range of A where the masses span less than C^n,
+whose complement carries the form's exact 0 and where Weyl's bound on
+each mass's leak off the frame certifies the result, and, where that
+does not certify, the identity, on the full masses.  `fit_point_measure`
 recovers a measure from noise-free uniform kernel samples by a
 matrix-pencil frequency search plus per-frequency least squares.  The
 frame rule cuts its pencil, the PSD cut on the fitted kernel's block
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, FitError, NotPositiveSemidefiniteError, NumericError, ValidationError
-from .model import ConservativeSystem, PointMeasure, _total_and_size
+from .model import ConservativeSystem, PointMeasure, _total_mass_eigh
 from .numerics import (
     DEFAULT_TOLERANCES,
     SIZE_BUDGET,
@@ -339,18 +339,18 @@ def _scan_min(seed, trials: int, n: int, freqs, times, weights, phases, masses, 
     return float(mc_min) if np.isfinite(mc_min) else 0.0
 
 
-def _range_route(masses: np.ndarray, total: np.ndarray, tol: ToleranceConfig):
+def _range_route(measure: PointMeasure, tol: ToleranceConfig):
     """The masses on a frame Q of the range of their total a(0): the
-    eigenvectors of a(0) past the atom rule, |w| > tau_rank * ||a(0)||_2, from
-    one `eigh`.  Returns (Q, C, leaks), C the Hermitian parts C_k of
-    Q^H N_k Q and the leak l_k = ||N_k - Q C_k Q^H||_F, which bounds its
-    2-norm, taken one atom at a time; None where Q would be all of C^n or
-    nothing."""
-    w, u = np.linalg.eigh(total)
-    keep = np.abs(w) > tol.tau_rank * np.max(np.abs(w), initial=0.0)
+    eigenvectors of a(0) past the atom rule, |w| > tau_rank * ||a(0)||_2,
+    from the measure's one `eigh` of it.  Returns (Q, C, leaks), C the
+    Hermitian parts C_k of Q^H N_k Q and the leak l_k = ||N_k - Q C_k Q^H||_F,
+    which bounds its 2-norm, taken one atom at a time; None where Q would be
+    all of C^n or nothing."""
+    _, w, u, size = measure._kernel
+    keep = np.abs(w) > tol.tau_rank * size
     if keep.all() or not keep.any():
         return None
-    q = u[:, keep]
+    q, masses = u[:, keep], measure.masses
     compressed, leaks = np.empty((masses.shape[0], q.shape[1], q.shape[1]), dtype=np.complex128), []
     for k, mass in enumerate(masses):
         compressed[k] = c = compress(mass, q)
@@ -358,12 +358,13 @@ def _range_route(masses: np.ndarray, total: np.ndarray, tol: ToleranceConfig):
     return q, compressed, np.array(leaks)
 
 
-def _range_minima(masses: np.ndarray, compressed: np.ndarray, leaks: np.ndarray, tol: ToleranceConfig):
+def _range_minima(masses: np.ndarray, compressed: np.ndarray, leaks: np.ndarray, frame, tol: ToleranceConfig):
     """Least eigenvalue of each atom and the witnesses, read off Q C_k Q^H, whose spectrum (that of
-    C_k and n - r zeros) lies within l_k of the atom's (Weyl).  An atom whose least one lies within
-    2 l_k of its PSD cut is decided on its full mass."""
-    lam = np.linalg.eigvalsh(compressed)
-    ends = np.stack([np.minimum(lam[:, 0], 0.0), np.maximum(lam[:, -1], 0.0)], axis=1)
+    C_k, and n - r zeros where Q is not the identity, None) lies within l_k of the atom's (Weyl).
+    An atom whose least one lies within 2 l_k of its PSD cut is decided on its full mass."""
+    ends = np.linalg.eigvalsh(compressed)[:, [0, -1]]
+    if frame is not None:
+        ends[:, 0], ends[:, 1] = np.minimum(ends[:, 0], 0.0), np.maximum(ends[:, 1], 0.0)
     min_eigs, witness = [], []
     for k, (w, leak) in enumerate(zip(ends, leaks.tolist())):
         cut = -tol.tau_residual * max(abs(w[0]), abs(w[1]))  # `below_psd_cut`'s
@@ -401,14 +402,16 @@ def check_dissipation(
         is never formed: Q(g p) = g^H H_p g, so its value is
         lambda_min(H_p) / ||p||_w^2 (`_profile_form_matrix`).
 
-    Both checks run on the range of a(0) where it is smaller than C^n
-    (`_range_route`): each mass N_k is replaced by Q C_k Q^H, whose
-    complement carries an exact 0, and so moves by its leak l_k.  Since
-    sum_j w_j = T and max_j w_j = h, every Monte-Carlo value then moves by
-    at most (T + h)/2 * sum_k l_k, the certificate.  A measure whose
-    certificate exceeds the scan's tolerance |threshold|, or could move
-    the least value across the threshold, is checked on its full masses,
-    and so is one whose frame is all of C^n, exactly as without a frame.
+    Both checks run on one path over a frame Q, tried in turn: the range
+    of a(0) where it is neither all of C^n nor nothing (`_range_route`,
+    read off the measure's one `eigh` of a(0)), then the identity.  Each
+    mass N_k is read as Q C_k Q^H, whose complement carries an exact 0,
+    and so moves by its leak l_k.  Since sum_j w_j = T and max_j w_j = h,
+    every Monte-Carlo value then moves by at most (T + h)/2 * sum_k l_k,
+    the certificate.  A frame whose certificate exceeds the scan's
+    tolerance |threshold| = tau_residual * ||a(0)||_2 * T^2, or could move
+    the least value across the threshold, gives way to the next; the
+    identity, with no compression and no leak, always certifies.
 
     A gain in sampled data is refused by `fit_point_measure`, before the
     PSD clip that would hide it from this check.
@@ -428,30 +431,14 @@ def check_dissipation(
     phases = weights[:, None] * np.exp(1j * np.outer(times, freqs))
     threshold = -tol.tau_residual * measure._kernel_size() * MC_TIME_SPAN ** 2
     scan = (seed, trials, n, freqs, times, weights, phases)
-
-    def report(min_eigs, witness, mc_min) -> DissipationReport:
-        return DissipationReport(
-            witness_atoms=tuple(witness),
-            atom_min_eigenvalues=tuple(min_eigs),
-            mc_min_value=mc_min,
-            trials=int(trials),
-            seed=int(seed),
-            threshold=float(threshold),
-        )
-
-    route = _range_route(masses, measure.total_mass(), tol)
-    if route is not None:
-        frame, compressed, leaks = route
+    identity = (None, masses, np.zeros(masses.shape[0]))
+    for frame, compressed, leaks in filter(None, [_range_route(measure, tol), identity]):
         bound = 0.5 * (MC_TIME_SPAN + float(weights.max())) * float(leaks.sum())
         if bound <= -threshold:
             mc_min = _scan_min(*scan, compressed, compressed.sum(axis=0), frame)
             if (mc_min - bound >= threshold) == (mc_min + bound >= threshold):
-                return report(*_range_minima(masses, compressed, leaks, tol), mc_min)
-
-    eigs = np.linalg.eigvalsh(masses)
-    min_eigs = eigs[:, 0].tolist()
-    witness = [(k, min_eigs[k]) for k, w in enumerate(eigs) if below_psd_cut(w, tol)]
-    return report(min_eigs, witness, _scan_min(*scan, masses, masses.sum(axis=0), None))
+                min_eigs, witness = _range_minima(masses, compressed, leaks, frame, tol)
+                return DissipationReport(tuple(witness), tuple(min_eigs), mc_min, int(trials), int(seed), threshold)
 
 
 FIT_RESIDUAL_CONTRACT = 1e-6
@@ -467,15 +454,16 @@ def fit_point_measure(
     A matrix pencil on the scalar trace sequence (pencil length = half the sample count, its
     Hankel cut by the frame rule, capped at max_atoms) finds the frequencies, and entrywise
     least squares against the recovered exponentials the masses N_k.  Three rules of `tol`
-    decide.  The PSD cut on the fitted kernel's block Toeplitz form over the sample grid,
-    (R x I) blockdiag(N_k) (R x I)^H with R the QR factor of the design matrix, tells a gain
-    (NotPositiveSemidefiniteError, naming the atom with the most negative term in the witness
-    eigenvector) from close atoms; it is formed only when some N_k fails that cut on its own.
-    The masses are then clipped to PSD, which clips only rounding, and cut by the atom rule,
-    a(0) the sum of the clipped masses.  Every fit must reproduce each sampled entry within
-    FIT_RESIDUAL_CONTRACT times the largest sampled |a_ij(t_j)| or raises FitError.
-    A design matrix conditioned past 1e10 raises FitError, a pencil root at the Nyquist limit
-    ValidationError, and a Hankel or Toeplitz form past SIZE_BUDGET entries BudgetError.
+    decide.  The frame rule also reads the design matrix: a least singular value at most
+    tau_rank times the largest raises FitError.  The PSD cut on the fitted kernel's block
+    Toeplitz form over the sample grid, (R x I) blockdiag(N_k) (R x I)^H with R the QR factor
+    of the design matrix, tells a gain (NotPositiveSemidefiniteError, naming the atom with the
+    most negative term in the witness eigenvector) from close atoms; it is formed only when some
+    N_k fails that cut on its own.  The masses are then clipped to PSD, which clips only
+    rounding, and cut by the atom rule, a(0) the sum of the clipped masses.  Every fit must
+    reproduce each sampled entry within FIT_RESIDUAL_CONTRACT times the largest sampled
+    |a_ij(t_j)| or raises FitError.  A pencil root at the Nyquist limit raises ValidationError,
+    and a Hankel or Toeplitz form past SIZE_BUDGET entries BudgetError.
     """
     if max_atoms < 0:
         raise ValidationError("max_atoms must be nonnegative")
@@ -506,10 +494,10 @@ def fit_point_measure(
     freqs = np.sort(-angles / step)
 
     vander = np.exp(-1j * np.outer(times, freqs))
-    coeff, _, _, sv2 = np.linalg.lstsq(vander, samples.values.reshape(g, n * n), rcond=None)
-    cond2 = float(sv2[0] / sv2[-1]) if sv2.size and sv2[-1] > 0 else np.inf
-    if sv2.size and not cond2 <= 1e10:
-        raise FitError(f"frequency design matrix is ill-conditioned ({cond2:.2e})")
+    coeff, _, _, sv = np.linalg.lstsq(vander, samples.values.reshape(g, n * n), rcond=None)
+    if sv.size and not sv[-1] > tol.tau_rank * sv[0]:  # the frame rule
+        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+        raise FitError(f"frequency design matrix is ill-conditioned ({cond:.2e})")
 
     coeff = coeff.reshape(freqs.size, n, n)
     hermitian = 0.5 * (coeff + coeff.conj().transpose(0, 2, 1))
@@ -529,7 +517,7 @@ def fit_point_measure(
             )
     w = np.clip(w, 0.0, None)
     masses = (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    cut = tol.tau_rank * _total_and_size(masses, n)[1]
+    cut = tol.tau_rank * _total_mass_eigh(masses, n)[3]
     atoms = [(float(f), m) for f, m, top in zip(freqs, masses, w[:, -1].tolist()) if top > cut]  # ||m||_2, m PSD
     fitted = PointMeasure.create(n, atoms, tol)
 

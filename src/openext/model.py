@@ -132,10 +132,11 @@ class PointMeasure:
     as_matrix's rule: a copy of the caller's writeable stack, while a
     complex128 stack already read-only down to its owner, every mass
     exactly Hermitian, is kept, bits and buffer.  A mass further than
-    STRUCTURE_TOL from Hermitian is rejected.  a(0) = sum_k N_k and its
-    2-norm, the scale of every atom cut on the measure, have one home,
-    `_kernel`: summed once and kept, and refused with ValidationError
-    where they overflow, as an atom each within the float range can.
+    STRUCTURE_TOL from Hermitian is rejected.  a(0) = sum_k N_k, its
+    eigenpairs and its 2-norm max |w|, the scale of every atom cut on the
+    measure, have one home, `_kernel`: summed and decomposed once and
+    kept, and refused with ValidationError where they overflow, as an
+    atom each within the float range can.
     """
 
     dim: int
@@ -209,22 +210,24 @@ class PointMeasure:
 
     def _kernel_size(self) -> float:
         """||a(0)||_2, the scale of every atom cut on this measure."""
-        return self._kernel[1]
+        return self._kernel[3]
 
     @cached_property
-    def _kernel(self) -> tuple[np.ndarray, float]:
-        return _total_and_size(self.masses, self.dim)  # the masses are read-only: summed once
+    def _kernel(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        return _total_mass_eigh(self.masses, self.dim)  # the masses are read-only: summed and decomposed once
 
 
-def _total_and_size(masses, dim: int) -> tuple[np.ndarray, float]:
-    """(the read-only sum of the masses in order, its 2-norm); ValidationError where either overflows."""
+def _total_mass_eigh(masses, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(the read-only sum of the masses in order, its eigenvalues and eigenvectors from one `eigh`, its
+    2-norm max |w|); ValidationError where the sum or an eigenvalue overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         total = sum(masses, np.zeros((dim, dim), dtype=np.complex128))
-        size = float(np.linalg.norm(total, 2)) if np.all(np.isfinite(total)) else np.inf
-    if size == np.inf:
+    w, u = np.linalg.eigh(total) if np.all(np.isfinite(total)) else (np.full(1, np.inf), None)
+    size = float(np.max(np.abs(w), initial=0.0))
+    if not np.isfinite(size):
         raise ValidationError("the total mass a(0) of the measure overflows")
     total.flags.writeable = False
-    return total, size
+    return total, w, u, size
 
 
 @dataclass(frozen=True, eq=False)

@@ -54,14 +54,15 @@ class ToleranceConfig:
                      (every `eigh`, a `QuadraticHamiltonian`'s stiffness), `validate` and `OpenSystem.from_mass_form`.
     tau_rank         every rank cut, by one of two rules: the frame rule, tau_rank * sigma_max of the matrix
                      cut (`matrix_rank`, `orthonormal_basis`, `channels`, `orbit` on an orthonormal seed's
-                     coefficients, `fit`'s pencil); the atom rule, tau_rank * ||a(0)||_2, every hidden-side
-                     cut.  ||a(0)||_2 has two homes, each refusing overflow.  On a system it is ||Gamma||_2^2
-                     (`_kernel_size`): sqrt(tau_rank) on the singular values of Gamma / ||Gamma||_2 per omega2
-                     cluster, one `cluster_svd` pass, cuts `measure_of`, h2c, the canonical components and
-                     `decoupling_report`'s splitting, and the compressed blocks of `coupling_matrix`.  On a
-                     measure it is `PointMeasure._kernel_size`, read by `minimal_extension`, `propagate_open`
-                     and `fit`'s masses (through the same sum), and `check_dissipation`'s range cut reads it
-                     as max |w| of its `eigh` of a(0).  Also mass/stiffness definiteness, and the refusal in
+                     coefficients, `fit`'s pencil and design matrix); the atom rule, tau_rank * ||a(0)||_2,
+                     every hidden-side cut.  ||a(0)||_2 has two homes, each refusing overflow.  On a system it
+                     is ||Gamma||_2^2 (`_kernel_size`): sqrt(tau_rank) on the singular values of
+                     Gamma / ||Gamma||_2 per omega2 cluster, one `cluster_svd` pass, cuts `measure_of`, h2c,
+                     the canonical components and `decoupling_report`'s splitting, and the compressed blocks
+                     of `coupling_matrix`.  On a measure it is `PointMeasure._kernel_size`, max |w| of the
+                     measure's one `eigh` of a(0), read by `minimal_extension`, `propagate_open`,
+                     `check_dissipation` (whose range frame is that `eigh`'s) and `fit`'s masses (through the
+                     same function).  Also mass/stiffness definiteness, and the refusal in
                      `frozen_report` of a kept singular value of the coupling vectors at most sqrt(tau_rank) s_0.
     tau_eig_cluster  read by `cluster_spectrum` alone, the merge rule of eigen-clusters, channel
                      groups, lattice multiplicities and atom frequencies (`PointMeasure.create`, `validate`).

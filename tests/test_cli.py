@@ -664,6 +664,16 @@ class TestAnalysisCommands:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("mode", ["--full", "--open", "--both"])
+    def test_simulate_rejects_a_zero_step_grid(self, capsys, worked_file, tmp_path, mode):
+        out = tmp_path / "out"
+        code = main(["simulate", worked_file, mode, "--dt", "1", "--T", "0.4", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and "no step" in line
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags",
         [("--dt", "1e-300", "--T", "1"), ("--dt", "1e-310", "--T", "1e300"), ("--dt", "1e-7", "--T", "10")],

@@ -116,7 +116,7 @@ def reference_check_dissipation(measure, trials, seed=DEFAULT_MC_SEED, tol=DEFAU
     the direct form; each modulated trial takes the worst direction from a
     full eigh of the per-atom profile form.  Returns the report fields."""
     times, weights = trapezoid_grid()
-    n, scale = measure.dim, float(np.linalg.norm(measure.total_mass(), 2))
+    n, scale = measure.dim, float(np.abs(np.linalg.eigh(measure.total_mass())[0]).max())
     freqs = measure.frequencies
     phases = weights[:, None] * np.exp(1j * np.outer(times, freqs))
     masses = measure.masses
@@ -706,7 +706,7 @@ def low_rank_systems(rng, count):
 
 def certificate(mu, tol=DEFAULT_TOLERANCES):
     """The range route's frame width, per-atom leaks and Monte-Carlo bound (T + h)/2 * sum l_k."""
-    frame, _, leaks = extension._range_route(mu.masses, mu.total_mass(), tol)
+    frame, _, leaks = extension._range_route(mu, tol)
     _, weights = trapezoid_grid()
     return frame.shape[1], leaks, 0.5 * (MC_TIME_SPAN + weights.max()) * leaks.sum()
 
@@ -753,9 +753,9 @@ class TestRangeRoute:
         rng = np.random.default_rng(43)
         for dim in range(1, 6):
             mu = PointMeasure(dim, [0.0, 1.0], [random_psd(rng, dim, rank=dim), random_psd(rng, dim, rank=1)])
-            assert extension._range_route(mu.masses, mu.total_mass(), DEFAULT_TOLERANCES) is None
+            assert extension._range_route(mu, DEFAULT_TOLERANCES) is None
         empty = PointMeasure(3)
-        assert extension._range_route(empty.masses, empty.total_mass(), DEFAULT_TOLERANCES) is None
+        assert extension._range_route(empty, DEFAULT_TOLERANCES) is None
         assert check_dissipation(empty).as_dict() == reference_check_dissipation(empty, 32) | {
             "witness_atoms": [], "atom_min_eigenvalues": [], "algebraic_available": True, "algebraic_pass": True,
             "trials": 32, "seed": DEFAULT_MC_SEED,
@@ -828,6 +828,26 @@ class TestRangeRoute:
         assert rep.atom_min_eigenvalues[1] == full[0]
         assert [k for k, _ in rep.witness_atoms] == ([1] if below_psd_cut(full, DEFAULT_TOLERANCES) else [])
 
+    @pytest.mark.parametrize("rank", [2, 5])
+    def test_total_mass_is_decomposed_once_per_check(self, rank, monkeypatch):
+        # a(0) has rank 2 (the range frame) or 5 (the identity frame): one eigh of it, which
+        # gives ||a(0)||_2 and the frame, and no SVD or eigvalsh of it
+        rng = np.random.default_rng(73)
+        mu = PointMeasure(5, [0.0, 1.0], [random_psd(rng, 5, rank=rank) for _ in range(2)])
+        total = sum(mu.masses, np.zeros((5, 5), dtype=complex))
+        impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+        calls = []
+        for module in (np.linalg, impl):
+            for name in ("eigh", "eigvalsh", "svd"):
+                def counted(a, *args, _name=name, _f=getattr(module, name), **kw):
+                    calls.extend([_name] if np.shape(a) == total.shape and np.array_equal(a, total) else [])
+                    return _f(a, *args, **kw)
+                monkeypatch.setattr(module, name, counted)
+        rep = check_dissipation(mu)
+        monkeypatch.undo()
+        assert calls == ["eigh"]
+        assert rep.threshold == -DEFAULT_TOLERANCES.tau_residual * np.abs(np.linalg.eigh(total)[0]).max() * MC_TIME_SPAN**2
+
     def test_no_stack_sized_temporary(self):
         import tracemalloc
 
@@ -894,6 +914,24 @@ class TestFitPointMeasure:
         monkeypatch.setattr(np.linalg, "lstsq", flattened)
         with pytest.raises(FitError, match=r"frequency design matrix is ill-conditioned \(\d\.\d\de\+11\)"):
             fit_point_measure(samples, max_atoms=4)
+
+    @pytest.mark.parametrize("tau_rank", [1e-9, 1e-10])
+    def test_design_matrix_is_cut_by_the_frame_rule(self, tau_rank, monkeypatch):
+        # condition number 3e9: refused where tau_rank * 3e9 >= 1 (the default), fitted below
+        mu = PointMeasure.create(1, [(1.0, [[2.0]]), (2.5, [[0.5]])])
+        samples, lstsq = kernel_of_measure(mu, np.arange(64) * 0.1), np.linalg.lstsq
+
+        def flattened(a, b, rcond=None):
+            x, res, rank, sv = lstsq(a, b, rcond=rcond)
+            return x, res, rank, np.r_[sv[:1], np.full(sv.size - 1, sv[0] / 3e9)]
+
+        monkeypatch.setattr(np.linalg, "lstsq", flattened)
+        tol = DEFAULT_TOLERANCES.replace(tau_rank=tau_rank)
+        if tau_rank * 3e9 >= 1.0:
+            with pytest.raises(FitError, match=r"frequency design matrix is ill-conditioned \(3\.00e\+09\)"):
+                fit_point_measure(samples, max_atoms=4, tol=tol)
+        else:
+            assert fit_point_measure(samples, max_atoms=4, tol=tol).frequencies.size == 2
 
     def test_scales_come_from_the_fit_and_the_samples_not_the_first_sample(self):
         # |a(2 pi)| = |1 + e^{-3 pi i}| is about 1e-16: a first-sample scale
